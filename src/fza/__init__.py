@@ -10,7 +10,6 @@ from .density import (
     single_density,
     single_density_base,
     single_density_path,
-    thinned_offset_candidate,
 )
 from .exact import (
     GeneralizedCommodity,

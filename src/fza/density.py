@@ -17,6 +17,7 @@ from .model import (
     Instance,
     InvalidInstanceError,
     SolveResult,
+    edge_mask,
     make_result,
 )
 from .rng import substream
@@ -84,42 +85,16 @@ def offset_candidate(instance: Instance, root: int, j: int, theta: int) -> froze
     return frozenset(picked)
 
 
-def _revenue_evaluator(instance):
-    """Closure computing full revenue of an edge mask with per-commodity
-    contribution tables (cheaper than re-deriving w*f every call)."""
-    zero = Fraction(0)
-    f = instance.pricing
-    data = []
-    for i, c in enumerate(instance.commodities):
-        pm = instance.paths[i]
-        size = pm.bit_count()
-        table = [c.weight * f(x) for x in range(size + 1)]
-        data.append((pm, c.budget, table))
-
-    def rev(mask: int) -> Fraction:
-        total = zero
-        for pm, budget, table in data:
-            count = (pm & mask).bit_count()
-            if count <= budget:
-                total += table[count]
-        return total
-
-    return rev
-
-
 def _argmax_candidates(instance, candidates, algorithm, seed=None):
     """Pick the candidate with maximum full-instance revenue.
 
     Ties break on the (j, theta) generation order and then on the sorted cut
     tuple, so the outcome is independent of evaluation order.
     """
-    rev_of = _revenue_evaluator(instance)
     best = None
     for rank, cuts in candidates:
-        mask = 0
-        for eid in cuts:
-            mask |= 1 << eid
-        key = (rev_of(mask), tuple(-p for p in rank))  # revenue, then earlier rank
+        # scaled revenue, then earlier rank
+        key = (instance.scaled_revenue(edge_mask(cuts)), tuple(-p for p in rank))
         if best is None or key > best[0]:
             best = (key, cuts)
     assert best is not None
@@ -139,18 +114,6 @@ def _edge_depths(instance: Instance, root: int) -> list[tuple[int, int]]:
     pairs = [(depth[v] - 1, parent_edge[v]) for v in order[1:]]
     pairs.sort(key=lambda de: de[1])
     return pairs
-
-
-def thinned_offset_candidate(
-    instance: Instance, root: int, j: int, theta: int, seed: int
-) -> frozenset[int]:
-    """Offset candidate after dropping each edge independently with chance 1/2.
-
-    Edges are processed in increasing edge-id order within the substream
-    keyed by (j, theta), so the draw is reproducible per candidate.
-    """
-    rng = substream(seed, "single-density", j, theta)
-    return frozenset(e for e in sorted(offset_candidate(instance, root, j, theta)) if rng.random() >= 0.5)
 
 
 def single_density(instance: Instance, seed: int) -> SolveResult:

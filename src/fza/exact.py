@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .model import (
     CapacityError,
-    Commodity,
+    FzaError,
     Instance,
     InvalidInstanceError,
     SolveResult,
@@ -30,21 +30,14 @@ def brute_force(instance: Instance, max_edges: int = 24) -> SolveResult:
     if m > max_edges:
         raise CapacityError(f"brute force limited to {max_edges} edges, instance has {m}")
     k = instance.num_commodities
-    f = instance.pricing
-    zero = Fraction(0)
-    # contrib[i][c]: commodity i's revenue when exactly c of its edges are cut
-    contrib = []
-    for i in range(k):
-        c = instance.commodities[i]
-        size = instance.path_size(i)
-        contrib.append([c.weight * f(x) if x <= c.budget else zero for x in range(size + 1)])
+    value = instance.value
     on_edge: list[list[int]] = [[] for _ in range(m)]
     for i in range(k):
         for eid in mask_to_edges(instance.paths[i]):
             on_edge[eid].append(i)
 
     counts = [0] * k
-    revenue = sum((contrib[i][0] for i in range(k)), zero)
+    revenue = sum(value(i, 0) for i in range(k))
     best_rev = revenue
     best_key: tuple[int, ...] = ()
     best_mask = 0
@@ -57,7 +50,7 @@ def brute_force(instance: Instance, max_edges: int = 24) -> SolveResult:
         for i in on_edge[eid]:
             old = counts[i]
             counts[i] = old + delta
-            revenue += contrib[i][old + delta] - contrib[i][old]
+            revenue += value(i, old + delta) - value(i, old)
         if revenue > best_rev:
             best_rev = revenue
             best_mask = mask
@@ -99,20 +92,20 @@ def rooted_dp(instance: Instance, root: int = 0) -> SolveResult:
     children: list[list[tuple[int, int]]] = [[] for _ in range(tree.num_vertices)]
     for v in order[1:]:
         children[parent[v]].append((v, parent_edge[v]))
-    ends_at: list[list[Commodity]] = [[] for _ in range(tree.num_vertices)]
-    for c, t in zip(instance.commodities, far):
-        ends_at[t].append(c)
+    ends_at: list[list[int]] = [[] for _ in range(tree.num_vertices)]
+    for i, t in enumerate(far):
+        ends_at[t].append(i)
 
-    f = instance.pricing
-    zero = Fraction(0)
-    table: list[list[Fraction]] = [None] * tree.num_vertices  # type: ignore[list-item]
+    value = instance.value
+    # scaled revenues (ints); see Instance.value
+    table: list[list[int]] = [None] * tree.num_vertices  # type: ignore[list-item]
     cut_child: list[list[list[bool]]] = [None] * tree.num_vertices  # type: ignore[list-item]
     for v in reversed(order):
         dv = depth[v]
         vals = []
         choices = []
         for x in range(dv + 1):
-            total = sum((c.weight * f(x) for c in ends_at[v] if x <= c.budget), zero)
+            total = sum(value(i, x) for i in ends_at[v])
             flags = []
             for w, _ in children[v]:
                 stay = table[w][x]
@@ -139,7 +132,8 @@ def rooted_dp(instance: Instance, root: int = 0) -> SolveResult:
             else:
                 stack.append((w, x))
     result = make_result(instance, cuts, algorithm="rooted", diagnostics={"root": root})
-    assert result.revenue == table[root][0]
+    if result.revenue != Fraction(table[root][0], instance.scale):
+        raise FzaError("rooted DP value disagrees with the revenue of its cut set")
     return result
 
 
@@ -258,7 +252,8 @@ def generalized_rooted_path_dp(gpi: GeneralizedPathInstance, y: int) -> SolveRes
         served.append(ok)
         if ok:
             check += c.weight * c.table[count]
-    assert check == revenue
+    if check != revenue:
+        raise FzaError("generalized path DP value disagrees with the revenue of its cut set")
     return SolveResult(
         cuts=tuple(cuts),
         revenue=revenue,

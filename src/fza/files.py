@@ -45,14 +45,29 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; booleans and floats are refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInstanceError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _edge(value) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise InvalidInstanceError(f"edge must be a pair of vertices, got {value!r}")
+    return _int(value[0], "edge endpoint"), _int(value[1], "edge endpoint")
+
+
 def dict_to_instance(data: dict) -> Instance:
+    if not isinstance(data, dict):
+        raise InvalidInstanceError(f"instance must be a JSON object, got {type(data).__name__}")
     try:
         if data.get("version") != FORMAT_VERSION:
             raise InvalidInstanceError(f"unsupported format version {data.get('version')!r}")
-        tree = Tree(int(data["num_vertices"]), tuple(tuple(e) for e in data["edges"]))
+        tree = Tree(_int(data["num_vertices"], "num_vertices"), tuple(_edge(e) for e in data["edges"]))
         pricing = PricingFunction(tuple(to_fraction(v) for v in data["pricing"]))
         commodities = [
-            Commodity(int(c["s"]), int(c["t"]), int(c["u"]), to_fraction(c["w"]))
+            Commodity(_int(c["s"], "s"), _int(c["t"], "t"), _int(c["u"], "u"), to_fraction(c["w"]))
             for c in data["commodities"]
         ]
     except (KeyError, TypeError) as exc:

@@ -1,9 +1,12 @@
 """Core data model: trees, concave pricing tables, commodities, and exact revenue.
 
-All money-valued quantities (weights, prices, revenues) are `fractions.Fraction`;
-there is no floating point anywhere in the revenue computation. Commodity paths
-are cached as bitmasks over edge ids so that cut counting is a single AND plus
-popcount.
+Money-valued inputs and outputs (weights, prices, revenues) are
+`fractions.Fraction`. Inside the solvers every term w_i * f(x) is scaled by the
+instance's common denominator to a Python int (`Instance.value`), so solvers
+add and compare ints and divide by `Instance.scale` only when a revenue leaves
+them. There is no floating point anywhere in the revenue computation. Commodity
+paths are cached as bitmasks over edge ids so that cut counting is a single AND
+plus popcount.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -206,6 +210,12 @@ class PricingFunction:
     def __call__(self, x: int) -> Fraction:
         return self.values[x]
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(D_f, F): D_f the lcm of the price denominators, F_x = f(x) * D_f."""
+        d = lcm(*(v.denominator for v in self.values))
+        return d, tuple(v.numerator * (d // v.denominator) for v in self.values)
+
     def __len__(self) -> int:
         return len(self.values)
 
@@ -313,6 +323,36 @@ class Instance:
     def path_size(self, i: int) -> int:
         return self.paths[i].bit_count()
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(D, W, F, budgets) with W_i = w_i * D_w and F_x = f(x) * D_f, where
+        D_w is the lcm of the weight denominators and D = D_w * D_f."""
+        d_w = lcm(*(c.weight.denominator for c in self.commodities))
+        d_f, prices = self.pricing.scaled
+        weights = tuple(c.weight.numerator * (d_w // c.weight.denominator) for c in self.commodities)
+        return d_w * d_f, weights, prices, tuple(c.budget for c in self.commodities)
+
+    @property
+    def scale(self) -> int:
+        """Common denominator D: w_i * f(x) == Fraction(value(i, x), D)."""
+        return self._scaled[0]
+
+    def value(self, i: int, x: int) -> int:
+        """Commodity i's revenue with x cuts on its path, times `scale`."""
+        _, weights, prices, budgets = self._scaled
+        return weights[i] * prices[x] if x <= budgets[i] else 0
+
+    def scaled_revenue(self, mask: int, ids: Iterable[int] | None = None) -> int:
+        """Revenue of cut set `mask` over commodities `ids` (all by default), times `scale`."""
+        _, weights, prices, budgets = self._scaled
+        paths = self.paths
+        total = 0
+        for i in range(len(paths)) if ids is None else ids:
+            count = (paths[i] & mask).bit_count()
+            if count <= budgets[i]:
+                total += weights[i] * prices[count]
+        return total
+
 
 def edge_mask(cuts: Iterable[int]) -> int:
     mask = 0
@@ -353,7 +393,8 @@ def normalize(instance: Instance) -> Instance:
     commodities = tuple(Commodity(r[0], r[1], r[2], r[3]) for r in rows)
     paths = tuple(r[4] for r in rows)
     # after merging, the number of distinct (path, budget) pairs is O(n^3)
-    assert len(commodities) <= max(1, tree.num_vertices) ** 3
+    if len(commodities) > max(1, tree.num_vertices) ** 3:
+        raise FzaError(f"{len(commodities)} commodities left after merging exceed n^3")
     return Instance(tree, instance.pricing, commodities, paths, normalized=True)
 
 
@@ -371,23 +412,22 @@ def _commodity_revenue_mask(instance: Instance, i: int, mask: int) -> Fraction:
 
 
 def total_revenue(instance: Instance, cuts: Iterable[int]) -> Fraction:
-    return total_revenue_mask(instance, edge_mask(cuts))
+    """Plain Fraction sum, independent of the scaled kernel: the reference
+    the solvers are tested against."""
+    mask = edge_mask(cuts)
+    return sum(
+        (_commodity_revenue_mask(instance, i, mask) for i in range(instance.num_commodities)),
+        Fraction(0),
+    )
 
 
 def total_revenue_mask(instance: Instance, mask: int) -> Fraction:
-    total = Fraction(0)
-    for i in range(instance.num_commodities):
-        total += _commodity_revenue_mask(instance, i, mask)
-    return total
+    return Fraction(instance.scaled_revenue(mask), instance.scale)
 
 
 def revenue_for(instance: Instance, ids: Iterable[int], cuts: Iterable[int]) -> Fraction:
     """Revenue restricted to the given commodity indices."""
-    mask = edge_mask(cuts)
-    total = Fraction(0)
-    for i in ids:
-        total += _commodity_revenue_mask(instance, i, mask)
-    return total
+    return Fraction(instance.scaled_revenue(edge_mask(cuts), ids), instance.scale)
 
 
 def parameters(instance: Instance) -> Parameters:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .model import (
     CapacityError,
+    FzaError,
     Instance,
     InvalidInstanceError,
     SolveResult,
@@ -41,15 +42,6 @@ def _path_layout(instance: Instance):
     return edge_ids, intervals
 
 
-def _marginal(f, w: Fraction, z: int, u: int) -> Fraction:
-    """Gain from one extra cut on a commodity that already has z cuts."""
-    if z < u:
-        return w * (f(z + 1) - f(z))
-    if z == u:
-        return -w * f(u)
-    return Fraction(0)
-
-
 class _Sweep:
     """Shared bookkeeping: per-position commodity lists and best-state update
     with the fixed tie rule."""
@@ -67,12 +59,8 @@ class _Sweep:
             for p in range(a, b + 1):
                 self.covering[p].append(i)
 
-    def base(self, p: int) -> Fraction:
-        f = self.instance.pricing
-        return sum(
-            (self.instance.commodities[i].weight * f(0) for i in self.starting[p]),
-            Fraction(0),
-        )
+    def base(self, p: int) -> int:
+        return sum(self.instance.value(i, 0) for i in self.starting[p])
 
 
 def _update(table, parents, key, value, pred, cut: bool) -> None:
@@ -100,7 +88,8 @@ def _finish(instance, sweep, table, parents_by_step, algorithm, diagnostics):
             cuts.append(sweep.edge_ids[p - 1])
         key = pred
     result = make_result(instance, cuts, algorithm=algorithm, diagnostics=diagnostics)
-    assert result.revenue == best_val
+    if result.revenue != Fraction(best_val, instance.scale):
+        raise FzaError("dynamic program value disagrees with the revenue of its cut set")
     return result
 
 
@@ -120,25 +109,24 @@ def dp_umax(instance: Instance, state_budget: int = 10**7) -> SolveResult:
     n = instance.tree.num_vertices
     if n ** (ell + 2) > state_budget:
         raise CapacityError(f"state budget exceeded: {n}^{ell + 2} > {state_budget}")
-    f = instance.pricing
-    comm = instance.commodities
+    value = instance.value
 
     window0 = tuple(range(-ell, 1))
-    table = {window0: Fraction(0)}
+    table = {window0: 0}
     parents_by_step = [dict() for _ in range(sweep.m + 1)]
     for p in range(1, sweep.m + 1):
-        new_table: dict[tuple, Fraction] = {}
+        new_table: dict[tuple, int] = {}
         parents: dict[tuple, tuple] = {}
         bp = sweep.base(p)
         here = sweep.covering[p]
         for window in sorted(table):
             val = table[window] + bp
             _update(new_table, parents, window, val, window, cut=False)
-            gain = Fraction(0)
+            gain = 0
             for i in here:
                 a = sweep.intervals[i][0]
                 z = len(window) - bisect_left(window, a)
-                gain += _marginal(f, comm[i].weight, z, comm[i].budget)
+                gain += value(i, z + 1) - value(i, z)
             shifted = window[1:] + (p,)
             _update(new_table, parents, shifted, val + gain, window, cut=True)
         table = new_table
@@ -157,25 +145,24 @@ def dp_pmax(instance: Instance, window_budget: int = 1 << 20) -> SolveResult:
     ell = max(1, parameters(instance).p_max)
     if (1 << ell) > window_budget:
         raise CapacityError(f"window budget exceeded: 2^{ell} > {window_budget}")
-    f = instance.pricing
-    comm = instance.commodities
+    value = instance.value
     full = (1 << ell) - 1
 
-    table = {0: Fraction(0)}
+    table = {0: 0}
     parents_by_step = [dict() for _ in range(sweep.m + 1)]
     for p in range(1, sweep.m + 1):
-        new_table: dict[int, Fraction] = {}
+        new_table: dict[int, int] = {}
         parents: dict[int, tuple] = {}
         bp = sweep.base(p)
         here = sweep.covering[p]
         for mask in sorted(table):
             val = table[mask] + bp
             _update(new_table, parents, (mask << 1) & full, val, mask, cut=False)
-            gain = Fraction(0)
+            gain = 0
             for i in here:
                 a = sweep.intervals[i][0]
                 z = (mask & ((1 << (p - a)) - 1)).bit_count()
-                gain += _marginal(f, comm[i].weight, z, comm[i].budget)
+                gain += value(i, z + 1) - value(i, z)
             _update(new_table, parents, ((mask << 1) | 1) & full, val + gain, mask, cut=True)
         table = new_table
         parents_by_step[p] = parents
@@ -192,7 +179,7 @@ def dp_congestion(instance: Instance, table_budget: int = 10**6) -> SolveResult:
     """
     sweep = _Sweep(instance)
     comm = instance.commodities
-    f = instance.pricing
+    value = instance.value
     worst = 1
     for p in range(1, sweep.m + 1):
         size = 1
@@ -207,19 +194,17 @@ def dp_congestion(instance: Instance, table_budget: int = 10**6) -> SolveResult:
             return DEAD
         return x - 1
 
-    table: dict[tuple, Fraction] = {(): Fraction(0)}
+    table: dict[tuple, int] = {(): 0}
     parents_by_step = [dict() for _ in range(sweep.m + 1)]
     prev_ids: list[int] = []
     for p in range(1, sweep.m + 1):
         ids = sweep.covering[p]
         prev_index = {i: t for t, i in enumerate(prev_ids)}
         new_ids = [i for i in ids if i not in prev_index]
-        new_table: dict[tuple, Fraction] = {}
+        new_table: dict[tuple, int] = {}
         parents: dict[tuple, tuple] = {}
-        keep_gain = sum((comm[i].weight * f(0) for i in new_ids), Fraction(0))
-        cut_gain_new = sum(
-            (comm[i].weight * f(1) for i in new_ids if comm[i].budget >= 1), Fraction(0)
-        )
+        keep_gain = sum(value(i, 0) for i in new_ids)
+        cut_gain_new = sum(value(i, 1) for i in new_ids)
         for state in sorted(table):
             val = table[state]
             kept = tuple(
@@ -234,7 +219,8 @@ def dp_congestion(instance: Instance, table_budget: int = 10**6) -> SolveResult:
                     x = dec(state[prev_index[i]])
                     if x != DEAD:
                         # slack x after the cut means u-x-1 cuts lay on the path before it
-                        gain += _marginal(f, comm[i].weight, comm[i].budget - x - 1, comm[i].budget)
+                        z = comm[i].budget - x - 1
+                        gain += value(i, z + 1) - value(i, z)
                     slashed.append(x)
                 else:
                     slashed.append(comm[i].budget - 1 if comm[i].budget >= 1 else -1)

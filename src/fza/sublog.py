@@ -624,15 +624,14 @@ def skeleton_solve(
 
 def _single_edge_candidate(instance: Instance, extra_ids: Sequence[int]) -> frozenset[int]:
     """Exact per-edge choice for commodities whose path is a single edge."""
-    f = instance.pricing
-    by_edge: dict[int, list[Commodity]] = {}
+    by_edge: dict[int, list[int]] = {}
     for i in extra_ids:
         eid = instance.paths[i].bit_length() - 1
-        by_edge.setdefault(eid, []).append(instance.commodities[i])
+        by_edge.setdefault(eid, []).append(i)
     cuts = []
     for eid, members in by_edge.items():
-        keep = sum(c.weight * f(0) for c in members)
-        cut = sum(c.weight * f(1) for c in members if c.budget >= 1)
+        keep = sum(instance.value(i, 0) for i in members)
+        cut = sum(instance.value(i, 1) for i in members)
         if cut > keep:
             cuts.append(eid)
     return frozenset(cuts)

@@ -84,6 +84,47 @@ class TestCli:
     def test_solve_missing_file_exit_2(self):
         assert main(["solve", "--algo", "brute", "--input", "/nonexistent.json"]) == 2
 
+    VALID = {
+        "version": 1,
+        "num_vertices": 3,
+        "edges": [[0, 1], [1, 2]],
+        "pricing": ["0", "1", "2"],
+        "commodities": [{"s": 0, "t": 2, "u": 1, "w": "1"}],
+    }
+
+    def test_validate_accepts_valid_file(self, tmp_path):
+        p = tmp_path / "ok.json"
+        p.write_text(json.dumps(self.VALID))
+        assert main(["validate", "--input", str(p)]) == 0
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda d: [d], id="top-level-list"),
+            pytest.param(lambda d: {**d, "edges": [[0, 1, 2], [1, 2]]}, id="three-element-edge"),
+            pytest.param(lambda d: {**d, "edges": [[0, 1.0], [1, 2]]}, id="float-endpoint"),
+            pytest.param(lambda d: {**d, "num_vertices": 3.9}, id="float-num-vertices"),
+            pytest.param(
+                lambda d: {**d, "commodities": [{"s": 0, "t": 2, "u": True, "w": "1"}]},
+                id="bool-budget",
+            ),
+            pytest.param(
+                lambda d: {**d, "commodities": [{"s": 0, "t": 2, "u": 1.7, "w": "1"}]},
+                id="float-budget",
+            ),
+            pytest.param(
+                lambda d: {**d, "commodities": [{"s": 0.0, "t": 2, "u": 1, "w": "1"}]},
+                id="float-source",
+            ),
+        ],
+    )
+    def test_validate_rejects_malformed_file(self, tmp_path, capsys, mutate):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(mutate(self.VALID)))
+        assert main(["validate", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_capacity_exit_3(self, tmp_path):
         inst_path = tmp_path / "big.json"
         main(

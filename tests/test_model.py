@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -12,9 +13,11 @@ from fza import (
     normalize,
     parameters,
     resolve_path,
+    revenue_for,
     revenue_of_commodity,
     total_revenue,
 )
+from fza.model import edge_mask, make_result, total_revenue_mask
 from conftest import fig1_instance, random_instance
 
 
@@ -137,6 +140,60 @@ class TestRevenue:
     def test_no_cuts_no_base_revenue(self):
         inst = random_instance(7, 8, 5, "linear")
         assert total_revenue(inst, []) == 0
+
+
+class TestScaledKernel:
+    """The integer kernel against the plain Fraction definition, with both a
+    weight and a price denominator above 1."""
+
+    @staticmethod
+    def fractional_instance(seed):
+        base = random_instance(seed, 9, 8, "linear")
+        rng = Random(seed)
+        # harmonic prices: increments 1, 1/2, 1/3, ... keep the table concave
+        prices = [Fraction(0)]
+        for x in range(1, base.tree.num_vertices):
+            prices.append(prices[-1] + Fraction(1, x))
+        commodities = [
+            Commodity(c.source, c.target, c.budget, Fraction(rng.randint(1, 9), rng.randint(2, 7)))
+            for c in base.commodities
+        ]
+        inst = make(base.tree, PricingFunction(tuple(prices)), commodities)
+        d_f = inst.pricing.scaled[0]
+        assert d_f > 1 and inst.scale // d_f > 1
+        return inst
+
+    def test_revenues_match_fraction_sum(self):
+        for seed in range(20):
+            inst = self.fractional_instance(seed)
+            rng = Random(100 + seed)
+            m = inst.tree.num_edges
+            for _ in range(10):
+                cuts = [e for e in range(m) if rng.random() < 0.4]
+                ids = [i for i in range(inst.num_commodities) if rng.random() < 0.5]
+                per = [revenue_of_commodity(inst, i, cuts) for i in range(inst.num_commodities)]
+                expected = sum(per, Fraction(0))
+                assert total_revenue_mask(inst, edge_mask(cuts)) == expected
+                assert make_result(inst, cuts, "test").revenue == expected
+                assert revenue_for(inst, ids, cuts) == sum((per[i] for i in ids), Fraction(0))
+
+    def test_value_difference_is_marginal_gain(self):
+        def marginal(w, f, z, u):
+            if z < u:
+                return w * (f(z + 1) - f(z))
+            if z == u:
+                return -w * f(u)
+            return Fraction(0)
+
+        branches = set()
+        for seed in range(20):
+            inst = self.fractional_instance(seed)
+            for i, c in enumerate(inst.commodities):
+                for z in range(inst.path_size(i) + 1):
+                    got = Fraction(inst.value(i, z + 1) - inst.value(i, z), inst.scale)
+                    assert got == marginal(c.weight, inst.pricing, z, c.budget)
+                    branches.add((z > c.budget) - (z < c.budget))
+        assert branches == {-1, 0, 1}
 
 
 class TestParameters:
