@@ -8,19 +8,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import BenchConfig, run_bench
-from .density import (
-    simplified_single_density,
-    single_density,
-    single_density_base,
-    single_density_path,
-)
-from .exact import (
-    brute_force,
-    generalized_from_instance,
-    generalized_rooted_path_dp,
-    rooted_dp,
-)
+from .bench import SOLVERS, BenchConfig, run_bench
+from .exact import generalized_from_instance, generalized_rooted_path_dp, rooted_dp
 from .files import read_instance, solution_to_json, write_instance, write_solution
 from .generators import (
     Formula2CNF,
@@ -36,22 +25,9 @@ from .model import (
     make_result,
     parameters,
 )
-from .param_path import dp_congestion, dp_pmax, dp_umax
 from .sublog import sublog
 
-ALGO_CHOICES = (
-    "brute",
-    "rooted",
-    "gen-rooted-path",
-    "single-density",
-    "single-density-path",
-    "single-density-base",
-    "simplified",
-    "sublog",
-    "dp-umax",
-    "dp-pmax",
-    "dp-cong",
-)
+ALGO_CHOICES = (*SOLVERS, "gen-rooted-path")
 
 
 def parse_clauses(text: str, num_vars: int | None = None) -> Formula2CNF:
@@ -80,11 +56,7 @@ def _solve(args) -> int:
     instance = read_instance(args.input)
     seed = args.seed if args.seed is not None else 0
     algo = args.algo
-    if algo == "brute":
-        result = brute_force(instance)
-    elif algo == "rooted":
-        result = rooted_dp(instance, root=args.root or 0)
-    elif algo == "gen-rooted-path":
+    if algo == "gen-rooted-path":
         if args.cuts is None:
             raise InvalidInstanceError("--cuts is required for gen-rooted-path")
         gpi, edge_ids = generalized_from_instance(instance, root=args.root or 0)
@@ -95,24 +67,12 @@ def _solve(args) -> int:
             algorithm="gen-rooted-path",
             diagnostics=dict(sub.diagnostics),
         )
-    elif algo == "single-density":
-        result = single_density(instance, seed)
-    elif algo == "single-density-path":
-        result = single_density_path(instance)
-    elif algo == "single-density-base":
-        result = single_density_base(instance)
-    elif algo == "simplified":
-        result = simplified_single_density(instance, seed)
+    elif algo == "rooted":
+        result = rooted_dp(instance, root=args.root or 0)
     elif algo == "sublog":
         result = sublog(instance, seed, diagnostics=args.diagnostics)
-    elif algo == "dp-umax":
-        result = dp_umax(instance)
-    elif algo == "dp-pmax":
-        result = dp_pmax(instance)
-    elif algo == "dp-cong":
-        result = dp_congestion(instance)
-    else:  # pragma: no cover
-        raise InvalidInstanceError(f"unknown algorithm {algo!r}")
+    else:
+        result = SOLVERS[algo][0](instance, seed)
     if args.output:
         write_solution(result, args.output)
     else:

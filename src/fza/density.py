@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
+    FzaError,
     Instance,
     InvalidInstanceError,
     SolveResult,
@@ -97,7 +98,8 @@ def _argmax_candidates(instance, candidates, algorithm, seed=None):
         key = (instance.scaled_revenue(edge_mask(cuts)), tuple(-p for p in rank))
         if best is None or key > best[0]:
             best = (key, cuts)
-    assert best is not None
+    if best is None:
+        raise FzaError("no candidates to choose from")
     return make_result(
         instance,
         best[1],

@@ -3,17 +3,21 @@ the generalized rooted path DP with a prescribed cut count."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .model import (
     CapacityError,
     FzaError,
     Instance,
     InvalidInstanceError,
+    PricingFunction,
     SolveResult,
     make_result,
     mask_to_edges,
+    scale_terms,
     to_fraction,
 )
 
@@ -140,34 +144,35 @@ def rooted_dp(instance: Instance, root: int = 0) -> SolveResult:
 @dataclass(frozen=True)
 class GeneralizedCommodity:
     """A commodity of a generalized rooted path instance: the path runs from
-    the root to `target`, and `table` is its private concave pricing."""
+    the root to `target`, and its price for x cuts is `pricing(shift + x)`.
+
+    A suffix of a validated (concave, non-decreasing) table is both, so the
+    view needs no checks of its own on the prices.
+    """
 
     target: int
     budget: int
     weight: Fraction
-    table: tuple[Fraction, ...]
+    pricing: PricingFunction
+    shift: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", to_fraction(self.weight))
-        object.__setattr__(self, "table", tuple(to_fraction(v) for v in self.table))
         if not isinstance(self.budget, int) or self.budget < 0:
             raise InvalidInstanceError("budget must be a non-negative integer")
         if self.weight <= 0:
             raise InvalidInstanceError("weight must be positive")
-        vals = self.table
-        if not vals or vals[0] < 0:
-            raise InvalidInstanceError("pricing table must be non-empty and non-negative")
-        for x in range(1, len(vals)):
-            if vals[x] < vals[x - 1]:
-                raise InvalidInstanceError("per-commodity pricing not non-decreasing")
-            if x >= 2 and vals[x] - vals[x - 1] > vals[x - 1] - vals[x - 2]:
-                raise InvalidInstanceError("per-commodity pricing not concave")
+        if not isinstance(self.shift, int) or self.shift < 0:
+            raise InvalidInstanceError("shift must be a non-negative integer")
+
+    def price(self, x: int) -> Fraction:
+        return self.pricing(self.shift + x)
 
 
 @dataclass(frozen=True)
 class GeneralizedPathInstance:
     """A path v_1..v_t rooted at v_1 whose commodities all start at the root
-    and carry commodity-specific pricing tables."""
+    and carry commodity-specific (shifted) pricing tables."""
 
     path: tuple[int, ...]
     commodities: tuple[GeneralizedCommodity, ...]
@@ -183,7 +188,7 @@ class GeneralizedPathInstance:
         for c in self.commodities:
             if c.target not in pos or pos[c.target] == 0:
                 raise InvalidInstanceError(f"commodity target {c.target} must be a non-root path vertex")
-            if len(c.table) < pos[c.target] + 1:
+            if len(c.pricing) - c.shift < pos[c.target] + 1:
                 raise InvalidInstanceError("pricing table does not cover the commodity's path length")
 
     @property
@@ -193,6 +198,13 @@ class GeneralizedPathInstance:
     @property
     def root(self) -> int:
         return self.path[0]
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(D, W, F) over the commodities, in order; see `scale_terms`."""
+        return scale_terms(
+            [c.weight for c in self.commodities], [c.pricing for c in self.commodities]
+        )
 
 
 def generalized_rooted_path_dp(gpi: GeneralizedPathInstance, y: int) -> SolveResult:
@@ -208,19 +220,20 @@ def generalized_rooted_path_dp(gpi: GeneralizedPathInstance, y: int) -> SolveRes
     if not (0 <= y <= m):
         raise InvalidInstanceError(f"cut count {y} out of range 0..{m}")
     pos = {v: i for i, v in enumerate(gpi.path)}
-    ends_at: list[list[GeneralizedCommodity]] = [[] for _ in range(t)]
-    for c in gpi.commodities:
-        ends_at[pos[c.target]].append(c)
-    zero = Fraction(0)
+    scale, weights, prices = gpi.scaled
+    # per end position: (W, F, shift, budget), revenues scaled by `scale`
+    ends_at: list[list[tuple[int, tuple[int, ...], int, int]]] = [[] for _ in range(t)]
+    for c, w, f in zip(gpi.commodities, weights, prices):
+        ends_at[pos[c.target]].append((w, f, c.shift, c.budget))
 
-    def base(j: int, x: int) -> Fraction:
-        return sum((c.weight * c.table[x] for c in ends_at[j] if x <= c.budget), zero)
+    def base(j: int, x: int) -> int:
+        return sum(w * f[s + x] for w, f, s, u in ends_at[j] if x <= u)
 
     # table[j] maps x -> value; only feasible x appear (x <= min(j, y), and at
     # the last vertex every cut must already be placed, so x == y there)
-    table: list[dict[int, Fraction]] = [dict() for _ in range(t)]
+    table: list[dict[int, int]] = [dict() for _ in range(t)]
     cut_next: list[dict[int, bool]] = [dict() for _ in range(t)]
-    table[t - 1] = {y: base(t - 1, y)} if y <= m else {}
+    table[t - 1] = {y: base(t - 1, y)}
     for j in range(t - 2, -1, -1):
         for x in range(0, min(j, y) + 1):
             stay = table[j + 1].get(x)
@@ -242,21 +255,19 @@ def generalized_rooted_path_dp(gpi: GeneralizedPathInstance, y: int) -> SolveRes
         if cut_next[j][x]:
             cuts.append(j)
             x += 1
-    revenue = table[0][0]
     served = []
-    check = Fraction(0)
-    cut_set = set(cuts)
-    for c in gpi.commodities:
-        count = sum(1 for p in range(pos[c.target]) if p in cut_set)
+    check = 0
+    for c, w, f in zip(gpi.commodities, weights, prices):
+        count = bisect_left(cuts, pos[c.target])
         ok = count <= c.budget
         served.append(ok)
         if ok:
-            check += c.weight * c.table[count]
-    if check != revenue:
+            check += w * f[c.shift + count]
+    if check != table[0][0]:
         raise FzaError("generalized path DP value disagrees with the revenue of its cut set")
     return SolveResult(
         cuts=tuple(cuts),
-        revenue=revenue,
+        revenue=Fraction(check, scale),
         served=tuple(served),
         algorithm="gen-rooted-path",
         diagnostics={"cut_count": y},
@@ -274,7 +285,6 @@ def generalized_from_instance(
         edge_ids = edge_ids[::-1]
     if not verts or verts[0] != root:
         raise InvalidInstanceError(f"root {root} is not an endpoint of the path")
-    shared = tuple(instance.pricing.values[: len(verts)])
     commodities = []
     for c in instance.commodities:
         if c.source == root:
@@ -285,5 +295,5 @@ def generalized_from_instance(
             raise InvalidInstanceError(
                 f"commodity ({c.source},{c.target}) does not touch root {root}"
             )
-        commodities.append(GeneralizedCommodity(target, c.budget, c.weight, shared))
+        commodities.append(GeneralizedCommodity(target, c.budget, c.weight, instance.pricing))
     return GeneralizedPathInstance(tuple(verts), tuple(commodities)), edge_ids

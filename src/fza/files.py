@@ -65,6 +65,8 @@ def dict_to_instance(data: dict) -> Instance:
         if data.get("version") != FORMAT_VERSION:
             raise InvalidInstanceError(f"unsupported format version {data.get('version')!r}")
         tree = Tree(_int(data["num_vertices"], "num_vertices"), tuple(_edge(e) for e in data["edges"]))
+        if not isinstance(data["pricing"], list):
+            raise InvalidInstanceError(f"pricing must be a list, got {data['pricing']!r}")
         pricing = PricingFunction(tuple(to_fraction(v) for v in data["pricing"]))
         commodities = [
             Commodity(_int(c["s"], "s"), _int(c["t"], "t"), _int(c["u"], "u"), to_fraction(c["w"]))

@@ -37,7 +37,7 @@ def to_fraction(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a 'p/q' string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -238,6 +238,22 @@ class PricingFunction:
         return cls(tuple(Fraction(min(x, cap)) for x in range(length)))
 
 
+def scale_terms(
+    weights: Sequence[Fraction], tables: Sequence[PricingFunction]
+) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The integer kernel's scaling rule: (D, W, F) with D = D_w * D_f, where
+    D_w is the lcm of the weight denominators and D_f the lcm of the price
+    denominators over all `tables`, W_i = w_i * D_w and F_j[x] = tables[j](x) * D_f.
+    Then w_i * tables[j](x) == Fraction(W_i * F_j[x], D)."""
+    d_w = lcm(*(w.denominator for w in weights))
+    d_f = lcm(*(t.scaled[0] for t in tables))
+    scaled_weights = tuple(w.numerator * (d_w // w.denominator) for w in weights)
+    prices = tuple(
+        f if d == d_f else tuple(v * (d_f // d) for v in f) for d, f in (t.scaled for t in tables)
+    )
+    return d_w * d_f, scaled_weights, prices
+
+
 @dataclass(frozen=True)
 class Commodity:
     """A traveler group: tree path given by its endpoints, cut budget, demand weight."""
@@ -325,12 +341,9 @@ class Instance:
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(D, W, F, budgets) with W_i = w_i * D_w and F_x = f(x) * D_f, where
-        D_w is the lcm of the weight denominators and D = D_w * D_f."""
-        d_w = lcm(*(c.weight.denominator for c in self.commodities))
-        d_f, prices = self.pricing.scaled
-        weights = tuple(c.weight.numerator * (d_w // c.weight.denominator) for c in self.commodities)
-        return d_w * d_f, weights, prices, tuple(c.budget for c in self.commodities)
+        """(D, W, F, budgets); see `scale_terms`."""
+        d, weights, (prices,) = scale_terms([c.weight for c in self.commodities], [self.pricing])
+        return d, weights, prices, tuple(c.budget for c in self.commodities)
 
     @property
     def scale(self) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -34,9 +33,6 @@ from .model import (
     Tree,
     edge_mask,
     make_result,
-    mask_to_edges,
-    revenue_for,
-    total_revenue_mask,
 )
 from .rng import substream
 
@@ -476,7 +472,8 @@ def non_skeleton_solve(
         sub = Instance.create(sub_tree, instance.pricing, sub_commodities)
         result = rooted_dp(sub, root=vmap[attach])
         cuts.update(sub_edge_ids[e] for e in result.cuts)
-    assert not cuts & skeleton.edges
+    if cuts & skeleton.edges:
+        raise FzaError("non-skeleton candidate cuts a skeleton edge")
     return frozenset(cuts)
 
 
@@ -506,8 +503,9 @@ def build_aux_instance(
     is not fully inside the path, and its far outer segment (the one missing
     the root, if any) is inactive. Its path shrinks to the prefix of the
     segment, its budget drops by the cuts already committed to active inner
-    segments, and its pricing table shifts by the same amount. Commodities
-    whose shifted budget would be negative are omitted.
+    segments, and its view into the instance's pricing table shifts by the
+    same amount. Commodities whose shifted budget would be negative are
+    omitted.
 
     Returns the path instance plus the position -> original edge id map.
     """
@@ -527,6 +525,9 @@ def build_aux_instance(
         for v in s.vertices[1:-1]:
             inner_seg_of[v] = si
     incident = instance.tree.incident_masks
+    prefix_mask = [0]
+    for eid in eids:
+        prefix_mask.append(prefix_mask[-1] | 1 << eid)
 
     commodities = []
     for i in commodity_ids:
@@ -557,10 +558,11 @@ def build_aux_instance(
         if budget < 0:
             continue
         length = reduced.bit_count()
-        if any(eids[p] not in mask_to_edges(reduced) for p in range(length)):
+        if reduced != prefix_mask[length]:
             raise FzaError("reduced path is not a prefix of the segment")
-        table = tuple(instance.pricing.values[x + shift] for x in range(length + 1))
-        commodities.append(GeneralizedCommodity(verts[length], budget, c.weight, table))
+        commodities.append(
+            GeneralizedCommodity(verts[length], budget, c.weight, instance.pricing, shift)
+        )
     return GeneralizedPathInstance(tuple(verts), tuple(commodities)), eids
 
 
@@ -590,7 +592,7 @@ def skeleton_solve(
             raise CapacityError(
                 f"guess space exceeds budget {guess_budget} for {len(segments)} segments"
             )
-    best_rev: Fraction | None = None
+    best_rev: int | None = None
     best: frozenset[int] = frozenset()
     for gi, guess in enumerate(itertools.product(*options)):
         rng = substream(*rng_labels, gi)
@@ -612,13 +614,15 @@ def skeleton_solve(
                 instance, skeleton, si, guess, roots[si], active, commodity_ids
             )
             sub = generalized_rooted_path_dp(aux, guess[si])
+            if len(set(sub.cuts)) != guess[si]:
+                raise FzaError("path DP placed a different number of cuts than guessed")
             cuts.update(eids[p] for p in sub.cuts)
-            assert len(set(sub.cuts)) == guess[si]
-        rev = revenue_for(instance, commodity_ids, cuts)
+        rev = instance.scaled_revenue(edge_mask(cuts), commodity_ids)
         if best_rev is None or rev > best_rev:
             best_rev = rev
             best = frozenset(cuts)
-    assert best <= skeleton.edges
+    if not best <= skeleton.edges:
+        raise FzaError("skeleton candidate cuts a non-skeleton edge")
     return best
 
 
@@ -675,8 +679,8 @@ def sublog(
             f_s = skeleton_solve(
                 instance, skel, ids, (seed, "sublog", "skel", level, idx), guess_budget
             )
-            rev_ns = revenue_for(instance, ids, f_ns)
-            rev_s = revenue_for(instance, ids, f_s)
+            rev_ns = instance.scaled_revenue(edge_mask(f_ns), ids)
+            rev_s = instance.scaled_revenue(edge_mask(f_s), ids)
             chosen = f_ns if rev_ns >= rev_s else f_s
             level_cuts |= chosen
             if diagnostics:
@@ -697,10 +701,10 @@ def sublog(
     if assignment.extra:
         candidates.append(_single_edge_candidate(instance, assignment.extra))
 
-    best_rev: Fraction | None = None
+    best_rev: int | None = None
     best: frozenset[int] = frozenset()
     for cand in candidates:
-        rev = total_revenue_mask(instance, edge_mask(cand))
+        rev = instance.scaled_revenue(edge_mask(cand))
         if best_rev is None or rev > best_rev:
             best_rev = rev
             best = cand

@@ -110,7 +110,7 @@ def best_of_size(instance: Instance, size: int) -> Fraction:
 
 def random_gpi(seed: int, n: int, k: int):
     """Random generalized rooted path instance with concave per-commodity tables."""
-    from fza import GeneralizedCommodity, GeneralizedPathInstance
+    from fza import GeneralizedCommodity, GeneralizedPathInstance, PricingFunction
 
     rng = substream(seed, "gpi", n, k)
     comms = []
@@ -123,7 +123,7 @@ def random_gpi(seed: int, n: int, k: int):
         table = [base]
         for inc in incs:
             table.append(table[-1] + inc)
-        comms.append(GeneralizedCommodity(target, budget, weight, tuple(table)))
+        comms.append(GeneralizedCommodity(target, budget, weight, PricingFunction(tuple(table))))
     return GeneralizedPathInstance(tuple(range(n)), tuple(comms))
 
 

@@ -99,16 +99,16 @@ def test_criterion_3_generalized_path_dp_exactness():
         m = n - 1
         # independent oracle: sweep all cut masks, best revenue per cut count
         prefixes = [
-            ((1 << (c.target)) - 1, c.budget, c.weight, c.table)
+            ((1 << (c.target)) - 1, c.budget, c.weight, c.price)
             for c in gpi.commodities
         ]
         best: list[Fraction | None] = [None] * (m + 1)
         for mask in range(1 << m):
             rev = Fraction(0)
-            for pmask, budget, weight, table in prefixes:
+            for pmask, budget, weight, price in prefixes:
                 count = (mask & pmask).bit_count()
                 if count <= budget:
-                    rev += weight * table[count]
+                    rev += weight * price(count)
             y = mask.bit_count()
             if best[y] is None or rev > best[y]:
                 best[y] = rev

@@ -116,7 +116,7 @@ def gpi_revenue(gpi: GeneralizedPathInstance, cuts) -> Fraction:
     for c in gpi.commodities:
         count = sum(1 for p in cuts if p < c.target)
         if count <= c.budget:
-            total += c.weight * c.table[count]
+            total += c.weight * c.price(count)
     return total
 
 
@@ -126,7 +126,7 @@ class TestGeneralizedPathDP:
         res = generalized_rooted_path_dp(gpi, 0)
         assert res.cuts == ()
         assert res.revenue == sum(
-            (c.weight * c.table[0] for c in gpi.commodities), Fraction(0)
+            (c.weight * c.price(0) for c in gpi.commodities), Fraction(0)
         )
 
     def test_all_cuts(self):
@@ -139,6 +139,17 @@ class TestGeneralizedPathDP:
         gpi = random_gpi(3, 5, 3)
         with pytest.raises(InvalidInstanceError):
             generalized_rooted_path_dp(gpi, 5)
+
+    def test_shifted_view(self):
+        pricing = PricingFunction.linear(5)
+        c = GeneralizedCommodity(3, 3, Fraction(1), pricing, shift=1)
+        assert (c.price(0), c.price(3)) == (1, 4)
+        GeneralizedPathInstance((0, 1, 2, 3), (c,))
+        too_short = GeneralizedCommodity(3, 3, Fraction(1), pricing, shift=2)
+        with pytest.raises(InvalidInstanceError):
+            GeneralizedPathInstance((0, 1, 2, 3), (too_short,))
+        with pytest.raises(InvalidInstanceError):
+            GeneralizedCommodity(3, 3, Fraction(1), pricing, shift=-1)
 
     def test_exact_cut_count_and_optimality(self):
         for seed in range(20):
@@ -171,7 +182,6 @@ class TestGeneralizedPathDP:
                 if v != root
             ]
             inst2 = make(inst.tree, inst.pricing, comms)
-            shared = tuple(inst2.pricing.values[: len(verts)])
             gpi = GeneralizedPathInstance(
                 tuple(verts),
                 tuple(
@@ -179,7 +189,7 @@ class TestGeneralizedPathDP:
                         c.target if c.source == root else c.source,
                         c.budget,
                         c.weight,
-                        shared,
+                        inst2.pricing,
                     )
                     for c in inst2.commodities
                 ),

@@ -116,6 +116,12 @@ class TestCli:
                 lambda d: {**d, "commodities": [{"s": 0.0, "t": 2, "u": 1, "w": "1"}]},
                 id="float-source",
             ),
+            pytest.param(
+                lambda d: {**d, "commodities": [{"s": 0, "t": 2, "u": 1, "w": True}]},
+                id="bool-weight",
+            ),
+            pytest.param(lambda d: {**d, "pricing": [0, True, True]}, id="bool-price"),
+            pytest.param(lambda d: {**d, "pricing": "012"}, id="string-pricing"),
         ],
     )
     def test_validate_rejects_malformed_file(self, tmp_path, capsys, mutate):

@@ -1,5 +1,7 @@
+import ast
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -334,3 +336,16 @@ class TestInvariants:
         for solver in solvers:
             res = solver(inst)
             assert res.revenue == 0 and res.served == ()
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so every invariant check in fza must raise
+    import fza
+
+    offenders = []
+    for path in sorted(Path(fza.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert offenders == []

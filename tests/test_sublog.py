@@ -290,7 +290,7 @@ class TestAuxInstance:
         c = gpi.commodities[0]
         assert c.target == 12
         assert c.budget == 5 - 3  # two active inner segments guessed 2 + 1
-        assert c.table == (Fraction(3), Fraction(4))
+        assert (c.price(0), c.price(1)) == (Fraction(3), Fraction(4))
 
     def test_negative_budget_omits(self):
         tree = fig3_tree()
@@ -317,7 +317,7 @@ class TestAuxInstance:
             inst, skel, seg_index, (0, 2, 1, 0, 1, 0), 11, active, [0]
         )
         c = gpi.commodities[0]
-        assert c.budget == 2 and c.table == (Fraction(0), Fraction(1))
+        assert c.budget == 2 and (c.price(0), c.price(1)) == (Fraction(0), Fraction(1))
 
 
 class TestSkeletonSolve:
