@@ -79,19 +79,28 @@ class BenchConfig:
             raise InvalidInstanceError(f"oracle must be one of {ORACLES}")
         if not self.instances:
             raise InvalidInstanceError("no instances configured")
+        if not self.seeds:
+            raise InvalidInstanceError("no seeds configured")
 
     @classmethod
     def from_file(cls, path) -> "BenchConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
             return cls(
-                instances=tuple(data["instances"]),
-                algorithms=tuple(data["algorithms"]),
-                seeds=tuple(int(s) for s in data.get("seeds", [0])),
+                instances=_json_list(data["instances"], "instances", str),
+                algorithms=_json_list(data["algorithms"], "algorithms", str),
+                seeds=_json_list(data.get("seeds", [0]), "seeds", int),
                 oracle=data.get("oracle", "brute"),
             )
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise InvalidInstanceError(f"malformed bench config: {exc}") from exc
+
+
+def _json_list(value, what: str, kind: type) -> tuple:
+    """A JSON list of `kind` items; booleans are refused rather than read as ints."""
+    if isinstance(value, list) and all(type(v) is kind for v in value):
+        return tuple(value)
+    raise InvalidInstanceError(f"bench config {what} must be a list of {kind.__name__}, got {value!r}")
 
 
 def run_bench(config: BenchConfig, output_dir) -> dict:

@@ -89,15 +89,15 @@ def offset_candidate(instance: Instance, root: int, j: int, theta: int) -> froze
 def _argmax_candidates(instance, candidates, algorithm, seed=None):
     """Pick the candidate with maximum full-instance revenue.
 
-    Ties break on the (j, theta) generation order and then on the sorted cut
-    tuple, so the outcome is independent of evaluation order.
+    Ties go to the first such candidate in generation order, i.e. the lowest
+    class j and then the lowest offset theta; the cut set itself never
+    breaks a tie.
     """
     best = None
-    for rank, cuts in candidates:
-        # scaled revenue, then earlier rank
-        key = (instance.scaled_revenue(edge_mask(cuts)), tuple(-p for p in rank))
-        if best is None or key > best[0]:
-            best = (key, cuts)
+    for cuts in candidates:
+        rev = instance.scaled_revenue(edge_mask(cuts))
+        if best is None or rev > best[0]:
+            best = (rev, cuts)
     if best is None:
         raise FzaError("no candidates to choose from")
     return make_result(
@@ -109,13 +109,17 @@ def _argmax_candidates(instance, candidates, algorithm, seed=None):
     )
 
 
-def _edge_depths(instance: Instance, root: int) -> list[tuple[int, int]]:
-    """(depth, edge id) pairs sorted by edge id; depth of an edge is the
-    depth of its endpoint closer to the root."""
-    _, parent_edge, depth, order = instance.tree.rooted(root)
-    pairs = [(depth[v] - 1, parent_edge[v]) for v in order[1:]]
-    pairs.sort(key=lambda de: de[1])
-    return pairs
+def _offset_buckets(instance: Instance):
+    """Per class j = 1..ceil(log2 n): the edge ids grouped by depth below
+    vertex 0 mod 2^(j+1), ascending edge id within each group. The depth of
+    an edge is the depth of its endpoint closer to the root."""
+    _, parent_edge, depth, order = instance.tree.rooted(0)
+    depths = sorted((parent_edge[v], depth[v] - 1) for v in order[1:])
+    for j in range(1, ceil_log2(instance.tree.num_vertices) + 1):
+        buckets: list[list[int]] = [[] for _ in range(1 << (j + 1))]
+        for eid, d in depths:
+            buckets[d % len(buckets)].append(eid)
+        yield j, buckets
 
 
 def single_density(instance: Instance, seed: int) -> SolveResult:
@@ -125,19 +129,11 @@ def single_density(instance: Instance, seed: int) -> SolveResult:
     selection below root 0, thinned edge-wise with probability 1/2. The empty
     set covers the zero-budget class.
     """
-    root = 0
-    n = instance.tree.num_vertices
-    depths = _edge_depths(instance, root)
-    candidates: list[tuple[tuple[int, ...], frozenset[int]]] = [((0, 0), frozenset())]
-    for j in range(1, ceil_log2(n) + 1):
-        modulus = 1 << (j + 1)
-        buckets: list[list[int]] = [[] for _ in range(modulus)]
-        for d, eid in depths:
-            buckets[d % modulus].append(eid)
-        for theta in range(modulus):
+    candidates = [frozenset()]
+    for j, buckets in _offset_buckets(instance):
+        for theta, bucket in enumerate(buckets):
             rng = substream(seed, "single-density", j, theta)
-            kept = frozenset(e for e in buckets[theta] if rng.random() >= 0.5)
-            candidates.append(((j, theta), kept))
+            candidates.append(frozenset(e for e in bucket if rng.random() >= 0.5))
     return _argmax_candidates(instance, candidates, "single-density", seed=seed)
 
 
@@ -149,14 +145,11 @@ def single_density_path(instance: Instance) -> SolveResult:
         raise InvalidInstanceError("single_density_path requires a path instance")
     _, edge_positions = instance.tree.path_order()
     n = instance.tree.num_vertices
-    candidates: list[tuple[tuple[int, ...], frozenset[int]]] = [((0, 0), frozenset())]
+    candidates = [frozenset()]
     for j in range(1, ceil_log2(n) + 1):
         step = 1 << j
-        for theta in range(1, step + 1):
-            cuts = frozenset(
-                edge_positions[p - 1] for p in range(theta, len(edge_positions) + 1, step)
-            )
-            candidates.append(((j, theta), cuts))
+        for theta in range(step):
+            candidates.append(frozenset(edge_positions[theta::step]))
     return _argmax_candidates(instance, candidates, "single-density-path")
 
 
@@ -168,17 +161,9 @@ def single_density_base(instance: Instance) -> SolveResult:
         raise InvalidInstanceError(
             "single_density_base requires f(0) > 0; use single_density instead"
         )
-    root = 0
-    n = instance.tree.num_vertices
-    depths = _edge_depths(instance, root)
-    candidates: list[tuple[tuple[int, ...], frozenset[int]]] = [((0, 0), frozenset())]
-    for j in range(1, ceil_log2(n) + 1):
-        modulus = 1 << (j + 1)
-        buckets: list[list[int]] = [[] for _ in range(modulus)]
-        for d, eid in depths:
-            buckets[d % modulus].append(eid)
-        for theta in range(modulus):
-            candidates.append(((j, theta), frozenset(buckets[theta])))
+    candidates = [frozenset()]
+    for _, buckets in _offset_buckets(instance):
+        candidates.extend(frozenset(bucket) for bucket in buckets)
     return _argmax_candidates(instance, candidates, "single-density-base")
 
 
@@ -194,7 +179,7 @@ def bernoulli_candidate(instance: Instance, seed: int, j: int) -> frozenset[int]
 def simplified_single_density(instance: Instance, seed: int) -> SolveResult:
     """Heavily randomized variant: one Bernoulli(2^-(j+1)) candidate per class."""
     n = instance.tree.num_vertices
-    candidates: list[tuple[tuple[int, ...], frozenset[int]]] = [((0,), frozenset())]
+    candidates = [frozenset()]
     for j in range(1, ceil_log2(n) + 1):
-        candidates.append(((j,), bernoulli_candidate(instance, seed, j)))
+        candidates.append(bernoulli_candidate(instance, seed, j))
     return _argmax_candidates(instance, candidates, "simplified", seed=seed)

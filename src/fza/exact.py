@@ -21,18 +21,21 @@ from .model import (
     to_fraction,
 )
 
+# brute force enumerates 2^m cut sets; larger trees are refused
+MAX_BRUTE_EDGES = 24
 
-def brute_force(instance: Instance, max_edges: int = 24) -> SolveResult:
+
+def brute_force(instance: Instance) -> SolveResult:
     """Enumerate all cut sets and return a revenue-maximizing one.
 
     Iterates in Gray-code order so each step flips a single edge and updates
     per-commodity intersection counters incrementally. Ties go to the
     lexicographically smallest sorted edge-id tuple. Refuses instances with
-    more than `max_edges` edges.
+    more than `MAX_BRUTE_EDGES` edges.
     """
     m = instance.tree.num_edges
-    if m > max_edges:
-        raise CapacityError(f"brute force limited to {max_edges} edges, instance has {m}")
+    if m > MAX_BRUTE_EDGES:
+        raise CapacityError(f"brute force limited to {MAX_BRUTE_EDGES} edges, instance has {m}")
     k = instance.num_commodities
     value = instance.value
     on_edge: list[list[int]] = [[] for _ in range(m)]

@@ -62,8 +62,8 @@ def dict_to_instance(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise InvalidInstanceError(f"instance must be a JSON object, got {type(data).__name__}")
     try:
-        if data.get("version") != FORMAT_VERSION:
-            raise InvalidInstanceError(f"unsupported format version {data.get('version')!r}")
+        if _int(data.get("version"), "version") != FORMAT_VERSION:
+            raise InvalidInstanceError(f"unsupported format version {data['version']}")
         tree = Tree(_int(data["num_vertices"], "num_vertices"), tuple(_edge(e) for e in data["edges"]))
         if not isinstance(data["pricing"], list):
             raise InvalidInstanceError(f"pricing must be a list, got {data['pricing']!r}")

@@ -1,17 +1,19 @@
 """Exact parameterized dynamic programs for path instances.
 
-All three sweep the path left to right with sparse hash-indexed tables; only
-reachable states are materialized, the stated worst-case sizes act purely as
-refusal guards. Infeasible states are absent from the tables rather than
-carrying a sentinel value. Tie-breaking is fixed everywhere: keep the no-cut
-transition, then the lexicographically smaller predecessor state, so
-reconstruction is deterministic.
+All three DPs run one left-to-right sweep (`_Sweep.run`) over the path's edge
+positions and differ only in how a state encodes the cuts so far: each
+supplies a start state and `step(state, p) -> (kept, cut, cut_gain)`. Tables
+are sparse and hash-indexed, so only reachable states are materialized; the
+stated worst-case sizes act purely as refusal guards. Tie-breaking is fixed:
+keep the no-cut transition, then the lexicographically smaller predecessor
+state, so reconstruction is deterministic.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import prod
 
 from .model import (
     CapacityError,
@@ -23,44 +25,71 @@ from .model import (
     parameters,
 )
 
+# refusal guards: n^(u_max+2) states for dp_umax, 2^p_max windows for
+# dp_pmax, and the largest per-position slack product for dp_congestion
+STATE_BUDGET = 10**7
+WINDOW_BUDGET = 1 << 20
+TABLE_BUDGET = 10**6
+
 # slack marker for commodities that exceeded their budget by two or more cuts;
 # such a commodity can never contribute again
 DEAD = -2
 
 
-def _path_layout(instance: Instance):
-    """1-based edge positions along the path plus per-commodity position
-    intervals [a_i, b_i]."""
-    if not instance.tree.is_path:
-        raise InvalidInstanceError("parameterized DPs require a path instance")
-    _, edge_ids = instance.tree.path_order()
-    pos_of = {eid: p + 1 for p, eid in enumerate(edge_ids)}
-    intervals = []
-    for i in range(instance.num_commodities):
-        positions = [pos_of[e] for e in instance.path_edges(i)]
-        intervals.append((min(positions), max(positions)))
-    return edge_ids, intervals
-
-
 class _Sweep:
-    """Shared bookkeeping: per-position commodity lists and best-state update
-    with the fixed tie rule."""
+    """Path layout plus the one DP loop with the fixed tie rule.
+
+    `start[i]` is the 1-based position of commodity i's first edge,
+    `covering[p]` lists (ascending) the commodities whose path holds
+    position p, and `entry_value[p]` is the zero-cut revenue of the
+    commodities starting at p, which both transitions at p earn.
+    """
 
     def __init__(self, instance: Instance):
+        if not instance.tree.is_path:
+            raise InvalidInstanceError("parameterized DPs require a path instance")
         self.instance = instance
-        self.edge_ids, self.intervals = _path_layout(instance)
-        self.m = len(self.edge_ids)
-        k = instance.num_commodities
-        self.starting = [[] for _ in range(self.m + 1)]
-        self.covering = [[] for _ in range(self.m + 1)]
-        for i in range(k):
-            a, b = self.intervals[i]
-            self.starting[a].append(i)
+        _, self.edge_ids = instance.tree.path_order()
+        self.m = m = len(self.edge_ids)
+        pos_of = {eid: p + 1 for p, eid in enumerate(self.edge_ids)}
+        self.start = []
+        self.covering = [[] for _ in range(m + 1)]
+        self.entry_value = [0] * (m + 1)
+        for i in range(instance.num_commodities):
+            positions = [pos_of[e] for e in instance.path_edges(i)]
+            a, b = min(positions), max(positions)
+            self.start.append(a)
+            self.entry_value[a] += instance.value(i, 0)
             for p in range(a, b + 1):
                 self.covering[p].append(i)
 
-    def base(self, p: int) -> int:
-        return sum(self.instance.value(i, 0) for i in self.starting[p])
+    def run(self, initial, step, algorithm: str, diagnostics: dict) -> SolveResult:
+        table = {initial: 0}
+        parents_by_step = [{}]
+        for p in range(1, self.m + 1):
+            bp = self.entry_value[p]
+            new_table, parents = {}, {}
+            for state in sorted(table):
+                val = table[state] + bp
+                kept, cut, gain = step(state, p)
+                _update(new_table, parents, kept, val, state, cut=False)
+                _update(new_table, parents, cut, val + gain, state, cut=True)
+            table = new_table
+            parents_by_step.append(parents)
+
+        if not table:
+            raise InvalidInstanceError("dynamic program ended with no feasible state")
+        best_val = max(table.values())
+        key = min(k for k, v in table.items() if v == best_val)
+        cuts = []
+        for p in range(self.m, 0, -1):
+            key, was_cut = parents_by_step[p][key]
+            if was_cut:
+                cuts.append(self.edge_ids[p - 1])
+        result = make_result(self.instance, cuts, algorithm=algorithm, diagnostics=diagnostics)
+        if result.revenue != Fraction(best_val, self.instance.scale):
+            raise FzaError("dynamic program value disagrees with the revenue of its cut set")
+        return result
 
 
 def _update(table, parents, key, value, pred, cut: bool) -> None:
@@ -75,25 +104,7 @@ def _update(table, parents, key, value, pred, cut: bool) -> None:
             parents[key] = (pred, cut)
 
 
-def _finish(instance, sweep, table, parents_by_step, algorithm, diagnostics):
-    if not table:
-        raise InvalidInstanceError("dynamic program ended with no feasible state")
-    best_val = max(table.values())
-    best_key = min(k for k, v in table.items() if v == best_val)
-    cuts = []
-    key = best_key
-    for p in range(sweep.m, 0, -1):
-        pred, was_cut = parents_by_step[p][key]
-        if was_cut:
-            cuts.append(sweep.edge_ids[p - 1])
-        key = pred
-    result = make_result(instance, cuts, algorithm=algorithm, diagnostics=diagnostics)
-    if result.revenue != Fraction(best_val, instance.scale):
-        raise FzaError("dynamic program value disagrees with the revenue of its cut set")
-    return result
-
-
-def dp_umax(instance: Instance, state_budget: int = 10**7) -> SolveResult:
+def dp_umax(instance: Instance) -> SolveResult:
     """Exact optimum, exponential only in the maximum budget.
 
     States are the u_max+1 rightmost cut positions (artificial always-cut
@@ -107,34 +118,21 @@ def dp_umax(instance: Instance, state_budget: int = 10**7) -> SolveResult:
     sweep = _Sweep(instance)
     ell = parameters(instance).u_max
     n = instance.tree.num_vertices
-    if n ** (ell + 2) > state_budget:
-        raise CapacityError(f"state budget exceeded: {n}^{ell + 2} > {state_budget}")
-    value = instance.value
+    if n ** (ell + 2) > STATE_BUDGET:
+        raise CapacityError(f"state budget exceeded: {n}^{ell + 2} > {STATE_BUDGET}")
+    value, start, covering = instance.value, sweep.start, sweep.covering
 
-    window0 = tuple(range(-ell, 1))
-    table = {window0: 0}
-    parents_by_step = [dict() for _ in range(sweep.m + 1)]
-    for p in range(1, sweep.m + 1):
-        new_table: dict[tuple, int] = {}
-        parents: dict[tuple, tuple] = {}
-        bp = sweep.base(p)
-        here = sweep.covering[p]
-        for window in sorted(table):
-            val = table[window] + bp
-            _update(new_table, parents, window, val, window, cut=False)
-            gain = 0
-            for i in here:
-                a = sweep.intervals[i][0]
-                z = len(window) - bisect_left(window, a)
-                gain += value(i, z + 1) - value(i, z)
-            shifted = window[1:] + (p,)
-            _update(new_table, parents, shifted, val + gain, window, cut=True)
-        table = new_table
-        parents_by_step[p] = parents
-    return _finish(instance, sweep, table, parents_by_step, "dp-umax", {"u_max": ell})
+    def step(window, p):
+        gain = 0
+        for i in covering[p]:
+            z = len(window) - bisect_left(window, start[i])
+            gain += value(i, z + 1) - value(i, z)
+        return window, window[1:] + (p,), gain
+
+    return sweep.run(tuple(range(-ell, 1)), step, "dp-umax", {"u_max": ell})
 
 
-def dp_pmax(instance: Instance, window_budget: int = 1 << 20) -> SolveResult:
+def dp_pmax(instance: Instance) -> SolveResult:
     """Exact optimum, exponential only in the maximum path length.
 
     The state is the cut pattern of the last p_max positions as a bitmask
@@ -143,92 +141,70 @@ def dp_pmax(instance: Instance, window_budget: int = 1 << 20) -> SolveResult:
     """
     sweep = _Sweep(instance)
     ell = max(1, parameters(instance).p_max)
-    if (1 << ell) > window_budget:
-        raise CapacityError(f"window budget exceeded: 2^{ell} > {window_budget}")
-    value = instance.value
+    if (1 << ell) > WINDOW_BUDGET:
+        raise CapacityError(f"window budget exceeded: 2^{ell} > {WINDOW_BUDGET}")
+    value, start, covering = instance.value, sweep.start, sweep.covering
     full = (1 << ell) - 1
 
-    table = {0: 0}
-    parents_by_step = [dict() for _ in range(sweep.m + 1)]
-    for p in range(1, sweep.m + 1):
-        new_table: dict[int, int] = {}
-        parents: dict[int, tuple] = {}
-        bp = sweep.base(p)
-        here = sweep.covering[p]
-        for mask in sorted(table):
-            val = table[mask] + bp
-            _update(new_table, parents, (mask << 1) & full, val, mask, cut=False)
-            gain = 0
-            for i in here:
-                a = sweep.intervals[i][0]
-                z = (mask & ((1 << (p - a)) - 1)).bit_count()
-                gain += value(i, z + 1) - value(i, z)
-            _update(new_table, parents, ((mask << 1) | 1) & full, val + gain, mask, cut=True)
-        table = new_table
-        parents_by_step[p] = parents
-    return _finish(instance, sweep, table, parents_by_step, "dp-pmax", {"p_max": ell})
+    def step(mask, p):
+        gain = 0
+        for i in covering[p]:
+            z = (mask & ((1 << (p - start[i])) - 1)).bit_count()
+            gain += value(i, z + 1) - value(i, z)
+        shifted = (mask << 1) & full
+        return shifted, shifted | 1, gain
+
+    return sweep.run(0, step, "dp-pmax", {"p_max": ell})
 
 
-def dp_congestion(instance: Instance, table_budget: int = 10**6) -> SolveResult:
+def dp_congestion(instance: Instance) -> SolveResult:
     """Exact optimum, exponential only in the congestion.
 
     The state carries one slack value per commodity whose path covers the
     current position: budget minus cuts so far, with -1 meaning just dropped
     out and DEAD meaning over budget by two or more. Commodities whose path
-    ended are projected out by maximizing.
+    ended are projected out by maximizing. A commodity entering at p has
+    slack equal to its budget and no cuts yet, so its cut gain is the
+    marginal at zero cuts, the same for every state and summed once per p.
     """
     sweep = _Sweep(instance)
     comm = instance.commodities
-    value = instance.value
-    worst = 1
-    for p in range(1, sweep.m + 1):
-        size = 1
-        for i in sweep.covering[p]:
-            size *= comm[i].budget + 3
-        worst = max(worst, size)
-    if worst > table_budget:
-        raise CapacityError(f"slack table would hold up to {worst} states > {table_budget}")
+    value, covering = instance.value, sweep.covering
+    worst = max(prod(comm[i].budget + 3 for i in ids) for ids in covering)
+    if worst > TABLE_BUDGET:
+        raise CapacityError(f"slack table would hold up to {worst} states > {TABLE_BUDGET}")
 
-    def dec(x: int) -> int:
-        if x == DEAD or x == -1:
-            return DEAD
-        return x - 1
-
-    table: dict[tuple, int] = {(): 0}
-    parents_by_step = [dict() for _ in range(sweep.m + 1)]
-    prev_ids: list[int] = []
+    # per position: (index in the previous state or -1 if entering, budget, i)
+    # for each covering commodity, and the summed zero-cut marginal of those entering
+    slots = [()]
+    entering_gain = [0]
+    prev_index: dict[int, int] = {}
     for p in range(1, sweep.m + 1):
-        ids = sweep.covering[p]
-        prev_index = {i: t for t, i in enumerate(prev_ids)}
-        new_ids = [i for i in ids if i not in prev_index]
-        new_table: dict[tuple, int] = {}
-        parents: dict[tuple, tuple] = {}
-        keep_gain = sum(value(i, 0) for i in new_ids)
-        cut_gain_new = sum(value(i, 1) for i in new_ids)
-        for state in sorted(table):
-            val = table[state]
-            kept = tuple(
-                comm[i].budget if i not in prev_index else state[prev_index[i]]
-                for i in ids
-            )
-            _update(new_table, parents, kept, val + keep_gain, state, cut=False)
-            gain = cut_gain_new
-            slashed = []
-            for i in ids:
-                if i in prev_index:
-                    x = dec(state[prev_index[i]])
-                    if x != DEAD:
-                        # slack x after the cut means u-x-1 cuts lay on the path before it
-                        z = comm[i].budget - x - 1
-                        gain += value(i, z + 1) - value(i, z)
-                    slashed.append(x)
-                else:
-                    slashed.append(comm[i].budget - 1 if comm[i].budget >= 1 else -1)
-            _update(new_table, parents, tuple(slashed), val + gain, state, cut=True)
-        table = new_table
-        parents_by_step[p] = parents
-        prev_ids = ids
-    return _finish(
-        instance, sweep, table, parents_by_step, "dp-cong",
-        {"congestion": parameters(instance).congestion},
-    )
+        ids = covering[p]
+        slots.append(tuple((prev_index.get(i, -1), comm[i].budget, i) for i in ids))
+        entering_gain.append(
+            sum(value(i, 1) - value(i, 0) for i in ids if i not in prev_index)
+        )
+        prev_index = {i: t for t, i in enumerate(ids)}
+
+    def step(state, p):
+        kept = []
+        slashed = []
+        gain = entering_gain[p]
+        for t, u, i in slots[p]:
+            if t < 0:
+                kept.append(u)
+                slashed.append(u - 1)
+                continue
+            x = state[t]
+            kept.append(x)
+            if x == DEAD or x == -1:
+                slashed.append(DEAD)
+            else:
+                # slack x before the cut means u-x cuts lay on the path before it
+                z = u - x
+                gain += value(i, z + 1) - value(i, z)
+                slashed.append(x - 1)
+        return tuple(kept), tuple(slashed), gain
+
+    return sweep.run((), step, "dp-cong", {"congestion": parameters(instance).congestion})

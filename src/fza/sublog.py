@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -35,6 +36,9 @@ from .model import (
     make_result,
 )
 from .rng import substream
+
+# skeleton_solve refuses a fragment with more cut-count guess combinations
+GUESS_BUDGET = 10**6
 
 
 def branching_parameter(n: int) -> int:
@@ -189,11 +193,20 @@ class Decomposition:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    def children_of(self, level: int, idx: int) -> list[int]:
+    @cached_property
+    def _children(self) -> list[list[list[int]]]:
+        """_children[j][idx]: the fragments of 0-based level j+1 refining (j, idx)."""
+        out = [[[] for _ in level] for level in self.levels[:-1]]
+        for j in range(1, self.num_levels):
+            for i, p in enumerate(self.parents[j]):
+                out[j - 1][p].append(i)
+        return out
+
+    def children_of(self, level: int, idx: int) -> tuple[int, ...]:
         """Indices within 1-based `level`+1 of the fragments refining (level, idx)."""
-        if level >= self.num_levels:
-            return []
-        return [i for i, p in enumerate(self.parents[level]) if p == idx]
+        if not 0 < level < self.num_levels:
+            return ()
+        return tuple(self._children[level - 1][idx])
 
 
 def build_decomposition(tree, d: int | None = None) -> Decomposition:
@@ -435,13 +448,13 @@ def non_skeleton_solve(
     comps = _hanging_subtrees(instance.tree, fragment, skeleton)
     active = [rng.random() >= 0.5 for _ in comps]
 
-    inside: list[frozenset[int]] = [verts - {attach} for _, verts, attach in comps]
-
-    def locate(v: int) -> int | None:
-        for idx, vs in enumerate(inside):
-            if v in vs:
-                return idx
-        return None
+    # vertex -> index of the hanging subtree holding it (attachment excluded)
+    where: dict[int, int] = {}
+    for idx, (_, verts, attach) in enumerate(comps):
+        for v in verts:
+            if v != attach:
+                where.setdefault(v, idx)
+    locate = where.get
 
     cuts: set[int] = set()
     for idx, (comp_edges, comp_verts, attach) in enumerate(comps):
@@ -571,7 +584,6 @@ def skeleton_solve(
     skeleton: SkeletonInfo,
     commodity_ids: Sequence[int],
     rng_labels: tuple,
-    guess_budget: int = 10**6,
 ) -> frozenset[int]:
     """Candidate cutting only skeleton edges.
 
@@ -588,9 +600,9 @@ def skeleton_solve(
     total = 1
     for opt in options:
         total *= len(opt)
-        if total > guess_budget:
+        if total > GUESS_BUDGET:
             raise CapacityError(
-                f"guess space exceeds budget {guess_budget} for {len(segments)} segments"
+                f"guess space exceeds budget {GUESS_BUDGET} for {len(segments)} segments"
             )
     best_rev: int | None = None
     best: frozenset[int] = frozenset()
@@ -645,7 +657,6 @@ def sublog(
     instance: Instance,
     seed: int,
     diagnostics: bool = False,
-    guess_budget: int = 10**6,
 ) -> SolveResult:
     """Divide-and-select over the decomposition levels.
 
@@ -676,9 +687,7 @@ def sublog(
             skel = compute_skeleton(tree, frag, kids)
             rng_ns = substream(seed, "sublog", "nonskel", level, idx)
             f_ns = non_skeleton_solve(instance, frag, skel, ids, rng_ns)
-            f_s = skeleton_solve(
-                instance, skel, ids, (seed, "sublog", "skel", level, idx), guess_budget
-            )
+            f_s = skeleton_solve(instance, skel, ids, (seed, "sublog", "skel", level, idx))
             rev_ns = instance.scaled_revenue(edge_mask(f_ns), ids)
             rev_s = instance.scaled_revenue(edge_mask(f_s), ids)
             chosen = f_ns if rev_ns >= rev_s else f_s

@@ -122,6 +122,8 @@ class TestCli:
             ),
             pytest.param(lambda d: {**d, "pricing": [0, True, True]}, id="bool-price"),
             pytest.param(lambda d: {**d, "pricing": "012"}, id="string-pricing"),
+            pytest.param(lambda d: {**d, "version": True}, id="bool-version"),
+            pytest.param(lambda d: {**d, "version": 1.0}, id="float-version"),
         ],
     )
     def test_validate_rejects_malformed_file(self, tmp_path, capsys, mutate):
@@ -236,6 +238,33 @@ class TestCli:
         assert main(
             ["bench", "--config", str(config), "--output-dir", str(tmp_path / "o")]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda d: {**d, "seeds": [1.7, True]}, id="float-and-bool-seeds"),
+            pytest.param(lambda d: {**d, "seeds": [True]}, id="bool-seed"),
+            pytest.param(lambda d: {**d, "seeds": "12"}, id="string-seeds"),
+            pytest.param(lambda d: {**d, "seeds": []}, id="empty-seeds"),
+            pytest.param(lambda d: {**d, "instances": d["instances"][0]}, id="string-instances"),
+            pytest.param(lambda d: {**d, "algorithms": "brute"}, id="string-algorithms"),
+            pytest.param(lambda d: {**d, "algorithms": [1]}, id="int-algorithm"),
+            pytest.param(lambda d: [d], id="top-level-list"),
+        ],
+    )
+    def test_bench_rejects_malformed_config(self, tmp_path, capsys, mutate):
+        inst_path = tmp_path / "i.json"
+        main(["gen", "random", "--vertices", "5", "--commodities", "3", "--output", str(inst_path)])
+        valid = {"instances": [str(inst_path)], "algorithms": ["brute"], "seeds": [0, 1]}
+        argv = ["bench", "--output-dir", str(tmp_path / "o"), "--config"]
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps(valid))
+        assert main(argv + [str(config)]) == 0
+        capsys.readouterr()
+        config.write_text(json.dumps(mutate(valid)))
+        assert main(argv + [str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_every_algorithm_through_cli(self, tmp_path):
         # a path instance rooted at vertex 0 satisfies every solver's

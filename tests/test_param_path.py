@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from fza import (
     dp_umax,
     normalize,
 )
+from fza import param_path
 from conftest import bounded_path_instance
 
 
@@ -30,20 +32,33 @@ class TestGuards:
             with pytest.raises(InvalidInstanceError):
                 solver(inst)
 
-    def test_umax_budget_guard(self):
-        inst = bounded_path_instance(1)
-        with pytest.raises(CapacityError):
-            dp_umax(inst, state_budget=1)
+    # each guard trips on an instance just beyond its fixed limit and must
+    # refuse before the sweep makes a single transition
+    def test_umax_budget_guard(self, monkeypatch):
+        t = Tree(30, tuple((i, i + 1) for i in range(29)))
+        inst = make(t, PricingFunction.linear(30), [Commodity(0, 5, 3, Fraction(1))])
+        monkeypatch.setattr(param_path, "_update", _no_transition)
+        with pytest.raises(CapacityError, match=r"30\^5 > 10000000"):
+            dp_umax(inst)
 
-    def test_pmax_budget_guard(self):
-        inst = bounded_path_instance(2)
-        with pytest.raises(CapacityError):
-            dp_pmax(inst, window_budget=1)
+    def test_pmax_budget_guard(self, monkeypatch):
+        t = Tree(23, tuple((i, i + 1) for i in range(22)))
+        inst = make(t, PricingFunction.linear(23), [Commodity(0, 22, 1, Fraction(1))])
+        monkeypatch.setattr(param_path, "_update", _no_transition)
+        with pytest.raises(CapacityError, match=r"2\^22 > 1048576"):
+            dp_pmax(inst)
 
-    def test_congestion_budget_guard(self):
-        inst = bounded_path_instance(3)
-        with pytest.raises(CapacityError):
-            dp_congestion(inst, table_budget=1)
+    def test_congestion_budget_guard(self, monkeypatch):
+        t = Tree(11, tuple((i, i + 1) for i in range(10)))
+        comms = [Commodity(0, v, 3, Fraction(1)) for v in range(3, 11)]
+        inst = make(t, PricingFunction.linear(11), comms)
+        monkeypatch.setattr(param_path, "_update", _no_transition)
+        with pytest.raises(CapacityError, match="1679616 states > 1000000"):
+            dp_congestion(inst)
+
+
+def _no_transition(*args):
+    raise AssertionError("the DP sweep started")
 
 
 class TestSmallCases:
@@ -128,3 +143,14 @@ class TestExactness:
         inst = make(t, PricingFunction.linear(3), comms)
         for solver in (dp_umax, dp_pmax, dp_congestion):
             assert solver(inst).revenue == 200
+
+    def test_cut_sets_pinned(self):
+        # revenues alone miss a changed tie-break; this digest of every
+        # (cuts, served) pair pins the fixed tie rule of all three DPs
+        h = hashlib.sha256()
+        for seed in range(100):
+            inst = bounded_path_instance(seed)
+            for solver in (dp_umax, dp_pmax, dp_congestion):
+                res = solver(inst)
+                h.update(repr((res.cuts, res.served)).encode())
+        assert h.hexdigest() == "e69f0579c6c4970b881e2509cb186c1af504b03efc115b3f331f9c89e0ecfbab"

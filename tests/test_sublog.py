@@ -1,6 +1,10 @@
+import sys
 from fractions import Fraction
 
+import pytest
+
 from fza import (
+    CapacityError,
     Commodity,
     Instance,
     PricingFunction,
@@ -16,6 +20,8 @@ from fza import (
     total_revenue,
 )
 from fza.sublog import (
+    Segment,
+    SkeletonInfo,
     almost_balanced_decomposition,
     branching_parameter,
     segment_guesses,
@@ -338,6 +344,28 @@ class TestSkeletonSolve:
         for seed in range(10):
             cuts = skeleton_solve(inst, skel, [0, 1, 2], (seed, "sk-test"))
             assert cuts <= skel.edges
+
+    def test_guess_space_guard(self, monkeypatch):
+        # 13 two-edge segments give 3^13 > 10^6 guess combinations (12 would
+        # fit); the guard must refuse before any aux instance is built
+        t = Tree(27, tuple((v, v + 1) for v in range(26)))
+        inst = make(t, PricingFunction.linear(27), [])
+        segments = tuple(Segment((v, v + 1, v + 2), (v, v + 1)) for v in range(0, 26, 2))
+        skel = SkeletonInfo(
+            border=frozenset({0, 26}),
+            edges=frozenset(range(26)),
+            vertices=frozenset(range(27)),
+            junctions=frozenset(range(2, 26, 2)),
+            segments=segments,
+        )
+
+        def enumerated(*args):
+            raise AssertionError("guess enumeration started")
+
+        # the package re-exports the function `sublog`, which shadows the module
+        monkeypatch.setattr(sys.modules["fza.sublog"], "build_aux_instance", enumerated)
+        with pytest.raises(CapacityError, match="guess space"):
+            skeleton_solve(inst, skel, [], (0, "guard"))
 
     def test_no_segments_empty(self):
         t = Tree(9, tuple((0, v) for v in range(1, 9)))
