@@ -22,12 +22,11 @@ from .density import (
     single_density_base,
     single_density_path,
 )
-from .exact import brute_force, rooted_dp
+from .exact import brute_force, gen_rooted_path, rooted_dp
 from .files import dumps_canonical, read_instance
 from .model import (
     CapacityError,
     FzaError,
-    Instance,
     InvalidInstanceError,
     SolveResult,
     format_fraction,
@@ -35,10 +34,14 @@ from .model import (
 from .param_path import dp_congestion, dp_pmax, dp_umax
 from .sublog import sublog
 
-# name -> (callable(instance, seed), uses_seed)
-SOLVERS: dict[str, tuple[Callable[[Instance, int], SolveResult], bool]] = {
+# The one solver table behind `fza solve` and `fza bench`: name ->
+# (callable(instance, seed, **extras), uses_seed); `fza solve` passes `root`,
+# `cuts` or `diagnostics` only to a callable whose signature names it.
+# perfbench/tracing.py swaps traced wrappers into this dict by identity and
+# unpacks each entry as a (fn, uses_seed) pair, so that shape stays.
+SOLVERS: dict[str, tuple[Callable[..., SolveResult], bool]] = {
     "brute": (lambda inst, seed: brute_force(inst), False),
-    "rooted": (lambda inst, seed: rooted_dp(inst, root=0), False),
+    "rooted": (lambda inst, seed, root=0: rooted_dp(inst, root=root), False),
     "single-density": (single_density, True),
     "single-density-path": (lambda inst, seed: single_density_path(inst), False),
     "single-density-base": (lambda inst, seed: single_density_base(inst), False),
@@ -47,6 +50,7 @@ SOLVERS: dict[str, tuple[Callable[[Instance, int], SolveResult], bool]] = {
     "dp-umax": (lambda inst, seed: dp_umax(inst), False),
     "dp-pmax": (lambda inst, seed: dp_pmax(inst), False),
     "dp-cong": (lambda inst, seed: dp_congestion(inst), False),
+    "gen-rooted-path": (gen_rooted_path, False),
 }
 
 ORACLES = ("brute", "dp-umax", "dp-pmax", "dp-cong")
@@ -81,6 +85,13 @@ class BenchConfig:
             raise InvalidInstanceError("no instances configured")
         if not self.seeds:
             raise InvalidInstanceError("no seeds configured")
+        for what, items in (
+            ("instances", self.instances),
+            ("algorithms", self.algorithms),
+            ("seeds", self.seeds),
+        ):
+            if len(set(items)) < len(items):
+                raise InvalidInstanceError(f"bench config {what} repeat an entry: {list(items)!r}")
 
     @classmethod
     def from_file(cls, path) -> "BenchConfig":

@@ -6,10 +6,10 @@ Exit codes: 0 success, 2 invalid input, 3 capacity guard tripped.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .bench import SOLVERS, BenchConfig, run_bench
-from .exact import generalized_from_instance, generalized_rooted_path_dp, rooted_dp
 from .files import read_instance, solution_to_json, write_instance, write_solution
 from .generators import (
     Formula2CNF,
@@ -18,16 +18,7 @@ from .generators import (
     gen_random,
     gen_star_from_2sat,
 )
-from .model import (
-    CapacityError,
-    FzaError,
-    InvalidInstanceError,
-    make_result,
-    parameters,
-)
-from .sublog import sublog
-
-ALGO_CHOICES = (*SOLVERS, "gen-rooted-path")
+from .model import CapacityError, FzaError, InvalidInstanceError, parameters
 
 
 def parse_clauses(text: str, num_vars: int | None = None) -> Formula2CNF:
@@ -54,25 +45,11 @@ def parse_clauses(text: str, num_vars: int | None = None) -> Formula2CNF:
 
 def _solve(args) -> int:
     instance = read_instance(args.input)
-    seed = args.seed if args.seed is not None else 0
-    algo = args.algo
-    if algo == "gen-rooted-path":
-        if args.cuts is None:
-            raise InvalidInstanceError("--cuts is required for gen-rooted-path")
-        gpi, edge_ids = generalized_from_instance(instance, root=args.root or 0)
-        sub = generalized_rooted_path_dp(gpi, args.cuts)
-        result = make_result(
-            instance,
-            (edge_ids[p] for p in sub.cuts),
-            algorithm="gen-rooted-path",
-            diagnostics=dict(sub.diagnostics),
-        )
-    elif algo == "rooted":
-        result = rooted_dp(instance, root=args.root or 0)
-    elif algo == "sublog":
-        result = sublog(instance, seed, diagnostics=args.diagnostics)
-    else:
-        result = SOLVERS[algo][0](instance, seed)
+    solver = SOLVERS[args.algo][0]
+    # per-algorithm options reach only a solver whose signature names them
+    params = inspect.signature(solver).parameters
+    extras = {k: getattr(args, k) for k in ("root", "cuts", "diagnostics") if k in params}
+    result = solver(instance, args.seed, **extras)
     if args.output:
         write_solution(result, args.output)
     else:
@@ -129,11 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run one solver on an instance file")
-    solve.add_argument("--algo", required=True, choices=ALGO_CHOICES)
+    solve.add_argument("--algo", required=True, choices=SOLVERS)
     solve.add_argument("--input", required=True)
     solve.add_argument("--output")
-    solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--root", type=int, default=None)
+    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--root", type=int, default=0)
     solve.add_argument("--cuts", type=int, default=None, help="exact cut count for gen-rooted-path")
     solve.add_argument("--diagnostics", action="store_true")
     solve.set_defaults(func=_solve)

@@ -10,9 +10,6 @@ variant that samples each edge independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .model import (
     FzaError,
     Instance,
@@ -28,62 +25,6 @@ def ceil_log2(n: int) -> int:
     if n < 1:
         raise InvalidInstanceError("n must be positive")
     return (n - 1).bit_length()
-
-
-def density_class(budget: int, path_len: int) -> int:
-    """Class index j >= 1 with u/|P| in (2^-j, 2^(1-j)]; requires u >= 1."""
-    if budget < 1:
-        raise InvalidInstanceError("density class needs budget >= 1")
-    t = 0
-    while (budget << (t + 1)) <= path_len:
-        t += 1
-    return t + 1
-
-
-@dataclass(frozen=True)
-class DensityClassification:
-    """Per-commodity density and class index; classes[j] lists the members of
-    M_j. Class 0 holds the zero-budget commodities."""
-
-    densities: tuple[Fraction, ...]
-    class_of: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-
-
-def classify_by_density(instance: Instance) -> DensityClassification:
-    n = instance.tree.num_vertices
-    num_classes = ceil_log2(n) + 1
-    densities = []
-    class_of = []
-    classes: list[list[int]] = [[] for _ in range(num_classes)]
-    for i, c in enumerate(instance.commodities):
-        size = instance.path_size(i)
-        densities.append(Fraction(c.budget, size))
-        j = 0 if c.budget == 0 else density_class(c.budget, size)
-        class_of.append(j)
-        classes[j].append(i)
-    return DensityClassification(
-        tuple(densities), tuple(class_of), tuple(tuple(m) for m in classes)
-    )
-
-
-def offset_candidate(instance: Instance, root: int, j: int, theta: int) -> frozenset[int]:
-    """Edges whose depth below `root` is congruent to theta mod 2^(j+1).
-
-    The depth of an edge is the number of edges strictly between it and the
-    root, i.e. the depth of its upper endpoint.
-    """
-    if j < 1:
-        raise InvalidInstanceError("offset candidates need class index j >= 1")
-    modulus = 1 << (j + 1)
-    if not (0 <= theta < modulus):
-        raise InvalidInstanceError(f"offset {theta} out of range for modulus {modulus}")
-    _, parent_edge, depth, order = instance.tree.rooted(root)
-    picked = []
-    for v in order[1:]:
-        if (depth[v] - 1) % modulus == theta:
-            picked.append(parent_edge[v])
-    return frozenset(picked)
 
 
 def _argmax_candidates(instance, candidates, algorithm, seed=None):

@@ -300,3 +300,21 @@ def generalized_from_instance(
             )
         commodities.append(GeneralizedCommodity(target, c.budget, c.weight, instance.pricing))
     return GeneralizedPathInstance(tuple(verts), tuple(commodities)), edge_ids
+
+
+def gen_rooted_path(
+    instance: Instance, seed: int, root: int = 0, cuts: int | None = None
+) -> SolveResult:
+    """`generalized_rooted_path_dp` on a path instance rooted at its endpoint
+    `root`, with exactly `cuts` cuts, reported in the instance's edge ids.
+    `seed` is unused; it keeps the solver-table calling convention."""
+    if cuts is None:
+        raise InvalidInstanceError("--cuts is required for gen-rooted-path")
+    gpi, edge_ids = generalized_from_instance(instance, root)
+    sub = generalized_rooted_path_dp(gpi, cuts)
+    return make_result(
+        instance,
+        (edge_ids[p] for p in sub.cuts),
+        algorithm="gen-rooted-path",
+        diagnostics=dict(sub.diagnostics),
+    )

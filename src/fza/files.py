@@ -52,6 +52,13 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _list(value, what: str) -> list:
+    """A JSON list; an object or a string is refused rather than iterated."""
+    if not isinstance(value, list):
+        raise InvalidInstanceError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _edge(value) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
         raise InvalidInstanceError(f"edge must be a pair of vertices, got {value!r}")
@@ -64,13 +71,12 @@ def dict_to_instance(data: dict) -> Instance:
     try:
         if _int(data.get("version"), "version") != FORMAT_VERSION:
             raise InvalidInstanceError(f"unsupported format version {data['version']}")
-        tree = Tree(_int(data["num_vertices"], "num_vertices"), tuple(_edge(e) for e in data["edges"]))
-        if not isinstance(data["pricing"], list):
-            raise InvalidInstanceError(f"pricing must be a list, got {data['pricing']!r}")
-        pricing = PricingFunction(tuple(to_fraction(v) for v in data["pricing"]))
+        n = _int(data["num_vertices"], "num_vertices")
+        tree = Tree(n, tuple(_edge(e) for e in _list(data["edges"], "edges")))
+        pricing = PricingFunction(tuple(to_fraction(v) for v in _list(data["pricing"], "pricing")))
         commodities = [
             Commodity(_int(c["s"], "s"), _int(c["t"], "t"), _int(c["u"], "u"), to_fraction(c["w"]))
-            for c in data["commodities"]
+            for c in _list(data["commodities"], "commodities")
         ]
     except (KeyError, TypeError) as exc:
         raise InvalidInstanceError(f"malformed instance file: {exc}") from exc

@@ -172,22 +172,6 @@ class Tree:
         return verts, edge_ids
 
 
-def resolve_path(tree: Tree, s: int, t: int) -> frozenset[int]:
-    """Edge ids on the unique s-t path."""
-    n = tree.num_vertices
-    if not (0 <= s < n and 0 <= t < n):
-        raise InvalidInstanceError(f"invalid endpoint in ({s},{t})")
-    if s == t:
-        raise InvalidInstanceError(f"commodity endpoints coincide at {s}")
-    parent, parent_edge, _, _ = tree.rooted(s)
-    edges = []
-    v = t
-    while v != s:
-        edges.append(parent_edge[v])
-        v = parent[v]
-    return frozenset(edges)
-
-
 @dataclass(frozen=True)
 class PricingFunction:
     """Tabulated non-decreasing concave prices f(0), f(1), ... as exact rationals."""
@@ -336,9 +320,6 @@ class Instance:
     def path_edges(self, i: int) -> frozenset[int]:
         return frozenset(mask_to_edges(self.paths[i]))
 
-    def path_size(self, i: int) -> int:
-        return self.paths[i].bit_count()
-
     @cached_property
     def _scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """(D, W, F, budgets); see `scale_terms`."""
@@ -411,33 +392,23 @@ def normalize(instance: Instance) -> Instance:
     return Instance(tree, instance.pricing, commodities, paths, normalized=True)
 
 
-def revenue_of_commodity(instance: Instance, i: int, cuts: Iterable[int]) -> Fraction:
-    """w_i * f(|P_i ∩ F|) if the cut count stays within budget, else 0."""
-    return _commodity_revenue_mask(instance, i, edge_mask(cuts))
-
-
-def _commodity_revenue_mask(instance: Instance, i: int, mask: int) -> Fraction:
-    count = (instance.paths[i] & mask).bit_count()
-    c = instance.commodities[i]
-    if count > c.budget:
-        return Fraction(0)
-    return c.weight * instance.pricing(count)
-
-
 def total_revenue(instance: Instance, cuts: Iterable[int]) -> Fraction:
     """Plain Fraction sum, independent of the scaled kernel: the reference
     the solvers are tested against."""
     mask = edge_mask(cuts)
-    return sum(
-        (_commodity_revenue_mask(instance, i, mask) for i in range(instance.num_commodities)),
-        Fraction(0),
-    )
+    total = Fraction(0)
+    for c, path in zip(instance.commodities, instance.paths):
+        count = (path & mask).bit_count()
+        if count <= c.budget:
+            total += c.weight * instance.pricing(count)
+    return total
 
 
 def total_revenue_mask(instance: Instance, mask: int) -> Fraction:
     return Fraction(instance.scaled_revenue(mask), instance.scale)
 
 
+# no caller in the package; kept because perfbench/tracing.py traces it by name
 def revenue_for(instance: Instance, ids: Iterable[int], cuts: Iterable[int]) -> Fraction:
     """Revenue restricted to the given commodity indices."""
     return Fraction(instance.scaled_revenue(edge_mask(cuts), ids), instance.scale)

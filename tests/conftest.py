@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,11 +11,14 @@ import pytest
 from fza import (
     Commodity,
     Instance,
+    InvalidInstanceError,
     PricingFunction,
     Tree,
     normalize,
 )
+from fza.density import _offset_buckets, ceil_log2
 from fza.generators import pricing_preset
+from fza.model import edge_mask
 from fza.rng import substream
 
 # The 13-vertex example instance: two three-vertex arms on each side of a
@@ -158,6 +162,77 @@ def bounded_path_instance(seed: int, n_max=12, u_cap=3, p_cap=6, cong_cap=3) -> 
         p = parameters(inst)
         if p.u_max <= u_cap and p.p_max <= p_cap and p.congestion <= cong_cap:
             return inst
+
+
+# Reference code that no solver calls, kept as independent checks: the
+# density classes of the Single Density analysis, path resolution by walking
+# parents, and one commodity's revenue as a plain Fraction.
+
+
+def density_class(budget: int, path_len: int) -> int:
+    """Class index j >= 1 with u/|P| in (2^-j, 2^(1-j)]; requires u >= 1."""
+    if budget < 1:
+        raise InvalidInstanceError("density class needs budget >= 1")
+    t = 0
+    while (budget << (t + 1)) <= path_len:
+        t += 1
+    return t + 1
+
+
+@dataclass(frozen=True)
+class DensityClassification:
+    """Per-commodity density and class index; classes[j] lists the members of
+    M_j. Class 0 holds the zero-budget commodities."""
+
+    densities: tuple[Fraction, ...]
+    class_of: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
+
+
+def classify_by_density(instance: Instance) -> DensityClassification:
+    densities = []
+    class_of = []
+    classes: list[list[int]] = [[] for _ in range(ceil_log2(instance.tree.num_vertices) + 1)]
+    for i, c in enumerate(instance.commodities):
+        size = instance.paths[i].bit_count()
+        densities.append(Fraction(c.budget, size))
+        j = 0 if c.budget == 0 else density_class(c.budget, size)
+        class_of.append(j)
+        classes[j].append(i)
+    return DensityClassification(
+        tuple(densities), tuple(class_of), tuple(tuple(m) for m in classes)
+    )
+
+
+def offset_candidates(instance: Instance) -> dict[int, list[frozenset[int]]]:
+    """Per class j: the unthinned offset candidates that `single_density`
+    thins and `single_density_base` uses, indexed by the offset theta."""
+    return {j: [frozenset(b) for b in buckets] for j, buckets in _offset_buckets(instance)}
+
+
+def resolve_path(tree: Tree, s: int, t: int) -> frozenset[int]:
+    """Edge ids on the unique s-t path."""
+    n = tree.num_vertices
+    if not (0 <= s < n and 0 <= t < n):
+        raise InvalidInstanceError(f"invalid endpoint in ({s},{t})")
+    if s == t:
+        raise InvalidInstanceError(f"commodity endpoints coincide at {s}")
+    parent, parent_edge, _, _ = tree.rooted(s)
+    edges = []
+    v = t
+    while v != s:
+        edges.append(parent_edge[v])
+        v = parent[v]
+    return frozenset(edges)
+
+
+def revenue_of_commodity(instance: Instance, i: int, cuts) -> Fraction:
+    """w_i * f(|P_i ∩ F|) if the cut count stays within budget, else 0."""
+    count = (instance.paths[i] & edge_mask(cuts)).bit_count()
+    c = instance.commodities[i]
+    if count > c.budget:
+        return Fraction(0)
+    return c.weight * instance.pricing(count)
 
 
 @pytest.fixture(scope="session")

@@ -21,10 +21,6 @@ from itertools import combinations_with_replacement
 from fza import (
     Formula2CNF,
     brute_force,
-    build_decomposition,
-    classify_by_density,
-    classify_commodities,
-    compute_skeleton,
     dp_congestion,
     dp_pmax,
     dp_umax,
@@ -32,23 +28,29 @@ from fza import (
     gen_star_from_2sat,
     generalized_rooted_path_dp,
     max2sat_optimum,
-    non_skeleton_solve,
-    offset_candidate,
     rooted_dp,
     simplified_single_density,
     single_density,
     single_density_base,
     single_density_path,
-    skeleton_solve,
-    sublog,
     total_revenue,
 )
 from fza.density import ceil_log2
 from fza.files import solution_to_json
 from fza.rng import substream
+from fza.sublog import (
+    build_decomposition,
+    classify_commodities,
+    compute_skeleton,
+    non_skeleton_solve,
+    skeleton_solve,
+    sublog,
+)
 from conftest import (
     bounded_path_instance,
+    classify_by_density,
     fig1_instance,
+    offset_candidates,
     random_gpi,
     random_instance,
 )
@@ -159,9 +161,10 @@ def test_criterion_6_candidate_safety():
         n = 4 + seed % 17  # up to 20
         inst = random_instance(seed, n, 1 + seed % 10, "linear")
         cls = classify_by_density(inst)
+        cands = offset_candidates(inst)
         for j in range(1, len(cls.classes)):
             for theta in range(1 << (j + 1)):
-                cand = offset_candidate(inst, 0, j, theta)
+                cand = cands[j][theta]
                 for i in cls.classes[j]:
                     if inst.commodities[i].budget >= 2:
                         assert (

@@ -1,12 +1,14 @@
 import csv
+import importlib.util
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fza import GenSpec, gen_random
-from fza.bench import BenchConfig, run_bench
+from fza import Commodity, GenSpec, Instance, PricingFunction, Tree, gen_random, normalize
+from fza.bench import SOLVERS, BenchConfig, run_bench
 from fza.files import write_instance
 from fza.model import InvalidInstanceError
 
@@ -77,9 +79,41 @@ class TestBench:
         with pytest.raises(InvalidInstanceError):
             BenchConfig(instances=("x",), algorithms=("nope",))
 
+    def test_solver_missing_its_option_is_solver_error(self, tmp_path):
+        # a bench grid passes no cut count to gen-rooted-path, and rooted
+        # reads root 0; both fail like any other solver on this instance
+        t = Tree(4, ((0, 1), (1, 2), (2, 3)))
+        inst = normalize(Instance.create(t, PricingFunction.linear(4), [Commodity(1, 3, 1, 1)]))
+        p = tmp_path / "u.json"
+        write_instance(inst, p)
+        config = BenchConfig(instances=(str(p),), algorithms=("brute", "gen-rooted-path", "rooted"))
+        run_bench(config, tmp_path / "out")
+        status = {r["algorithm"]: r["status"] for r in read_rows(tmp_path / "out")}
+        assert status == {"brute": "ok", "gen-rooted-path": "solver-error", "rooted": "solver-error"}
+
     def test_summary_aggregates(self, bench_setup):
         config, tmp = bench_setup
         summary = run_bench(config, tmp / "out")
         data = json.loads((tmp / "out/summary.json").read_text())
         assert data == summary
         assert data["algorithms"]["brute"]["min_ratio"] == "1"
+
+
+def test_perfbench_tracer_installs_and_uninstalls():
+    # perfbench/tracing.py patches fza by name; a renamed function fails here
+    # rather than only in the benchmark's own test suite
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = dict(SOLVERS)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        traced = SOLVERS["sublog"][0]
+        assert traced is not before["sublog"][0]
+        # `fza solve` still sees the options a traced solver takes
+        assert "diagnostics" in inspect.signature(traced).parameters
+    finally:
+        tracer.uninstall()
+    assert SOLVERS == before

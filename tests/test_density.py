@@ -9,17 +9,15 @@ from fza import (
     PricingFunction,
     Tree,
     brute_force,
-    classify_by_density,
     normalize,
-    offset_candidate,
     simplified_single_density,
     single_density,
     single_density_base,
     single_density_path,
     total_revenue,
 )
-from fza.density import bernoulli_candidate, ceil_log2, density_class
-from conftest import random_instance
+from fza.density import bernoulli_candidate, ceil_log2
+from conftest import classify_by_density, density_class, offset_candidates, random_instance
 
 
 def make(tree, pricing, commodities):
@@ -68,27 +66,28 @@ class TestOffsetCandidates:
     def test_path_mod4(self):
         t = Tree(9, tuple((i, i + 1) for i in range(8)))
         inst = make(t, PricingFunction.linear(9), [])
-        cand = offset_candidate(inst, 0, 1, 0)
+        cand = offset_candidates(inst)[1][0]
         assert cand == {0, 4}  # depths 0 and 4
 
     def test_empty_residue_class(self):
         t = Tree(4, ((0, 1), (1, 2), (2, 3)))
         inst = make(t, PricingFunction.linear(4), [])
-        assert offset_candidate(inst, 0, 2, 7) == frozenset()
+        assert offset_candidates(inst)[2][7] == frozenset()
 
     def test_star_all_depth_zero(self):
         t = Tree(5, tuple((0, v) for v in range(1, 5)))
         inst = make(t, PricingFunction.linear(5), [])
-        assert offset_candidate(inst, 0, 1, 0) == {0, 1, 2, 3}
+        assert offset_candidates(inst)[1][0] == {0, 1, 2, 3}
 
     def test_offsets_partition_edges(self):
         for seed in range(10):
             inst = random_instance(seed, 14, 0, "linear")
             m = inst.tree.num_edges
+            cands = offset_candidates(inst)
             for j in range(1, ceil_log2(14) + 1):
                 seen = []
                 for theta in range(1 << (j + 1)):
-                    seen.extend(offset_candidate(inst, 0, j, theta))
+                    seen.extend(cands[j][theta])
                 assert sorted(seen) == list(range(m))
 
     def test_candidate_safety(self):
@@ -96,9 +95,10 @@ class TestOffsetCandidates:
         for seed in range(25):
             inst = random_instance(seed, 12, 8, "linear")
             cls = classify_by_density(inst)
+            cands = offset_candidates(inst)
             for j in range(1, len(cls.classes)):
                 for theta in range(1 << (j + 1)):
-                    cand = offset_candidate(inst, 0, j, theta)
+                    cand = cands[j][theta]
                     for i in cls.classes[j]:
                         if inst.commodities[i].budget >= 2:
                             hits = len(cand & inst.path_edges(i))

@@ -114,7 +114,7 @@ class TestGenRandom:
             again = renorm(inst)
             assert again.commodities == inst.commodities
             for i, c in enumerate(inst.commodities):
-                assert c.budget <= inst.path_size(i)
+                assert c.budget <= inst.paths[i].bit_count()
 
 
 class TestStarReduction:

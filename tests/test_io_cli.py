@@ -124,6 +124,11 @@ class TestCli:
             pytest.param(lambda d: {**d, "pricing": "012"}, id="string-pricing"),
             pytest.param(lambda d: {**d, "version": True}, id="bool-version"),
             pytest.param(lambda d: {**d, "version": 1.0}, id="float-version"),
+            pytest.param(lambda d: {**d, "commodities": {}}, id="object-commodities"),
+            pytest.param(
+                lambda d: {**d, "num_vertices": 1, "edges": {}, "pricing": ["0"], "commodities": []},
+                id="object-edges",
+            ),
         ],
     )
     def test_validate_rejects_malformed_file(self, tmp_path, capsys, mutate):
@@ -200,7 +205,8 @@ class TestCli:
 
     def test_solver_output_deterministic(self, tmp_path):
         inst = random_instance(12, 10, 7, "affine")
-        from fza import single_density, simplified_single_density, sublog
+        from fza import single_density, simplified_single_density
+        from fza.sublog import sublog
 
         for solver in (single_density, simplified_single_density, sublog):
             a = solution_to_json(solver(inst, 99))
@@ -250,6 +256,9 @@ class TestCli:
             pytest.param(lambda d: {**d, "algorithms": "brute"}, id="string-algorithms"),
             pytest.param(lambda d: {**d, "algorithms": [1]}, id="int-algorithm"),
             pytest.param(lambda d: [d], id="top-level-list"),
+            pytest.param(lambda d: {**d, "instances": d["instances"] * 2}, id="duplicate-instances"),
+            pytest.param(lambda d: {**d, "algorithms": ["brute", "brute"]}, id="duplicate-algorithms"),
+            pytest.param(lambda d: {**d, "seeds": [1, 0, 1]}, id="duplicate-seeds"),
         ],
     )
     def test_bench_rejects_malformed_config(self, tmp_path, capsys, mutate):
@@ -278,9 +287,13 @@ class TestCli:
         inst = normalize(Instance.create(t, PricingFunction.affine(6), comms))
         inst_path = tmp_path / "p.json"
         write_instance(inst, inst_path)
-        from fza.cli import ALGO_CHOICES
+        from fza.bench import SOLVERS
 
-        for algo in ALGO_CHOICES:
+        assert set(SOLVERS) == {
+            "brute", "rooted", "gen-rooted-path", "single-density", "single-density-path",
+            "single-density-base", "simplified", "sublog", "dp-umax", "dp-pmax", "dp-cong",
+        }
+        for algo in SOLVERS:
             out = tmp_path / f"{algo}.json"
             argv = [
                 "solve", "--algo", algo, "--input", str(inst_path),
@@ -291,6 +304,9 @@ class TestCli:
             assert main(argv) == 0, algo
             sol = json.loads(out.read_text())
             assert Fraction(sol["revenue"]) >= 0
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--algo", "nope", "--input", str(inst_path)])
+        assert exc.value.code == 2
 
     def test_rooted_requires_rooted_instance(self, tmp_path):
         t = Tree(4, ((0, 1), (1, 2), (2, 3)))

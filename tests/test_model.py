@@ -14,13 +14,11 @@ from fza import (
     Tree,
     normalize,
     parameters,
-    resolve_path,
-    revenue_for,
-    revenue_of_commodity,
     total_revenue,
 )
-from fza.model import edge_mask, make_result, total_revenue_mask
-from conftest import fig1_instance, random_instance
+from fza.model import edge_mask, make_result, revenue_for, total_revenue_mask
+from fza.sublog import sublog
+from conftest import fig1_instance, random_instance, resolve_path, revenue_of_commodity
 
 
 def make(tree, pricing, commodities):
@@ -191,7 +189,7 @@ class TestScaledKernel:
         for seed in range(20):
             inst = self.fractional_instance(seed)
             for i, c in enumerate(inst.commodities):
-                for z in range(inst.path_size(i) + 1):
+                for z in range(inst.paths[i].bit_count() + 1):
                     got = Fraction(inst.value(i, z + 1) - inst.value(i, z), inst.scale)
                     assert got == marginal(c.weight, inst.pricing, z, c.budget)
                     branches.add((z > c.budget) - (z < c.budget))
@@ -304,7 +302,7 @@ class TestInvariants:
             fza.single_density_path,
             fza.single_density_base,
             lambda i: fza.simplified_single_density(i, 0),
-            lambda i: fza.sublog(i, 0),
+            lambda i: sublog(i, 0),
             fza.dp_umax,
             fza.dp_pmax,
             fza.dp_congestion,
@@ -328,7 +326,7 @@ class TestInvariants:
             fza.single_density_path,
             fza.single_density_base,
             lambda i: fza.simplified_single_density(i, 1),
-            lambda i: fza.sublog(i, 1),
+            lambda i: sublog(i, 1),
             fza.dp_umax,
             fza.dp_pmax,
             fza.dp_congestion,
@@ -336,6 +334,18 @@ class TestInvariants:
         for solver in solvers:
             res = solver(inst)
             assert res.revenue == 0 and res.served == ()
+
+
+def test_public_surface():
+    import inspect
+
+    import fza
+    import fza.sublog as sublog_module
+
+    assert inspect.ismodule(sublog_module)
+    assert len(set(fza.__all__)) == len(fza.__all__) <= 32
+    for name in fza.__all__:
+        assert not inspect.ismodule(getattr(fza, name)), name
 
 
 def test_package_has_no_assert_statements():

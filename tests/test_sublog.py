@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction
 
 import pytest
@@ -9,13 +8,6 @@ from fza import (
     Instance,
     PricingFunction,
     Tree,
-    build_aux_instance,
-    build_decomposition,
-    classify_commodities,
-    compute_skeleton,
-    non_skeleton_solve,
-    skeleton_solve,
-    sublog,
     normalize,
     total_revenue,
 )
@@ -24,7 +16,14 @@ from fza.sublog import (
     SkeletonInfo,
     almost_balanced_decomposition,
     branching_parameter,
+    build_aux_instance,
+    build_decomposition,
+    classify_commodities,
+    compute_skeleton,
+    non_skeleton_solve,
     segment_guesses,
+    skeleton_solve,
+    sublog,
 )
 from fza.rng import substream
 from conftest import random_instance
@@ -362,8 +361,7 @@ class TestSkeletonSolve:
         def enumerated(*args):
             raise AssertionError("guess enumeration started")
 
-        # the package re-exports the function `sublog`, which shadows the module
-        monkeypatch.setattr(sys.modules["fza.sublog"], "build_aux_instance", enumerated)
+        monkeypatch.setattr("fza.sublog.build_aux_instance", enumerated)
         with pytest.raises(CapacityError, match="guess space"):
             skeleton_solve(inst, skel, [], (0, "guard"))
 
