@@ -103,7 +103,9 @@ class BenchConfig:
                 seeds=_json_list(data.get("seeds", [0]), "seeds", int),
                 oracle=data.get("oracle", "brute"),
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (
+            KeyError, TypeError, json.JSONDecodeError, UnicodeDecodeError, RecursionError
+        ) as exc:
             raise InvalidInstanceError(f"malformed bench config: {exc}") from exc
 
 

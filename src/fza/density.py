@@ -15,7 +15,6 @@ from .model import (
     Instance,
     InvalidInstanceError,
     SolveResult,
-    edge_mask,
     make_result,
 )
 from .rng import substream
@@ -36,7 +35,7 @@ def _argmax_candidates(instance, candidates, algorithm, seed=None):
     """
     best = None
     for cuts in candidates:
-        rev = instance.scaled_revenue(edge_mask(cuts))
+        rev = instance.scaled_cut_revenue(cuts)
         if best is None or rev > best[0]:
             best = (rev, cuts)
     if best is None:

@@ -38,10 +38,7 @@ def brute_force(instance: Instance) -> SolveResult:
         raise CapacityError(f"brute force limited to {MAX_BRUTE_EDGES} edges, instance has {m}")
     k = instance.num_commodities
     value = instance.value
-    on_edge: list[list[int]] = [[] for _ in range(m)]
-    for i in range(k):
-        for eid in mask_to_edges(instance.paths[i]):
-            on_edge[eid].append(i)
+    on_edge = instance.edge_commodities
 
     counts = [0] * k
     revenue = sum(value(i, 0) for i in range(k))

@@ -94,8 +94,10 @@ def write_instance(instance: Instance, path: PathLike) -> None:
 def read_instance(path: PathLike) -> Instance:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInstanceError(f"not valid JSON: {path}") from exc
+    except RecursionError as exc:
+        raise InvalidInstanceError(f"JSON nested too deeply: {path}") from exc
     return dict_to_instance(data)
 
 

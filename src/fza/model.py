@@ -4,9 +4,14 @@ Money-valued inputs and outputs (weights, prices, revenues) are
 `fractions.Fraction`. Inside the solvers every term w_i * f(x) is scaled by the
 instance's common denominator to a Python int (`Instance.value`), so solvers
 add and compare ints and divide by `Instance.scale` only when a revenue leaves
-them. There is no floating point anywhere in the revenue computation. Commodity
-paths are cached as bitmasks over edge ids so that cut counting is a single AND
-plus popcount.
+them. There is no floating point anywhere in the revenue computation.
+
+Commodity paths are cached two ways. `Instance.paths` holds each path as a
+bitmask over edge ids, so counting one commodity's cuts is an AND plus a
+popcount. `Instance.edge_commodities` is the inverse index, edge id ->
+commodities whose path holds it, so scoring a whole cut set
+(`Instance.scaled_cut_revenue`) costs the congestion summed over its cuts
+rather than one AND per commodity.
 """
 
 from __future__ import annotations
@@ -336,6 +341,42 @@ class Instance:
         _, weights, prices, budgets = self._scaled
         return weights[i] * prices[x] if x <= budgets[i] else 0
 
+    @cached_property
+    def edge_commodities(self) -> tuple[tuple[int, ...], ...]:
+        """Per edge id: the ids of the commodities whose path holds that edge, ascending."""
+        on_edge: list[list[int]] = [[] for _ in range(self.tree.num_edges)]
+        for i, mask in enumerate(self.paths):
+            for eid in mask_to_edges(mask):
+                on_edge[eid].append(i)
+        return tuple(map(tuple, on_edge))
+
+    @cached_property
+    def _empty_revenue(self) -> int:
+        """Scaled revenue of the empty cut set: F_0 * sum of W_i."""
+        _, weights, prices, _ = self._scaled
+        return prices[0] * sum(weights)
+
+    def scaled_cut_revenue(self, cuts: Iterable[int]) -> int:
+        """Revenue of the cut set `cuts` (distinct edge ids), times `scale`.
+
+        Equals `scaled_revenue(edge_mask(cuts))`: the empty-set revenue plus,
+        per commodity the cuts touch, value(i, count) - value(i, 0).
+        """
+        _, weights, prices, budgets = self._scaled
+        on_edge = self.edge_commodities
+        # a plain dict: `collections.Counter`'s fixed cost per call made
+        # scoring slower than the mask kernel on instances of n <= 16
+        counts: dict[int, int] = {}
+        for e in cuts:
+            for i in on_edge[e]:
+                counts[i] = counts.get(i, 0) + 1
+        f0 = prices[0]
+        total = self._empty_revenue
+        for i, count in counts.items():
+            w = weights[i]
+            total += (w * prices[count] if count <= budgets[i] else 0) - w * f0
+        return total
+
     def scaled_revenue(self, mask: int, ids: Iterable[int] | None = None) -> int:
         """Revenue of cut set `mask` over commodities `ids` (all by default), times `scale`."""
         _, weights, prices, budgets = self._scaled
@@ -420,11 +461,7 @@ def parameters(instance: Instance) -> Parameters:
         return Parameters(0, 0, 0)
     u_max = max(c.budget for c in instance.commodities)
     p_max = max(m.bit_count() for m in instance.paths)
-    per_edge = [0] * instance.tree.num_edges
-    for mask in instance.paths:
-        for eid in mask_to_edges(mask):
-            per_edge[eid] += 1
-    congestion = max(per_edge) if per_edge else 0
+    congestion = max(map(len, instance.edge_commodities))
     return Parameters(u_max, p_max, congestion)
 
 

@@ -1,14 +1,17 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from fza import (
     Commodity,
+    GenSpec,
     Instance,
     InvalidInstanceError,
     PricingFunction,
     Tree,
     brute_force,
+    gen_random,
     normalize,
     simplified_single_density,
     single_density,
@@ -202,3 +205,34 @@ class TestSimplified:
     def test_deterministic_per_seed(self):
         inst = random_instance(9, 10, 6, "linear")
         assert simplified_single_density(inst, 7) == simplified_single_density(inst, 7)
+
+
+class TestPinned:
+    def test_outputs_pinned(self):
+        # revenues alone miss a changed tie-break or a changed candidate
+        # order; this digest of every (cuts, served, revenue, diagnostics)
+        # pins the four density variants on fixed random instances
+        h = hashlib.sha256()
+        for seed in range(48):
+            spec = GenSpec(
+                ("random-tree", "random-path")[seed % 2],
+                (8, 17, 33, 64)[seed % 4],
+                (4, 17, 40)[seed % 3],
+                pricing=("linear", "affine", "capped")[seed % 3],
+                max_weight=(1, 3, 10)[seed % 3],
+                fractional_weights=seed % 4 >= 2,
+                seed=seed,
+            )
+            inst = gen_random(spec)
+            results = [
+                single_density(inst, 1),
+                single_density(inst, 2),
+                simplified_single_density(inst, 1),
+            ]
+            if inst.pricing.base_revenue:
+                results.append(single_density_base(inst))
+            if inst.tree.is_path:
+                results.append(single_density_path(inst))
+            for res in results:
+                h.update(repr((res.cuts, res.served, res.revenue, res.diagnostics)).encode())
+        assert h.hexdigest() == "da13bb202357b4f9fd2561a496c92aa4c5a1a5980bf23b63be6ffaa93e8164bd"

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -53,6 +54,31 @@ class TestBruteForce:
         res = brute_force(inst)
         assert res.revenue == 2
         assert res.cuts == (0, 1)
+
+    def test_matches_reference_optimum(self):
+        # the optimum by the plain Fraction reference, lexicographically
+        # smallest sorted cut tuple among the ties
+        for seed in range(12):
+            inst = random_instance(seed, 2 + seed % 8, 6, ("linear", "affine", "capped")[seed % 3])
+            m = inst.tree.num_edges
+            ref = min(
+                (cuts for size in range(m + 1) for cuts in combinations(range(m), size)),
+                key=lambda cuts: (-total_revenue(inst, cuts), cuts),
+            )
+            res = brute_force(inst)
+            assert (res.cuts, res.revenue) == (ref, total_revenue(inst, ref))
+
+    def test_outputs_pinned(self):
+        # digest of (cuts, served, revenue) on random trees and paths
+        h = hashlib.sha256()
+        for seed in range(40):
+            shape = ("tree", "path")[seed % 2]
+            inst = random_instance(
+                seed, 4 + seed % 10, 3 + seed % 7, ("linear", "affine", "capped")[seed % 3], shape
+            )
+            res = brute_force(inst)
+            h.update(repr((res.cuts, res.served, res.revenue)).encode())
+        assert h.hexdigest() == "c423cddc40eabd8a92ef9472cd9885a1dcfbe1b869a4eb867b865d4708a3c4ef"
 
 
 class TestRootedDP:

@@ -138,6 +138,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "content", [pytest.param(b"\xff", id="non-utf8"), pytest.param(b"[" * 100000, id="deep")]
+    )
+    @pytest.mark.parametrize("command", ["validate", "solve", "bench-config", "bench-instance"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, command, content):
+        good = tmp_path / "ok.json"
+        good.write_text(json.dumps(self.VALID))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({"instances": [str(good)], "algorithms": ["brute"]}))
+        argv = {
+            "validate": ["validate", "--input", str(bad)],
+            "solve": ["solve", "--algo", "brute", "--input", str(bad)],
+            "bench-config": ["bench", "--config", str(bad), "--output-dir", str(tmp_path / "o")],
+            "bench-instance": ["bench", "--config", str(config), "--output-dir", str(tmp_path / "o")],
+        }[command]
+        if command == "bench-instance":
+            # the same config runs with a readable instance file
+            assert main(argv) == 0
+            capsys.readouterr()
+            config.write_text(json.dumps({"instances": [str(bad)], "algorithms": ["brute"]}))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_capacity_exit_3(self, tmp_path):
         inst_path = tmp_path / "big.json"
         main(

@@ -196,7 +196,49 @@ class TestScaledKernel:
         assert branches == {-1, 0, 1}
 
 
+    def test_cut_revenue_matches_mask_scoring(self):
+        # the edge -> commodity scorer against the mask kernel and the
+        # Fraction reference: fractional weights, f(0) = 0 and f(0) > 0,
+        # budgets exceeded and met, the empty and the full cut set
+        cases = []
+        for seed in range(10):
+            inst = self.fractional_instance(seed)
+            # shifting a concave non-decreasing table up keeps it valid
+            shifted = PricingFunction(tuple(v + Fraction(1, 3) for v in inst.pricing.values))
+            cases += [inst, make(inst.tree, shifted, inst.commodities)]
+            shape = ("tree", "path")[seed % 2]
+            cases.append(random_instance(seed, 14, 20, "affine", shape, max_budget=2))
+            cases.append(random_instance(seed, 14, 20, "capped", shape))
+        cases.append(make(Tree(1, ()), PricingFunction.affine(1), []))
+        cases.append(make(Tree(4, ((0, 1), (1, 2), (1, 3))), PricingFunction.affine(4), []))
+        assert cases[-2].edge_commodities == () and cases[-1].edge_commodities == ((),) * 3
+        outcomes = set()
+        for n, inst in enumerate(cases):
+            rng = Random(n)
+            m = inst.tree.num_edges
+            cut_sets = [(), tuple(range(m))]
+            cut_sets += [tuple(e for e in range(m) if rng.random() < p) for p in (0.2, 0.5, 0.8)]
+            for cuts in cut_sets:
+                got = inst.scaled_cut_revenue(frozenset(cuts))
+                mask = edge_mask(cuts)
+                assert got == inst.scaled_revenue(mask)
+                assert got == total_revenue(inst, cuts) * inst.scale
+                for c, path in zip(inst.commodities, inst.paths):
+                    outcomes.add(((path & mask).bit_count() > c.budget, inst.pricing.base_revenue))
+        assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
+
+
 class TestParameters:
+    def test_congestion_matches_mask_recount(self):
+        for seed in range(30):
+            inst = random_instance(seed, 2 + seed, 2 * seed, "linear", ("tree", "path")[seed % 2])
+            on_edge = tuple(
+                tuple(i for i, path in enumerate(inst.paths) if path >> e & 1)
+                for e in range(inst.tree.num_edges)
+            )
+            assert inst.edge_commodities == on_edge
+            assert parameters(inst).congestion == max(map(len, on_edge), default=0)
+
     def test_fig1_u_max(self):
         assert parameters(fig1_instance("linear")).u_max == 5
 
