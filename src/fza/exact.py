@@ -1,5 +1,12 @@
 """Exact solvers: brute-force oracle, the rooted-instance dynamic program, and
-the generalized rooted path DP with a prescribed cut count."""
+the generalized rooted path DP with a prescribed cut count.
+
+Both DPs add and compare the integer revenues of `Instance`'s kernel
+(`Instance._scaled`). `rooted_cut_set` solves a rooted sub-problem within an
+edge set of the instance's own tree, and the path DP reads integer rows
+(`IntegerPathInstance`) against one scaled price table, so sublog's
+sub-solves run on the parent instance with no sub-`Instance` built.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import AbstractSet, Mapping, NamedTuple
 
 from .model import (
     CapacityError,
@@ -15,6 +23,7 @@ from .model import (
     InvalidInstanceError,
     PricingFunction,
     SolveResult,
+    edge_mask,
     make_result,
     mask_to_edges,
     scale_terms,
@@ -73,72 +82,101 @@ def brute_force(instance: Instance) -> SolveResult:
 
 
 def rooted_dp(instance: Instance, root: int = 0) -> SolveResult:
-    """Optimal solution for a rooted instance (every commodity touches `root`).
-
-    Bottom-up over the tree: R_v(x) is the best revenue obtainable from
-    commodities whose path passes v, given exactly x cuts between the root
-    and v. Each child edge is either kept (stay at x) or cut (recurse at
-    x+1); ties prefer the uncut branch, so reconstruction yields a minimal
-    optimal cut set.
-    """
-    tree = instance.tree
-    far = []
-    for c in instance.commodities:
+    """Optimal solution for a rooted instance (every commodity touches `root`);
+    see `rooted_cut_set`."""
+    far_end: dict[int, int] = {}
+    for i, c in enumerate(instance.commodities):
         if c.source == root:
-            far.append(c.target)
+            far_end[i] = c.target
         elif c.target == root:
-            far.append(c.source)
+            far_end[i] = c.source
         else:
             raise InvalidInstanceError(
                 f"commodity ({c.source},{c.target}) does not touch root {root}"
             )
-    parent, parent_edge, depth, order = tree.rooted(root)
-    children: list[list[tuple[int, int]]] = [[] for _ in range(tree.num_vertices)]
-    for v in order[1:]:
-        children[parent[v]].append((v, parent_edge[v]))
-    ends_at: list[list[int]] = [[] for _ in range(tree.num_vertices)]
-    for i, t in enumerate(far):
-        ends_at[t].append(i)
+    cuts = rooted_cut_set(instance, root, far_end)
+    return make_result(instance, cuts, algorithm="rooted", diagnostics={"root": root})
 
-    value = instance.value
-    # scaled revenues (ints); see Instance.value
-    table: list[list[int]] = [None] * tree.num_vertices  # type: ignore[list-item]
-    cut_child: list[list[list[bool]]] = [None] * tree.num_vertices  # type: ignore[list-item]
+
+def rooted_cut_set(
+    instance: Instance,
+    root: int,
+    far_end: Mapping[int, int],
+    edges: AbstractSet[int] | None = None,
+) -> list[int]:
+    """A revenue-maximizing cut set for the commodities i in `far_end`, each
+    running from `root` to `far_end[i]`, cutting only edges in `edges` (all
+    edges by default).
+
+    Bottom-up over the subtree of `edges` that spans the root and the far
+    ends: R_v(x) is the best revenue obtainable from commodities whose path
+    passes v, given exactly x cuts between the root and v. Each child edge is
+    either kept (stay at x) or cut (recurse at x+1); a cut must be strictly
+    better than keeping the edge, so reconstruction yields a minimal optimal
+    cut set, and an edge with no far end below it is never cut, which is why
+    the DP can leave those edges out. Revenues are the instance's scaled ints.
+
+    The closing self-check scores the cut set with the instance's own path
+    masks, so each commodity's path must meet `edges` exactly in its part
+    between the root and its far end.
+    """
+    adjacency = instance.tree.adjacency
+    if not (0 <= root < len(adjacency)):
+        raise InvalidInstanceError(f"invalid root {root}")
+    # BFS from the root over the allowed edges: vertex -> (parent, parent edge)
+    up: dict[int, tuple[int, int]] = {root: (-1, -1)}
+    order = [root]
+    for v in order:
+        for w, eid in adjacency[v]:
+            if w not in up and (edges is None or eid in edges):
+                up[w] = (v, eid)
+                order.append(w)
+    ends_at: dict[int, list[int]] = {}
+    spanned = {root}
+    for i, t in far_end.items():
+        if t not in up:
+            raise InvalidInstanceError(f"far end {t} is not reachable from root {root}")
+        ends_at.setdefault(t, []).append(i)
+        while t not in spanned:
+            spanned.add(t)
+            t = up[t][0]
+    order = [v for v in order if v in spanned]
+    children: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
+    depth = {root: 0}
+    for v in order[1:]:
+        p, eid = up[v]
+        children[p].append((v, eid))
+        depth[v] = depth[p] + 1
+
+    _, weights, prices, budgets = instance._scaled
+    table: dict[int, list[int]] = {}
     for v in reversed(order):
         dv = depth[v]
-        vals = []
-        choices = []
-        for x in range(dv + 1):
-            total = sum(value(i, x) for i in ends_at[v])
-            flags = []
-            for w, _ in children[v]:
-                stay = table[w][x]
-                cut = table[w][x + 1]
-                if cut > stay:
-                    total += cut
-                    flags.append(True)
-                else:
-                    total += stay
-                    flags.append(False)
-            vals.append(total)
-            choices.append(flags)
+        vals = [0] * (dv + 1)
+        for i in ends_at.get(v, ()):
+            w = weights[i]
+            for x in range(min(dv, budgets[i]) + 1):
+                vals[x] += w * prices[x]
+        for w, _ in children[v]:
+            below = table[w]
+            # keep (below[x]) or cut (below[x + 1]): the better value either way
+            vals = [a + (s if s >= c else c) for a, s, c in zip(vals, below, below[1:])]
         table[v] = vals
-        cut_child[v] = choices
 
     cuts = []
     stack = [(root, 0)]
     while stack:
         v, x = stack.pop()
-        for (w, eid), was_cut in zip(children[v], cut_child[v][x]):
-            if was_cut:
+        for w, eid in children[v]:
+            below = table[w]
+            if below[x + 1] > below[x]:
                 cuts.append(eid)
                 stack.append((w, x + 1))
             else:
                 stack.append((w, x))
-    result = make_result(instance, cuts, algorithm="rooted", diagnostics={"root": root})
-    if result.revenue != Fraction(table[root][0], instance.scale):
+    if instance.scaled_revenue(edge_mask(cuts), far_end) != table[root][0]:
         raise FzaError("rooted DP value disagrees with the revenue of its cut set")
-    return result
+    return cuts
 
 
 @dataclass(frozen=True)
@@ -167,6 +205,21 @@ class GeneralizedCommodity:
 
     def price(self, x: int) -> Fraction:
         return self.pricing(self.shift + x)
+
+
+class IntegerPathInstance(NamedTuple):
+    """A generalized rooted path instance in the integer kernel's terms.
+
+    `path` lists the vertices from the root. Each commodity is one row
+    (end, budget, W, shift): its path runs from the root to position `end`,
+    and with x cuts on it it pays W * prices[shift + x] / scale if
+    shift + x <= budget and nothing otherwise. Every price is >= 0.
+    """
+
+    path: tuple[int, ...]
+    commodities: tuple[tuple[int, int, int, int], ...]
+    scale: int
+    prices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -200,69 +253,85 @@ class GeneralizedPathInstance:
         return self.path[0]
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(D, W, F) over the commodities, in order; see `scale_terms`."""
-        return scale_terms(
-            [c.weight for c in self.commodities], [c.pricing for c in self.commodities]
+    def integer(self) -> IntegerPathInstance:
+        """The same instance as integer rows, scaled by `scale_terms`. The
+        commodities' distinct pricing tables are laid end to end in one
+        price table, and each row's shift (and so its budget) also counts
+        the entries of the tables before its own; a row never reads past its
+        own table, as `__post_init__` checks."""
+        # distinct tables by identity: hashing a table hashes all its Fractions
+        tables = {id(c.pricing): c.pricing for c in self.commodities}
+        scale, weights, scaled_tables = scale_terms(
+            [c.weight for c in self.commodities], list(tables.values())
         )
+        offset: dict[int, int] = {}
+        prices: list[int] = []
+        for key, scaled in zip(tables, scaled_tables):
+            offset[key] = len(prices)
+            prices.extend(scaled)
+        pos = {v: i for i, v in enumerate(self.path)}
+        rows = []
+        for c, w in zip(self.commodities, weights):
+            shift = offset[id(c.pricing)] + c.shift
+            rows.append((pos[c.target], shift + c.budget, w, shift))
+        return IntegerPathInstance(self.path, tuple(rows), scale, tuple(prices))
 
 
-def generalized_rooted_path_dp(gpi: GeneralizedPathInstance, y: int) -> SolveResult:
+def generalized_rooted_path_dp(
+    gpi: GeneralizedPathInstance | IntegerPathInstance, y: int
+) -> SolveResult:
     """Best solution with exactly y cuts on the path.
 
     R[j][x] is the best revenue from commodities whose path reaches position j
-    when x cuts lie on positions < j, among solutions with |F| = y overall;
-    infeasible states are simply absent. Ties prefer leaving the next edge
-    uncut. Cut ids in the result are 0-based edge positions along the path.
+    when x cuts lie on positions < j, among solutions with |F| = y overall.
+    Only lo_j <= x <= hi_j is feasible (x <= min(j, y), and the y - x cuts
+    still to place must fit on the m - j edges left). Ties prefer leaving the
+    next edge uncut. Cut ids in the result are 0-based edge positions along
+    the path; `served` follows the commodity order.
     """
-    t = len(gpi.path)
-    m = t - 1
+    if isinstance(gpi, GeneralizedPathInstance):
+        gpi = gpi.integer
+    path, rows, scale, prices = gpi
+    m = len(path) - 1
     if not (0 <= y <= m):
         raise InvalidInstanceError(f"cut count {y} out of range 0..{m}")
-    pos = {v: i for i, v in enumerate(gpi.path)}
-    scale, weights, prices = gpi.scaled
-    # per end position: (W, F, shift, budget), revenues scaled by `scale`
-    ends_at: list[list[tuple[int, tuple[int, ...], int, int]]] = [[] for _ in range(t)]
-    for c, w, f in zip(gpi.commodities, weights, prices):
-        ends_at[pos[c.target]].append((w, f, c.shift, c.budget))
+    ends_at: list[list[tuple[int, int, int]]] = [[] for _ in range(m + 1)]
+    for end, budget, w, shift in rows:
+        ends_at[end].append((budget - shift, w, shift))
 
-    def base(j: int, x: int) -> int:
-        return sum(w * f[s + x] for w, f, s, u in ends_at[j] if x <= u)
-
-    # table[j] maps x -> value; only feasible x appear (x <= min(j, y), and at
-    # the last vertex every cut must already be placed, so x == y there)
-    table: list[dict[int, int]] = [dict() for _ in range(t)]
-    cut_next: list[dict[int, bool]] = [dict() for _ in range(t)]
-    table[t - 1] = {y: base(t - 1, y)}
-    for j in range(t - 2, -1, -1):
-        for x in range(0, min(j, y) + 1):
-            stay = table[j + 1].get(x)
-            cut = table[j + 1].get(x + 1)
-            if stay is None and cut is None:
-                continue
-            if cut is None or (stay is not None and stay >= cut):
-                best, flag = stay, False
-            else:
-                best, flag = cut, True
-            table[j][x] = base(j, x) + best
-            cut_next[j][x] = flag
-    if 0 not in table[0]:
-        raise InvalidInstanceError("no feasible cut placement")
+    # table[j][x] for x in 0..y+1; values are >= 0, so -1 marks an infeasible x
+    table: list[list[int]] = [[]] * (m + 1)
+    for j in range(m, -1, -1):
+        lo, hi = max(0, y - m + j), min(j, y)
+        vals = [-1] * (y + 2)
+        if j == m:
+            vals[y] = 0
+        else:
+            below = table[j + 1]
+            # keep (below[x]) or cut (below[x + 1]): the better feasible value
+            vals[lo : hi + 1] = [
+                s if s >= c else c for s, c in zip(below[lo : hi + 1], below[lo + 1 : hi + 2])
+            ]
+        for slack, w, shift in ends_at[j]:
+            for x in range(lo, min(hi, slack) + 1):
+                vals[x] += w * prices[shift + x]
+        table[j] = vals
 
     cuts = []
     x = 0
     for j in range(m):
-        if cut_next[j][x]:
+        below = table[j + 1]
+        if below[x + 1] > below[x]:
             cuts.append(j)
             x += 1
     served = []
     check = 0
-    for c, w, f in zip(gpi.commodities, weights, prices):
-        count = bisect_left(cuts, pos[c.target])
-        ok = count <= c.budget
+    for end, budget, w, shift in rows:
+        count = bisect_left(cuts, end)
+        ok = shift + count <= budget
         served.append(ok)
         if ok:
-            check += w * f[c.shift + count]
+            check += w * prices[shift + count]
     if check != table[0][0]:
         raise FzaError("generalized path DP value disagrees with the revenue of its cut set")
     return SolveResult(

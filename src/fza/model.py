@@ -9,9 +9,14 @@ them. There is no floating point anywhere in the revenue computation.
 Commodity paths are cached two ways. `Instance.paths` holds each path as a
 bitmask over edge ids, so counting one commodity's cuts is an AND plus a
 popcount. `Instance.edge_commodities` is the inverse index, edge id ->
-commodities whose path holds it, so scoring a whole cut set
-(`Instance.scaled_cut_revenue`) costs the congestion summed over its cuts
-rather than one AND per commodity.
+commodities whose path holds it, built by walking each path once, so
+scoring a whole cut set (`Instance.scaled_cut_revenue`) costs the congestion
+summed over its cuts rather than one AND per commodity.
+
+Sub-problems read the same kernel: sublog's per-subtree rooted DPs and
+per-segment path DPs take W, F and D from the instance they were cut from
+(`Instance._scaled`) and never build, validate or re-scale an `Instance` of
+their own.
 """
 
 from __future__ import annotations
@@ -343,11 +348,20 @@ class Instance:
 
     @cached_property
     def edge_commodities(self) -> tuple[tuple[int, ...], ...]:
-        """Per edge id: the ids of the commodities whose path holds that edge, ascending."""
+        """Per edge id: the ids of the commodities whose path holds that edge, ascending.
+
+        Built in O(n + sum of path lengths) by the parent-edge walk of
+        `create`, not by reading the n-bit path masks bit by bit.
+        """
+        parent, parent_edge, depth, _ = self.tree.rooted(0)
         on_edge: list[list[int]] = [[] for _ in range(self.tree.num_edges)]
-        for i, mask in enumerate(self.paths):
-            for eid in mask_to_edges(mask):
-                on_edge[eid].append(i)
+        for i, c in enumerate(self.commodities):
+            a, b = c.source, c.target
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                on_edge[parent_edge[a]].append(i)
+                a = parent[a]
         return tuple(map(tuple, on_edge))
 
     @cached_property

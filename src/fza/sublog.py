@@ -19,19 +19,16 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .exact import (
-    GeneralizedCommodity,
-    GeneralizedPathInstance,
+    IntegerPathInstance,
     generalized_rooted_path_dp,
-    rooted_dp,
+    rooted_cut_set,
 )
 from .model import (
     CapacityError,
-    Commodity,
     FzaError,
     Instance,
     InvalidInstanceError,
     SolveResult,
-    Tree,
     edge_mask,
     make_result,
 )
@@ -317,6 +314,25 @@ class SkeletonInfo:
     junctions: frozenset[int]
     segments: tuple[Segment, ...]
 
+    @cached_property
+    def segment_tables(
+        self,
+    ) -> tuple[list[int], list[set[int]], dict[int, int], dict[tuple[int, int], list[int]]]:
+        """(edge mask and vertex set per segment, inner vertex -> its segment,
+        (segment, terminal) -> edge masks of the segment's prefixes from that
+        terminal by length), built once per skeleton."""
+        masks = [edge_mask(s.edges) for s in self.segments]
+        vertex_sets = [set(s.vertices) for s in self.segments]
+        inner_seg_of = {v: si for si, s in enumerate(self.segments) for v in s.vertices[1:-1]}
+        prefixes: dict[tuple[int, int], list[int]] = {}
+        for si, s in enumerate(self.segments):
+            for root, eids in ((s.vertices[0], s.edges), (s.vertices[-1], s.edges[::-1])):
+                prefix = [0]
+                for eid in eids:
+                    prefix.append(prefix[-1] | 1 << eid)
+                prefixes[si, root] = prefix
+        return masks, vertex_sets, inner_seg_of, prefixes
+
 
 def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Sequence[Iterable[int]]) -> SkeletonInfo:
     """Border vertices (shared by >= 2 child fragments), the subtree spanning
@@ -441,7 +457,9 @@ def non_skeleton_solve(
     Each hanging subtree is deactivated with probability 1/2; an active
     subtree is solved exactly as an instance rooted at its attachment vertex,
     restricted to commodities with exactly one endpoint inside it and the
-    other endpoint on the skeleton or in a deactivated subtree.
+    other endpoint on the skeleton or in a deactivated subtree. The rooted DP
+    runs on the instance's own tree, within the subtree's edges; a subtree
+    with no such commodity is not solved (it would get no cut).
     """
     fragment = frozenset(fragment_edges)
     skel_verts = skeleton.vertices if skeleton.vertices else skeleton.border
@@ -456,35 +474,26 @@ def non_skeleton_solve(
                 where.setdefault(v, idx)
     locate = where.get
 
-    cuts: set[int] = set()
-    for idx, (comp_edges, comp_verts, attach) in enumerate(comps):
-        if not active[idx]:
+    # per subtree: member commodity id -> its endpoint inside the subtree
+    far_ends: list[dict[int, int]] = [{} for _ in comps]
+    for i in commodity_ids:
+        c = instance.commodities[i]
+        loc_s, loc_t = locate(c.source), locate(c.target)
+        if loc_s == loc_t:
             continue
-        members = []
-        for i in commodity_ids:
-            c = instance.commodities[i]
-            loc_s, loc_t = locate(c.source), locate(c.target)
-            if (loc_s == idx) == (loc_t == idx):
+        for idx, inner_end, other_end, other_loc in (
+            (loc_s, c.source, c.target, loc_t),
+            (loc_t, c.target, c.source, loc_s),
+        ):
+            if idx is None or not active[idx]:
                 continue
-            inner_end = c.source if loc_s == idx else c.target
-            other_end = c.target if loc_s == idx else c.source
-            other_loc = loc_t if loc_s == idx else loc_s
             if other_end in skel_verts or (other_loc is not None and not active[other_loc]):
-                members.append((inner_end, instance.commodities[i]))
-        sub_verts = sorted(comp_verts)
-        vmap = {v: p for p, v in enumerate(sub_verts)}
-        sub_edge_ids = sorted(comp_edges)
-        sub_tree = Tree(
-            num_vertices=len(sub_verts),
-            edges=tuple((vmap[instance.tree.edges[e][0]], vmap[instance.tree.edges[e][1]]) for e in sub_edge_ids),
-        )
-        sub_commodities = [
-            Commodity(vmap[attach], vmap[inner_end], c.budget, c.weight)
-            for inner_end, c in members
-        ]
-        sub = Instance.create(sub_tree, instance.pricing, sub_commodities)
-        result = rooted_dp(sub, root=vmap[attach])
-        cuts.update(sub_edge_ids[e] for e in result.cuts)
+                far_ends[idx][i] = inner_end
+
+    cuts: set[int] = set()
+    for (comp_edges, _, attach), far_end in zip(comps, far_ends):
+        if far_end:
+            cuts.update(rooted_cut_set(instance, attach, far_end, comp_edges))
     if cuts & skeleton.edges:
         raise FzaError("non-skeleton candidate cuts a skeleton edge")
     return frozenset(cuts)
@@ -501,6 +510,22 @@ def segment_guesses(length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _segment_members(
+    instance: Instance, skeleton: SkeletonInfo, seg_index: int, root: int, commodity_ids: Iterable[int]
+) -> list[int]:
+    """The commodities that may join the aux instance of a segment rooted at
+    `root` whatever the guess: the root is an inner vertex of the path, and
+    the path meets the segment without holding all of it."""
+    seg_mask = skeleton.segment_tables[0][seg_index]
+    root_mask = instance.tree.incident_masks[root]
+    paths = instance.paths
+    return [
+        i
+        for i in commodity_ids
+        if (paths[i] & root_mask).bit_count() == 2 and 0 != paths[i] & seg_mask != seg_mask
+    ]
+
+
 def build_aux_instance(
     instance: Instance,
     skeleton: SkeletonInfo,
@@ -509,50 +534,43 @@ def build_aux_instance(
     root: int,
     active: Sequence[bool],
     commodity_ids: Sequence[int],
-) -> tuple[GeneralizedPathInstance, list[int]]:
+) -> tuple[IntegerPathInstance, list[int]]:
     """Reduced instance on one active segment, rooted at one of its terminals.
 
     A commodity joins if the root is an inner vertex of its path, the segment
     is not fully inside the path, and its far outer segment (the one missing
-    the root, if any) is inactive. Its path shrinks to the prefix of the
-    segment, its budget drops by the cuts already committed to active inner
-    segments, and its view into the instance's pricing table shifts by the
-    same amount. Commodities whose shifted budget would be negative are
-    omitted.
+    the root, if any) is inactive. Its row holds the length of the segment
+    prefix its path covers, its own budget and scaled weight, and its shift:
+    the cuts already committed to the active inner segments its path holds.
+    With x cuts on the prefix it has shift + x in all, priced from the
+    instance's own scaled table. A commodity whose shift exceeds its budget
+    is omitted.
 
     Returns the path instance plus the position -> original edge id map.
     """
-    segments = skeleton.segments
-    seg = segments[seg_index]
+    seg = skeleton.segments[seg_index]
     if root == seg.vertices[0]:
         verts, eids = seg.vertices, list(seg.edges)
     elif root == seg.vertices[-1]:
         verts, eids = seg.vertices[::-1], list(seg.edges[::-1])
     else:
         raise InvalidInstanceError(f"root {root} is not a terminal of segment {seg_index}")
-    seg_masks = [edge_mask(s.edges) for s in segments]
+    seg_masks, seg_vertex_sets, inner_seg_of, prefixes = skeleton.segment_tables
+    prefix_mask = prefixes[seg_index, root]
     seg_mask = seg_masks[seg_index]
-    seg_vertex_sets = [set(s.vertices) for s in segments]
-    inner_seg_of: dict[int, int] = {}
-    for si, s in enumerate(segments):
-        for v in s.vertices[1:-1]:
-            inner_seg_of[v] = si
-    incident = instance.tree.incident_masks
-    prefix_mask = [0]
-    for eid in eids:
-        prefix_mask.append(prefix_mask[-1] | 1 << eid)
+    # (edge mask, guess) of the other active segments with cuts committed
+    committed = [
+        (seg_masks[si], guesses[si])
+        for si, on in enumerate(active)
+        if on and si != seg_index and guesses[si]
+    ]
+    scale, weights, prices, budgets = instance._scaled
+    commodities = instance.commodities
+    paths = instance.paths
 
-    commodities = []
-    for i in commodity_ids:
-        c = instance.commodities[i]
-        pm = instance.paths[i]
-        if (pm & incident[root]).bit_count() != 2:
-            continue  # root must be an inner vertex of the path
-        if pm & seg_mask == seg_mask:
-            continue  # the segment lies fully inside the path
-        reduced = pm & seg_mask
-        if reduced == 0:
-            continue
+    rows = []
+    for i in _segment_members(instance, skeleton, seg_index, root, commodity_ids):
+        c = commodities[i]
         blocked = False
         for endpoint in (c.source, c.target):
             osi = inner_seg_of.get(endpoint)
@@ -562,21 +580,16 @@ def build_aux_instance(
                 blocked = True
         if blocked:
             continue
-        shift = sum(
-            guesses[si]
-            for si in range(len(segments))
-            if si != seg_index and active[si] and seg_masks[si] & pm == seg_masks[si]
-        )
-        budget = c.budget - shift
-        if budget < 0:
+        pm = paths[i]
+        shift = sum(g for mask, g in committed if mask & pm == mask)
+        if budgets[i] < shift:
             continue
+        reduced = pm & seg_mask
         length = reduced.bit_count()
         if reduced != prefix_mask[length]:
             raise FzaError("reduced path is not a prefix of the segment")
-        commodities.append(
-            GeneralizedCommodity(verts[length], budget, c.weight, instance.pricing, shift)
-        )
-    return GeneralizedPathInstance(tuple(verts), tuple(commodities)), eids
+        rows.append((length, budgets[i], weights[i], shift))
+    return IntegerPathInstance(tuple(verts), tuple(rows), scale, prices), eids
 
 
 def skeleton_solve(
@@ -592,6 +605,11 @@ def skeleton_solve(
     survivors, place exactly the guessed number of cuts per active segment
     with the generalized path DP, and keep the combination with the best
     revenue over the fragment's commodities.
+
+    Within one call, each segment end's possible members are found once, and
+    a path DP result is reused whenever the same (segment, root, rows, cut
+    count) comes up again. All coin draws of a guess happen before its DPs,
+    so reuse does not change them.
     """
     segments = skeleton.segments
     if not segments:
@@ -604,6 +622,12 @@ def skeleton_solve(
             raise CapacityError(
                 f"guess space exceeds budget {GUESS_BUDGET} for {len(segments)} segments"
             )
+    members = {
+        (si, root): _segment_members(instance, skeleton, si, root, commodity_ids)
+        for si, seg in enumerate(segments)
+        for root in seg.terminals
+    }
+    placed: dict[tuple, list[int]] = {}
     best_rev: int | None = None
     best: frozenset[int] = frozenset()
     for gi, guess in enumerate(itertools.product(*options)):
@@ -619,16 +643,19 @@ def skeleton_solve(
                 t1, t2 = seg.terminals
                 roots.append(t1 if rng.random() < 0.5 else t2)
         cuts: set[int] = set()
-        for si, seg in enumerate(segments):
-            if not active[si]:
+        for si, root in enumerate(roots):
+            if root is None:
                 continue
             aux, eids = build_aux_instance(
-                instance, skeleton, si, guess, roots[si], active, commodity_ids
+                instance, skeleton, si, guess, root, active, members[si, root]
             )
-            sub = generalized_rooted_path_dp(aux, guess[si])
-            if len(set(sub.cuts)) != guess[si]:
-                raise FzaError("path DP placed a different number of cuts than guessed")
-            cuts.update(eids[p] for p in sub.cuts)
+            key = (si, root, aux.commodities, guess[si])
+            if key not in placed:
+                sub = generalized_rooted_path_dp(aux, guess[si])
+                if len(set(sub.cuts)) != guess[si]:
+                    raise FzaError("path DP placed a different number of cuts than guessed")
+                placed[key] = [eids[p] for p in sub.cuts]
+            cuts.update(placed[key])
         rev = instance.scaled_revenue(edge_mask(cuts), commodity_ids)
         if best_rev is None or rev > best_rev:
             best_rev = rev

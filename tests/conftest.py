@@ -235,6 +235,139 @@ def revenue_of_commodity(instance: Instance, i: int, cuts) -> Fraction:
     return c.weight * instance.pricing(count)
 
 
+# Reference constructions for sublog's two sub-solves: each builds and
+# validates a separate sub-instance with its own scaling (a `Tree` and
+# `Instance` per hanging subtree, a `GeneralizedCommodity` per aux member)
+# and solves it with no reuse between calls. The solvers work on the parent
+# instance's integer tables instead; the differential tests in
+# test_sublog.py hold them to these.
+
+
+def materialized_rooted_cuts(instance: Instance, root: int, far_end: dict, edges) -> list[int]:
+    """`rooted_dp` on a sub-instance of the subtree `edges` whose commodities
+    run from `root` to `far_end[i]` with commodity i's budget and weight;
+    the cut set in the instance's edge ids, sorted."""
+    from fza import rooted_dp
+
+    sub_edge_ids = sorted(edges)
+    sub_verts = sorted({v for e in sub_edge_ids for v in instance.tree.edges[e]} | {root})
+    vmap = {v: p for p, v in enumerate(sub_verts)}
+    sub_tree = Tree(
+        len(sub_verts),
+        tuple((vmap[instance.tree.edges[e][0]], vmap[instance.tree.edges[e][1]]) for e in sub_edge_ids),
+    )
+    sub_commodities = [
+        Commodity(vmap[root], vmap[t], instance.commodities[i].budget, instance.commodities[i].weight)
+        for i, t in far_end.items()
+    ]
+    sub = Instance.create(sub_tree, instance.pricing, sub_commodities)
+    return sorted(sub_edge_ids[e] for e in rooted_dp(sub, root=vmap[root]).cuts)
+
+
+def reference_non_skeleton_solve(instance, fragment_edges, skeleton, commodity_ids, rng):
+    """`sublog.non_skeleton_solve` with a materialized sub-instance per
+    active hanging subtree, members or not."""
+    from fza.sublog import _hanging_subtrees
+
+    fragment = frozenset(fragment_edges)
+    skel_verts = skeleton.vertices if skeleton.vertices else skeleton.border
+    comps = _hanging_subtrees(instance.tree, fragment, skeleton)
+    active = [rng.random() >= 0.5 for _ in comps]
+    where = {}
+    for idx, (_, verts, attach) in enumerate(comps):
+        for v in verts:
+            if v != attach:
+                where.setdefault(v, idx)
+    cuts = set()
+    for idx, (comp_edges, _, attach) in enumerate(comps):
+        if not active[idx]:
+            continue
+        far_end = {}
+        for i in commodity_ids:
+            c = instance.commodities[i]
+            loc_s, loc_t = where.get(c.source), where.get(c.target)
+            if (loc_s == idx) == (loc_t == idx):
+                continue
+            inner_end, other_end, other_loc = (
+                (c.source, c.target, loc_t) if loc_s == idx else (c.target, c.source, loc_s)
+            )
+            if other_end in skel_verts or (other_loc is not None and not active[other_loc]):
+                far_end[i] = inner_end
+        cuts.update(materialized_rooted_cuts(instance, attach, far_end, comp_edges))
+    return frozenset(cuts)
+
+
+def reference_aux_instance(instance, skeleton, seg_index, guesses, root, active, commodity_ids):
+    """`sublog.build_aux_instance` as a `GeneralizedPathInstance` with one
+    `GeneralizedCommodity` per member, every table rebuilt per call."""
+    from fza import GeneralizedCommodity, GeneralizedPathInstance
+
+    segments = skeleton.segments
+    seg = segments[seg_index]
+    if root == seg.vertices[0]:
+        verts, eids = seg.vertices, list(seg.edges)
+    else:
+        assert root == seg.vertices[-1]
+        verts, eids = seg.vertices[::-1], list(seg.edges[::-1])
+    seg_masks = [edge_mask(s.edges) for s in segments]
+    seg_mask = seg_masks[seg_index]
+    inner_seg_of = {v: si for si, s in enumerate(segments) for v in s.vertices[1:-1]}
+    incident = instance.tree.incident_masks
+    commodities = []
+    for i in commodity_ids:
+        c = instance.commodities[i]
+        pm = instance.paths[i]
+        reduced = pm & seg_mask
+        if (pm & incident[root]).bit_count() != 2 or reduced in (0, seg_mask):
+            continue
+        if any(
+            inner_seg_of.get(v) not in (None, seg_index)
+            and root not in segments[inner_seg_of[v]].vertices
+            and active[inner_seg_of[v]]
+            for v in (c.source, c.target)
+        ):
+            continue
+        shift = sum(
+            guesses[si]
+            for si in range(len(segments))
+            if si != seg_index and active[si] and seg_masks[si] & pm == seg_masks[si]
+        )
+        if c.budget < shift:
+            continue
+        assert reduced == edge_mask(eids[: reduced.bit_count()])
+        commodities.append(
+            GeneralizedCommodity(verts[reduced.bit_count()], c.budget - shift, c.weight, instance.pricing, shift)
+        )
+    return GeneralizedPathInstance(tuple(verts), tuple(commodities)), eids
+
+
+def reference_skeleton_solve(instance, skeleton, commodity_ids, rng_labels):
+    """`sublog.skeleton_solve` with `reference_aux_instance` and one path DP
+    per active segment and guess, nothing reused."""
+    from itertools import product
+
+    from fza import generalized_rooted_path_dp
+    from fza.sublog import segment_guesses
+
+    segments = skeleton.segments
+    best_rev, best = None, frozenset()
+    for gi, guess in enumerate(product(*(segment_guesses(len(s)) for s in segments))):
+        rng = substream(*rng_labels, gi)
+        active, roots = [], []
+        for seg in segments:
+            active.append(rng.random() >= 0.5)
+            roots.append((seg.terminals[0] if rng.random() < 0.5 else seg.terminals[1]) if active[-1] else None)
+        cuts = set()
+        for si, root in enumerate(roots):
+            if root is not None:
+                gpi, eids = reference_aux_instance(instance, skeleton, si, guess, root, active, commodity_ids)
+                cuts.update(eids[p] for p in generalized_rooted_path_dp(gpi, guess[si]).cuts)
+        rev = sum(revenue_of_commodity(instance, i, cuts) for i in commodity_ids)
+        if best_rev is None or rev > best_rev:
+            best_rev, best = rev, frozenset(cuts)
+    return best
+
+
 @pytest.fixture(scope="session")
 def fig1_linear() -> Instance:
     return fig1_instance("linear")

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,12 @@ import pytest
 from fza import (
     CapacityError,
     Commodity,
+    GenSpec,
     Instance,
+    InvalidInstanceError,
     PricingFunction,
     Tree,
+    gen_random,
     normalize,
     total_revenue,
 )
@@ -25,8 +29,15 @@ from fza.sublog import (
     skeleton_solve,
     sublog,
 )
+from fza.exact import generalized_rooted_path_dp, rooted_cut_set
 from fza.rng import substream
-from conftest import random_instance
+from conftest import (
+    materialized_rooted_cuts,
+    random_instance,
+    reference_aux_instance,
+    reference_non_skeleton_solve,
+    reference_skeleton_solve,
+)
 
 
 def make(tree, pricing, commodities):
@@ -277,6 +288,12 @@ class TestNonSkeleton:
         assert len(cuts) == 1
 
 
+def row_price(aux, row, x):
+    """Revenue of an aux row's commodity with x cuts: its weight times price."""
+    _, _, w, shift = row
+    return Fraction(w * aux.prices[shift + x], aux.scale)
+
+
 class TestAuxInstance:
     def test_shift_and_table(self):
         tree = fig3_tree()
@@ -293,9 +310,9 @@ class TestAuxInstance:
         assert edge_map == [11, 12]
         assert len(gpi.commodities) == 1
         c = gpi.commodities[0]
-        assert c.target == 12
-        assert c.budget == 5 - 3  # two active inner segments guessed 2 + 1
-        assert (c.price(0), c.price(1)) == (Fraction(3), Fraction(4))
+        assert gpi.path[c[0]] == 12
+        assert c[1] - c[3] == 5 - 3  # two active inner segments guessed 2 + 1
+        assert (row_price(gpi, c, 0), row_price(gpi, c, 1)) == (Fraction(3), Fraction(4))
 
     def test_negative_budget_omits(self):
         tree = fig3_tree()
@@ -322,7 +339,7 @@ class TestAuxInstance:
             inst, skel, seg_index, (0, 2, 1, 0, 1, 0), 11, active, [0]
         )
         c = gpi.commodities[0]
-        assert c.budget == 2 and (c.price(0), c.price(1)) == (Fraction(0), Fraction(1))
+        assert c[1] - c[3] == 2 and (row_price(gpi, c, 0), row_price(gpi, c, 1)) == (Fraction(0), Fraction(1))
 
 
 class TestSkeletonSolve:
@@ -414,3 +431,149 @@ class TestSublog:
         res = sublog(inst, 0)
         # cut edge 0 (5*2), keep edge 1 (2*1)
         assert res.revenue == 12
+
+
+def sublog_fragments(seeds, max_guesses=None):
+    """(instance, fragment edges, skeleton, commodity ids) of every fragment
+    of a decomposition of small random trees and paths. The branching
+    parameter is forced to 4 or 5, as sublog picks it only from n >= 513 on:
+    below that, no aux instance has a commodity with a nonzero shift."""
+    for seed in seeds:
+        n = (9, 16, 30, 48)[seed % 4]
+        spec = GenSpec(
+            ("random-tree", "random-path")[seed % 2],
+            n,
+            (n, 2 * n)[seed // 4 % 2],
+            pricing=("linear", "affine")[seed // 2 % 2],
+            max_weight=(2, 5)[seed % 2],
+            fractional_weights=seed % 3 == 0,
+            seed=seed,
+        )
+        inst = gen_random(spec)
+        if inst.tree.num_edges == 0:
+            continue
+        decomp = build_decomposition(inst.tree, d=(4, 5)[seed // 3 % 2])
+        assign = classify_commodities(decomp, inst)
+        for (level, idx), ids in sorted(assign.by_fragment.items()):
+            frag = decomp.levels[level - 1][idx]
+            kids = [decomp.levels[level][c] for c in decomp.children_of(level, idx)]
+            skel = compute_skeleton(inst.tree, frag, kids)
+            guesses = 1
+            for seg in skel.segments:
+                guesses *= len(segment_guesses(len(seg)))
+            if max_guesses is None or guesses <= max_guesses:
+                yield inst, frag, skel, ids
+
+
+class TestSubSolvesMatchReference:
+    """The sub-solves on the parent instance's integer tables against the
+    materialized sub-instances of conftest's reference constructions."""
+
+    def test_component_dp_matches_materialized_subinstance(self):
+        for seed in range(80):
+            rng = substream(seed, "component-dp")
+            n = rng.randint(2, 36)
+            parent = [-1] + [rng.randrange(v) for v in range(1, n)]
+            tree = Tree(n, tuple((parent[v], v) for v in range(1, n)))  # edge v-1 is v's
+            root = rng.randrange(n)
+            below_root = {root}
+            inside = {root}
+            edges = set()
+            for v in range(root + 1, n):
+                if parent[v] in below_root:
+                    below_root.add(v)
+                    if parent[v] in inside and rng.random() < 0.8:
+                        inside.add(v)
+                        edges.add(v - 1)
+            outside = [u for u in range(n) if u not in below_root] + [root]
+            inner = sorted(inside - {root})
+            comms, far_end = [], {}
+            for _ in range(rng.randint(0, 2 * n)):
+                weight = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))
+                budget = rng.randint(0, n - 1)
+                if inner and rng.random() < 0.7:
+                    # a member: one end in the subtree, the path leaves it at the root
+                    v, u = rng.choice(inner), rng.choice(outside)
+                    far_end[len(comms)] = v
+                    comms.append(Commodity(*((v, u) if rng.random() < 0.5 else (u, v)), budget, weight))
+                else:
+                    # not a member, often with no endpoint in the subtree
+                    s, t = rng.sample(range(n), 2)
+                    comms.append(Commodity(s, t, budget, weight))
+            pricing = PricingFunction.affine(n) if seed % 2 else PricingFunction.linear(n)
+            inst = Instance.create(tree, pricing, comms)
+            got = sorted(rooted_cut_set(inst, root, far_end, frozenset(edges)))
+            assert got == materialized_rooted_cuts(inst, root, far_end, edges), seed
+            stray = [u for u in outside if u != root]
+            if stray:
+                with pytest.raises(InvalidInstanceError, match="not reachable"):
+                    rooted_cut_set(inst, root, {0: stray[0]}, frozenset(edges))
+
+    def test_aux_rows_match_generalized_commodities_for_every_y(self):
+        checked = with_rows = 0
+        for f, (inst, _, skel, _) in enumerate(sublog_fragments(range(48))):
+            rng = substream(f, "aux-rows")
+            every = range(inst.num_commodities)
+            for _ in range(6):
+                guess = tuple(rng.choice(segment_guesses(len(s))) for s in skel.segments)
+                active = [rng.random() < 0.6 for _ in skel.segments]
+                for si, seg in enumerate(skel.segments):
+                    if not active[si]:
+                        continue
+                    root = rng.choice(seg.terminals)
+                    aux, eids = build_aux_instance(inst, skel, si, guess, root, active, every)
+                    gpi, ref_eids = reference_aux_instance(inst, skel, si, guess, root, active, every)
+                    assert eids == ref_eids and len(aux.commodities) == len(gpi.commodities)
+                    with_rows += bool(aux.commodities)
+                    for y in range(len(seg) + 1):
+                        got = generalized_rooted_path_dp(aux, y)
+                        want = generalized_rooted_path_dp(gpi, y)
+                        assert (got.cuts, got.served, got.revenue) == (want.cuts, want.served, want.revenue)
+                        checked += 1
+        assert checked > 2000 and with_rows > 200
+
+    def test_skeleton_solve_matches_reference(self):
+        fragments = 0
+        for inst, _, skel, ids in sublog_fragments(range(48), max_guesses=600):
+            if not skel.segments:
+                continue
+            fragments += 1
+            for labels in ((fragments, "skel"), (fragments, "other")):
+                assert skeleton_solve(inst, skel, ids, labels) == reference_skeleton_solve(
+                    inst, skel, ids, labels
+                )
+        assert fragments > 40
+
+    def test_non_skeleton_solve_matches_reference(self):
+        fragments = 0
+        for inst, frag, skel, ids in sublog_fragments(range(32)):
+            fragments += 1
+            for label in ("a", "b", "c"):
+                got = non_skeleton_solve(inst, frag, skel, ids, substream(fragments, label))
+                want = reference_non_skeleton_solve(inst, frag, skel, ids, substream(fragments, label))
+                assert got == want
+        assert fragments > 40
+
+
+class TestPinned:
+    def test_outputs_pinned(self):
+        # revenues alone miss a changed tie-break in a sub-solve; this digest
+        # of every (cuts, served, revenue, diagnostics) pins sublog on fixed
+        # random trees and paths, two solver seeds each
+        h = hashlib.sha256()
+        for idx in range(32):
+            n = (12, 40, 150, 400)[idx % 4]
+            spec = GenSpec(
+                ("random-tree", "random-path")[idx // 4 % 2],
+                n,
+                n if idx % 3 else n // 2,
+                pricing=("linear", "affine")[idx // 8 % 2],
+                max_weight=(1, 3, 10)[idx % 3],
+                fractional_weights=idx // 16 % 2 == 1,
+                seed=idx,
+            )
+            inst = gen_random(spec)
+            for seed in (idx, idx + 100):
+                res = sublog(inst, seed, diagnostics=True)
+                h.update(repr((res.cuts, res.served, res.revenue, res.diagnostics)).encode())
+        assert h.hexdigest() == "77068306f20dea67288e2eb13308757351ca6805cda44ee6fe5db3802b7d6adb"
