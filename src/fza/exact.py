@@ -37,20 +37,21 @@ MAX_BRUTE_EDGES = 24
 def brute_force(instance: Instance) -> SolveResult:
     """Enumerate all cut sets and return a revenue-maximizing one.
 
-    Iterates in Gray-code order so each step flips a single edge and updates
-    per-commodity intersection counters incrementally. Ties go to the
-    lexicographically smallest sorted edge-id tuple. Refuses instances with
-    more than `MAX_BRUTE_EDGES` edges.
+    Iterates in Gray-code order, so each step flips a single edge. Per
+    commodity on that edge, a cut moves its count from c to c + 1 and adds
+    the cached marginal gain `instance.gains[i][c]`; an uncut subtracts it
+    again. Ties go to the lexicographically smallest sorted edge-id tuple.
+    Refuses instances with more than `MAX_BRUTE_EDGES` edges.
     """
     m = instance.tree.num_edges
     if m > MAX_BRUTE_EDGES:
         raise CapacityError(f"brute force limited to {MAX_BRUTE_EDGES} edges, instance has {m}")
     k = instance.num_commodities
-    value = instance.value
-    on_edge = instance.edge_commodities
+    gains = instance.gains
+    on_edge = [tuple((i, gains[i]) for i in ids) for ids in instance.edge_commodities]
 
     counts = [0] * k
-    revenue = sum(value(i, 0) for i in range(k))
+    revenue = sum(instance.value(i, 0) for i in range(k))
     best_rev = revenue
     best_key: tuple[int, ...] = ()
     best_mask = 0
@@ -58,12 +59,17 @@ def brute_force(instance: Instance) -> SolveResult:
     for t in range(1, 1 << m):
         eid = (t & -t).bit_length() - 1
         bit = 1 << eid
-        delta = 1 if not mask & bit else -1
         mask ^= bit
-        for i in on_edge[eid]:
-            old = counts[i]
-            counts[i] = old + delta
-            revenue += value(i, old + delta) - value(i, old)
+        if mask & bit:
+            for i, g in on_edge[eid]:
+                c = counts[i]
+                revenue += g[c]
+                counts[i] = c + 1
+        else:
+            for i, g in on_edge[eid]:
+                c = counts[i] - 1
+                revenue -= g[c]
+                counts[i] = c
         if revenue > best_rev:
             best_rev = revenue
             best_mask = mask

@@ -13,6 +13,13 @@ commodities whose path holds it, built by walking each path once, so
 scoring a whole cut set (`Instance.scaled_cut_revenue`) costs the congestion
 summed over its cuts rather than one AND per commodity.
 
+`Instance.gains` caches each commodity's marginal gains, value(i, c + 1) -
+value(i, c) for c below its path length, so a solver that adds or removes
+one cut at a time updates its revenue with one table read per commodity
+touched. It holds sum of |P_i| ints; brute force and the three path DPs,
+whose guards keep that sum small, are its only readers. Every cache is
+built on first use.
+
 Sub-problems read the same kernel: sublog's per-subtree rooted DPs and
 per-segment path DPs take W, F and D from the instance they were cut from
 (`Instance._scaled`) and never build, validate or re-scale an `Instance` of
@@ -345,6 +352,21 @@ class Instance:
         """Commodity i's revenue with x cuts on its path, times `scale`."""
         _, weights, prices, budgets = self._scaled
         return weights[i] * prices[x] if x <= budgets[i] else 0
+
+    @cached_property
+    def gains(self) -> tuple[tuple[int, ...], ...]:
+        """Per commodity i: value(i, c + 1) - value(i, c) for c = 0 .. |P_i| - 1,
+        the scaled marginal gain of the (c+1)-th cut on its path.
+
+        Holds sum of |P_i| ints, so only the guard-bounded exact solvers
+        (brute force and the three path DPs) build it.
+        """
+        _, weights, prices, budgets = self._scaled
+        out = []
+        for w, u, path in zip(weights, budgets, self.paths):
+            vals = [w * prices[x] if x <= u else 0 for x in range(path.bit_count() + 1)]
+            out.append(tuple(b - a for a, b in zip(vals, vals[1:])))
+        return tuple(out)
 
     @cached_property
     def edge_commodities(self) -> tuple[tuple[int, ...], ...]:

@@ -2,7 +2,9 @@
 
 All three DPs run one left-to-right sweep (`_Sweep.run`) over the path's edge
 positions and differ only in how a state encodes the cuts so far: each
-supplies a start state and `step(state, p) -> (kept, cut, cut_gain)`. Tables
+supplies a start state and `step(state, p) -> (kept, cut, cut_gain)`, where
+cut_gain sums, over the commodities through p, the cached marginal gain
+`Instance.gains[i][z]` of a cut on a path that already holds z cuts. Tables
 are sparse and hash-indexed, so only reachable states are materialized; the
 stated worst-case sizes act purely as refusal guards. Tie-breaking is fixed:
 keep the no-cut transition, then the lexicographically smaller predecessor
@@ -120,13 +122,15 @@ def dp_umax(instance: Instance) -> SolveResult:
     n = instance.tree.num_vertices
     if n ** (ell + 2) > STATE_BUDGET:
         raise CapacityError(f"state budget exceeded: {n}^{ell + 2} > {STATE_BUDGET}")
-    value, start, covering = instance.value, sweep.start, sweep.covering
+    gains, start = instance.gains, sweep.start
+    through = [tuple((start[i], gains[i]) for i in ids) for ids in sweep.covering]
+    size = ell + 1
 
     def step(window, p):
         gain = 0
-        for i in covering[p]:
-            z = len(window) - bisect_left(window, start[i])
-            gain += value(i, z + 1) - value(i, z)
+        for s, g in through[p]:
+            # cuts in the window at or after the commodity's first position
+            gain += g[size - bisect_left(window, s)]
         return window, window[1:] + (p,), gain
 
     return sweep.run(tuple(range(-ell, 1)), step, "dp-umax", {"u_max": ell})
@@ -143,14 +147,18 @@ def dp_pmax(instance: Instance) -> SolveResult:
     ell = max(1, parameters(instance).p_max)
     if (1 << ell) > WINDOW_BUDGET:
         raise CapacityError(f"window budget exceeded: 2^{ell} > {WINDOW_BUDGET}")
-    value, start, covering = instance.value, sweep.start, sweep.covering
+    gains, start = instance.gains, sweep.start
+    # per position p: (bits of the positions start_i .. p-1 in the state, gains of i)
+    through = [
+        tuple(((1 << (p - start[i])) - 1, gains[i]) for i in ids)
+        for p, ids in enumerate(sweep.covering)
+    ]
     full = (1 << ell) - 1
 
     def step(mask, p):
         gain = 0
-        for i in covering[p]:
-            z = (mask & ((1 << (p - start[i])) - 1)).bit_count()
-            gain += value(i, z + 1) - value(i, z)
+        for before, g in through[p]:
+            gain += g[(mask & before).bit_count()]
         shifted = (mask << 1) & full
         return shifted, shifted | 1, gain
 
@@ -169,29 +177,28 @@ def dp_congestion(instance: Instance) -> SolveResult:
     """
     sweep = _Sweep(instance)
     comm = instance.commodities
-    value, covering = instance.value, sweep.covering
+    gains, covering = instance.gains, sweep.covering
     worst = max(prod(comm[i].budget + 3 for i in ids) for ids in covering)
     if worst > TABLE_BUDGET:
         raise CapacityError(f"slack table would hold up to {worst} states > {TABLE_BUDGET}")
 
-    # per position: (index in the previous state or -1 if entering, budget, i)
-    # for each covering commodity, and the summed zero-cut marginal of those entering
+    # per position: (index in the previous state or -1 if entering, budget,
+    # gains) for each covering commodity, and the summed zero-cut marginal of
+    # those entering
     slots = [()]
     entering_gain = [0]
     prev_index: dict[int, int] = {}
     for p in range(1, sweep.m + 1):
         ids = covering[p]
-        slots.append(tuple((prev_index.get(i, -1), comm[i].budget, i) for i in ids))
-        entering_gain.append(
-            sum(value(i, 1) - value(i, 0) for i in ids if i not in prev_index)
-        )
+        slots.append(tuple((prev_index.get(i, -1), comm[i].budget, gains[i]) for i in ids))
+        entering_gain.append(sum(gains[i][0] for i in ids if i not in prev_index))
         prev_index = {i: t for t, i in enumerate(ids)}
 
     def step(state, p):
         kept = []
         slashed = []
         gain = entering_gain[p]
-        for t, u, i in slots[p]:
+        for t, u, g in slots[p]:
             if t < 0:
                 kept.append(u)
                 slashed.append(u - 1)
@@ -202,8 +209,7 @@ def dp_congestion(instance: Instance) -> SolveResult:
                 slashed.append(DEAD)
             else:
                 # slack x before the cut means u-x cuts lay on the path before it
-                z = u - x
-                gain += value(i, z + 1) - value(i, z)
+                gain += g[u - x]
                 slashed.append(x - 1)
         return tuple(kept), tuple(slashed), gain
 

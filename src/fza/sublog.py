@@ -609,7 +609,8 @@ def skeleton_solve(
     Within one call, each segment end's possible members are found once, and
     a path DP result is reused whenever the same (segment, root, rows, cut
     count) comes up again. All coin draws of a guess happen before its DPs,
-    so reuse does not change them.
+    so reuse does not change them. A cut set already scored in this call is
+    not scored again: under the strict `>` rule it could not replace `best`.
     """
     segments = skeleton.segments
     if not segments:
@@ -628,6 +629,7 @@ def skeleton_solve(
         for root in seg.terminals
     }
     placed: dict[tuple, list[int]] = {}
+    scored: set[int] = set()
     best_rev: int | None = None
     best: frozenset[int] = frozenset()
     for gi, guess in enumerate(itertools.product(*options)):
@@ -656,7 +658,11 @@ def skeleton_solve(
                     raise FzaError("path DP placed a different number of cuts than guessed")
                 placed[key] = [eids[p] for p in sub.cuts]
             cuts.update(placed[key])
-        rev = instance.scaled_revenue(edge_mask(cuts), commodity_ids)
+        mask = edge_mask(cuts)
+        if mask in scored:
+            continue
+        scored.add(mask)
+        rev = instance.scaled_revenue(mask, commodity_ids)
         if best_rev is None or rev > best_rev:
             best_rev = rev
             best = frozenset(cuts)

@@ -12,8 +12,10 @@ from fza import (
     InvalidInstanceError,
     PricingFunction,
     Tree,
+    brute_force,
     normalize,
     parameters,
+    single_density,
     total_revenue,
 )
 from fza.model import edge_mask, make_result, revenue_for, total_revenue_mask
@@ -194,6 +196,42 @@ class TestScaledKernel:
                     assert got == marginal(c.weight, inst.pricing, z, c.budget)
                     branches.add((z > c.budget) - (z < c.budget))
         assert branches == {-1, 0, 1}
+
+    def test_gains_are_marginal_values(self):
+        # fractional weights under capped and affine prices; the raw
+        # instance raises each budget by two, so some exceed the path length
+        budget_cases = set()
+        for seed in range(10):
+            base = self.fractional_instance(seed)
+            n = base.tree.num_vertices
+            raised = [Commodity(c.source, c.target, c.budget + 2, c.weight) for c in base.commodities]
+            for pricing in (PricingFunction.capped(n, 3), PricingFunction.affine(n)):
+                for inst in (
+                    make(base.tree, pricing, base.commodities),
+                    Instance.create(base.tree, pricing, raised),
+                ):
+                    assert inst.scale > inst.pricing.scaled[0] == 1
+                    assert len(inst.gains) == inst.num_commodities
+                    for i, c in enumerate(inst.commodities):
+                        size = inst.paths[i].bit_count()
+                        g = inst.gains[i]
+                        assert len(g) == size
+                        assert list(g) == [inst.value(i, x + 1) - inst.value(i, x) for x in range(size)]
+                        if c.budget < size:
+                            assert g[c.budget] == -inst.value(i, c.budget)
+                            assert g[c.budget + 1 :] == (0,) * (size - c.budget - 1)
+                        budget_cases.add((c.budget < size - 1) - (c.budget > size))
+        assert budget_cases == {-1, 0, 1}
+
+    def test_gains_built_only_by_bounded_exact_solvers(self):
+        # the table holds sum |P_i| ints: the large-instance solvers never build it
+        inst = random_instance(3, 96, 96, "affine")
+        single_density(inst, 1)
+        sublog(inst, 1)
+        assert "gains" not in inst.__dict__
+        small = random_instance(3, 9, 8, "affine")
+        brute_force(small)
+        assert "gains" in small.__dict__
 
 
     def test_cut_revenue_matches_mask_scoring(self):

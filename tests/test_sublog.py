@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -381,6 +382,26 @@ class TestSkeletonSolve:
         monkeypatch.setattr("fza.sublog.build_aux_instance", enumerated)
         with pytest.raises(CapacityError, match="guess space"):
             skeleton_solve(inst, skel, [], (0, "guard"))
+
+    def test_scores_each_cut_set_once_per_call(self, monkeypatch):
+        calls = []
+        scoring = Instance.scaled_revenue
+
+        def counted(self, mask, ids=None):
+            calls[-1].append(mask)
+            return scoring(self, mask, ids)
+
+        monkeypatch.setattr(Instance, "scaled_revenue", counted)
+        guesses = 0
+        for n, (inst, _, skel, ids) in enumerate(sublog_fragments(range(24), max_guesses=600)):
+            if not skel.segments:
+                continue
+            calls.append([])
+            skeleton_solve(inst, skel, ids, (n, "once"))
+            assert len(set(calls[-1])) == len(calls[-1])
+            guesses += math.prod(len(segment_guesses(len(s))) for s in skel.segments)
+        # the guesses repeat cut sets, so skipping repeats saved scorings
+        assert guesses > sum(map(len, calls)) > 0
 
     def test_no_segments_empty(self):
         t = Tree(9, tuple((0, v) for v in range(1, 9)))

@@ -1,0 +1,138 @@
+"""Run perfbench from two checkouts in alternating-order pairs and write the
+result lines to a BENCH_<pr>.json file.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_N.json \\
+        --seed 901 oracle-batch=10 density-tree=3 sublog-tree=3 path-exact=3
+
+Each WORKLOAD=PAIRS argument runs PAIRS pairs of that workload; pair j uses
+seed `--seed` + j on both sides, and the parent runs first in even pairs, the
+change in odd ones. Every run is the change's BENCHMARK.json `command` plus
+`--workload W --seed S --seconds <run_seconds> --trace 0`, started in the
+root of its checkout, and its last stdout line is kept. The file is
+rewritten after every run, so an interrupted session keeps the pairs it
+finished. At the end a summary prints, per end-to-end metric of
+BENCHMARK.json and workload, each side's median and quartiles and how many
+pairs the change won (ties count for neither side).
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def describe(checkout: Path) -> str:
+    """The checkout's commit, from git when it is a git work tree, else its directory name."""
+    try:
+        done = subprocess.run(
+            ["git", "-C", str(checkout), "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return checkout.resolve().name
+    label = done.stdout.strip()
+    if label.endswith("-dirty"):
+        return f"uncommitted changes on {label.removesuffix('-dirty')}"
+    return label
+
+
+def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: int) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {' '.join(argv)} in {checkout} exited {done.returncode}:\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs: list[dict], higher_is_better: dict[str, bool]) -> list[str]:
+    """Per workload and metric: medians, quartiles, pairs won by the change,
+    and whether the medians differ by more than the parent's quartile spread."""
+    lines = []
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs: dict[int, dict] = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        complete = [p for p in pairs.values() if len(p) == 2]
+        if not complete:
+            continue
+        for metric, higher in higher_is_better.items():
+            sides = {s: [p[s][metric]["value"] for p in complete] for s in SIDES}
+            wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
+            (pq1, pmed, pq3), (cq1, cmed, cq3) = (quartiles(sides[s]) for s in SIDES)
+            beyond = abs(cmed - pmed) > pq3 - pq1
+            lines.append(
+                f"{workload:12} {metric:12} parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}]"
+                f"  change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}]"
+                f"  change better in {wins}/{len(complete)} pairs"
+                f"  |median diff| > parent IQR: {'yes' if beyond else 'no'}"
+            )
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
+    parser.add_argument("--change", type=Path, required=True, help="root of the changed checkout")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_<pr>.json to write")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("plan", nargs="+", metavar="WORKLOAD=PAIRS")
+    args = parser.parse_args(argv)
+    plan = []
+    for item in args.plan:
+        workload, _, count = item.partition("=")
+        if not count.isdigit() or int(count) < 1:
+            parser.error(f"expected WORKLOAD=PAIRS with PAIRS >= 1, got {item!r}")
+        plan.append((workload, int(count)))
+    checkouts = {"parent": args.parent, "change": args.change}
+    for side, checkout in checkouts.items():
+        if not (checkout / "BENCHMARK.json").is_file():
+            parser.error(f"--{side} {checkout} has no BENCHMARK.json")
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    higher_is_better = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
+
+    report = {
+        "what": "perfbench end-to-end result lines, parent "
+        f"{describe(args.parent)} vs change {describe(args.change)}, in alternating-order pairs",
+        "command": f"{' '.join(bench['command'])} --workload <workload> --seed <seed> --seconds {seconds}"
+        " --trace 0  (last stdout line), run from the root of a checkout of each side",
+        "host": f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()};"
+        " times scaled by perfbench/hostspeed.py",
+        "runs": [],
+    }
+    for workload, count in plan:
+        for j in range(count):
+            seed = args.seed + j
+            order = SIDES if j % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                result = run_once(checkouts[side], bench["command"], workload, seed, seconds)
+                report["runs"].append(
+                    {"workload": workload, "seed": seed, "side": side, "ran_first": position == 0, "result": result}
+                )
+                args.out.write_text(json.dumps(report, indent=1) + "\n")
+                solves = result["metrics"]["solves_per_s"]["value"]
+                print(f"{workload} seed {seed} {side}: solves_per_s {solves:.4g}", flush=True)
+    print("\n".join(summarize(report["runs"], higher_is_better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
