@@ -97,15 +97,17 @@ class BenchConfig:
     def from_file(cls, path) -> "BenchConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
+        # ValueError: bad JSON or UTF-8, or an int past Python's digit limit
+        except (ValueError, RecursionError) as exc:
+            raise InvalidInstanceError(f"malformed bench config: {exc}") from exc
+        try:
             return cls(
                 instances=_json_list(data["instances"], "instances", str),
                 algorithms=_json_list(data["algorithms"], "algorithms", str),
                 seeds=_json_list(data.get("seeds", [0]), "seeds", int),
                 oracle=data.get("oracle", "brute"),
             )
-        except (
-            KeyError, TypeError, json.JSONDecodeError, UnicodeDecodeError, RecursionError
-        ) as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidInstanceError(f"malformed bench config: {exc}") from exc
 
 

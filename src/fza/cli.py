@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 invalid input, 3 capacity guard tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 
@@ -101,6 +102,8 @@ def _validate(args) -> int:
     return 0
 
 
+# one parser per process: parsing leaves it unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fza", description="Fare zone assignment solvers")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -142,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "gen" and args.family in ("star-sat", "path-sat") and not args.clauses:
         sys.stderr.write("error: --clauses is required for SAT families\n")
         return 2

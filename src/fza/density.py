@@ -53,7 +53,7 @@ def _offset_buckets(instance: Instance):
     """Per class j = 1..ceil(log2 n): the edge ids grouped by depth below
     vertex 0 mod 2^(j+1), ascending edge id within each group. The depth of
     an edge is the depth of its endpoint closer to the root."""
-    _, parent_edge, depth, order = instance.tree.rooted(0)
+    _, parent_edge, depth, order = instance.tree.rooting
     depths = sorted((parent_edge[v], depth[v] - 1) for v in order[1:])
     for j in range(1, ceil_log2(instance.tree.num_vertices) + 1):
         buckets: list[list[int]] = [[] for _ in range(1 << (j + 1))]

@@ -46,12 +46,11 @@ def brute_force(instance: Instance) -> SolveResult:
     m = instance.tree.num_edges
     if m > MAX_BRUTE_EDGES:
         raise CapacityError(f"brute force limited to {MAX_BRUTE_EDGES} edges, instance has {m}")
-    k = instance.num_commodities
     gains = instance.gains
     on_edge = [tuple((i, gains[i]) for i in ids) for ids in instance.edge_commodities]
 
-    counts = [0] * k
-    revenue = sum(instance.value(i, 0) for i in range(k))
+    counts = [0] * instance.num_commodities
+    revenue = instance._empty_revenue
     best_rev = revenue
     best_key: tuple[int, ...] = ()
     best_mask = 0
@@ -87,9 +86,9 @@ def brute_force(instance: Instance) -> SolveResult:
     )
 
 
-def rooted_dp(instance: Instance, root: int = 0) -> SolveResult:
-    """Optimal solution for a rooted instance (every commodity touches `root`);
-    see `rooted_cut_set`."""
+def _far_ends(instance: Instance, root: int) -> dict[int, int]:
+    """Per commodity id, in order: its endpoint other than `root`. Refuses a
+    commodity that does not touch `root`."""
     far_end: dict[int, int] = {}
     for i, c in enumerate(instance.commodities):
         if c.source == root:
@@ -100,7 +99,13 @@ def rooted_dp(instance: Instance, root: int = 0) -> SolveResult:
             raise InvalidInstanceError(
                 f"commodity ({c.source},{c.target}) does not touch root {root}"
             )
-    cuts = rooted_cut_set(instance, root, far_end)
+    return far_end
+
+
+def rooted_dp(instance: Instance, root: int = 0) -> SolveResult:
+    """Optimal solution for a rooted instance (every commodity touches `root`);
+    see `rooted_cut_set`."""
+    cuts = rooted_cut_set(instance, root, _far_ends(instance, root))
     return make_result(instance, cuts, algorithm="rooted", diagnostics={"root": root})
 
 
@@ -360,18 +365,11 @@ def generalized_from_instance(
         edge_ids = edge_ids[::-1]
     if not verts or verts[0] != root:
         raise InvalidInstanceError(f"root {root} is not an endpoint of the path")
-    commodities = []
-    for c in instance.commodities:
-        if c.source == root:
-            target = c.target
-        elif c.target == root:
-            target = c.source
-        else:
-            raise InvalidInstanceError(
-                f"commodity ({c.source},{c.target}) does not touch root {root}"
-            )
-        commodities.append(GeneralizedCommodity(target, c.budget, c.weight, instance.pricing))
-    return GeneralizedPathInstance(tuple(verts), tuple(commodities)), edge_ids
+    commodities = tuple(
+        GeneralizedCommodity(target, c.budget, c.weight, instance.pricing)
+        for c, target in zip(instance.commodities, _far_ends(instance, root).values())
+    )
+    return GeneralizedPathInstance(tuple(verts), commodities), edge_ids
 
 
 def gen_rooted_path(

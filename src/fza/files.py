@@ -96,6 +96,9 @@ def read_instance(path: PathLike) -> Instance:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInstanceError(f"not valid JSON: {path}") from exc
+    except ValueError as exc:
+        # an integer literal past Python's int-string digit limit
+        raise InvalidInstanceError(f"JSON integer too long: {path}") from exc
     except RecursionError as exc:
         raise InvalidInstanceError(f"JSON nested too deeply: {path}") from exc
     return dict_to_instance(data)

@@ -33,7 +33,6 @@ class GenSpec:
     pricing: str = "linear"
     max_weight: int = 10
     fractional_weights: bool = False
-    cap: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -51,14 +50,13 @@ class GenSpec:
             raise InvalidInstanceError("max_weight must be at least 1")
 
 
-def pricing_preset(name: str, length: int, cap: int | None = None) -> PricingFunction:
+def pricing_preset(name: str, length: int) -> PricingFunction:
     if name == "linear":
         return PricingFunction.linear(length)
     if name == "affine":
         return PricingFunction.affine(length)
     if name == "capped":
-        effective = cap if cap is not None else max(1, (length - 1) // 2)
-        return PricingFunction.capped(length, effective)
+        return PricingFunction.capped(length, max(1, (length - 1) // 2))
     raise InvalidInstanceError(f"unknown pricing preset {name!r}")
 
 
@@ -98,7 +96,7 @@ def gen_random(spec: GenSpec) -> Instance:
     rng = substream(spec.seed, "gen", spec.family, spec.num_vertices, spec.num_commodities)
     n = spec.num_vertices
     tree = _shuffled_path(rng, n) if spec.family == "random-path" else _prufer_tree(rng, n)
-    pricing = pricing_preset(spec.pricing, n, spec.cap)
+    pricing = pricing_preset(spec.pricing, n)
     commodities = []
     for _ in range(spec.num_commodities):
         s = rng.randrange(n)

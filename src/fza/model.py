@@ -6,6 +6,11 @@ instance's common denominator to a Python int (`Instance.value`), so solvers
 add and compare ints and divide by `Instance.scale` only when a revenue leaves
 them. There is no floating point anywhere in the revenue computation.
 
+A `Tree` is rooted once: its constructor checks connectivity with one BFS from
+vertex 0 and caches it as `Tree.rooting`, which `Instance.create`,
+`Instance.edge_commodities` and the density candidates read. The tree's
+`adjacency`, `incident_masks` and `is_path` are cached on first use.
+
 Commodity paths are cached two ways. `Instance.paths` holds each path as a
 bitmask over edge ids, so counting one commodity's cuts is an AND plus a
 popcount. `Instance.edge_commodities` is the inverse index, edge id ->
@@ -17,8 +22,8 @@ summed over its cuts rather than one AND per commodity.
 value(i, c) for c below its path length, so a solver that adds or removes
 one cut at a time updates its revenue with one table read per commodity
 touched. It holds sum of |P_i| ints; brute force and the three path DPs,
-whose guards keep that sum small, are its only readers. Every cache is
-built on first use.
+whose guards keep that sum small, are its only readers. Every `Instance`
+cache is built on first use.
 
 Sub-problems read the same kernel: sublog's per-subtree rooted DPs and
 per-segment path DPs take W, F and D from the instance they were cut from
@@ -97,20 +102,9 @@ class Tree:
             if key in seen:
                 raise InvalidInstanceError(f"duplicate edge ({u},{v})")
             seen.add(key)
-        if self._component_size(0) != n:
+        # the BFS order from vertex 0 reaches all n vertices iff they are connected
+        if len(self.rooting[3]) != n:
             raise InvalidInstanceError("edge list does not describe a connected tree")
-
-    def _component_size(self, start: int) -> int:
-        reached = {start}
-        queue = deque([start])
-        adj = self.adjacency
-        while queue:
-            v = queue.popleft()
-            for w, _ in adj[v]:
-                if w not in reached:
-                    reached.add(w)
-                    queue.append(w)
-        return len(reached)
 
     @property
     def num_edges(self) -> int:
@@ -133,6 +127,12 @@ class Tree:
             masks[u] |= 1 << eid
             masks[v] |= 1 << eid
         return tuple(masks)
+
+    @cached_property
+    def rooting(self) -> tuple[tuple[int, ...], ...]:
+        """`rooted(0)` as tuples, computed by the constructor's connectivity
+        check and read by every caller that roots the tree at vertex 0."""
+        return tuple(map(tuple, self.rooted(0)))
 
     def rooted(self, root: int) -> tuple[list[int], list[int], list[int], list[int]]:
         """BFS rooting: (parent vertex, parent edge id, depth, bfs order).
@@ -292,7 +292,6 @@ class Instance:
     pricing: PricingFunction
     commodities: tuple[Commodity, ...]
     paths: tuple[int, ...]
-    normalized: bool = field(default=False, compare=False)
 
     @classmethod
     def create(
@@ -305,9 +304,9 @@ class Instance:
             raise InvalidInstanceError(
                 f"pricing table has {len(pricing)} entries, need at least {tree.num_vertices}"
             )
-        # one rooting at vertex 0 serves every commodity: walk both endpoints
-        # up to their meeting point, collecting parent edges
-        parent, parent_edge, depth, _ = tree.rooted(0)
+        # the tree's one rooting at vertex 0 serves every commodity: walk both
+        # endpoints up to their meeting point, collecting parent edges
+        parent, parent_edge, depth, _ = tree.rooting
         paths = []
         for c in commodities:
             n = tree.num_vertices
@@ -375,7 +374,7 @@ class Instance:
         Built in O(n + sum of path lengths) by the parent-edge walk of
         `create`, not by reading the n-bit path masks bit by bit.
         """
-        parent, parent_edge, depth, _ = self.tree.rooted(0)
+        parent, parent_edge, depth, _ = self.tree.rooting
         on_edge: list[list[int]] = [[] for _ in range(self.tree.num_edges)]
         for i, c in enumerate(self.commodities):
             a, b = c.source, c.target
@@ -466,7 +465,7 @@ def normalize(instance: Instance) -> Instance:
     # after merging, the number of distinct (path, budget) pairs is O(n^3)
     if len(commodities) > max(1, tree.num_vertices) ** 3:
         raise FzaError(f"{len(commodities)} commodities left after merging exceed n^3")
-    return Instance(tree, instance.pricing, commodities, paths, normalized=True)
+    return Instance(tree, instance.pricing, commodities, paths)
 
 
 def total_revenue(instance: Instance, cuts: Iterable[int]) -> Fraction:

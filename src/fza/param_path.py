@@ -41,10 +41,11 @@ DEAD = -2
 class _Sweep:
     """Path layout plus the one DP loop with the fixed tie rule.
 
-    `start[i]` is the 1-based position of commodity i's first edge,
-    `covering[p]` lists (ascending) the commodities whose path holds
-    position p, and `entry_value[p]` is the zero-cut revenue of the
-    commodities starting at p, which both transitions at p earn.
+    `covering[p]` is `Instance.edge_commodities` of the edge at 1-based
+    position p: the commodities whose path holds it, ascending. `start[i]`
+    is the first position whose `covering` holds commodity i, and
+    `entry_value[p]` is the zero-cut revenue of the commodities starting at
+    p, which both transitions at p earn.
     """
 
     def __init__(self, instance: Instance):
@@ -53,17 +54,15 @@ class _Sweep:
         self.instance = instance
         _, self.edge_ids = instance.tree.path_order()
         self.m = m = len(self.edge_ids)
-        pos_of = {eid: p + 1 for p, eid in enumerate(self.edge_ids)}
-        self.start = []
-        self.covering = [[] for _ in range(m + 1)]
+        on_edge = instance.edge_commodities
+        self.covering = covering = [()] + [on_edge[e] for e in self.edge_ids]
+        self.start = start = [0] * instance.num_commodities
         self.entry_value = [0] * (m + 1)
-        for i in range(instance.num_commodities):
-            positions = [pos_of[e] for e in instance.path_edges(i)]
-            a, b = min(positions), max(positions)
-            self.start.append(a)
-            self.entry_value[a] += instance.value(i, 0)
-            for p in range(a, b + 1):
-                self.covering[p].append(i)
+        for p in range(1, m + 1):
+            for i in covering[p]:
+                if not start[i]:
+                    start[i] = p
+                    self.entry_value[p] += instance.value(i, 0)
 
     def run(self, initial, step, algorithm: str, diagnostics: dict) -> SolveResult:
         table = {initial: 0}

@@ -250,7 +250,6 @@ class CommodityAssignment:
     """
 
     level_of: tuple[int, ...]
-    fragment_of: tuple[int, ...]
     by_fragment: dict = field(compare=False)
     extra: tuple[int, ...] = ()
 
@@ -260,14 +259,12 @@ def classify_commodities(decomp: Decomposition, instance: Instance) -> Commodity
         [edge_mask(f) for f in level_frags] for level_frags in decomp.levels
     ]
     level_of = []
-    fragment_of = []
     by_fragment: dict[tuple[int, int], list[int]] = {}
     extra = []
     for i in range(instance.num_commodities):
         pm = instance.paths[i]
         if pm.bit_count() == 1:
             level_of.append(decomp.num_levels)
-            fragment_of.append(-1)
             extra.append(i)
             continue
         level, idx = 1, 0
@@ -284,11 +281,8 @@ def classify_commodities(decomp: Decomposition, instance: Instance) -> Commodity
                 break
             level, idx = level + 1, child
         level_of.append(level)
-        fragment_of.append(idx)
         by_fragment.setdefault((level, idx), []).append(i)
-    return CommodityAssignment(
-        tuple(level_of), tuple(fragment_of), by_fragment, tuple(extra)
-    )
+    return CommodityAssignment(tuple(level_of), by_fragment, tuple(extra))
 
 
 @dataclass(frozen=True)

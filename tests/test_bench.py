@@ -79,6 +79,13 @@ class TestBench:
         with pytest.raises(InvalidInstanceError):
             BenchConfig(instances=("x",), algorithms=("nope",))
 
+    def test_from_file_rejects_long_int_seed(self, tmp_path):
+        # json.loads refuses an int past Python's 4300-digit int-string limit
+        p = tmp_path / "bench.json"
+        p.write_text('{"instances": ["x"], "algorithms": ["brute"], "seeds": [' + "1" * 5000 + "]}")
+        with pytest.raises(InvalidInstanceError, match="malformed bench config"):
+            BenchConfig.from_file(p)
+
     def test_solver_missing_its_option_is_solver_error(self, tmp_path):
         # a bench grid passes no cut count to gen-rooted-path, and rooted
         # reads root 0; both fail like any other solver on this instance

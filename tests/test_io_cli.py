@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fza import Commodity, GenSpec, Instance, PricingFunction, Tree, gen_random, normalize
-from fza.cli import main, parse_clauses
+from fza.cli import build_parser, main, parse_clauses
 from fza.files import read_instance, solution_to_json, write_instance
 from conftest import random_instance
 
@@ -61,6 +61,11 @@ class TestParseClauses:
 
 
 class TestCli:
+    def test_parser_built_once(self):
+        # `main` reuses one parser per process; the other CLI tests run
+        # every subcommand through it in turn
+        assert build_parser() is build_parser()
+
     def test_gen_solve_validate(self, tmp_path, capsys):
         inst_path = tmp_path / "i.json"
         out_path = tmp_path / "o.json"
@@ -139,7 +144,13 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "content", [pytest.param(b"\xff", id="non-utf8"), pytest.param(b"[" * 100000, id="deep")]
+        "content",
+        [
+            pytest.param(b"\xff", id="non-utf8"),
+            pytest.param(b"[" * 100000, id="deep"),
+            # past Python's 4300-digit int-string limit, which json.loads enforces
+            pytest.param(b'{"version": 1, "num_vertices": ' + b"1" * 5000 + b"}", id="long-int"),
+        ],
     )
     @pytest.mark.parametrize("command", ["validate", "solve", "bench-config", "bench-instance"])
     def test_unreadable_file_exits_2(self, tmp_path, capsys, command, content):

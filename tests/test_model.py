@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -13,9 +14,11 @@ from fza import (
     PricingFunction,
     Tree,
     brute_force,
+    dp_pmax,
     normalize,
     parameters,
     single_density,
+    single_density_base,
     total_revenue,
 )
 from fza.model import edge_mask, make_result, revenue_for, total_revenue_mask
@@ -428,14 +431,53 @@ def test_public_surface():
         assert not inspect.ismodule(getattr(fza, name)), name
 
 
-def test_package_has_no_assert_statements():
-    # `python -O` strips asserts, so every invariant check in fza must raise
+def test_each_tree_is_rooted_once(monkeypatch):
+    # the constructor's BFS from vertex 0 (`Tree.rooting`) serves every
+    # later reader; nothing roots the same tree again
+    calls = Counter()
+    rooted = Tree.rooted
+
+    def counting(self, root):
+        calls[id(self)] += 1
+        return rooted(self, root)
+
+    monkeypatch.setattr(Tree, "rooted", counting)
+    tree_inst = random_instance(1, 12, 12, pricing="affine")
+    path_inst = random_instance(2, 10, 10, pricing="affine", shape="path")
+    for inst in (tree_inst, path_inst):
+        inst = normalize(inst)
+        inst.edge_commodities
+        single_density(inst, 1)
+        single_density_base(inst)
+    dp_pmax(path_inst)
+    assert calls == {id(tree_inst.tree): 1, id(path_inst.tree): 1}
+    assert tree_inst.tree.rooting == tuple(map(tuple, rooted(tree_inst.tree, 0)))
+
+
+def _package_nodes(matches, skip=()) -> list[str]:
+    """`file:line` of every AST node in src/fza that `matches`, outside `skip`."""
     import fza
 
     offenders = []
     for path in sorted(Path(fza.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        offenders += [
-            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
-        ]
-    assert offenders == []
+        if path.name not in skip:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if matches(node)]
+    return offenders
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so every invariant check in fza must raise
+    assert _package_nodes(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def test_only_model_roots_trees():
+    # every other module reads the tree's one cached rooting, `Tree.rooting`
+    def calls_rooted(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "rooted"
+        )
+
+    assert _package_nodes(calls_rooted, skip=("model.py",)) == []
