@@ -131,15 +131,16 @@ def rooted_cut_set(
     masks, so each commodity's path must meet `edges` exactly in its part
     between the root and its far end.
     """
-    adjacency = instance.tree.adjacency
-    if not (0 <= root < len(adjacency)):
+    tree = instance.tree
+    if not (0 <= root < tree.num_vertices):
         raise InvalidInstanceError(f"invalid root {root}")
+    adjacency = dict(enumerate(tree.adjacency)) if edges is None else tree.adjacency_within(edges)
     # BFS from the root over the allowed edges: vertex -> (parent, parent edge)
     up: dict[int, tuple[int, int]] = {root: (-1, -1)}
     order = [root]
     for v in order:
-        for w, eid in adjacency[v]:
-            if w not in up and (edges is None or eid in edges):
+        for w, eid in adjacency.get(v, ()):
+            if w not in up:
                 up[w] = (v, eid)
                 order.append(w)
     ends_at: dict[int, list[int]] = {}
@@ -254,14 +255,6 @@ class GeneralizedPathInstance:
                 raise InvalidInstanceError(f"commodity target {c.target} must be a non-root path vertex")
             if len(c.pricing) - c.shift < pos[c.target] + 1:
                 raise InvalidInstanceError("pricing table does not cover the commodity's path length")
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.path) - 1
-
-    @property
-    def root(self) -> int:
-        return self.path[0]
 
     @cached_property
     def integer(self) -> IntegerPathInstance:

@@ -13,6 +13,7 @@ from typing import Union
 
 from .model import (
     Commodity,
+    FzaError,
     Instance,
     InvalidInstanceError,
     PricingFunction,
@@ -105,10 +106,14 @@ def read_instance(path: PathLike) -> Instance:
 
 
 def solution_to_dict(result: SolveResult) -> dict:
+    try:
+        revenue_float = float(result.revenue)
+    except OverflowError as exc:
+        raise FzaError("revenue is beyond float range, so it has no revenue_float") from exc
     out = {
         "cuts": list(result.cuts),
         "revenue": format_fraction(result.revenue),
-        "revenue_float": float(result.revenue),
+        "revenue_float": revenue_float,
         "served": list(result.served),
         "algorithm": result.algorithm,
         "seed": result.seed,

@@ -10,6 +10,9 @@ A `Tree` is rooted once: its constructor checks connectivity with one BFS from
 vertex 0 and caches it as `Tree.rooting`, which `Instance.create`,
 `Instance.edge_commodities` and the density candidates read. The tree's
 `adjacency`, `incident_masks` and `is_path` are cached on first use.
+`Tree.adjacency_within` gives the adjacency within one edge set, so a walk
+over a fragment of the tree (sublog's decomposition, skeleton and hanging
+subtrees, the rooted DP within a subtree) scans only that fragment's edges.
 
 Commodity paths are cached two ways. `Instance.paths` holds each path as a
 bitmask over edge ids, so counting one commodity's cuts is an AND plus a
@@ -118,6 +121,18 @@ class Tree:
             adj[u].append((v, eid))
             adj[v].append((u, eid))
         return tuple(tuple(a) for a in adj)
+
+    def adjacency_within(self, edges: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
+        """Per vertex of the edge set `edges`: its (neighbor, edge id) pairs
+        within the set, ascending. Every walk over a fragment of the tree reads it."""
+        adj: dict[int, list[tuple[int, int]]] = {}
+        for eid in edges:
+            u, v = self.edges[eid]
+            adj.setdefault(u, []).append((v, eid))
+            adj.setdefault(v, []).append((u, eid))
+        for pairs in adj.values():
+            pairs.sort()
+        return adj
 
     @cached_property
     def incident_masks(self) -> tuple[int, ...]:
@@ -332,9 +347,6 @@ class Instance:
     @property
     def num_commodities(self) -> int:
         return len(self.commodities)
-
-    def path_edges(self, i: int) -> frozenset[int]:
-        return frozenset(mask_to_edges(self.paths[i]))
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

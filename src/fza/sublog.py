@@ -9,6 +9,11 @@ skeleton edges (guess an approximate cut count per skeleton segment, then
 place exactly that many cuts per active segment with a path DP). Commodities
 whose path is a single edge are never separated by the decomposition and get
 an exact per-edge treatment instead.
+
+Every walk over a fragment reads `Tree.adjacency_within` of its edges. The
+skeleton comes from one pass rooted at a border vertex: an edge is on it iff
+the part of the fragment below the edge holds a border vertex. Each hanging
+subtree is one off-skeleton edge at a skeleton vertex plus all beyond it.
 """
 
 from __future__ import annotations
@@ -66,28 +71,20 @@ def almost_balanced_decomposition(
         raise InvalidInstanceError(f"fragment with {m} edges cannot be split {d} ways")
     target = -(-m // d)
 
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in fragment:
-        u, v = tree.edges[eid]
-        adj.setdefault(u, []).append((v, eid))
-        adj.setdefault(v, []).append((u, eid))
-    for v in adj:
-        adj[v].sort()
+    adj = tree.adjacency_within(fragment)
     root = min(adj)
     parent = {root: -1}
     order = [root]
+    children: dict[int, list[tuple[int, int]]] = {v: [] for v in adj}
     stack = [root]
     while stack:
         v = stack.pop()
-        for w, _ in adj[v]:
+        for w, eid in adj[v]:
             if w not in parent:
                 parent[w] = v
+                children[v].append((w, eid))
                 order.append(w)
                 stack.append(w)
-    children: dict[int, list[tuple[int, int]]] = {v: [] for v in adj}
-    for v in order[1:]:
-        eid = next(e for w, e in adj[v] if w == parent[v])
-        children[parent[v]].append((v, eid))
 
     pieces: list[set[int]] = []
     acc: dict[int, list[int]] = {}
@@ -331,7 +328,6 @@ class SkeletonInfo:
 def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Sequence[Iterable[int]]) -> SkeletonInfo:
     """Border vertices (shared by >= 2 child fragments), the subtree spanning
     them, junction vertices, and the segment partition of that subtree."""
-    fragment = frozenset(fragment_edges)
     vertex_sets = []
     for child in child_fragments:
         vs = set()
@@ -346,42 +342,33 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
     if len(border) <= 1:
         return SkeletonInfo(border, frozenset(), border, frozenset(), ())
 
-    # prune non-border leaves until only the spanning subtree remains
-    skel = set(fragment)
-    adj: dict[int, set[int]] = {}
-    for eid in fragment:
-        u, v = tree.edges[eid]
-        adj.setdefault(u, set()).add(eid)
-        adj.setdefault(v, set()).add(eid)
-    queue = [v for v in adj if len(adj[v]) == 1 and v not in border]
-    while queue:
-        v = queue.pop()
-        if v in border or len(adj[v]) != 1:
-            continue
-        eid = next(iter(adj[v]))
-        skel.discard(eid)
-        adj[v].clear()
-        u, w = tree.edges[eid]
-        other = w if u == v else u
-        adj[other].discard(eid)
-        if len(adj[other]) == 1 and other not in border:
-            queue.append(other)
+    # rooted at a border vertex, an edge is on the skeleton iff the part of
+    # the fragment below it holds a border vertex
+    adj = tree.adjacency_within(fragment_edges)
+    root = min(border)
+    up = {root: (-1, -1)}  # vertex -> (parent, parent edge)
+    order = [root]
+    for v in order:
+        for w, eid in adj[v]:
+            if w not in up:
+                up[w] = (v, eid)
+                order.append(w)
+    sverts = set(border)
+    skel = set()
+    for v in reversed(order[1:]):
+        if v in sverts:
+            p, eid = up[v]
+            sverts.add(p)
+            skel.add(eid)
 
-    sverts = set()
-    sdeg: dict[int, int] = {}
-    incident: dict[int, list[int]] = {}
-    for eid in skel:
-        for v in tree.edges[eid]:
-            sverts.add(v)
-            sdeg[v] = sdeg.get(v, 0) + 1
-            incident.setdefault(v, []).append(eid)
-    junctions = frozenset(v for v in sverts if sdeg[v] >= 3 and v not in border)
+    incident = {v: [eid for _, eid in adj[v] if eid in skel] for v in sverts}
+    junctions = frozenset(v for v in sverts if len(incident[v]) >= 3 and v not in border)
     breakpoints = set(border) | set(junctions)
 
     segments = []
     used: set[int] = set()
     for b in sorted(breakpoints):
-        for eid in sorted(incident.get(b, ())):
+        for eid in sorted(incident[b]):
             if eid in used:
                 continue
             verts = [b]
@@ -402,39 +389,31 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
 
 def _hanging_subtrees(tree, fragment: frozenset[int], skeleton: SkeletonInfo):
     """Connected components of the fragment minus skeleton edges, each with
-    its unique attachment vertex on the skeleton."""
-    skel_verts = skeleton.vertices if skeleton.vertices else skeleton.border
-    rest = sorted(fragment - skeleton.edges)
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in rest:
-        u, v = tree.edges[eid]
-        adj.setdefault(u, []).append((v, eid))
-        adj.setdefault(v, []).append((u, eid))
-    seen_edges: set[int] = set()
+    its attachment vertex on the skeleton, ordered by their lowest edge id.
+
+    There is one per fragment edge that leaves a skeleton vertex off the
+    skeleton: that edge and everything beyond it. The skeleton is connected,
+    so none of it lies beyond that edge.
+    """
+    adj = tree.adjacency_within(fragment)
     comps = []
-    for start in rest:
-        if start in seen_edges:
-            continue
-        comp_edges = {start}
-        seen_edges.add(start)
-        u0, v0 = tree.edges[start]
-        comp_verts = {u0, v0}
-        stack = [u0, v0]
-        while stack:
-            v = stack.pop()
-            if v in skel_verts:
-                continue  # do not cross the skeleton
-            for w, eid in adj.get(v, ()):
-                if eid not in seen_edges:
-                    seen_edges.add(eid)
-                    comp_edges.add(eid)
-                    if w not in comp_verts:
-                        comp_verts.add(w)
-                        stack.append(w)
-        attach = comp_verts & skel_verts
-        if len(attach) != 1:
-            raise FzaError(f"hanging subtree touches skeleton at {sorted(attach)}")
-        comps.append((min(comp_edges), frozenset(comp_edges), frozenset(comp_verts), next(iter(attach))))
+    for attach in skeleton.vertices:
+        for first, eid in adj.get(attach, ()):
+            if eid in skeleton.edges:
+                continue
+            comp_edges, comp_verts = [eid], [attach, first]
+            stack = [(first, attach)]
+            while stack:
+                v, p = stack.pop()
+                for w, e in adj[v]:
+                    if w != p:
+                        comp_edges.append(e)
+                        comp_verts.append(w)
+                        stack.append((w, v))
+            comps.append((min(comp_edges), frozenset(comp_edges), frozenset(comp_verts), attach))
+    covered = sorted(e for _, comp_edges, _, _ in comps for e in comp_edges)
+    if covered != sorted(fragment - skeleton.edges):
+        raise FzaError("hanging subtrees do not cover the off-skeleton edges exactly once")
     comps.sort()
     return [(edges, verts, attach) for _, edges, verts, attach in comps]
 
@@ -455,9 +434,8 @@ def non_skeleton_solve(
     runs on the instance's own tree, within the subtree's edges; a subtree
     with no such commodity is not solved (it would get no cut).
     """
-    fragment = frozenset(fragment_edges)
-    skel_verts = skeleton.vertices if skeleton.vertices else skeleton.border
-    comps = _hanging_subtrees(instance.tree, fragment, skeleton)
+    skel_verts = skeleton.vertices
+    comps = _hanging_subtrees(instance.tree, frozenset(fragment_edges), skeleton)
     active = [rng.random() >= 0.5 for _ in comps]
 
     # vertex -> index of the hanging subtree holding it (attachment excluded)

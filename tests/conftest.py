@@ -18,7 +18,7 @@ from fza import (
 )
 from fza.density import _offset_buckets, ceil_log2
 from fza.generators import pricing_preset
-from fza.model import edge_mask
+from fza.model import edge_mask, mask_to_edges
 from fza.rng import substream
 
 # The 13-vertex example instance: two three-vertex arms on each side of a
@@ -166,7 +166,8 @@ def bounded_path_instance(seed: int, n_max=12, u_cap=3, p_cap=6, cong_cap=3) -> 
 
 # Reference code that no solver calls, kept as independent checks: the
 # density classes of the Single Density analysis, path resolution by walking
-# parents, and one commodity's revenue as a plain Fraction.
+# parents, a commodity's path edges, and one commodity's revenue as a plain
+# Fraction.
 
 
 def density_class(budget: int, path_len: int) -> int:
@@ -226,6 +227,11 @@ def resolve_path(tree: Tree, s: int, t: int) -> frozenset[int]:
     return frozenset(edges)
 
 
+def path_edges(instance: Instance, i: int) -> frozenset[int]:
+    """Edge ids on commodity i's path, read from its path mask."""
+    return frozenset(mask_to_edges(instance.paths[i]))
+
+
 def revenue_of_commodity(instance: Instance, i: int, cuts) -> Fraction:
     """w_i * f(|P_i ∩ F|) if the cut count stays within budget, else 0."""
     count = (instance.paths[i] & edge_mask(cuts)).bit_count()
@@ -233,6 +239,96 @@ def revenue_of_commodity(instance: Instance, i: int, cuts) -> Fraction:
     if count > c.budget:
         return Fraction(0)
     return c.weight * instance.pricing(count)
+
+
+# Reference fragment geometry for sublog, each piece with its own adjacency:
+# the skeleton by pruning non-border leaves, and the hanging subtrees as the
+# components of a DFS that stops at skeleton vertices.
+
+
+def reference_skeleton(tree: Tree, fragment_edges, child_fragments):
+    """`sublog.compute_skeleton` by leaf pruning: strip non-border leaves of
+    the fragment until only the subtree spanning the border vertices is left."""
+    from fza.sublog import Segment, SkeletonInfo
+
+    counts: dict[int, int] = {}
+    for child in child_fragments:
+        for v in {v for eid in child for v in tree.edges[eid]}:
+            counts[v] = counts.get(v, 0) + 1
+    border = frozenset(v for v, c in counts.items() if c >= 2)
+    if len(border) <= 1:
+        return SkeletonInfo(border, frozenset(), border, frozenset(), ())
+    skel = set(fragment_edges)
+    adj: dict[int, set[int]] = {}
+    for eid in skel:
+        for v in tree.edges[eid]:
+            adj.setdefault(v, set()).add(eid)
+    queue = [v for v in adj if len(adj[v]) == 1 and v not in border]
+    while queue:
+        v = queue.pop()
+        if len(adj[v]) != 1:
+            continue
+        (eid,) = adj[v]
+        skel.discard(eid)
+        adj[v].clear()
+        u, w = tree.edges[eid]
+        other = w if u == v else u
+        adj[other].discard(eid)
+        if len(adj[other]) == 1 and other not in border:
+            queue.append(other)
+    incident = {v: sorted(es) for v, es in adj.items() if es}
+    junctions = frozenset(v for v, es in incident.items() if len(es) >= 3 and v not in border)
+    breakpoints = border | junctions
+    segments, used = [], set()
+    for b in sorted(breakpoints):
+        for eid in incident.get(b, ()):
+            if eid in used:
+                continue
+            verts, edges, cur, e = [b], [], b, eid
+            while True:
+                used.add(e)
+                edges.append(e)
+                u, w = tree.edges[e]
+                cur = w if u == cur else u
+                verts.append(cur)
+                if cur in breakpoints:
+                    break
+                (e,) = set(incident[cur]) - {e}
+            segments.append(Segment(tuple(verts), tuple(edges)))
+    return SkeletonInfo(border, frozenset(skel), frozenset(incident), junctions, tuple(segments))
+
+
+def reference_hanging_subtrees(tree: Tree, fragment, skeleton):
+    """`sublog._hanging_subtrees` as the components of the fragment minus the
+    skeleton edges, found by a DFS that does not cross skeleton vertices;
+    each component's attachment is its one vertex on the skeleton."""
+    rest = sorted(frozenset(fragment) - skeleton.edges)
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for eid in rest:
+        u, v = tree.edges[eid]
+        adj.setdefault(u, []).append((v, eid))
+        adj.setdefault(v, []).append((u, eid))
+    seen: set[int] = set()
+    comps = []
+    for start in rest:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp_edges, comp_verts = {start}, set(tree.edges[start])
+        stack = list(tree.edges[start])
+        while stack:
+            v = stack.pop()
+            if v in skeleton.vertices:
+                continue
+            for w, eid in adj[v]:
+                if eid not in seen:
+                    seen.add(eid)
+                    comp_edges.add(eid)
+                    comp_verts.add(w)
+                    stack.append(w)
+        (attach,) = comp_verts & skeleton.vertices
+        comps.append((frozenset(comp_edges), frozenset(comp_verts), attach))
+    return comps
 
 
 # Reference constructions for sublog's two sub-solves: each builds and
@@ -267,11 +363,8 @@ def materialized_rooted_cuts(instance: Instance, root: int, far_end: dict, edges
 def reference_non_skeleton_solve(instance, fragment_edges, skeleton, commodity_ids, rng):
     """`sublog.non_skeleton_solve` with a materialized sub-instance per
     active hanging subtree, members or not."""
-    from fza.sublog import _hanging_subtrees
-
-    fragment = frozenset(fragment_edges)
-    skel_verts = skeleton.vertices if skeleton.vertices else skeleton.border
-    comps = _hanging_subtrees(instance.tree, fragment, skeleton)
+    skel_verts = skeleton.vertices
+    comps = reference_hanging_subtrees(instance.tree, fragment_edges, skeleton)
     active = [rng.random() >= 0.5 for _ in comps]
     where = {}
     for idx, (_, verts, attach) in enumerate(comps):

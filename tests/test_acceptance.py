@@ -51,6 +51,7 @@ from conftest import (
     classify_by_density,
     fig1_instance,
     offset_candidates,
+    path_edges,
     random_gpi,
     random_instance,
 )
@@ -168,7 +169,7 @@ def test_criterion_6_candidate_safety():
                 for i in cls.classes[j]:
                     if inst.commodities[i].budget >= 2:
                         assert (
-                            len(cand & inst.path_edges(i))
+                            len(cand & path_edges(inst, i))
                             <= inst.commodities[i].budget
                         )
     report("6", True, "offset candidates never exceed budgets in their class (u >= 2)")

@@ -124,3 +124,52 @@ def test_perfbench_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert SOLVERS == before
+
+
+def load_bench_pairs():
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_summary_shows_failures_and_bounds():
+    bench_pairs = load_bench_pairs()
+    end_to_end = [
+        {"name": "solves_per_s", "better": "higher", "bound": 0.24},
+        {"name": "op_s.p50", "better": "lower", "bound": 0.24},
+    ]
+
+    def run(seed, side, solves, op, failed):
+        metrics = {"solves_per_s": {"value": solves}, "op_s.p50": {"value": op}}
+        result = {"correct": failed == 0, "attempted": 50, "failed": failed, "metrics": metrics}
+        return {"workload": "w", "seed": seed, "side": side, "result": result}
+
+    # the change solves 30 % slower (past the bound), and its ops 10 % slower (within it)
+    runs = [
+        run(seed, side, *values)
+        for seed in (1, 2)
+        for side, values in (("parent", (10.0, 1.0, 0)), ("change", (7.0, 1.1, seed - 1)))
+    ]
+    ops, solves, op = bench_pairs.summarize(runs, end_to_end)
+    assert ops.split() == ["w", "failed/attempted", "ops", "parent", "0/100", "change", "1/100"]
+    assert solves.endswith("within bound 0.24: NO") and "change better in 0/2 pairs" in solves
+    assert op.endswith("within bound 0.24: yes")
+
+
+def test_bench_pairs_exits_1_on_an_incorrect_run(tmp_path, monkeypatch, capsys):
+    bench_pairs = load_bench_pairs()
+    bench = {"command": ["true"], "run_seconds": 1, "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.24}]}
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def run_once(checkout, command, workload, seed, seconds):
+        failed = int(checkout.name == "change")
+        return {"correct": not failed, "attempted": 4, "failed": failed, "metrics": {"solves_per_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--seed", "1"]
+    assert bench_pairs.main([*argv, "--out", str(tmp_path / "b.json"), "w=1"]) == 1
+    assert "w seed 1 change reported correct: false" in capsys.readouterr().err

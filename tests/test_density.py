@@ -20,7 +20,7 @@ from fza import (
     total_revenue,
 )
 from fza.density import bernoulli_candidate, ceil_log2
-from conftest import classify_by_density, density_class, offset_candidates, random_instance
+from conftest import classify_by_density, density_class, offset_candidates, path_edges, random_instance
 
 
 def make(tree, pricing, commodities):
@@ -104,7 +104,7 @@ class TestOffsetCandidates:
                     cand = cands[j][theta]
                     for i in cls.classes[j]:
                         if inst.commodities[i].budget >= 2:
-                            hits = len(cand & inst.path_edges(i))
+                            hits = len(cand & path_edges(inst, i))
                             assert hits <= inst.commodities[i].budget
 
 

@@ -22,6 +22,7 @@ from fza import (
 )
 from fza.files import instance_to_dict, dumps_canonical
 from fza.rng import substream
+from conftest import path_edges
 
 PHI_FIG2 = Formula2CNF(2, (((0, False), (1, True)), ((0, True), (1, True))))
 
@@ -92,7 +93,7 @@ class TestGenRandom:
         spec = GenSpec("random-path", 2, 5, seed=3)
         inst = gen_random(spec)
         assert inst.tree.num_edges == 1
-        assert all(inst.path_edges(i) == {0} for i in range(inst.num_commodities))
+        assert all(path_edges(inst, i) == {0} for i in range(inst.num_commodities))
 
     def test_inconsistent_spec(self):
         with pytest.raises(InvalidInstanceError):
@@ -149,8 +150,8 @@ class TestStarReduction:
             return sum(
                 inst.commodities[i].weight
                 * (
-                    inst.pricing(len(set(cuts) & inst.path_edges(i)))
-                    if len(set(cuts) & inst.path_edges(i)) <= 1
+                    inst.pricing(len(set(cuts) & path_edges(inst, i)))
+                    if len(set(cuts) & path_edges(inst, i)) <= 1
                     else 0
                 )
                 for i in triple

@@ -175,6 +175,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("diagnostics", [[], ["--diagnostics"]])
+    def test_revenue_beyond_float_exits_2(self, tmp_path, capsys, diagnostics):
+        # a valid instance whose exact revenue has no float form
+        p = tmp_path / "huge.json"
+        huge = {**self.VALID, "pricing": ["1", "2", "3"]}
+        huge["commodities"] = [{"s": 0, "t": 2, "u": 2, "w": "1" + "0" * 400}]
+        p.write_text(json.dumps(huge))
+        assert main(["validate", "--input", str(p)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--algo", "brute", "--input", str(p), "--output", str(out), *diagnostics]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "float" in err
+        assert not out.exists()
+
     def test_capacity_exit_3(self, tmp_path):
         inst_path = tmp_path / "big.json"
         main(

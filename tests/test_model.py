@@ -23,7 +23,7 @@ from fza import (
 )
 from fza.model import edge_mask, make_result, revenue_for, total_revenue_mask
 from fza.sublog import sublog
-from conftest import fig1_instance, random_instance, resolve_path, revenue_of_commodity
+from conftest import fig1_instance, path_edges, random_instance, resolve_path, revenue_of_commodity
 
 
 def make(tree, pricing, commodities):
@@ -321,11 +321,11 @@ class TestInvariants:
         full = list(range(0, m, 2))
         for i in range(inst.num_commodities):
             u = inst.commodities[i].budget
-            count = len(set(full) & inst.path_edges(i))
+            count = len(set(full) & path_edges(inst, i))
             if count <= u:
                 for r in range(len(full)):
                     for sub in combinations(full, r):
-                        assert len(set(sub) & inst.path_edges(i)) <= u
+                        assert len(set(sub) & path_edges(inst, i)) <= u
 
     def test_restricted_submodularity(self):
         # g(F') = revenue of commodities served by F, over subsets F' of F
@@ -336,7 +336,7 @@ class TestInvariants:
             served = [
                 i
                 for i in range(inst.num_commodities)
-                if len(set(base) & inst.path_edges(i)) <= inst.commodities[i].budget
+                if len(set(base) & path_edges(inst, i)) <= inst.commodities[i].budget
             ]
 
             def g(subset):
@@ -367,7 +367,7 @@ class TestInvariants:
         # recompute from served flags and cut counts, bit for bit
         total = Fraction(0)
         for i, ok in enumerate(res.served):
-            count = len(set(res.cuts) & inst.path_edges(i))
+            count = len(set(res.cuts) & path_edges(inst, i))
             if ok:
                 total += inst.commodities[i].weight * inst.pricing(count)
             else:

@@ -17,7 +17,7 @@ from fza import (
     normalize,
 )
 from fza import param_path
-from conftest import bounded_path_instance
+from conftest import bounded_path_instance, path_edges
 
 
 def make(tree, pricing, commodities):
@@ -129,7 +129,7 @@ class TestExactness:
             inst = bounded_path_instance(200 + seed)
             res = dp_congestion(inst)
             for i in range(inst.num_commodities):
-                count = len(set(res.cuts) & inst.path_edges(i))
+                count = len(set(res.cuts) & path_edges(inst, i))
                 assert res.served[i] == (count <= inst.commodities[i].budget)
 
     def test_dropout_nets_to_zero(self):

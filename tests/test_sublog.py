@@ -19,6 +19,7 @@ from fza import (
 from fza.sublog import (
     Segment,
     SkeletonInfo,
+    _hanging_subtrees,
     almost_balanced_decomposition,
     branching_parameter,
     build_aux_instance,
@@ -34,9 +35,12 @@ from fza.exact import generalized_rooted_path_dp, rooted_cut_set
 from fza.rng import substream
 from conftest import (
     materialized_rooted_cuts,
+    path_edges,
     random_instance,
     reference_aux_instance,
+    reference_hanging_subtrees,
     reference_non_skeleton_solve,
+    reference_skeleton,
     reference_skeleton_solve,
 )
 
@@ -183,9 +187,9 @@ class TestClassification:
         far = max(
             ((s, t) for s in range(30) for t in range(s + 1, 30)),
             key=lambda st: len(
-                Instance.create(
-                    inst.tree, inst.pricing, [Commodity(st[0], st[1], 1, Fraction(1))]
-                ).path_edges(0)
+                path_edges(
+                    Instance.create(inst.tree, inst.pricing, [Commodity(st[0], st[1], 1, Fraction(1))]), 0
+                )
             ),
         )
         inst2 = make(inst.tree, inst.pricing, [Commodity(far[0], far[1], 1, Fraction(1))])
@@ -218,7 +222,7 @@ class TestClassification:
                 assert len(kids) >= 2
                 skel = compute_skeleton(inst.tree, frag, kids)
                 for i in group:
-                    path = inst.path_edges(i)
+                    path = path_edges(inst, i)
                     assert path <= frag
                     assert not any(path <= kid for kid in kids)
                     verts = {v for e in path for v in inst.tree.edges[e]}
@@ -253,6 +257,45 @@ class TestSkeleton:
             (4,), (5, 6), (7,), (10,), (11, 12), (13, 14),
         ]
         assert len(skel.segments) < 2 * 6
+
+
+def spider(legs: int) -> Tree:
+    """Hub 0 with `legs` two-edge legs: edge 2i joins the hub to 2i + 1, edge
+    2i + 1 joins 2i + 1 to 2i + 2."""
+    return Tree(2 * legs + 1, tuple(e for i in range(legs) for e in ((0, 2 * i + 1), (2 * i + 1, 2 * i + 2))))
+
+
+class TestGeometryMatchesReference:
+    """The rooted-pass skeleton and the walk-off-the-skeleton hanging subtrees
+    against conftest's leaf-pruning and component-DFS references."""
+
+    def assert_matches(self, tree, frag, kids):
+        skel = compute_skeleton(tree, frag, kids)
+        ref = reference_skeleton(tree, frag, kids)
+        assert (skel.border, skel.edges, skel.vertices, skel.junctions, skel.segments) == (
+            ref.border, ref.edges, ref.vertices, ref.junctions, ref.segments
+        )
+        assert _hanging_subtrees(tree, frozenset(frag), skel) == reference_hanging_subtrees(tree, frag, ref)
+        return skel
+
+    def test_decomposition_fragments(self):
+        fragments = with_segments = 0
+        for inst, frag, kids, _, _ in sublog_fragments(range(48)):
+            fragments += 1
+            with_segments += bool(self.assert_matches(inst.tree, frag, kids).segments)
+        assert fragments > 60 and with_segments > 40
+
+    def test_star_hub_junction(self):
+        # the hub edges form one child and each outer edge another: the leg
+        # middles are the border, the hub a junction, the outer edges hang
+        skel = self.assert_matches(spider(5), range(10), [frozenset(range(0, 10, 2))] + [{e} for e in range(1, 10, 2)])
+        assert skel.junctions == {0} and skel.edges == set(range(0, 10, 2)) and len(skel.segments) == 5
+
+    def test_one_border_vertex(self):
+        # each leg is a child: the hub is the one border vertex, every leg hangs from it
+        skel = self.assert_matches(spider(4), range(8), [{2 * i, 2 * i + 1} for i in range(4)])
+        assert skel.vertices == skel.border == {0} and not skel.edges
+        assert [attach for _, _, attach in _hanging_subtrees(spider(4), frozenset(range(8)), skel)] == [0] * 4
 
 
 class TestNonSkeleton:
@@ -393,7 +436,7 @@ class TestSkeletonSolve:
 
         monkeypatch.setattr(Instance, "scaled_revenue", counted)
         guesses = 0
-        for n, (inst, _, skel, ids) in enumerate(sublog_fragments(range(24), max_guesses=600)):
+        for n, (inst, _, _, skel, ids) in enumerate(sublog_fragments(range(24), max_guesses=600)):
             if not skel.segments:
                 continue
             calls.append([])
@@ -455,7 +498,7 @@ class TestSublog:
 
 
 def sublog_fragments(seeds, max_guesses=None):
-    """(instance, fragment edges, skeleton, commodity ids) of every fragment
+    """(instance, fragment edges, child fragments, skeleton, commodity ids) of every fragment
     of a decomposition of small random trees and paths. The branching
     parameter is forced to 4 or 5, as sublog picks it only from n >= 513 on:
     below that, no aux instance has a commodity with a nonzero shift."""
@@ -483,7 +526,7 @@ def sublog_fragments(seeds, max_guesses=None):
             for seg in skel.segments:
                 guesses *= len(segment_guesses(len(seg)))
             if max_guesses is None or guesses <= max_guesses:
-                yield inst, frag, skel, ids
+                yield inst, frag, kids, skel, ids
 
 
 class TestSubSolvesMatchReference:
@@ -532,7 +575,7 @@ class TestSubSolvesMatchReference:
 
     def test_aux_rows_match_generalized_commodities_for_every_y(self):
         checked = with_rows = 0
-        for f, (inst, _, skel, _) in enumerate(sublog_fragments(range(48))):
+        for f, (inst, _, _, skel, _) in enumerate(sublog_fragments(range(48))):
             rng = substream(f, "aux-rows")
             every = range(inst.num_commodities)
             for _ in range(6):
@@ -555,7 +598,7 @@ class TestSubSolvesMatchReference:
 
     def test_skeleton_solve_matches_reference(self):
         fragments = 0
-        for inst, _, skel, ids in sublog_fragments(range(48), max_guesses=600):
+        for inst, _, _, skel, ids in sublog_fragments(range(48), max_guesses=600):
             if not skel.segments:
                 continue
             fragments += 1
@@ -567,7 +610,7 @@ class TestSubSolvesMatchReference:
 
     def test_non_skeleton_solve_matches_reference(self):
         fragments = 0
-        for inst, frag, skel, ids in sublog_fragments(range(32)):
+        for inst, frag, _, skel, ids in sublog_fragments(range(32)):
             fragments += 1
             for label in ("a", "b", "c"):
                 got = non_skeleton_solve(inst, frag, skel, ids, substream(fragments, label))

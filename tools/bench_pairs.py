@@ -10,9 +10,11 @@ change in odd ones. Every run is the change's BENCHMARK.json `command` plus
 `--workload W --seed S --seconds <run_seconds> --trace 0`, started in the
 root of its checkout, and its last stdout line is kept. The file is
 rewritten after every run, so an interrupted session keeps the pairs it
-finished. At the end a summary prints, per end-to-end metric of
-BENCHMARK.json and workload, each side's median and quartiles and how many
-pairs the change won (ties count for neither side).
+finished. At the end a summary prints, per workload, each side's failed and
+attempted ops, and per end-to-end metric of BENCHMARK.json, each side's
+median and quartiles, how many pairs the change won (ties count for neither
+side) and whether the change's median is within the metric's bound. The exit
+status is 1 if any run reported `correct: false`.
 
 Standard library only.
 """
@@ -61,28 +63,40 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict], higher_is_better: dict[str, bool]) -> list[str]:
-    """Per workload and metric: medians, quartiles, pairs won by the change,
-    and whether the medians differ by more than the parent's quartile spread."""
+def summarize(runs: list[dict], end_to_end: list[dict]) -> list[str]:
+    """Per workload: each side's failed and attempted ops over all its runs.
+    Then per end-to-end metric (BENCHMARK.json's `end_to_end` entries): each
+    side's median and quartiles, the pairs the change won, whether the medians
+    differ by more than the parent's quartile spread, and whether the change's
+    median is within the metric's relative `bound` of the parent's."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
+        own = [r for r in runs if r["workload"] == workload]
+        ops = {s: [r["result"] for r in own if r["side"] == s] for s in SIDES}
+        lines.append(
+            f"{workload:12} failed/attempted ops"
+            + "".join(
+                f"  {s} {sum(r['failed'] for r in ops[s])}/{sum(r['attempted'] for r in ops[s])}"
+                for s in SIDES
+            )
+        )
         pairs: dict[int, dict] = {}
-        for r in runs:
-            if r["workload"] == workload:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        for r in own:
+            pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
         complete = [p for p in pairs.values() if len(p) == 2]
-        if not complete:
-            continue
-        for metric, higher in higher_is_better.items():
+        for spec in end_to_end if complete else ():
+            metric, higher, bound = spec["name"], spec["better"] == "higher", spec["bound"]
             sides = {s: [p[s][metric]["value"] for p in complete] for s in SIDES}
             wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
             (pq1, pmed, pq3), (cq1, cmed, cq3) = (quartiles(sides[s]) for s in SIDES)
             beyond = abs(cmed - pmed) > pq3 - pq1
+            within = cmed >= pmed * (1 - bound) if higher else cmed <= pmed * (1 + bound)
             lines.append(
                 f"{workload:12} {metric:12} parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}]"
                 f"  change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}]"
                 f"  change better in {wins}/{len(complete)} pairs"
                 f"  |median diff| > parent IQR: {'yes' if beyond else 'no'}"
+                f"  within bound {bound:g}: {'yes' if within else 'NO'}"
             )
     return lines
 
@@ -107,7 +121,6 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {checkout} has no BENCHMARK.json")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    higher_is_better = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
 
     report = {
         "what": "perfbench end-to-end result lines, parent "
@@ -129,9 +142,16 @@ def main(argv=None) -> int:
                 )
                 args.out.write_text(json.dumps(report, indent=1) + "\n")
                 solves = result["metrics"]["solves_per_s"]["value"]
-                print(f"{workload} seed {seed} {side}: solves_per_s {solves:.4g}", flush=True)
-    print("\n".join(summarize(report["runs"], higher_is_better)))
-    return 0
+                print(
+                    f"{workload} seed {seed} {side}: solves_per_s {solves:.4g},"
+                    f" failed {result['failed']}/{result['attempted']} ops",
+                    flush=True,
+                )
+    print("\n".join(summarize(report["runs"], bench["end_to_end"])))
+    incorrect = [r for r in report["runs"] if not r["result"]["correct"]]
+    for r in incorrect:
+        print(f"error: {r['workload']} seed {r['seed']} {r['side']} reported correct: false", file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":
