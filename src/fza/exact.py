@@ -23,6 +23,7 @@ from .model import (
     InvalidInstanceError,
     PricingFunction,
     SolveResult,
+    as_int,
     edge_mask,
     make_result,
     mask_to_edges,
@@ -208,11 +209,12 @@ class GeneralizedCommodity:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", to_fraction(self.weight))
-        if not isinstance(self.budget, int) or self.budget < 0:
+        as_int(self.target, "target")
+        if as_int(self.budget, "budget") < 0:
             raise InvalidInstanceError("budget must be a non-negative integer")
         if self.weight <= 0:
             raise InvalidInstanceError("weight must be positive")
-        if not isinstance(self.shift, int) or self.shift < 0:
+        if as_int(self.shift, "shift") < 0:
             raise InvalidInstanceError("shift must be a non-negative integer")
 
     def price(self, x: int) -> Fraction:
@@ -243,7 +245,7 @@ class GeneralizedPathInstance:
     commodities: tuple[GeneralizedCommodity, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "path", tuple(int(v) for v in self.path))
+        object.__setattr__(self, "path", tuple(as_int(v, "path vertex") for v in self.path))
         object.__setattr__(self, "commodities", tuple(self.commodities))
         if not self.path:
             raise InvalidInstanceError("path must contain at least one vertex")

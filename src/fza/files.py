@@ -19,9 +19,9 @@ from .model import (
     PricingFunction,
     SolveResult,
     Tree,
+    as_int,
     format_fraction,
     normalize,
-    to_fraction,
 )
 
 FORMAT_VERSION = 1
@@ -46,13 +46,6 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def _int(value, what: str) -> int:
-    """A JSON integer; booleans and floats are refused rather than coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInstanceError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _list(value, what: str) -> list:
     """A JSON list; an object or a string is refused rather than iterated."""
     if not isinstance(value, list):
@@ -60,23 +53,23 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _edge(value) -> tuple[int, int]:
+def _edge(value) -> list:
+    """A JSON pair; `Tree` refuses endpoints that are not ints."""
     if not isinstance(value, list) or len(value) != 2:
         raise InvalidInstanceError(f"edge must be a pair of vertices, got {value!r}")
-    return _int(value[0], "edge endpoint"), _int(value[1], "edge endpoint")
+    return value
 
 
 def dict_to_instance(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise InvalidInstanceError(f"instance must be a JSON object, got {type(data).__name__}")
     try:
-        if _int(data.get("version"), "version") != FORMAT_VERSION:
+        if as_int(data.get("version"), "version") != FORMAT_VERSION:
             raise InvalidInstanceError(f"unsupported format version {data['version']}")
-        n = _int(data["num_vertices"], "num_vertices")
-        tree = Tree(n, tuple(_edge(e) for e in _list(data["edges"], "edges")))
-        pricing = PricingFunction(tuple(to_fraction(v) for v in _list(data["pricing"], "pricing")))
+        tree = Tree(data["num_vertices"], tuple(_edge(e) for e in _list(data["edges"], "edges")))
+        pricing = PricingFunction(tuple(_list(data["pricing"], "pricing")))
         commodities = [
-            Commodity(_int(c["s"], "s"), _int(c["t"], "t"), _int(c["u"], "u"), to_fraction(c["w"]))
+            Commodity(c["s"], c["t"], c["u"], c["w"])
             for c in _list(data["commodities"], "commodities")
         ]
     except (KeyError, TypeError) as exc:

@@ -72,6 +72,13 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise InvalidInstanceError(f"not a rational: {value!r}")
 
 
+def as_int(value, what: str) -> int:
+    """An int; booleans, floats and other numbers are refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInstanceError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def format_fraction(value: Fraction) -> str:
     """Lowest-terms canonical string, '7' or '7/3'."""
     return str(value)
@@ -82,15 +89,18 @@ class Tree:
     """An undirected tree on vertices 0..num_vertices-1.
 
     Edge ids are list indices into `edges`. The constructor checks that the
-    edge list describes a connected, loop-free, duplicate-free tree.
+    edge list describes a connected, loop-free, duplicate-free tree on int
+    vertices.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        n = self.num_vertices
+        n = as_int(self.num_vertices, "num_vertices")
+        object.__setattr__(
+            self, "edges", tuple((as_int(u, "edge endpoint"), as_int(v, "edge endpoint")) for u, v in self.edges)
+        )
         if n < 1:
             raise InvalidInstanceError(f"tree needs at least one vertex, got {n}")
         if len(self.edges) != n - 1:
@@ -281,9 +291,9 @@ class Commodity:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", to_fraction(self.weight))
-        if self.source == self.target:
+        if as_int(self.source, "commodity endpoint") == as_int(self.target, "commodity endpoint"):
             raise InvalidInstanceError("commodity endpoints coincide")
-        if not isinstance(self.budget, int) or self.budget < 0:
+        if as_int(self.budget, "budget") < 0:
             raise InvalidInstanceError(f"budget must be a non-negative integer, got {self.budget!r}")
         if self.weight <= 0:
             raise InvalidInstanceError("commodity weight must be positive")

@@ -10,16 +10,21 @@ place exactly that many cuts per active segment with a path DP). Commodities
 whose path is a single edge are never separated by the decomposition and get
 an exact per-edge treatment instead.
 
-Every walk over a fragment reads `Tree.adjacency_within` of its edges. The
-skeleton comes from one pass rooted at a border vertex: an edge is on it iff
-the part of the fragment below the edge holds a border vertex. Each hanging
-subtree is one off-skeleton edge at a skeleton vertex plus all beyond it.
+Each fact about a fragment's geometry is worked out once. One pass over the
+fragment (`Tree.adjacency_within` of its edges), rooted at a border vertex,
+yields the skeleton (an edge is on it iff the part of the fragment below the
+edge holds a border vertex), its segments and the hanging subtrees (one
+off-skeleton edge at a skeleton vertex plus all beyond it). Per (segment,
+root), one scan of the fragment's commodities yields the member rows of
+every aux instance on that segment: prefix length, the segments that block
+the member and the segments its path holds whole. Per guess, an aux instance
+only reads those rows.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -119,7 +124,7 @@ def almost_balanced_decomposition(
     if len(pieces) == 1:
         # only possible for d = 2: a lone oversized piece swallowed the
         # remainder; fall back to a centroid split into two branch bundles
-        pieces = _bipartition(tree, fragment, adj, parent, order, children, d)
+        pieces = _bipartition(fragment, adj, parent, order, children, d)
 
     if m >= 2 and not 2 <= len(pieces) <= d:
         raise FzaError(f"carving produced {len(pieces)} pieces for d={d}")
@@ -131,7 +136,7 @@ def almost_balanced_decomposition(
     return [frozenset(p) for p in pieces]
 
 
-def _bipartition(tree, fragment, adj, parent, order, children, d: int):
+def _bipartition(fragment, adj, parent, order, children, d: int):
     """Split a fragment in two at a centroid vertex: bundle its branches
     greedily until the first side clears the lower size bound."""
     m = len(fragment)
@@ -148,7 +153,7 @@ def _bipartition(tree, fragment, adj, parent, order, children, d: int):
 
     centroid = min(adj, key=lambda v: (max(branch_sizes(v)), v))
 
-    def branch_edges(v, child, eid):
+    def branch_edges(child, eid):
         out = {eid}
         stack = [child]
         while stack:
@@ -158,7 +163,7 @@ def _bipartition(tree, fragment, adj, parent, order, children, d: int):
                 stack.append(c)
         return out
 
-    branches = [branch_edges(centroid, c, e) for c, e in children[centroid]]
+    branches = [branch_edges(c, e) for c, e in children[centroid]]
     if parent[centroid] != -1:
         up = set(fragment)
         for b in branches:
@@ -242,12 +247,12 @@ def build_decomposition(tree, d: int | None = None) -> Decomposition:
 class CommodityAssignment:
     """Commodity -> (level, fragment) assignment.
 
-    level_of uses 1-based levels; a value equal to the level count marks the
-    extra class of single-edge paths, which no level ever separates.
+    by_fragment maps a 1-based level and a fragment index within it to the
+    commodities assigned there; extra holds the single-edge paths, which no
+    level ever separates.
     """
 
-    level_of: tuple[int, ...]
-    by_fragment: dict = field(compare=False)
+    by_fragment: dict[tuple[int, int], list[int]]
     extra: tuple[int, ...] = ()
 
 
@@ -255,13 +260,11 @@ def classify_commodities(decomp: Decomposition, instance: Instance) -> Commodity
     masks = [
         [edge_mask(f) for f in level_frags] for level_frags in decomp.levels
     ]
-    level_of = []
     by_fragment: dict[tuple[int, int], list[int]] = {}
     extra = []
     for i in range(instance.num_commodities):
         pm = instance.paths[i]
         if pm.bit_count() == 1:
-            level_of.append(decomp.num_levels)
             extra.append(i)
             continue
         level, idx = 1, 0
@@ -277,9 +280,8 @@ def classify_commodities(decomp: Decomposition, instance: Instance) -> Commodity
             if child is None:
                 break
             level, idx = level + 1, child
-        level_of.append(level)
         by_fragment.setdefault((level, idx), []).append(i)
-    return CommodityAssignment(tuple(level_of), by_fragment, tuple(extra))
+    return CommodityAssignment(by_fragment, tuple(extra))
 
 
 @dataclass(frozen=True)
@@ -299,35 +301,29 @@ class Segment:
 
 @dataclass(frozen=True)
 class SkeletonInfo:
+    """A fragment's skeleton and what hangs off it. `hanging` holds one
+    (edges, vertices, attachment vertex) per hanging subtree, ordered by
+    lowest edge id."""
+
     border: frozenset[int]
     edges: frozenset[int]
     vertices: frozenset[int]
     junctions: frozenset[int]
     segments: tuple[Segment, ...]
-
-    @cached_property
-    def segment_tables(
-        self,
-    ) -> tuple[list[int], list[set[int]], dict[int, int], dict[tuple[int, int], list[int]]]:
-        """(edge mask and vertex set per segment, inner vertex -> its segment,
-        (segment, terminal) -> edge masks of the segment's prefixes from that
-        terminal by length), built once per skeleton."""
-        masks = [edge_mask(s.edges) for s in self.segments]
-        vertex_sets = [set(s.vertices) for s in self.segments]
-        inner_seg_of = {v: si for si, s in enumerate(self.segments) for v in s.vertices[1:-1]}
-        prefixes: dict[tuple[int, int], list[int]] = {}
-        for si, s in enumerate(self.segments):
-            for root, eids in ((s.vertices[0], s.edges), (s.vertices[-1], s.edges[::-1])):
-                prefix = [0]
-                for eid in eids:
-                    prefix.append(prefix[-1] | 1 << eid)
-                prefixes[si, root] = prefix
-        return masks, vertex_sets, inner_seg_of, prefixes
+    hanging: tuple[tuple[frozenset[int], frozenset[int], int], ...] = ()
 
 
 def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Sequence[Iterable[int]]) -> SkeletonInfo:
     """Border vertices (shared by >= 2 child fragments), the subtree spanning
-    them, junction vertices, and the segment partition of that subtree."""
+    them, junction vertices, the segment partition of that subtree, and the
+    hanging subtrees, all from one pass over the fragment rooted at its
+    lowest border vertex.
+
+    An edge is on the skeleton iff the part of the fragment below it holds a
+    border vertex. An off-skeleton edge whose upper end is on the skeleton
+    starts a hanging subtree; every other off-skeleton edge joins the subtree
+    of its upper end.
+    """
     vertex_sets = []
     for child in child_fragments:
         vs = set()
@@ -339,11 +335,9 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
         for v in vs:
             counts[v] = counts.get(v, 0) + 1
     border = frozenset(v for v, c in counts.items() if c >= 2)
-    if len(border) <= 1:
+    if not border:
         return SkeletonInfo(border, frozenset(), border, frozenset(), ())
 
-    # rooted at a border vertex, an edge is on the skeleton iff the part of
-    # the fragment below it holds a border vertex
     adj = tree.adjacency_within(fragment_edges)
     root = min(border)
     up = {root: (-1, -1)}  # vertex -> (parent, parent edge)
@@ -353,6 +347,8 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
             if w not in up:
                 up[w] = (v, eid)
                 order.append(w)
+    if len(order) != len(adj):
+        raise FzaError("skeleton pass does not reach every fragment vertex")
     sverts = set(border)
     skel = set()
     for v in reversed(order[1:]):
@@ -360,6 +356,25 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
             p, eid = up[v]
             sverts.add(p)
             skel.add(eid)
+
+    subtrees: list[tuple[list[int], list[int], int]] = []  # (edges, vertices, attachment)
+    subtree_of: dict[int, int] = {}  # vertex below the skeleton -> index in subtrees
+    for v in order[1:]:
+        p, eid = up[v]
+        if eid in skel:
+            continue
+        if p in sverts:
+            subtree_of[v] = len(subtrees)
+            subtrees.append(([], [p], p))
+        else:
+            subtree_of[v] = subtree_of[p]
+        sub_edges, sub_verts, _ = subtrees[subtree_of[v]]
+        sub_edges.append(eid)
+        sub_verts.append(v)
+    hanging = tuple(
+        (frozenset(sub_edges), frozenset(sub_verts), attach)
+        for sub_edges, sub_verts, attach in sorted(subtrees, key=lambda sub: min(sub[0]))
+    )
 
     incident = {v: [eid for _, eid in adj[v] if eid in skel] for v in sverts}
     junctions = frozenset(v for v in sverts if len(incident[v]) >= 3 and v not in border)
@@ -384,43 +399,11 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
                     break
                 e = next(x for x in incident[cur] if x != e)
             segments.append(Segment(tuple(verts), tuple(edges)))
-    return SkeletonInfo(border, frozenset(skel), frozenset(sverts), junctions, tuple(segments))
-
-
-def _hanging_subtrees(tree, fragment: frozenset[int], skeleton: SkeletonInfo):
-    """Connected components of the fragment minus skeleton edges, each with
-    its attachment vertex on the skeleton, ordered by their lowest edge id.
-
-    There is one per fragment edge that leaves a skeleton vertex off the
-    skeleton: that edge and everything beyond it. The skeleton is connected,
-    so none of it lies beyond that edge.
-    """
-    adj = tree.adjacency_within(fragment)
-    comps = []
-    for attach in skeleton.vertices:
-        for first, eid in adj.get(attach, ()):
-            if eid in skeleton.edges:
-                continue
-            comp_edges, comp_verts = [eid], [attach, first]
-            stack = [(first, attach)]
-            while stack:
-                v, p = stack.pop()
-                for w, e in adj[v]:
-                    if w != p:
-                        comp_edges.append(e)
-                        comp_verts.append(w)
-                        stack.append((w, v))
-            comps.append((min(comp_edges), frozenset(comp_edges), frozenset(comp_verts), attach))
-    covered = sorted(e for _, comp_edges, _, _ in comps for e in comp_edges)
-    if covered != sorted(fragment - skeleton.edges):
-        raise FzaError("hanging subtrees do not cover the off-skeleton edges exactly once")
-    comps.sort()
-    return [(edges, verts, attach) for _, edges, verts, attach in comps]
+    return SkeletonInfo(border, frozenset(skel), frozenset(sverts), junctions, tuple(segments), hanging)
 
 
 def non_skeleton_solve(
     instance: Instance,
-    fragment_edges: Iterable[int],
     skeleton: SkeletonInfo,
     commodity_ids: Sequence[int],
     rng,
@@ -430,12 +413,13 @@ def non_skeleton_solve(
     Each hanging subtree is deactivated with probability 1/2; an active
     subtree is solved exactly as an instance rooted at its attachment vertex,
     restricted to commodities with exactly one endpoint inside it and the
-    other endpoint on the skeleton or in a deactivated subtree. The rooted DP
-    runs on the instance's own tree, within the subtree's edges; a subtree
-    with no such commodity is not solved (it would get no cut).
+    other endpoint on the skeleton or in a deactivated subtree. The subtrees
+    are `skeleton.hanging`, in its order, one coin each. The rooted DP runs
+    on the instance's own tree, within the subtree's edges; a subtree with no
+    such commodity is not solved (it would get no cut).
     """
     skel_verts = skeleton.vertices
-    comps = _hanging_subtrees(instance.tree, frozenset(fragment_edges), skeleton)
+    comps = skeleton.hanging
     active = [rng.random() >= 0.5 for _ in comps]
 
     # vertex -> index of the hanging subtree holding it (attachment excluded)
@@ -482,20 +466,58 @@ def segment_guesses(length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _oriented(skeleton: SkeletonInfo, seg_index: int, root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(vertices, edge ids) of a segment read from its terminal `root`."""
+    seg = skeleton.segments[seg_index]
+    if root == seg.vertices[0]:
+        return seg.vertices, seg.edges
+    if root == seg.vertices[-1]:
+        return seg.vertices[::-1], seg.edges[::-1]
+    raise InvalidInstanceError(f"root {root} is not a terminal of segment {seg_index}")
+
+
 def _segment_members(
     instance: Instance, skeleton: SkeletonInfo, seg_index: int, root: int, commodity_ids: Iterable[int]
-) -> list[int]:
-    """The commodities that may join the aux instance of a segment rooted at
-    `root` whatever the guess: the root is an inner vertex of the path, and
-    the path meets the segment without holding all of it."""
-    seg_mask = skeleton.segment_tables[0][seg_index]
+) -> list[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
+    """One row per commodity that may join the aux instance of a segment
+    rooted at `root`, whatever the guess: the root is an inner vertex of its
+    path, and the path meets the segment without holding all of it.
+
+    A row is (prefix length, budget, scaled weight, blockers, held). The
+    prefix length counts the segment edges the path covers from the root.
+    The blockers are the other segments that have an endpoint of the
+    commodity as an inner vertex and do not contain the root. The held
+    segments are the other segments the path holds whole. Every mask test of
+    the aux instances is made here, once per (segment, root).
+    """
+    _, eids = _oriented(skeleton, seg_index, root)
+    prefix = [0]
+    for eid in eids:
+        prefix.append(prefix[-1] | 1 << eid)
+    seg_mask = prefix[-1]
+    segments = skeleton.segments
+    others = [(si, edge_mask(s.edges)) for si, s in enumerate(segments) if si != seg_index]
+    # inner vertex of a segment that misses the root (so not this one) -> that segment
+    blocker_at = {v: si for si, s in enumerate(segments) if root not in s.vertices for v in s.vertices[1:-1]}
     root_mask = instance.tree.incident_masks[root]
+    _, weights, _, budgets = instance._scaled
+    commodities = instance.commodities
     paths = instance.paths
-    return [
-        i
-        for i in commodity_ids
-        if (paths[i] & root_mask).bit_count() == 2 and 0 != paths[i] & seg_mask != seg_mask
-    ]
+
+    rows = []
+    for i in commodity_ids:
+        pm = paths[i]
+        reduced = pm & seg_mask
+        if (pm & root_mask).bit_count() != 2 or reduced in (0, seg_mask):
+            continue
+        length = reduced.bit_count()
+        if reduced != prefix[length]:
+            raise FzaError("reduced path is not a prefix of the segment")
+        c = commodities[i]
+        blockers = tuple(blocker_at[v] for v in (c.source, c.target) if v in blocker_at)
+        held = tuple(si for si, mask in others if pm & mask == mask)
+        rows.append((length, budgets[i], weights[i], blockers, held))
+    return rows
 
 
 def build_aux_instance(
@@ -505,63 +527,30 @@ def build_aux_instance(
     guesses: Sequence[int],
     root: int,
     active: Sequence[bool],
-    commodity_ids: Sequence[int],
+    members: Sequence[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]],
 ) -> tuple[IntegerPathInstance, list[int]]:
     """Reduced instance on one active segment, rooted at one of its terminals.
 
-    A commodity joins if the root is an inner vertex of its path, the segment
-    is not fully inside the path, and its far outer segment (the one missing
-    the root, if any) is inactive. Its row holds the length of the segment
-    prefix its path covers, its own budget and scaled weight, and its shift:
-    the cuts already committed to the active inner segments its path holds.
+    `members` are `_segment_members`' rows for this (segment, root). A row
+    joins unless one of its blockers is active. Its shift is the sum of the
+    guesses of its active held segments: the cuts already committed to them.
     With x cuts on the prefix it has shift + x in all, priced from the
-    instance's own scaled table. A commodity whose shift exceeds its budget
-    is omitted.
+    instance's own scaled table. A row whose shift exceeds its budget is
+    omitted.
 
     Returns the path instance plus the position -> original edge id map.
     """
-    seg = skeleton.segments[seg_index]
-    if root == seg.vertices[0]:
-        verts, eids = seg.vertices, list(seg.edges)
-    elif root == seg.vertices[-1]:
-        verts, eids = seg.vertices[::-1], list(seg.edges[::-1])
-    else:
-        raise InvalidInstanceError(f"root {root} is not a terminal of segment {seg_index}")
-    seg_masks, seg_vertex_sets, inner_seg_of, prefixes = skeleton.segment_tables
-    prefix_mask = prefixes[seg_index, root]
-    seg_mask = seg_masks[seg_index]
-    # (edge mask, guess) of the other active segments with cuts committed
-    committed = [
-        (seg_masks[si], guesses[si])
-        for si, on in enumerate(active)
-        if on and si != seg_index and guesses[si]
-    ]
-    scale, weights, prices, budgets = instance._scaled
-    commodities = instance.commodities
-    paths = instance.paths
-
+    verts, eids = _oriented(skeleton, seg_index, root)
+    committed = [g if on else 0 for g, on in zip(guesses, active)]
+    scale, _, prices, _ = instance._scaled
     rows = []
-    for i in _segment_members(instance, skeleton, seg_index, root, commodity_ids):
-        c = commodities[i]
-        blocked = False
-        for endpoint in (c.source, c.target):
-            osi = inner_seg_of.get(endpoint)
-            if osi is None or osi == seg_index:
-                continue
-            if root not in seg_vertex_sets[osi] and active[osi]:
-                blocked = True
-        if blocked:
+    for length, budget, weight, blockers, held in members:
+        if any(active[b] for b in blockers):
             continue
-        pm = paths[i]
-        shift = sum(g for mask, g in committed if mask & pm == mask)
-        if budgets[i] < shift:
-            continue
-        reduced = pm & seg_mask
-        length = reduced.bit_count()
-        if reduced != prefix_mask[length]:
-            raise FzaError("reduced path is not a prefix of the segment")
-        rows.append((length, budgets[i], weights[i], shift))
-    return IntegerPathInstance(tuple(verts), tuple(rows), scale, prices), eids
+        shift = sum(committed[s] for s in held)
+        if shift <= budget:
+            rows.append((length, budget, weight, shift))
+    return IntegerPathInstance(verts, tuple(rows), scale, prices), list(eids)
 
 
 def skeleton_solve(
@@ -578,7 +567,7 @@ def skeleton_solve(
     with the generalized path DP, and keep the combination with the best
     revenue over the fragment's commodities.
 
-    Within one call, each segment end's possible members are found once, and
+    Within one call, each segment end's member rows are worked out once, and
     a path DP result is reused whenever the same (segment, root, rows, cut
     count) comes up again. All coin draws of a guess happen before its DPs,
     so reuse does not change them. A cut set already scored in this call is
@@ -691,7 +680,7 @@ def sublog(
             kids = [decomp.levels[level][c] for c in decomp.children_of(level, idx)]
             skel = compute_skeleton(tree, frag, kids)
             rng_ns = substream(seed, "sublog", "nonskel", level, idx)
-            f_ns = non_skeleton_solve(instance, frag, skel, ids, rng_ns)
+            f_ns = non_skeleton_solve(instance, skel, ids, rng_ns)
             f_s = skeleton_solve(instance, skel, ids, (seed, "sublog", "skel", level, idx))
             rev_ns = instance.scaled_revenue(edge_mask(f_ns), ids)
             rev_s = instance.scaled_revenue(edge_mask(f_s), ids)

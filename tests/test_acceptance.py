@@ -257,7 +257,7 @@ def test_criterion_9_sublog_structural_and_statistical():
             kids = [decomp.levels[level][c] for c in decomp.children_of(level, idx)]
             skel = compute_skeleton(inst.tree, frag, kids)
             rng = substream(seed, "check", level, idx)
-            f_ns = non_skeleton_solve(inst, frag, skel, ids, rng)
+            f_ns = non_skeleton_solve(inst, skel, ids, rng)
             assert not f_ns & skel.edges
             assert f_ns <= frag
             f_s = skeleton_solve(inst, skel, ids, (seed, "check-skel", level, idx))

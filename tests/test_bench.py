@@ -106,15 +106,19 @@ class TestBench:
         assert data["algorithms"]["brute"]["min_ratio"] == "1"
 
 
-def test_perfbench_tracer_installs_and_uninstalls():
-    # perfbench/tracing.py patches fza by name; a renamed function fails here
-    # rather than only in the benchmark's own test suite
+def load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_tracer_installs_and_uninstalls():
+    # perfbench/tracing.py patches fza by name; a renamed function fails here
+    # rather than only in the benchmark's own test suite
     before = dict(SOLVERS)
-    tracer = tracing.Tracer()
+    tracer = load_tracing().Tracer()
     try:
         tracer.install()
         traced = SOLVERS["sublog"][0]
@@ -124,6 +128,23 @@ def test_perfbench_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert SOLVERS == before
+
+
+def test_perfbench_sublog_counters():
+    # the tracer derives these counters from sublog's arguments and results
+    # (the member rows passed to build_aux_instance, the aux rows it keeps,
+    # the skeleton's segments); a changed argument breaks them here
+    inst = gen_random(GenSpec("random-path", 40, 40, pricing="affine", seed=1))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        solve, _ = SOLVERS["sublog"]
+        solve(inst, 1)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["sublog.build_aux_instance.scanned"] >= counts["sublog.build_aux_instance.kept"] > 0
+    assert counts["sublog.skeleton_solve.guesses"] > 0
 
 
 def load_bench_pairs():

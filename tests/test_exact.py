@@ -177,6 +177,17 @@ class TestGeneralizedPathDP:
         with pytest.raises(InvalidInstanceError):
             GeneralizedCommodity(3, 3, Fraction(1), pricing, shift=-1)
 
+    def test_refuses_non_int_fields(self):
+        pricing = PricingFunction.linear(5)
+        for target, budget, shift in ((3, True, 0), (3, 3, True), (3, 2.0, 0), (3, 3, 1.0), (3.0, 3, 0)):
+            with pytest.raises(InvalidInstanceError, match="must be an integer"):
+                GeneralizedCommodity(target, budget, Fraction(1), pricing, shift=shift)
+        c = GeneralizedCommodity(3, 3, Fraction(1), pricing)
+        for path in ((0, 1, 2, 3.5), (0, 1.0, 2, 3), (False, True, 2, 3)):
+            with pytest.raises(InvalidInstanceError, match="must be an integer"):
+                GeneralizedPathInstance(path, (c,))
+        assert GeneralizedPathInstance([0, 1, 2, 3], [c]).path == (0, 1, 2, 3)
+
     def test_exact_cut_count_and_optimality(self):
         for seed in range(20):
             n = 4 + seed % 7

@@ -47,6 +47,21 @@ class TestTree:
         t = Tree(1, ())
         assert t.num_edges == 0
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, ((0, 1.7), (1, 2))),
+            (3, ((0, 1), (1.0, 2))),
+            (2, ((False, True),)),
+            (2.0, ((0, 1),)),
+            (True, ()),
+        ],
+    )
+    def test_refuses_non_int_vertices(self, n, edges):
+        # a float or bool is refused, not truncated to an int vertex
+        with pytest.raises(InvalidInstanceError, match="must be an integer"):
+            Tree(n, edges)
+
     def test_path_order(self):
         t = Tree(4, ((2, 3), (0, 1), (1, 2)))
         verts, eids = t.path_order()
@@ -73,6 +88,20 @@ class TestResolvePath:
             resolve_path(t, 1, 1)
         with pytest.raises(InvalidInstanceError):
             resolve_path(t, 0, 5)
+
+
+class TestCommodity:
+    @pytest.mark.parametrize(
+        "args",
+        [(0.5, 2, 1, 1), (0, 2.0, 1, 1), (True, 2, 1, 1), (0, 2, True, 1), (0, 2, 1.0, 1)],
+    )
+    def test_refuses_non_int_fields(self, args):
+        with pytest.raises(InvalidInstanceError, match="must be an integer"):
+            Commodity(*args)
+
+    def test_int_fields_unchanged(self):
+        c = Commodity(0, 2, 0, 3)
+        assert (c.source, c.target, c.budget, c.weight) == (0, 2, 0, Fraction(3))
 
 
 class TestPricing:

@@ -19,7 +19,7 @@ from fza import (
 from fza.sublog import (
     Segment,
     SkeletonInfo,
-    _hanging_subtrees,
+    _segment_members,
     almost_balanced_decomposition,
     branching_parameter,
     build_aux_instance,
@@ -195,7 +195,7 @@ class TestClassification:
         inst2 = make(inst.tree, inst.pricing, [Commodity(far[0], far[1], 1, Fraction(1))])
         decomp = build_decomposition(inst2.tree)
         assign = classify_commodities(decomp, inst2)
-        assert assign.level_of[0] == 1
+        assert assign.by_fragment == {(1, 0): [0]} and assign.extra == ()
 
     def test_single_edge_commodity_extra_class(self):
         t = Tree(4, ((0, 1), (1, 2), (2, 3)))
@@ -203,7 +203,7 @@ class TestClassification:
         decomp = build_decomposition(t)
         assign = classify_commodities(decomp, inst)
         assert assign.extra == (0,)
-        assert assign.level_of[0] == decomp.num_levels
+        assert assign.by_fragment == {}
 
     def test_partition_and_border_traversal(self):
         for seed in range(15):
@@ -275,7 +275,7 @@ class TestGeometryMatchesReference:
         assert (skel.border, skel.edges, skel.vertices, skel.junctions, skel.segments) == (
             ref.border, ref.edges, ref.vertices, ref.junctions, ref.segments
         )
-        assert _hanging_subtrees(tree, frozenset(frag), skel) == reference_hanging_subtrees(tree, frag, ref)
+        assert list(skel.hanging) == reference_hanging_subtrees(tree, frag, ref)
         return skel
 
     def test_decomposition_fragments(self):
@@ -295,7 +295,7 @@ class TestGeometryMatchesReference:
         # each leg is a child: the hub is the one border vertex, every leg hangs from it
         skel = self.assert_matches(spider(4), range(8), [{2 * i, 2 * i + 1} for i in range(4)])
         assert skel.vertices == skel.border == {0} and not skel.edges
-        assert [attach for _, _, attach in _hanging_subtrees(spider(4), frozenset(range(8)), skel)] == [0] * 4
+        assert [attach for _, _, attach in skel.hanging] == [0] * 4
 
 
 class TestNonSkeleton:
@@ -312,14 +312,14 @@ class TestNonSkeleton:
 
     def test_all_deactivated_yields_empty(self):
         inst, skel = self._setup()
-        cuts = non_skeleton_solve(inst, range(27), skel, [0, 1, 2], FixedRng([0.0]))
+        cuts = non_skeleton_solve(inst, skel, [0, 1, 2], FixedRng([0.0]))
         assert cuts == frozenset()
 
     def test_never_cuts_skeleton(self):
         inst, skel = self._setup()
         for seed in range(30):
             rng = substream(seed, "ns-test")
-            cuts = non_skeleton_solve(inst, range(27), skel, [0, 1, 2], rng)
+            cuts = non_skeleton_solve(inst, skel, [0, 1, 2], rng)
             assert not cuts & skel.edges
 
     def test_single_active_edge_commodity(self):
@@ -328,7 +328,7 @@ class TestNonSkeleton:
         inst = make(t, PricingFunction.linear(4), [Commodity(2, 3, 1, Fraction(1))])
         skel = compute_skeleton(t, range(3), [frozenset({0, 1}), frozenset({2})])
         assert skel.border == {1}
-        cuts = non_skeleton_solve(inst, range(3), skel, [0], FixedRng([0.9, 0.0]))
+        cuts = non_skeleton_solve(inst, skel, [0], FixedRng([0.9, 0.0]))
         assert len(cuts) == 1
 
 
@@ -347,9 +347,8 @@ class TestAuxInstance:
             i for i, s in enumerate(skel.segments) if tuple(s.edges) == (11, 12)
         )
         active = [False, True, True, False, True, False]
-        gpi, edge_map = build_aux_instance(
-            inst, skel, seg_index, (0, 2, 1, 0, 1, 0), 11, active, [0]
-        )
+        members = _segment_members(inst, skel, seg_index, 11, [0])
+        gpi, edge_map = build_aux_instance(inst, skel, seg_index, (0, 2, 1, 0, 1, 0), 11, active, members)
         assert gpi.path == (11, 12, 13)
         assert edge_map == [11, 12]
         assert len(gpi.commodities) == 1
@@ -366,9 +365,8 @@ class TestAuxInstance:
             i for i, s in enumerate(skel.segments) if tuple(s.edges) == (11, 12)
         )
         active = [False, True, True, False, True, False]
-        gpi, _ = build_aux_instance(
-            inst, skel, seg_index, (0, 2, 1, 0, 1, 0), 11, active, [0]
-        )
+        members = _segment_members(inst, skel, seg_index, 11, [0])
+        gpi, _ = build_aux_instance(inst, skel, seg_index, (0, 2, 1, 0, 1, 0), 11, active, members)
         assert gpi.commodities == ()
 
     def test_no_active_inner_segments(self):
@@ -379,9 +377,8 @@ class TestAuxInstance:
             i for i, s in enumerate(skel.segments) if tuple(s.edges) == (11, 12)
         )
         active = [False, False, False, False, True, False]
-        gpi, _ = build_aux_instance(
-            inst, skel, seg_index, (0, 2, 1, 0, 1, 0), 11, active, [0]
-        )
+        members = _segment_members(inst, skel, seg_index, 11, [0])
+        gpi, _ = build_aux_instance(inst, skel, seg_index, (0, 2, 1, 0, 1, 0), 11, active, members)
         c = gpi.commodities[0]
         assert c[1] - c[3] == 2 and (row_price(gpi, c, 0), row_price(gpi, c, 1)) == (Fraction(0), Fraction(1))
 
@@ -585,7 +582,8 @@ class TestSubSolvesMatchReference:
                     if not active[si]:
                         continue
                     root = rng.choice(seg.terminals)
-                    aux, eids = build_aux_instance(inst, skel, si, guess, root, active, every)
+                    members = _segment_members(inst, skel, si, root, every)
+                    aux, eids = build_aux_instance(inst, skel, si, guess, root, active, members)
                     gpi, ref_eids = reference_aux_instance(inst, skel, si, guess, root, active, every)
                     assert eids == ref_eids and len(aux.commodities) == len(gpi.commodities)
                     with_rows += bool(aux.commodities)
@@ -613,7 +611,7 @@ class TestSubSolvesMatchReference:
         for inst, frag, _, skel, ids in sublog_fragments(range(32)):
             fragments += 1
             for label in ("a", "b", "c"):
-                got = non_skeleton_solve(inst, frag, skel, ids, substream(fragments, label))
+                got = non_skeleton_solve(inst, skel, ids, substream(fragments, label))
                 want = reference_non_skeleton_solve(inst, frag, skel, ids, substream(fragments, label))
                 assert got == want
         assert fragments > 40
