@@ -132,18 +132,7 @@ def rooted_cut_set(
     masks, so each commodity's path must meet `edges` exactly in its part
     between the root and its far end.
     """
-    tree = instance.tree
-    if not (0 <= root < tree.num_vertices):
-        raise InvalidInstanceError(f"invalid root {root}")
-    adjacency = dict(enumerate(tree.adjacency)) if edges is None else tree.adjacency_within(edges)
-    # BFS from the root over the allowed edges: vertex -> (parent, parent edge)
-    up: dict[int, tuple[int, int]] = {root: (-1, -1)}
-    order = [root]
-    for v in order:
-        for w, eid in adjacency.get(v, ()):
-            if w not in up:
-                up[w] = (v, eid)
-                order.append(w)
+    order, up = instance.tree.walk(root, edges)
     ends_at: dict[int, list[int]] = {}
     spanned = {root}
     for i, t in far_end.items():

@@ -6,20 +6,23 @@ instance's common denominator to a Python int (`Instance.value`), so solvers
 add and compare ints and divide by `Instance.scale` only when a revenue leaves
 them. There is no floating point anywhere in the revenue computation.
 
-A `Tree` is rooted once: its constructor checks connectivity with one BFS from
-vertex 0 and caches it as `Tree.rooting`, which `Instance.create`,
-`Instance.edge_commodities` and the density candidates read. The tree's
-`adjacency`, `incident_masks` and `is_path` are cached on first use.
-`Tree.adjacency_within` gives the adjacency within one edge set, so a walk
-over a fragment of the tree (sublog's decomposition, skeleton and hanging
-subtrees, the rooted DP within a subtree) scans only that fragment's edges.
+Every walk from a root is `Tree.walk`: one depth-first walk over the whole
+tree or over one edge set, so a walk over a fragment of the tree (sublog's
+decomposition, skeleton and hanging subtrees, the rooted DP within a
+subtree) scans only that fragment's edges. A `Tree` is rooted once: its
+constructor checks connectivity with the walk from vertex 0 and caches it as
+`Tree.rooting`, which `Instance.create`, `Instance.edge_commodities` and the
+density candidates read. The tree's `adjacency`, `incident_masks` and
+`is_path` are cached on first use.
 
 Commodity paths are cached two ways. `Instance.paths` holds each path as a
 bitmask over edge ids, so counting one commodity's cuts is an AND plus a
-popcount. `Instance.edge_commodities` is the inverse index, edge id ->
-commodities whose path holds it, built by walking each path once, so
-scoring a whole cut set (`Instance.scaled_cut_revenue`) costs the congestion
-summed over its cuts rather than one AND per commodity.
+popcount; `create` reads each path off the rooting as the XOR of its
+endpoints' masks of edges up to vertex 0. `Instance.edge_commodities` is
+the inverse index, edge id -> commodities whose path holds it, built by
+walking each path once, so scoring a whole cut set
+(`Instance.scaled_cut_revenue`) costs the congestion summed over its cuts
+rather than one AND per commodity.
 
 `Instance.gains` caches each commodity's marginal gains, value(i, c + 1) -
 value(i, c) for c below its path length, so a solver that adds or removes
@@ -36,7 +39,6 @@ their own.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -59,12 +61,16 @@ class CapacityError(FzaError, RuntimeError):
 
 
 def to_fraction(value: RationalLike) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a 'p/q' string."""
+    """Parse an exact rational from an int, a Fraction, or a string in
+    `Fraction`'s syntax without an exponent: '7', '-7/3', '2.5'."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        # `Fraction` expands an exponent digit by digit: '1e10000000' would hang
+        if "e" in value or "E" in value:
+            raise InvalidInstanceError(f"not a rational (no exponent notation): {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -115,7 +121,7 @@ class Tree:
             if key in seen:
                 raise InvalidInstanceError(f"duplicate edge ({u},{v})")
             seen.add(key)
-        # the BFS order from vertex 0 reaches all n vertices iff they are connected
+        # the walk from vertex 0 reaches all n vertices iff they are connected
         if len(self.rooting[3]) != n:
             raise InvalidInstanceError("edge list does not describe a connected tree")
 
@@ -125,24 +131,48 @@ class Tree:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex: tuple of (neighbor, edge id), in edge-id order."""
+        """Per vertex: tuple of (neighbor, edge id), ascending."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
         for eid, (u, v) in enumerate(self.edges):
             adj[u].append((v, eid))
             adj[v].append((u, eid))
-        return tuple(tuple(a) for a in adj)
+        return tuple(tuple(sorted(a)) for a in adj)
 
-    def adjacency_within(self, edges: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
-        """Per vertex of the edge set `edges`: its (neighbor, edge id) pairs
-        within the set, ascending. Every walk over a fragment of the tree reads it."""
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for eid in edges:
-            u, v = self.edges[eid]
-            adj.setdefault(u, []).append((v, eid))
-            adj.setdefault(v, []).append((u, eid))
-        for pairs in adj.values():
-            pairs.sort()
-        return adj
+    def walk(
+        self, root: int, edges: Iterable[int] | None = None
+    ) -> tuple[list[int], dict[int, tuple[int, int]]]:
+        """Depth-first walk from `root` over the edge set `edges` (the whole
+        tree by default): (order, up).
+
+        `order` lists the vertices reached in the order they are pushed, and
+        `up` maps each to its (parent, parent edge), the root to (-1, -1). A
+        vertex's children are pushed together, ascending by (neighbor, edge
+        id), so every parent comes before its children. Every walk from a
+        root, over the tree or over a fragment of it, is this one.
+        """
+        if not (0 <= root < self.num_vertices):
+            raise InvalidInstanceError(f"invalid root {root}")
+        if edges is None:
+            adj = self.adjacency
+        else:
+            adj = {root: []}
+            for eid in edges:
+                u, v = self.edges[eid]
+                adj.setdefault(u, []).append((v, eid))
+                adj.setdefault(v, []).append((u, eid))
+            for pairs in adj.values():
+                pairs.sort()
+        up = {root: (-1, -1)}
+        order = [root]
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, eid in adj[v]:
+                if w not in up:
+                    up[w] = (v, eid)
+                    order.append(w)
+                    stack.append(w)
+        return order, up
 
     @cached_property
     def incident_masks(self) -> tuple[int, ...]:
@@ -160,29 +190,18 @@ class Tree:
         return tuple(map(tuple, self.rooted(0)))
 
     def rooted(self, root: int) -> tuple[list[int], list[int], list[int], list[int]]:
-        """BFS rooting: (parent vertex, parent edge id, depth, bfs order).
+        """The tree along `walk(root)`: (parent vertex, parent edge id, depth,
+        walk order).
 
         parent[root] == -1 and parent_edge[root] == -1. depth counts edges.
         """
-        if not (0 <= root < self.num_vertices):
-            raise InvalidInstanceError(f"invalid root {root}")
+        order, up = self.walk(root)
         parent = [-1] * self.num_vertices
         parent_edge = [-1] * self.num_vertices
         depth = [0] * self.num_vertices
-        order = [root]
-        seen = [False] * self.num_vertices
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w, eid in self.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    parent_edge[w] = eid
-                    depth[w] = depth[v] + 1
-                    order.append(w)
-                    queue.append(w)
+        for v in order[1:]:
+            p, eid = up[v]
+            parent[v], parent_edge[v], depth[v] = p, eid, depth[p] + 1
         return parent, parent_edge, depth, order
 
     @cached_property
@@ -197,21 +216,9 @@ class Tree:
         """
         if not self.is_path:
             raise InvalidInstanceError("tree is not a path")
-        if self.num_vertices == 1:
-            return [0], []
-        start = min(v for v in range(self.num_vertices) if len(self.adjacency[v]) == 1)
-        verts = [start]
-        edge_ids = []
-        prev = -1
-        cur = start
-        while len(verts) < self.num_vertices:
-            for w, eid in self.adjacency[cur]:
-                if w != prev:
-                    verts.append(w)
-                    edge_ids.append(eid)
-                    prev, cur = cur, w
-                    break
-        return verts, edge_ids
+        start = min((v for v, a in enumerate(self.adjacency) if len(a) == 1), default=0)
+        order, up = self.walk(start)
+        return order, [up[v][1] for v in order[1:]]
 
 
 @dataclass(frozen=True)
@@ -329,29 +336,20 @@ class Instance:
             raise InvalidInstanceError(
                 f"pricing table has {len(pricing)} entries, need at least {tree.num_vertices}"
             )
-        # the tree's one rooting at vertex 0 serves every commodity: walk both
-        # endpoints up to their meeting point, collecting parent edges
-        parent, parent_edge, depth, _ = tree.rooting
+        # the tree's one rooting at vertex 0 serves every commodity: each
+        # vertex's mask of edges up to vertex 0, so a path is the XOR of its ends'
+        n = tree.num_vertices
+        parent, parent_edge, _, order = tree.rooting
+        root_path = [0] * n
+        for v in order[1:]:
+            root_path[v] = root_path[parent[v]] | 1 << parent_edge[v]
         paths = []
         for c in commodities:
-            n = tree.num_vertices
             if not (0 <= c.source < n and 0 <= c.target < n):
                 raise InvalidInstanceError(
                     f"commodity endpoint out of range: ({c.source},{c.target})"
                 )
-            mask = 0
-            a, b = c.source, c.target
-            while depth[a] > depth[b]:
-                mask |= 1 << parent_edge[a]
-                a = parent[a]
-            while depth[b] > depth[a]:
-                mask |= 1 << parent_edge[b]
-                b = parent[b]
-            while a != b:
-                mask |= 1 << parent_edge[a]
-                mask |= 1 << parent_edge[b]
-                a, b = parent[a], parent[b]
-            paths.append(mask)
+            paths.append(root_path[c.source] ^ root_path[c.target])
         return cls(tree, pricing, tuple(commodities), tuple(paths))
 
     @property
@@ -393,8 +391,9 @@ class Instance:
     def edge_commodities(self) -> tuple[tuple[int, ...], ...]:
         """Per edge id: the ids of the commodities whose path holds that edge, ascending.
 
-        Built in O(n + sum of path lengths) by the parent-edge walk of
-        `create`, not by reading the n-bit path masks bit by bit.
+        Built in O(n + sum of path lengths) by walking both endpoints up
+        `Tree.rooting`'s parent edges to their meeting point, not by reading
+        the n-bit path masks bit by bit.
         """
         parent, parent_edge, depth, _ = self.tree.rooting
         on_edge: list[list[int]] = [[] for _ in range(self.tree.num_edges)]

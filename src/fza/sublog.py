@@ -10,11 +10,12 @@ place exactly that many cuts per active segment with a path DP). Commodities
 whose path is a single edge are never separated by the decomposition and get
 an exact per-edge treatment instead.
 
-Each fact about a fragment's geometry is worked out once. One pass over the
-fragment (`Tree.adjacency_within` of its edges), rooted at a border vertex,
-yields the skeleton (an edge is on it iff the part of the fragment below the
-edge holds a border vertex), its segments and the hanging subtrees (one
-off-skeleton edge at a skeleton vertex plus all beyond it). Per (segment,
+Each fact about a fragment's geometry is worked out once. One walk over the
+fragment's edges (`Tree.walk`), rooted at a border vertex, yields the
+skeleton (an edge is on it iff the part of the fragment below the edge holds
+a border vertex), its segments and the hanging subtrees (one off-skeleton
+edge at a skeleton vertex plus all beyond it). The decomposition carves each
+fragment along the same walk, rooted at its lowest vertex. Per (segment,
 root), one scan of the fragment's commodities yields the member rows of
 every aux instance on that segment: prefix length, the segments that block
 the member and the segments its path holds whole. Per guess, an aux instance
@@ -76,20 +77,12 @@ def almost_balanced_decomposition(
         raise InvalidInstanceError(f"fragment with {m} edges cannot be split {d} ways")
     target = -(-m // d)
 
-    adj = tree.adjacency_within(fragment)
-    root = min(adj)
-    parent = {root: -1}
-    order = [root]
-    children: dict[int, list[tuple[int, int]]] = {v: [] for v in adj}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w, eid in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                children[v].append((w, eid))
-                order.append(w)
-                stack.append(w)
+    root = min(v for eid in fragment for v in tree.edges[eid])
+    order, up = tree.walk(root, fragment)
+    children: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
+    for v in order[1:]:
+        p, eid = up[v]
+        children[p].append((v, eid))
 
     pieces: list[set[int]] = []
     acc: dict[int, list[int]] = {}
@@ -124,7 +117,7 @@ def almost_balanced_decomposition(
     if len(pieces) == 1:
         # only possible for d = 2: a lone oversized piece swallowed the
         # remainder; fall back to a centroid split into two branch bundles
-        pieces = _bipartition(fragment, adj, parent, order, children, d)
+        pieces = _bipartition(fragment, order, up, children, d)
 
     if m >= 2 and not 2 <= len(pieces) <= d:
         raise FzaError(f"carving produced {len(pieces)} pieces for d={d}")
@@ -136,39 +129,35 @@ def almost_balanced_decomposition(
     return [frozenset(p) for p in pieces]
 
 
-def _bipartition(fragment, adj, parent, order, children, d: int):
+def _bipartition(fragment, order, up, children, d: int):
     """Split a fragment in two at a centroid vertex: bundle its branches
-    greedily until the first side clears the lower size bound."""
+    greedily until the first side clears the lower size bound. `order`, `up`
+    and `children` are the fragment's walk from its root `order[0]`."""
     m = len(fragment)
-    sub_edges = {v: 0 for v in adj}
+    sub_edges = {v: 0 for v in order}
     for v in reversed(order):
         for child, _ in children[v]:
             sub_edges[v] += sub_edges[child] + 1
 
     def branch_sizes(v):
         sizes = [sub_edges[c] + 1 for c, _ in children[v]]
-        if parent[v] != -1:
+        if v != order[0]:
             sizes.append(m - sub_edges[v])
         return sizes
 
-    centroid = min(adj, key=lambda v: (max(branch_sizes(v)), v))
+    centroid = min(order, key=lambda v: (max(branch_sizes(v)), v))
 
-    def branch_edges(child, eid):
-        out = {eid}
-        stack = [child]
-        while stack:
-            w = stack.pop()
-            for c, e in children[w]:
-                out.add(e)
-                stack.append(c)
-        return out
-
-    branches = [branch_edges(c, e) for c, e in children[centroid]]
-    if parent[centroid] != -1:
-        up = set(fragment)
-        for b in branches:
-            up -= b
-        branches.append(up)
+    # each edge joins the branch of the centroid's child above it, or the
+    # branch through the centroid's parent (key -1)
+    branch = {order[0]: -1}
+    bundles: dict[int, set[int]] = {}
+    for v in order[1:]:
+        p, eid = up[v]
+        branch[v] = v if p == centroid else branch[p]
+        bundles.setdefault(branch[v], set()).add(eid)
+    branches = [bundles[c] for c, _ in children[centroid]]
+    if centroid != order[0]:
+        branches.append(bundles[-1])
     branches.sort(key=len, reverse=True)
     lower = -(-m // (3 * d))
     side = set()
@@ -338,16 +327,10 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
     if not border:
         return SkeletonInfo(border, frozenset(), border, frozenset(), ())
 
-    adj = tree.adjacency_within(fragment_edges)
-    root = min(border)
-    up = {root: (-1, -1)}  # vertex -> (parent, parent edge)
-    order = [root]
-    for v in order:
-        for w, eid in adj[v]:
-            if w not in up:
-                up[w] = (v, eid)
-                order.append(w)
-    if len(order) != len(adj):
+    fragment = frozenset(fragment_edges)
+    order, up = tree.walk(min(border), fragment)
+    # a connected fragment is a tree, so it has one vertex more than edges
+    if len(order) != len(fragment) + 1:
         raise FzaError("skeleton pass does not reach every fragment vertex")
     sverts = set(border)
     skel = set()
@@ -376,7 +359,10 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
         for sub_edges, sub_verts, attach in sorted(subtrees, key=lambda sub: min(sub[0]))
     )
 
-    incident = {v: [eid for _, eid in adj[v] if eid in skel] for v in sverts}
+    incident: dict[int, list[int]] = {v: [] for v in sverts}
+    for eid in skel:
+        for v in tree.edges[eid]:
+            incident[v].append(eid)
     junctions = frozenset(v for v in sverts if len(incident[v]) >= 3 and v not in border)
     breakpoints = set(border) | set(junctions)
 

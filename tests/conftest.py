@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -97,6 +98,44 @@ def _random_tree(rng, n: int) -> Tree:
     for v in range(1, n):
         edges.append((rng.randrange(v), v))
     return Tree(n, tuple(edges))
+
+
+def shaped_tree(rng, n: int, shape: str) -> Tree:
+    """A random "tree", "path" or "star" on n vertices, with shuffled labels,
+    edge order and edge orientation, so vertex 0 is nowhere in particular."""
+    if shape == "path":
+        edges = [(v - 1, v) for v in range(1, n)]
+    elif shape == "star":
+        edges = [(0, v) for v in range(1, n)]
+    else:
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u]) for u, v in edges]
+    rng.shuffle(edges)
+    return Tree(n, tuple(edges))
+
+
+def bfs_rooting(tree: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
+    """(parent, parent edge, depth) of `tree` rooted at `root`, by a BFS over
+    its edge list that shares nothing with `Tree.walk`. A tree fixes all
+    three, whatever order a walk visits the vertices in."""
+    n = tree.num_vertices
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(tree.edges):
+        neighbors[u].append((v, eid))
+        neighbors[v].append((u, eid))
+    parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
+    queue = deque([root])
+    seen = {root}
+    while queue:
+        v = queue.popleft()
+        for w, eid in neighbors[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w], parent_edge[w], depth[w] = v, eid, depth[v] + 1
+                queue.append(w)
+    return parent, parent_edge, depth
 
 
 def best_of_size(instance: Instance, size: int) -> Fraction:

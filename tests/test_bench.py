@@ -173,10 +173,14 @@ def test_bench_pairs_summary_shows_failures_and_bounds():
         for seed in (1, 2)
         for side, values in (("parent", (10.0, 1.0, 0)), ("change", (7.0, 1.1, seed - 1)))
     ]
-    ops, solves, op = bench_pairs.summarize(runs, end_to_end)
+    (ops, solves, op), rejected = bench_pairs.summarize(runs, end_to_end)
     assert ops.split() == ["w", "failed/attempted", "ops", "parent", "0/100", "change", "1/100"]
     assert solves.endswith("within bound 0.24: NO") and "change better in 0/2 pairs" in solves
     assert op.endswith("within bound 0.24: yes")
+    assert rejected == [
+        "w: the change failed 1/100 ops, the parent 0/100",
+        "w solves_per_s: change median 7 is outside bound 0.24 of parent median 10",
+    ]
 
 
 def test_bench_pairs_exits_1_on_an_incorrect_run(tmp_path, monkeypatch, capsys):
@@ -194,3 +198,33 @@ def test_bench_pairs_exits_1_on_an_incorrect_run(tmp_path, monkeypatch, capsys):
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--seed", "1"]
     assert bench_pairs.main([*argv, "--out", str(tmp_path / "b.json"), "w=1"]) == 1
     assert "w seed 1 change reported correct: false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        pytest.param((7.0, 0), "error: w solves_per_s: change median 7 is outside bound 0.24", id="outside-bound"),
+        pytest.param((10.0, 1), "error: w: the change failed 1/4 ops, the parent 0/4", id="more-failed-ops"),
+        pytest.param((10.0, 0), None, id="accepted"),
+    ],
+)
+def test_bench_pairs_exits_1_on_either_rejection_rule(tmp_path, monkeypatch, capsys, change, expected):
+    # every run reports correct: true, so only the bound or the failed share can reject
+    bench_pairs = load_bench_pairs()
+    bench = {"command": ["true"], "run_seconds": 1, "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.24}]}
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def run_once(checkout, command, workload, seed, seconds):
+        solves, failed = change if checkout.name == "change" else (10.0, 0)
+        return {"correct": True, "attempted": 4, "failed": failed, "metrics": {"solves_per_s": {"value": solves}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--seed", "1"]
+    code = bench_pairs.main([*argv, "--out", str(tmp_path / "b.json"), "w=1"])
+    err = capsys.readouterr().err
+    if expected is None:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1 and err.startswith(expected) and err.count("\n") == 1

@@ -125,6 +125,12 @@ class TestCli:
                 lambda d: {**d, "commodities": [{"s": 0, "t": 2, "u": 1, "w": True}]},
                 id="bool-weight",
             ),
+            # `Fraction` would expand an exponent digit by digit; '1e10000000' hung
+            pytest.param(
+                lambda d: {**d, "commodities": [{"s": 0, "t": 2, "u": 1, "w": "1e3"}]},
+                id="exponent-weight",
+            ),
+            pytest.param(lambda d: {**d, "pricing": ["0", "1e3", "2E3"]}, id="exponent-price"),
             pytest.param(lambda d: {**d, "pricing": [0, True, True]}, id="bool-price"),
             pytest.param(lambda d: {**d, "pricing": "012"}, id="string-pricing"),
             pytest.param(lambda d: {**d, "version": True}, id="bool-version"),
@@ -217,6 +223,15 @@ class TestCli:
         assert code == 0
         inst = read_instance(out)
         assert inst.tree.num_edges == 10
+
+    def test_gen_path_sat_refuses_exponent_big_m(self, tmp_path, capsys):
+        out = tmp_path / "path.json"
+        code = main(
+            ["gen", "path-sat", "--clauses", "1 -1", "--big-m", "1e3", "--output", str(out)]
+        )
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_gen_sat_requires_clauses(self, tmp_path):
         assert main(["gen", "star-sat", "--output", str(tmp_path / "x.json")]) == 2

@@ -21,9 +21,17 @@ from fza import (
     single_density_base,
     total_revenue,
 )
-from fza.model import edge_mask, make_result, revenue_for, total_revenue_mask
-from fza.sublog import sublog
-from conftest import fig1_instance, path_edges, random_instance, resolve_path, revenue_of_commodity
+from fza.model import edge_mask, make_result, revenue_for, to_fraction, total_revenue_mask
+from fza.sublog import build_decomposition, sublog
+from conftest import (
+    bfs_rooting,
+    fig1_instance,
+    path_edges,
+    random_instance,
+    resolve_path,
+    revenue_of_commodity,
+    shaped_tree,
+)
 
 
 def make(tree, pricing, commodities):
@@ -88,6 +96,92 @@ class TestResolvePath:
             resolve_path(t, 1, 1)
         with pytest.raises(InvalidInstanceError):
             resolve_path(t, 0, 5)
+
+
+SHAPES = ("tree", "path", "star")
+
+
+def test_path_masks_match_resolve_path():
+    # `create` reads each mask off the rooting at vertex 0; `resolve_path`
+    # walks up from t to s on the tree rooted at s
+    rng = Random(1301)
+    for trial in range(90):
+        n = rng.randint(2, 200) if trial % 3 else rng.randint(2, 6)
+        tree = shaped_tree(rng, n, SHAPES[trial % 3])
+        leaves = [v for v in range(n) if len(tree.adjacency[v]) == 1]
+        ends = [0, *rng.sample(leaves, min(3, len(leaves)))]
+        pairs = [(s, t) for s in ends for t in ends if s != t]
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(20)]
+        inst = Instance.create(tree, PricingFunction.linear(n), [Commodity(s, t, 0, Fraction(1)) for s, t in pairs])
+        for (s, t), mask in zip(pairs, inst.paths):
+            assert mask == edge_mask(resolve_path(tree, s, t)), (trial, s, t)
+
+
+class TestWalk:
+    @staticmethod
+    def check_walk(tree, root, edges=None):
+        """The walk from `root` over `edges` reaches each vertex of the
+        component holding `root` once, a parent before its child, and pushes
+        a vertex's children together, ascending by (neighbor, edge id)."""
+        order, up = tree.walk(root, edges)
+        allowed = set(range(tree.num_edges) if edges is None else edges)
+        component = {root}
+        while True:
+            grown = component | {v for e in allowed if component & set(tree.edges[e]) for v in tree.edges[e]}
+            if grown == component:
+                break
+            component = grown
+        assert len(order) == len(set(order)) and set(order) == set(up) == component
+        assert order[0] == root and up[root] == (-1, -1)
+        position = {v: i for i, v in enumerate(order)}
+        children: dict[int, list[tuple[int, int]]] = {}
+        for v in order[1:]:
+            p, eid = up[v]
+            assert eid in allowed and set(tree.edges[eid]) == {p, v}
+            assert position[p] < position[v]
+            children.setdefault(p, []).append((v, eid))
+        for kids in children.values():
+            spots = [position[v] for v, _ in kids]
+            assert kids == sorted(kids) and spots == list(range(spots[0], spots[0] + len(kids)))
+        return order
+
+    def test_rooted_matches_bfs_reference(self):
+        rng = Random(1302)
+        for trial in range(45):
+            n = rng.randint(1, 120)
+            tree = shaped_tree(rng, n, SHAPES[trial % 3])
+            leaves = [v for v in range(n) if len(tree.adjacency[v]) == 1]
+            for root in {0, n - 1, rng.randrange(n), *leaves[:2]}:
+                parent, parent_edge, depth, order = tree.rooted(root)
+                assert (parent, parent_edge, depth) == bfs_rooting(tree, root)
+                assert order == self.check_walk(tree, root)
+
+    def test_walks_over_decomposition_fragments(self):
+        rng = Random(1303)
+        for trial in range(30):
+            tree = shaped_tree(rng, rng.randint(2, 80), SHAPES[trial % 3])
+            for level in build_decomposition(tree, d=2 + trial % 3).levels:
+                for fragment in level:
+                    vertices = sorted({v for e in fragment for v in tree.edges[e]})
+                    for root in {vertices[0], rng.choice(vertices)}:
+                        self.check_walk(tree, root, fragment)
+
+    def test_edge_set_away_from_root(self):
+        tree = Tree(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+        assert tree.walk(0, {2, 3}) == ([0], {0: (-1, -1)})
+        assert tree.walk(4, ()) == ([4], {4: (-1, -1)})
+        with pytest.raises(InvalidInstanceError, match="invalid root"):
+            tree.walk(5)
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E-2", "-2.5e1", "1/1e2"])
+def test_to_fraction_refuses_exponents(text):
+    with pytest.raises(InvalidInstanceError, match="exponent"):
+        to_fraction(text)
+
+
+def test_to_fraction_reads_plain_forms():
+    assert [to_fraction(t) for t in ("7", "-7/3", " 2.5 ", "+1/2")] == [7, Fraction(-7, 3), Fraction(5, 2), Fraction(1, 2)]
 
 
 class TestCommodity:
@@ -461,7 +555,7 @@ def test_public_surface():
 
 
 def test_each_tree_is_rooted_once(monkeypatch):
-    # the constructor's BFS from vertex 0 (`Tree.rooting`) serves every
+    # the constructor's walk from vertex 0 (`Tree.rooting`) serves every
     # later reader; nothing roots the same tree again
     calls = Counter()
     rooted = Tree.rooted

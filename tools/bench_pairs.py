@@ -14,7 +14,9 @@ finished. At the end a summary prints, per workload, each side's failed and
 attempted ops, and per end-to-end metric of BENCHMARK.json, each side's
 median and quartiles, how many pairs the change won (ties count for neither
 side) and whether the change's median is within the metric's bound. The exit
-status is 1 if any run reported `correct: false`.
+status is 1, with one `error:` line on stderr per cause, if any run reported
+`correct: false`, if a change median is outside its metric's bound, or if
+the change failed a larger share of a workload's ops than the parent.
 
 Standard library only.
 """
@@ -63,23 +65,30 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict], end_to_end: list[dict]) -> list[str]:
+def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[list[str], list[str]]:
     """Per workload: each side's failed and attempted ops over all its runs.
     Then per end-to-end metric (BENCHMARK.json's `end_to_end` entries): each
     side's median and quartiles, the pairs the change won, whether the medians
     differ by more than the parent's quartile spread, and whether the change's
-    median is within the metric's relative `bound` of the parent's."""
-    lines = []
+    median is within the metric's relative `bound` of the parent's.
+
+    Returns those lines and the rejections: one message per change median
+    outside its bound and per workload where the change failed a larger
+    share of ops than the parent."""
+    lines: list[str] = []
+    rejected: list[str] = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         own = [r for r in runs if r["workload"] == workload]
         ops = {s: [r["result"] for r in own if r["side"] == s] for s in SIDES}
+        totals = {s: (sum(r["failed"] for r in ops[s]), sum(r["attempted"] for r in ops[s])) for s in SIDES}
         lines.append(
-            f"{workload:12} failed/attempted ops"
-            + "".join(
-                f"  {s} {sum(r['failed'] for r in ops[s])}/{sum(r['attempted'] for r in ops[s])}"
-                for s in SIDES
-            )
+            f"{workload:12} failed/attempted ops" + "".join(f"  {s} {totals[s][0]}/{totals[s][1]}" for s in SIDES)
         )
+        (p_failed, p_attempted), (c_failed, c_attempted) = totals["parent"], totals["change"]
+        if c_failed * p_attempted > p_failed * c_attempted:
+            rejected.append(
+                f"{workload}: the change failed {c_failed}/{c_attempted} ops, the parent {p_failed}/{p_attempted}"
+            )
         pairs: dict[int, dict] = {}
         for r in own:
             pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
@@ -98,7 +107,11 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> list[str]:
                 f"  |median diff| > parent IQR: {'yes' if beyond else 'no'}"
                 f"  within bound {bound:g}: {'yes' if within else 'NO'}"
             )
-    return lines
+            if not within:
+                rejected.append(
+                    f"{workload} {metric}: change median {cmed:.4g} is outside bound {bound:g} of parent median {pmed:.4g}"
+                )
+    return lines, rejected
 
 
 def main(argv=None) -> int:
@@ -147,11 +160,16 @@ def main(argv=None) -> int:
                     f" failed {result['failed']}/{result['attempted']} ops",
                     flush=True,
                 )
-    print("\n".join(summarize(report["runs"], bench["end_to_end"])))
-    incorrect = [r for r in report["runs"] if not r["result"]["correct"]]
-    for r in incorrect:
-        print(f"error: {r['workload']} seed {r['seed']} {r['side']} reported correct: false", file=sys.stderr)
-    return 1 if incorrect else 0
+    lines, rejected = summarize(report["runs"], bench["end_to_end"])
+    print("\n".join(lines))
+    rejected += [
+        f"{r['workload']} seed {r['seed']} {r['side']} reported correct: false"
+        for r in report["runs"]
+        if not r["result"]["correct"]
+    ]
+    for message in rejected:
+        print(f"error: {message}", file=sys.stderr)
+    return 1 if rejected else 0
 
 
 if __name__ == "__main__":
