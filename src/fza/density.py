@@ -31,10 +31,17 @@ def _argmax_candidates(instance, candidates, algorithm, seed=None):
 
     Ties go to the first such candidate in generation order, i.e. the lowest
     class j and then the lowest offset theta; the cut set itself never
-    breaks a tie.
+    breaks a tie. Each cut set is scored once: a later equal candidate (the
+    empty set of each empty offset, or an unthinned offset bucket repeated by
+    every class whose modulus exceeds the tree's depth) earns the same
+    revenue, so under the strict `>` it could not win.
     """
     best = None
+    scored = set()
     for cuts in candidates:
+        if cuts in scored:
+            continue
+        scored.add(cuts)
         rev = instance.scaled_cut_revenue(cuts)
         if best is None or rev > best[0]:
             best = (rev, cuts)
@@ -67,12 +74,14 @@ def single_density(instance: Instance, seed: int) -> SolveResult:
 
     One candidate per (class j, offset theta) pair: the modular edge
     selection below root 0, thinned edge-wise with probability 1/2. The empty
-    set covers the zero-budget class.
+    set covers the zero-budget class. Each pair's coin flips come from its
+    own stream; an empty bucket reads no draw, so its stream is not seeded
+    and its candidate is the empty set.
     """
     candidates = [frozenset()]
     for j, buckets in _offset_buckets(instance):
         for theta, bucket in enumerate(buckets):
-            rng = substream(seed, "single-density", j, theta)
+            rng = substream(seed, "single-density", j, theta) if bucket else None
             candidates.append(frozenset(e for e in bucket if rng.random() >= 0.5))
     return _argmax_candidates(instance, candidates, "single-density", seed=seed)
 

@@ -39,6 +39,7 @@ their own.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -60,20 +61,30 @@ class CapacityError(FzaError, RuntimeError):
     """Input exceeds a solver's configured enumeration budget."""
 
 
+# sign, integer digits, then a '/' denominator or '.' decimals; a digit leads or follows the '.'
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*", re.ASCII)
+
+
 def to_fraction(value: RationalLike) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a string in
-    `Fraction`'s syntax without an exponent: '7', '-7/3', '2.5'."""
+    """Parse an exact rational from an int, a Fraction, or a string holding an
+    integer '7', a ratio '-7/3' or a decimal '2.5': ASCII digits only, an
+    optional sign and surrounding whitespace, no '_' and no exponent. The
+    string is matched once and the Fraction built from ints."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        # `Fraction` expands an exponent digit by digit: '1e10000000' would hang
-        if "e" in value or "E" in value:
-            raise InvalidInstanceError(f"not a rational (no exponent notation): {value!r}")
+        m = _RATIONAL.fullmatch(value)
+        if m is None:
+            hint = " (no exponent notation)" if "e" in value or "E" in value else ""
+            raise InvalidInstanceError(f"not a rational{hint}: {value!r}")
+        sign, num, den, dec = m.groups()
+        scale = 10 ** len(dec or "")
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+            n = int(num or 0) * scale + int(dec or 0)
+            return Fraction(-n if sign == "-" else n, int(den or 1) * scale)
+        except (ValueError, ZeroDivisionError) as exc:  # past int's digit limit, or '1/0'
             raise InvalidInstanceError(f"not a rational: {value!r}") from exc
     raise InvalidInstanceError(f"not a rational: {value!r}")
 
@@ -223,15 +234,16 @@ class Tree:
 
 @dataclass(frozen=True)
 class PricingFunction:
-    """Tabulated non-decreasing concave prices f(0), f(1), ... as exact rationals."""
+    """Tabulated non-decreasing concave prices f(0), f(1), ... as exact rationals,
+    checked on the integer table `scaled`: scaling by D_f > 0 keeps every comparison."""
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(to_fraction(v) for v in self.values))
-        vals = self.values
-        if not vals:
+        if not self.values:
             raise InvalidInstanceError("pricing table is empty")
+        vals = self.scaled[1]
         if vals[0] < 0:
             raise InvalidInstanceError("pricing values must be non-negative")
         for x in range(1, len(vals)):
@@ -302,7 +314,7 @@ class Commodity:
             raise InvalidInstanceError("commodity endpoints coincide")
         if as_int(self.budget, "budget") < 0:
             raise InvalidInstanceError(f"budget must be a non-negative integer, got {self.budget!r}")
-        if self.weight <= 0:
+        if self.weight.numerator <= 0:
             raise InvalidInstanceError("commodity weight must be positive")
 
 
@@ -466,7 +478,9 @@ def normalize(instance: Instance) -> Instance:
     commodities that share both path and budget (weights add up).
 
     Commodities come out sorted by (low endpoint, high endpoint, budget) with
-    endpoints in increasing order, which fixes the serialization order.
+    endpoints in increasing order, which fixes the serialization order. An
+    input commodity that is already in that form and merges with no other is
+    kept as it is rather than built and validated again.
     """
     tree = instance.tree
     if len(instance.pricing) < tree.num_vertices:
@@ -478,10 +492,11 @@ def normalize(instance: Instance) -> Instance:
         key = (mask, u)
         if key in merged:
             merged[key][3] += c.weight
+            merged[key][5] = None
         else:
-            merged[key] = [s, t, u, c.weight, mask]
+            merged[key] = [s, t, u, c.weight, mask, c if (s, u) == (c.source, c.budget) else None]
     rows = sorted(merged.values(), key=lambda r: (r[0], r[1], r[2]))
-    commodities = tuple(Commodity(r[0], r[1], r[2], r[3]) for r in rows)
+    commodities = tuple(r[5] or Commodity(r[0], r[1], r[2], r[3]) for r in rows)
     paths = tuple(r[4] for r in rows)
     # after merging, the number of distinct (path, budget) pairs is O(n^3)
     if len(commodities) > max(1, tree.num_vertices) ** 3:

@@ -250,6 +250,47 @@ def offset_candidates(instance: Instance) -> dict[int, list[frozenset[int]]]:
     return {j: [frozenset(b) for b in buckets] for j, buckets in _offset_buckets(instance)}
 
 
+def seeded_density_candidates(instance: Instance, seed: int) -> list[frozenset[int]]:
+    """`single_density`'s candidate list, with a stream seeded for every
+    (class j, offset theta), also for an offset whose bucket is empty."""
+    candidates = [frozenset()]
+    for j, buckets in _offset_buckets(instance):
+        for theta, bucket in enumerate(buckets):
+            rng = substream(seed, "single-density", j, theta)
+            candidates.append(frozenset(e for e in bucket if rng.random() >= 0.5))
+    return candidates
+
+
+def fraction_pricing_error(values) -> str | None:
+    """The message `PricingFunction` refuses `values` with, None if it takes
+    them: the non-negative, non-decreasing and concave checks made in
+    `Fraction` arithmetic on the prices themselves."""
+    values = [Fraction(v) for v in values]
+    if not values:
+        return "pricing table is empty"
+    if values[0] < 0:
+        return "pricing values must be non-negative"
+    for x in range(1, len(values)):
+        if values[x] < values[x - 1]:
+            return f"pricing not non-decreasing at index {x}"
+        if x >= 2 and values[x] - values[x - 1] > values[x - 1] - values[x - 2]:
+            return f"pricing not concave at index {x}"
+    return None
+
+
+def reference_normalize(instance: Instance) -> Instance:
+    """`normalize` with every output commodity built anew: budgets clamped to
+    path lengths, (path, budget) repeats merged, endpoints ascending, sorted."""
+    merged: dict[tuple[int, int], list] = {}
+    for c, mask in zip(instance.commodities, instance.paths):
+        u = min(c.budget, mask.bit_count())
+        row = merged.setdefault((mask, u), [min(c.source, c.target), max(c.source, c.target), u, 0, mask])
+        row[3] += c.weight
+    rows = sorted(merged.values(), key=lambda r: r[:3])
+    commodities = tuple(Commodity(s, t, u, w) for s, t, u, w, _ in rows)
+    return Instance(instance.tree, instance.pricing, commodities, tuple(r[4] for r in rows))
+
+
 def resolve_path(tree: Tree, s: int, t: int) -> frozenset[int]:
     """Edge ids on the unique s-t path."""
     n = tree.num_vertices

@@ -200,6 +200,40 @@ def test_bench_pairs_exits_1_on_an_incorrect_run(tmp_path, monkeypatch, capsys):
     assert "w seed 1 change reported correct: false" in capsys.readouterr().err
 
 
+# the parent's solves_per_s per pair: median 10.5, quartiles 10 and 11
+CLAIM_PARENT = [10.0, 11.0] * 5
+
+
+@pytest.mark.parametrize(
+    "change, holds",
+    [
+        # nine pairs won and one tied; median gap 2.5 > parent IQR 1
+        pytest.param([13.0] * 9 + [11.0], True, id="holds"),
+        pytest.param([13.0] * 8 + [10.0, 11.0], False, id="eight-of-ten-pairs"),
+        # ten of ten pairs won, by a median gap of 0.5 inside the parent IQR
+        pytest.param([v + 0.5 for v in CLAIM_PARENT], False, id="within-parent-spread"),
+    ],
+)
+def test_bench_pairs_claim_rule(tmp_path, monkeypatch, capsys, change, holds):
+    bench_pairs = load_bench_pairs()
+    bench = {"command": ["true"], "run_seconds": 1, "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.24}]}
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def run_once(checkout, command, workload, seed, seconds):
+        value = (change if checkout.name == "change" else CLAIM_PARENT)[seed - 1]
+        return {"correct": True, "attempted": 4, "failed": 0, "metrics": {"solves_per_s": {"value": value}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--seed", "1"]
+    code = bench_pairs.main([*argv, "--out", str(tmp_path / "b.json"), "--claim", "w/solves_per_s", "w=10"])
+    out, err = capsys.readouterr()
+    claim = out.splitlines()[-1]
+    assert claim.startswith("claim w/solves_per_s: ") and claim.endswith(": holds" if holds else ": NO")
+    assert (code, err) == ((0, "") if holds else (1, "error: the claimed gain w/solves_per_s does not hold\n"))
+
+
 @pytest.mark.parametrize(
     "change, expected",
     [

@@ -1,5 +1,7 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -19,8 +21,18 @@ from fza import (
     single_density_path,
     total_revenue,
 )
-from fza.density import bernoulli_candidate, ceil_log2
-from conftest import classify_by_density, density_class, offset_candidates, path_edges, random_instance
+import fza.density
+from fza.density import _offset_buckets, bernoulli_candidate, ceil_log2
+from fza.rng import substream
+from conftest import (
+    classify_by_density,
+    density_class,
+    offset_candidates,
+    path_edges,
+    random_instance,
+    seeded_density_candidates,
+    shaped_tree,
+)
 
 
 def make(tree, pricing, commodities):
@@ -128,6 +140,76 @@ class TestSingleDensity:
             inst = random_instance(seed, 11, 7, "affine")
             res = single_density(inst, seed=seed)
             assert res.revenue >= total_revenue(inst, [])
+
+    def test_seeds_exactly_the_streams_it_reads(self, monkeypatch):
+        # an offset whose bucket is empty reads no draw, so its stream is not
+        # seeded; the candidates still equal a build that seeds every stream
+        seeded, lists = [], []
+        argmax = fza.density._argmax_candidates
+
+        def record(seed, *labels):
+            seeded.append(labels)
+            return substream(seed, *labels)
+
+        def keep(instance, candidates, *args, **kwargs):
+            lists.append(candidates)
+            return argmax(instance, candidates, *args, **kwargs)
+
+        monkeypatch.setattr(fza.density, "substream", record)
+        monkeypatch.setattr(fza.density, "_argmax_candidates", keep)
+        rng = Random(1402)
+        for trial in range(45):
+            n = rng.randint(2, 200) if trial % 5 else rng.randint(2, 8)
+            tree = shaped_tree(rng, n, ("tree", "path", "star")[trial % 3])
+            commodities = [Commodity(*rng.sample(range(n), 2), rng.randrange(n), Fraction(1)) for _ in range(6)]
+            inst = make(tree, PricingFunction.linear(n), commodities)
+            filled = {(j, theta) for j, buckets in _offset_buckets(inst) for theta, b in enumerate(buckets) if b}
+            for seed in (0, 1, 4001):
+                seeded.clear()
+                lists.clear()
+                res = single_density(inst, seed)
+                assert sorted(seeded) == sorted(("single-density", j, theta) for j, theta in filled), (trial, seed)
+                reference = seeded_density_candidates(inst, seed)
+                assert lists == [reference], (trial, seed)
+                # the first candidate of maximum revenue wins
+                revenues = [total_revenue(inst, cuts) for cuts in reference]
+                best = reference[revenues.index(max(revenues))]
+                assert (res.cuts, res.revenue) == (tuple(sorted(best)), max(revenues))
+
+    def test_scores_each_cut_set_once(self, monkeypatch):
+        scored, lists = Counter(), []
+        score, argmax = Instance.scaled_cut_revenue, fza.density._argmax_candidates
+
+        def count(instance, cuts):
+            scored[frozenset(cuts)] += 1
+            return score(instance, cuts)
+
+        def keep(instance, candidates, *args, **kwargs):
+            lists.append(candidates)
+            return argmax(instance, candidates, *args, **kwargs)
+
+        monkeypatch.setattr(Instance, "scaled_cut_revenue", count)
+        monkeypatch.setattr(fza.density, "_argmax_candidates", keep)
+        # 39 edges and classes up to j = 6: most offset buckets are empty, and
+        # the unthinned buckets repeat in every class whose modulus exceeds the depth
+        tree_inst = random_instance(3, 40, 30, "affine")
+        path_inst = random_instance(3, 40, 30, "affine", shape="path")
+        solves = [
+            (single_density, tree_inst, (5,)),
+            (simplified_single_density, tree_inst, (5,)),
+            (single_density_base, tree_inst, ()),
+            (single_density_path, path_inst, ()),
+        ]
+        for solve, inst, seed in solves:
+            scored.clear()
+            lists.clear()
+            res = solve(inst, *seed)
+            candidates = lists[0]
+            assert set(scored) == set(candidates) and set(scored.values()) == {1}
+            assert len(scored) < len(candidates)
+            # the first candidate of maximum revenue still wins
+            revenues = [total_revenue(inst, cuts) for cuts in candidates]
+            assert res.cuts == tuple(sorted(candidates[revenues.index(max(revenues))]))
 
 
 class TestSingleDensityPath:

@@ -131,6 +131,12 @@ class TestCli:
                 id="exponent-weight",
             ),
             pytest.param(lambda d: {**d, "pricing": ["0", "1e3", "2E3"]}, id="exponent-price"),
+            # the file format takes ASCII digits only, with no '_' separators
+            pytest.param(
+                lambda d: {**d, "commodities": [{"s": 0, "t": 2, "u": 1, "w": "1_000"}]},
+                id="underscore-weight",
+            ),
+            pytest.param(lambda d: {**d, "pricing": ["0", "\u0661", "\u0662"]}, id="non-ascii-price"),
             pytest.param(lambda d: {**d, "pricing": [0, True, True]}, id="bool-price"),
             pytest.param(lambda d: {**d, "pricing": "012"}, id="string-pricing"),
             pytest.param(lambda d: {**d, "version": True}, id="bool-version"),

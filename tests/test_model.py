@@ -23,11 +23,14 @@ from fza import (
 )
 from fza.model import edge_mask, make_result, revenue_for, to_fraction, total_revenue_mask
 from fza.sublog import build_decomposition, sublog
+from fza.files import instance_to_dict, read_instance, write_instance
 from conftest import (
     bfs_rooting,
     fig1_instance,
+    fraction_pricing_error,
     path_edges,
     random_instance,
+    reference_normalize,
     resolve_path,
     revenue_of_commodity,
     shaped_tree,
@@ -184,6 +187,28 @@ def test_to_fraction_reads_plain_forms():
     assert [to_fraction(t) for t in ("7", "-7/3", " 2.5 ", "+1/2")] == [7, Fraction(-7, 3), Fraction(5, 2), Fraction(1, 2)]
 
 
+def test_to_fraction_matches_fraction_on_documented_forms():
+    rng = Random(1403)
+    for _ in range(2000):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 12)))
+        more = "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 12)))
+        body = rng.choice([digits, f"{digits}/{more or '7'}", f"{digits}.{more}", f".{digits}"])
+        text = rng.choice(["", " ", "\t"]) + rng.choice(["", "+", "-"]) + body + rng.choice(["", " ", "\n"])
+        if "/" in body and int(body.partition("/")[2]) == 0:
+            with pytest.raises(InvalidInstanceError, match="not a rational"):
+                to_fraction(text)
+        else:
+            assert to_fraction(text) == Fraction(text), text
+
+
+@pytest.mark.parametrize(
+    "text", ["1_000", "1/1_0", "0.5_5", "\u0661\u0662", "1/\u0662", "\uff11", "\u00a01", "1 / 2", ".", "", "+", "1.2.3", "--1"]
+)
+def test_to_fraction_refuses_other_forms(text):
+    with pytest.raises(InvalidInstanceError, match="not a rational"):
+        to_fraction(text)
+
+
 class TestCommodity:
     @pytest.mark.parametrize(
         "args",
@@ -214,6 +239,32 @@ class TestPricing:
     def test_capped_is_concave(self):
         PricingFunction.capped(10, 3)  # must not raise
 
+    def test_integer_checks_match_fraction_checks(self):
+        # the checks run on the scaled integer table; the reference compares
+        # the Fraction prices themselves
+        rng = Random(1404)
+        tables = [[Fraction(-1, 3)], [Fraction(2, 3)], [1, Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)], [0, 1, 3], [0, 1, 1, 1]]
+        for _ in range(600):
+            value, step = Fraction(rng.randint(-1, 6), rng.choice((1, 2, 3, 5, 7))), Fraction(rng.randint(0, 9), rng.choice((1, 2, 4, 9)))
+            table = []
+            for _ in range(rng.randint(1, 9)):
+                table.append(value)
+                step *= Fraction(rng.randint(0, 5), 4)  # above 1: a concavity break
+                value += step if rng.random() < 0.9 else -Fraction(1, rng.randint(1, 6))
+            tables.append(table)
+        outcomes = Counter()
+        for table in tables:
+            want = fraction_pricing_error(table)
+            texts = [str(v) for v in table]
+            if want is None:
+                assert PricingFunction(tuple(texts)).values == tuple(table)
+            else:
+                with pytest.raises(InvalidInstanceError) as err:
+                    PricingFunction(tuple(texts))
+                assert str(err.value) == want, table
+            outcomes[(want or "ok").split(" at ")[0]] += 1
+        assert len(outcomes) == 4 and min(outcomes.values()) >= 30, outcomes
+
 
 class TestNormalize:
     def test_merges_same_path_and_budget(self):
@@ -239,6 +290,46 @@ class TestNormalize:
             [Commodity(0, 2, 1, Fraction(2)), Commodity(0, 2, 2, Fraction(3))],
         )
         assert inst.num_commodities == 2
+
+    def test_matches_reference_normalize(self):
+        rng = Random(1405)
+        kept = rebuilt = 0
+        for trial in range(120):
+            n = rng.randint(2, 40)
+            tree = shaped_tree(rng, n, SHAPES[trial % 3])
+            commodities = []
+            for _ in range(rng.randint(0, 3 * n)):
+                if commodities and rng.random() < 0.3:
+                    # a repeat, with its endpoints swapped half the time
+                    c = rng.choice(commodities)
+                    s, t, u = (c.target, c.source, c.budget) if rng.random() < 0.5 else (c.source, c.target, c.budget)
+                else:
+                    s, t = rng.sample(range(n), 2)
+                    u = rng.randint(0, n + 2)
+                commodities.append(Commodity(s, t, u, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+            raw = Instance.create(tree, PricingFunction.affine(n), commodities)
+            got, want = normalize(raw), reference_normalize(raw)
+            assert instance_to_dict(got) == instance_to_dict(want) and got.paths == want.paths, trial
+            inputs = set(map(id, commodities))
+            kept += sum(id(c) in inputs for c in got.commodities)
+            rebuilt += got.num_commodities
+        # both branches ran: inputs kept as they are, and commodities built anew
+        assert 0 < kept < rebuilt
+
+    def test_reading_a_canonical_file_builds_each_commodity_once(self, tmp_path, monkeypatch):
+        inst = random_instance(1406, 60, 150, "affine")
+        write_instance(inst, tmp_path / "i.json")
+        built = Counter()
+        post_init = Commodity.__post_init__
+
+        def count(self):
+            built[(self.source, self.target, self.budget)] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Commodity, "__post_init__", count)
+        again = read_instance(tmp_path / "i.json")
+        assert again == inst and inst.num_commodities > 100
+        assert sum(built.values()) == inst.num_commodities and set(built.values()) == {1}
 
 
 class TestRevenue:

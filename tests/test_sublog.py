@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -572,6 +573,9 @@ class TestSubSolvesMatchReference:
 
     def test_aux_rows_match_generalized_commodities_for_every_y(self):
         checked = with_rows = 0
+        # member rows by what the aux filters did with them; perfbench's
+        # sublog-tree reaches neither filter, so this sample is their coverage
+        filtered = Counter()
         for f, (inst, _, _, skel, _) in enumerate(sublog_fragments(range(48))):
             rng = substream(f, "aux-rows")
             every = range(inst.num_commodities)
@@ -587,12 +591,21 @@ class TestSubSolvesMatchReference:
                     gpi, ref_eids = reference_aux_instance(inst, skel, si, guess, root, active, every)
                     assert eids == ref_eids and len(aux.commodities) == len(gpi.commodities)
                     with_rows += bool(aux.commodities)
+                    committed = [g if on else 0 for g, on in zip(guess, active)]
+                    for _, budget, _, blockers, held in members:
+                        if any(active[b] for b in blockers):
+                            filtered["blocked"] += 1
+                        elif sum(committed[s] for s in held) > budget:
+                            filtered["over budget"] += 1
+                        elif blockers:
+                            filtered["kept with a blocker"] += 1
                     for y in range(len(seg) + 1):
                         got = generalized_rooted_path_dp(aux, y)
                         want = generalized_rooted_path_dp(gpi, y)
                         assert (got.cuts, got.served, got.revenue) == (want.cuts, want.served, want.revenue)
                         checked += 1
         assert checked > 2000 and with_rows > 200
+        assert len(filtered) == 3 and min(filtered.values()) > 0, filtered
 
     def test_skeleton_solve_matches_reference(self):
         fragments = 0

@@ -18,6 +18,12 @@ status is 1, with one `error:` line on stderr per cause, if any run reported
 `correct: false`, if a change median is outside its metric's bound, or if
 the change failed a larger share of a workload's ops than the parent.
 
+`--claim WORKLOAD/METRIC` checks a claimed gain on one end-to-end metric by
+the benchmark's rule: the change wins at least 9 of every 10 pairs (ties
+count for neither side), and its median is better than the parent's by more
+than the parent's quartile spread. A line says whether it holds, and the
+exit status is 1 when it does not.
+
 Standard library only.
 """
 
@@ -65,6 +71,39 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def compare(pairs: list[dict], metric: str, higher: bool) -> tuple[int, tuple, tuple]:
+    """The pairs the change won on `metric` (ties count for neither side) and
+    each side's quartiles (q1, median, q3)."""
+    sides = {s: [p[s][metric]["value"] for p in pairs] for s in SIDES}
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
+    return wins, quartiles(sides["parent"]), quartiles(sides["change"])
+
+
+def complete_pairs(runs: list[dict], workload: str) -> list[dict]:
+    """Per seed of `workload` with a run on both sides: side -> its metrics."""
+    pairs: dict[int, dict] = {}
+    for r in runs:
+        if r["workload"] == workload:
+            pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+    return [p for p in pairs.values() if len(p) == 2]
+
+
+def check_claim(runs: list[dict], end_to_end: list[dict], claim: str) -> tuple[str, bool]:
+    """Whether the claimed gain WORKLOAD/METRIC holds: the change wins at least
+    9 of every 10 pairs, and its median beats the parent's by more than the
+    parent's quartile spread. Returns a summary line and the verdict."""
+    workload, _, metric = claim.partition("/")
+    higher = next(spec["better"] == "higher" for spec in end_to_end if spec["name"] == metric)
+    pairs = complete_pairs(runs, workload)
+    wins, (pq1, pmed, pq3), (_, cmed, _) = compare(pairs, metric, higher)
+    gap = cmed - pmed if higher else pmed - cmed
+    holds = 10 * wins >= 9 * len(pairs) and gap > pq3 - pq1
+    return (
+        f"claim {claim}: change better in {wins}/{len(pairs)} pairs (needs 9 of 10),"
+        f" median gain {gap:.4g} vs parent IQR {pq3 - pq1:.4g}: {'holds' if holds else 'NO'}"
+    ), holds
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[list[str], list[str]]:
     """Per workload: each side's failed and attempted ops over all its runs.
     Then per end-to-end metric (BENCHMARK.json's `end_to_end` entries): each
@@ -89,15 +128,10 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[list[str], list
             rejected.append(
                 f"{workload}: the change failed {c_failed}/{c_attempted} ops, the parent {p_failed}/{p_attempted}"
             )
-        pairs: dict[int, dict] = {}
-        for r in own:
-            pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
-        complete = [p for p in pairs.values() if len(p) == 2]
+        complete = complete_pairs(own, workload)
         for spec in end_to_end if complete else ():
             metric, higher, bound = spec["name"], spec["better"] == "higher", spec["bound"]
-            sides = {s: [p[s][metric]["value"] for p in complete] for s in SIDES}
-            wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
-            (pq1, pmed, pq3), (cq1, cmed, cq3) = (quartiles(sides[s]) for s in SIDES)
+            wins, (pq1, pmed, pq3), (cq1, cmed, cq3) = compare(complete, metric, higher)
             beyond = abs(cmed - pmed) > pq3 - pq1
             within = cmed >= pmed * (1 - bound) if higher else cmed <= pmed * (1 + bound)
             lines.append(
@@ -120,6 +154,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="root of the changed checkout")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<pr>.json to write")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC", help="check a claimed gain on one end-to-end metric")
     parser.add_argument("plan", nargs="+", metavar="WORKLOAD=PAIRS")
     args = parser.parse_args(argv)
     plan = []
@@ -134,6 +169,10 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {checkout} has no BENCHMARK.json")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
+    if args.claim:
+        workload, _, metric = args.claim.partition("/")
+        if workload not in dict(plan) or metric not in {spec["name"] for spec in bench["end_to_end"]}:
+            parser.error(f"--claim takes a planned workload and an end-to-end metric, got {args.claim!r}")
 
     report = {
         "what": "perfbench end-to-end result lines, parent "
@@ -161,6 +200,11 @@ def main(argv=None) -> int:
                     flush=True,
                 )
     lines, rejected = summarize(report["runs"], bench["end_to_end"])
+    if args.claim:
+        line, holds = check_claim(report["runs"], bench["end_to_end"], args.claim)
+        lines.append(line)
+        if not holds:
+            rejected.append(f"the claimed gain {args.claim} does not hold")
     print("\n".join(lines))
     rejected += [
         f"{r['workload']} seed {r['seed']} {r['side']} reported correct: false"
