@@ -30,6 +30,7 @@ from .model import (
     InvalidInstanceError,
     SolveResult,
     format_fraction,
+    shown,
 )
 from .param_path import dp_congestion, dp_pmax, dp_umax
 from .sublog import sublog
@@ -78,7 +79,7 @@ class BenchConfig:
     def __post_init__(self) -> None:
         for name in self.algorithms + (self.oracle,):
             if name not in SOLVERS:
-                raise InvalidInstanceError(f"unknown algorithm {name!r}")
+                raise InvalidInstanceError(f"unknown algorithm {shown(name)}")
         if self.oracle not in ORACLES:
             raise InvalidInstanceError(f"oracle must be one of {ORACLES}")
         if not self.instances:
@@ -91,7 +92,7 @@ class BenchConfig:
             ("seeds", self.seeds),
         ):
             if len(set(items)) < len(items):
-                raise InvalidInstanceError(f"bench config {what} repeat an entry: {list(items)!r}")
+                raise InvalidInstanceError(f"bench config {what} repeat an entry: {shown(list(items))}")
 
     @classmethod
     def from_file(cls, path) -> "BenchConfig":
@@ -115,7 +116,7 @@ def _json_list(value, what: str, kind: type) -> tuple:
     """A JSON list of `kind` items; booleans are refused rather than read as ints."""
     if isinstance(value, list) and all(type(v) is kind for v in value):
         return tuple(value)
-    raise InvalidInstanceError(f"bench config {what} must be a list of {kind.__name__}, got {value!r}")
+    raise InvalidInstanceError(f"bench config {what} must be a list of {kind.__name__}, got {shown(value)}")
 
 
 def run_bench(config: BenchConfig, output_dir) -> dict:

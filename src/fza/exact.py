@@ -1,6 +1,11 @@
 """Exact solvers: brute-force oracle, the rooted-instance dynamic program, and
 the generalized rooted path DP with a prescribed cut count.
 
+Brute force searches the 2^m cut sets depth first in lexicographic order and
+skips a branch once an upper bound on its revenue (every commodity still
+within budget cut up to its budget by its remaining path edges) is not above
+the best found, so it returns the enumeration's optimum and tie-break.
+
 Both DPs add and compare the integer revenues of `Instance`'s kernel
 (`Instance._scaled`). `rooted_cut_set` solves a rooted sub-problem within an
 edge set of the instance's own tree, and the path DP reads integer rows
@@ -26,7 +31,6 @@ from .model import (
     as_int,
     edge_mask,
     make_result,
-    mask_to_edges,
     scale_terms,
     to_fraction,
 )
@@ -36,55 +40,63 @@ MAX_BRUTE_EDGES = 24
 
 
 def brute_force(instance: Instance) -> SolveResult:
-    """Enumerate all cut sets and return a revenue-maximizing one.
+    """Search all cut sets by branch and bound and return a revenue-maximizing one.
 
-    Iterates in Gray-code order, so each step flips a single edge. Per
-    commodity on that edge, a cut moves its count from c to c + 1 and adds
-    the cached marginal gain `instance.gains[i][c]`; an uncut subtracts it
-    again. Ties go to the lexicographically smallest sorted edge-id tuple.
+    A depth-first search visits cut sets in lexicographic order of their
+    sorted edge-id tuples: the children of a set T are T + {e} for each edge
+    e > max(T), ascending. Cutting edge e adds the cached marginal gain
+    `instance.gains[i][c]` per commodity i on it with c cuts so far, and a
+    new best is kept only on a strict `>`, so ties go to the lexicographically
+    smallest tuple. Before child e the search bounds every set below T's
+    children e, e + 1, ...: each commodity still within budget is cut as far
+    as its budget allows by its path edges from e on, and one past budget
+    pays 0. F is non-decreasing, so no such set beats that bound; when it is
+    not above the best, the children are skipped, as every set among them
+    comes after the best in lexicographic order and would lose a tie.
     Refuses instances with more than `MAX_BRUTE_EDGES` edges.
     """
     m = instance.tree.num_edges
     if m > MAX_BRUTE_EDGES:
         raise CapacityError(f"brute force limited to {MAX_BRUTE_EDGES} edges, instance has {m}")
+    _, weights, prices, budgets = instance._scaled
     gains = instance.gains
-    on_edge = [tuple((i, gains[i]) for i in ids) for ids in instance.edge_commodities]
-
+    # per edge e and commodity i on it: i, its gains, its budget, |P_i ∩ {e, ..., m - 1}|
+    rest = [0] * instance.num_commodities
+    on_edge: list[tuple] = [()] * m
+    for e in range(m - 1, -1, -1):
+        for i in instance.edge_commodities[e]:
+            rest[i] += 1
+        on_edge[e] = tuple((i, gains[i], budgets[i], rest[i]) for i in instance.edge_commodities[e])
     counts = [0] * instance.num_commodities
-    revenue = instance._empty_revenue
-    best_rev = revenue
-    best_key: tuple[int, ...] = ()
-    best_mask = 0
-    mask = 0
-    for t in range(1, 1 << m):
-        eid = (t & -t).bit_length() - 1
-        bit = 1 << eid
-        mask ^= bit
-        if mask & bit:
-            for i, g in on_edge[eid]:
+    best_rev, best_cuts = instance._empty_revenue, ()
+    cuts: list[int] = []
+
+    def search(start: int, revenue: int, bound: int) -> None:
+        # revenue: that of `cuts`; bound, before child e: the sum over commodities
+        # i within budget of W_i F(min(u_i, c_i + |P_i ∩ {e, ..., m - 1}|))
+        nonlocal best_rev, best_cuts
+        for e in range(start, m):
+            if bound <= best_rev:
+                return
+            child_rev, child_bound = revenue, bound
+            for i, g, u, _ in on_edge[e]:
                 c = counts[i]
-                revenue += g[c]
+                child_rev += g[c]
+                if c == u:  # the cut takes i past its budget
+                    child_bound += g[c]
                 counts[i] = c + 1
-        else:
-            for i, g in on_edge[eid]:
-                c = counts[i] - 1
-                revenue -= g[c]
-                counts[i] = c
-        if revenue > best_rev:
-            best_rev = revenue
-            best_mask = mask
-            best_key = mask_to_edges(mask)
-        elif revenue == best_rev:
-            key = mask_to_edges(mask)
-            if key < best_key:
-                best_key = key
-                best_mask = mask
-    return make_result(
-        instance,
-        mask_to_edges(best_mask),
-        algorithm="brute",
-        diagnostics={"candidates": 1 << m},
-    )
+            cuts.append(e)
+            if child_rev > best_rev:
+                best_rev, best_cuts = child_rev, tuple(cuts)
+            search(e + 1, child_rev, child_bound)
+            cuts.pop()
+            for i, g, u, r in on_edge[e]:
+                c = counts[i] = counts[i] - 1
+                if c + r <= u:  # leaving e uncut lowers i's reach by one cut
+                    bound -= g[c + r - 1]
+
+    search(0, best_rev, sum(w * prices[min(u, r)] for w, u, r in zip(weights, budgets, rest)))
+    return make_result(instance, best_cuts, algorithm="brute", diagnostics={"candidates": 1 << m})
 
 
 def _far_ends(instance: Instance, root: int) -> dict[int, int]:

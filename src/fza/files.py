@@ -22,6 +22,7 @@ from .model import (
     as_int,
     format_fraction,
     normalize,
+    shown,
 )
 
 FORMAT_VERSION = 1
@@ -49,14 +50,14 @@ def instance_to_dict(instance: Instance) -> dict:
 def _list(value, what: str) -> list:
     """A JSON list; an object or a string is refused rather than iterated."""
     if not isinstance(value, list):
-        raise InvalidInstanceError(f"{what} must be a list, got {value!r}")
+        raise InvalidInstanceError(f"{what} must be a list, got {shown(value)}")
     return value
 
 
 def _edge(value) -> list:
     """A JSON pair; `Tree` refuses endpoints that are not ints."""
     if not isinstance(value, list) or len(value) != 2:
-        raise InvalidInstanceError(f"edge must be a pair of vertices, got {value!r}")
+        raise InvalidInstanceError(f"edge must be a pair of vertices, got {shown(value)}")
     return value
 
 

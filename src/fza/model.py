@@ -40,6 +40,7 @@ their own.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -65,11 +66,19 @@ class CapacityError(FzaError, RuntimeError):
 _RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*", re.ASCII)
 
 
+def shown(value) -> str:
+    """`repr(value)` for an error message, cut to its first 40 characters
+    and its length when longer, so a huge input is not echoed whole."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def to_fraction(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a string holding an
     integer '7', a ratio '-7/3' or a decimal '2.5': ASCII digits only, an
     optional sign and surrounding whitespace, no '_' and no exponent. The
-    string is matched once and the Fraction built from ints."""
+    string is matched once and the Fraction built from ints; a digit group
+    past Python's int-string limit is refused before any power of ten is built."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -78,21 +87,24 @@ def to_fraction(value: RationalLike) -> Fraction:
         m = _RATIONAL.fullmatch(value)
         if m is None:
             hint = " (no exponent notation)" if "e" in value or "E" in value else ""
-            raise InvalidInstanceError(f"not a rational{hint}: {value!r}")
+            raise InvalidInstanceError(f"not a rational{hint}: {shown(value)}")
         sign, num, den, dec = m.groups()
+        limit = sys.get_int_max_str_digits()
+        if limit and max(len(num), len(den or ""), len(dec or "")) > limit:
+            raise InvalidInstanceError(f"not a rational (a digit group over {limit} digits): {shown(value)}")
         scale = 10 ** len(dec or "")
+        n = int(num or 0) * scale + int(dec or 0)
         try:
-            n = int(num or 0) * scale + int(dec or 0)
             return Fraction(-n if sign == "-" else n, int(den or 1) * scale)
-        except (ValueError, ZeroDivisionError) as exc:  # past int's digit limit, or '1/0'
-            raise InvalidInstanceError(f"not a rational: {value!r}") from exc
-    raise InvalidInstanceError(f"not a rational: {value!r}")
+        except ZeroDivisionError as exc:  # '1/0'
+            raise InvalidInstanceError(f"not a rational: {shown(value)}") from exc
+    raise InvalidInstanceError(f"not a rational: {shown(value)}")
 
 
 def as_int(value, what: str) -> int:
     """An int; booleans, floats and other numbers are refused rather than coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInstanceError(f"{what} must be an integer, got {value!r}")
+        raise InvalidInstanceError(f"{what} must be an integer, got {shown(value)}")
     return value
 
 
@@ -462,15 +474,6 @@ def edge_mask(cuts: Iterable[int]) -> int:
     for eid in cuts:
         mask |= 1 << eid
     return mask
-
-
-def mask_to_edges(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def normalize(instance: Instance) -> Instance:

@@ -19,7 +19,7 @@ from fza import (
 )
 from fza.density import _offset_buckets, ceil_log2
 from fza.generators import pricing_preset
-from fza.model import edge_mask, mask_to_edges
+from fza.model import edge_mask
 from fza.rng import substream
 
 # The 13-vertex example instance: two three-vertex arms on each side of a
@@ -305,6 +305,53 @@ def resolve_path(tree: Tree, s: int, t: int) -> frozenset[int]:
         edges.append(parent_edge[v])
         v = parent[v]
     return frozenset(edges)
+
+
+def mask_to_edges(mask: int) -> tuple[int, ...]:
+    """The edge ids of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def gray_code_optimum(instance: Instance) -> tuple[int, ...]:
+    """The optimal cut set by enumerating all 2^m cut sets in Gray-code
+    order, ties to the lexicographically smallest sorted edge-id tuple: the
+    reference `brute_force`'s branch and bound is held to.
+
+    Each step flips a single edge; per commodity on that edge, a cut moves
+    its count from c to c + 1 and adds the marginal gain
+    `instance.gains[i][c]`, and an uncut subtracts it again.
+    """
+    m = instance.tree.num_edges
+    gains = instance.gains
+    on_edge = [tuple((i, gains[i]) for i in ids) for ids in instance.edge_commodities]
+    counts = [0] * instance.num_commodities
+    revenue = best_rev = instance._empty_revenue
+    best_key: tuple[int, ...] = ()
+    mask = 0
+    for t in range(1, 1 << m):
+        eid = (t & -t).bit_length() - 1
+        bit = 1 << eid
+        mask ^= bit
+        if mask & bit:
+            for i, g in on_edge[eid]:
+                c = counts[i]
+                revenue += g[c]
+                counts[i] = c + 1
+        else:
+            for i, g in on_edge[eid]:
+                c = counts[i] - 1
+                revenue -= g[c]
+                counts[i] = c
+        if revenue > best_rev:
+            best_rev, best_key = revenue, mask_to_edges(mask)
+        elif revenue == best_rev:
+            best_key = min(best_key, mask_to_edges(mask))
+    return best_key
 
 
 def path_edges(instance: Instance, i: int) -> frozenset[int]:

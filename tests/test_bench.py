@@ -234,6 +234,27 @@ def test_bench_pairs_claim_rule(tmp_path, monkeypatch, capsys, change, holds):
     assert (code, err) == ((0, "") if holds else (1, "error: the claimed gain w/solves_per_s does not hold\n"))
 
 
+@pytest.mark.parametrize("count", [1, 3, 9])
+def test_bench_pairs_claim_needs_ten_pairs(tmp_path, monkeypatch, capsys, count):
+    # the change wins every pair by far, but fewer than ten pairs judge nothing
+    bench_pairs = load_bench_pairs()
+    bench = {"command": ["true"], "run_seconds": 1, "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.24}]}
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def run_once(checkout, command, workload, seed, seconds):
+        value = 20.0 if checkout.name == "change" else CLAIM_PARENT[seed - 1]
+        return {"correct": True, "attempted": 4, "failed": 0, "metrics": {"solves_per_s": {"value": value}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--seed", "1"]
+    code = bench_pairs.main([*argv, "--out", str(tmp_path / "b.json"), "--claim", "w/solves_per_s", f"w={count}"])
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == f"claim w/solves_per_s: too few pairs ({count} < 10)"
+    assert (code, err) == (1, "error: the claimed gain w/solves_per_s does not hold\n")
+
+
 @pytest.mark.parametrize(
     "change, expected",
     [

@@ -7,6 +7,7 @@ import pytest
 from fza import (
     CapacityError,
     Commodity,
+    Formula2CNF,
     GeneralizedCommodity,
     GeneralizedPathInstance,
     Instance,
@@ -14,12 +15,19 @@ from fza import (
     PricingFunction,
     Tree,
     brute_force,
+    dp_congestion,
+    dp_pmax,
+    gen_star_from_2sat,
     generalized_rooted_path_dp,
     normalize,
     rooted_dp,
     total_revenue,
 )
-from conftest import random_gpi, random_instance
+from fza.exact import MAX_BRUTE_EDGES
+from fza.generators import pricing_preset
+from fza.model import make_result
+from fza.rng import substream
+from conftest import gray_code_optimum, random_gpi, random_instance, shaped_tree
 
 
 def make(tree, pricing, commodities):
@@ -79,6 +87,94 @@ class TestBruteForce:
             res = brute_force(inst)
             h.update(repr((res.cuts, res.served, res.revenue)).encode())
         assert h.hexdigest() == "c423cddc40eabd8a92ef9472cd9885a1dcfbe1b869a4eb867b865d4708a3c4ef"
+
+
+BUDGET_MODES = ("zero", "one", "at-most-two", "quarter", "random", "n-1")
+
+
+def oracle_case(index: int) -> Instance:
+    """A random tree, path or star of 2-15 vertices; the pricing preset, the
+    budget mode and integer or fractional weights cycle with `index`, and
+    every 45th case has no commodities."""
+    rng = substream(1501, "brute-oracle-case", index)
+    n = rng.randint(2, 15)
+    tree = shaped_tree(rng, n, ("tree", "path", "star")[index % 3])
+    mode = BUDGET_MODES[index // 9 % len(BUDGET_MODES)]
+    fractional = index // 54 % 2 == 1
+    commodities = []
+    for _ in range(0 if index % 45 == 0 else rng.randint(1, 3 * n)):
+        s, t = rng.sample(range(n), 2)
+        budget = {
+            "zero": 0,
+            "one": 1,
+            "at-most-two": rng.randint(0, 2),
+            "quarter": n // 4,
+            "random": rng.randint(0, n - 1),
+            "n-1": n - 1,
+        }[mode]
+        weight = Fraction(rng.randint(1, 9), rng.randint(1, 6) if fractional else 1)
+        commodities.append(Commodity(s, t, budget, weight))
+    table = pricing_preset(("linear", "affine", "capped")[index // 3 % 3], n)
+    return normalize(Instance.create(tree, table, commodities))
+
+
+def random_formula(rng, num_vars: int) -> Formula2CNF:
+    """A random 2-CNF formula with each variable in at most three clauses."""
+    occurrences = [0] * num_vars
+    clauses = []
+    for _ in range(rng.randint(1, 3 * num_vars // 2 + 1)):
+        free = [v for v in range(num_vars) if occurrences[v] < 3]
+        if len(free) < 2:
+            break
+        a, b = rng.sample(free, 2)
+        occurrences[a] += 1
+        occurrences[b] += 1
+        clauses.append(((a, rng.random() < 0.5), (b, rng.random() < 0.5)))
+    return Formula2CNF(num_vars, tuple(clauses))
+
+
+class TestBruteForceSearch:
+    """The branch and bound against the plain enumeration of all 2^m cut sets."""
+
+    def check(self, inst: Instance) -> None:
+        res = brute_force(inst)
+        ref = make_result(inst, gray_code_optimum(inst), "brute")
+        assert (res.cuts, res.served, res.revenue) == (ref.cuts, ref.served, ref.revenue)
+
+    def test_matches_gray_code_enumeration(self):
+        for index in range(540):
+            self.check(oracle_case(index))
+
+    def test_matches_on_star_2sat_reductions(self):
+        rng = substream(1502, "brute-star-2sat")
+        for trial in range(40):
+            inst, _ = gen_star_from_2sat(random_formula(rng, 1 + trial % 7))
+            self.check(inst)
+
+    def test_no_commodities_at_the_edge_limit(self):
+        tree = Tree(MAX_BRUTE_EDGES + 1, tuple((v, v + 1) for v in range(MAX_BRUTE_EDGES)))
+        res = brute_force(make(tree, PricingFunction.linear(MAX_BRUTE_EDGES + 1), []))
+        assert (res.cuts, res.revenue) == ((), 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_short_commodities_at_the_edge_limit(self, seed):
+        # the path DPs solve these exactly; an unpruned search would walk 2^24 sets
+        rng = substream(seed, "brute-24-edge-path")
+        n = MAX_BRUTE_EDGES + 1
+        commodities = []
+        for _ in range(rng.randint(n, 2 * n)):
+            a = rng.randrange(n - 1)
+            commodities.append(
+                Commodity(a, min(n - 1, a + rng.randint(1, 4)), rng.randint(0, 2), Fraction(rng.randint(1, 5)))
+            )
+        inst = make(Tree(n, tuple((v, v + 1) for v in range(n - 1))), PricingFunction.affine(n), commodities)
+        assert brute_force(inst).revenue == dp_pmax(inst).revenue == dp_congestion(inst).revenue
+
+    def test_refuses_one_edge_past_the_limit(self):
+        tree = Tree(MAX_BRUTE_EDGES + 2, tuple((v, v + 1) for v in range(MAX_BRUTE_EDGES + 1)))
+        inst = make(tree, PricingFunction.linear(MAX_BRUTE_EDGES + 2), [Commodity(0, 1, 1, Fraction(1))])
+        with pytest.raises(CapacityError):
+            brute_force(inst)
 
 
 class TestRootedDP:

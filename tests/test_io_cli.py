@@ -156,6 +156,21 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "commodity",
+        [
+            pytest.param({"s": 0, "t": 2, "u": 1, "w": "1." + "5" * 10**6}, id="million-digit-weight"),
+            pytest.param({"s": "7" * 10**6, "t": 2, "u": 1, "w": "1"}, id="million-character-endpoint"),
+        ],
+    )
+    def test_huge_value_is_not_echoed(self, tmp_path, capsys, commodity):
+        # the error line names the value by its first characters and its length
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({**self.VALID, "commodities": [commodity]}))
+        assert main(["validate", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
         "content",
         [
             pytest.param(b"\xff", id="non-utf8"),

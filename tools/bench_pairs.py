@@ -21,8 +21,9 @@ the change failed a larger share of a workload's ops than the parent.
 `--claim WORKLOAD/METRIC` checks a claimed gain on one end-to-end metric by
 the benchmark's rule: the change wins at least 9 of every 10 pairs (ties
 count for neither side), and its median is better than the parent's by more
-than the parent's quartile spread. A line says whether it holds, and the
-exit status is 1 when it does not.
+than the parent's quartile spread. With fewer than 10 complete pairs of the
+workload the claim is not judged: the line says "too few pairs". A line says
+whether it holds, and the exit status is 1 when it does not.
 
 Standard library only.
 """
@@ -39,6 +40,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# fewer pairs cannot show a 9-of-10 win rate, and one pair has no quartile spread
+MIN_CLAIM_PAIRS = 10
 
 
 def describe(checkout: Path) -> str:
@@ -89,12 +92,15 @@ def complete_pairs(runs: list[dict], workload: str) -> list[dict]:
 
 
 def check_claim(runs: list[dict], end_to_end: list[dict], claim: str) -> tuple[str, bool]:
-    """Whether the claimed gain WORKLOAD/METRIC holds: the change wins at least
-    9 of every 10 pairs, and its median beats the parent's by more than the
-    parent's quartile spread. Returns a summary line and the verdict."""
+    """Whether the claimed gain WORKLOAD/METRIC holds: there are at least
+    `MIN_CLAIM_PAIRS` complete pairs, the change wins at least 9 of every 10,
+    and its median beats the parent's by more than the parent's quartile
+    spread. Returns a summary line and the verdict."""
     workload, _, metric = claim.partition("/")
     higher = next(spec["better"] == "higher" for spec in end_to_end if spec["name"] == metric)
     pairs = complete_pairs(runs, workload)
+    if len(pairs) < MIN_CLAIM_PAIRS:
+        return f"claim {claim}: too few pairs ({len(pairs)} < {MIN_CLAIM_PAIRS})", False
     wins, (pq1, pmed, pq3), (_, cmed, _) = compare(pairs, metric, higher)
     gap = cmed - pmed if higher else pmed - cmed
     holds = 10 * wins >= 9 * len(pairs) and gap > pq3 - pq1
