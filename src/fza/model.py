@@ -12,8 +12,8 @@ decomposition, skeleton and hanging subtrees, the rooted DP within a
 subtree) scans only that fragment's edges. A `Tree` is rooted once: its
 constructor checks connectivity with the walk from vertex 0 and caches it as
 `Tree.rooting`, which `Instance.create`, `Instance.edge_commodities` and the
-density candidates read. The tree's `adjacency`, `incident_masks` and
-`is_path` are cached on first use.
+density candidates read. The tree's `adjacency` and `is_path` are cached
+on first use.
 
 Commodity paths are cached two ways. `Instance.paths` holds each path as a
 bitmask over edge ids, so counting one commodity's cuts is an AND plus a
@@ -196,15 +196,6 @@ class Tree:
                     order.append(w)
                     stack.append(w)
         return order, up
-
-    @cached_property
-    def incident_masks(self) -> tuple[int, ...]:
-        """Per vertex: bitmask of incident edge ids."""
-        masks = [0] * self.num_vertices
-        for eid, (u, v) in enumerate(self.edges):
-            masks[u] |= 1 << eid
-            masks[v] |= 1 << eid
-        return tuple(masks)
 
     @cached_property
     def rooting(self) -> tuple[tuple[int, ...], ...]:
@@ -501,9 +492,6 @@ def normalize(instance: Instance) -> Instance:
     rows = sorted(merged.values(), key=lambda r: (r[0], r[1], r[2]))
     commodities = tuple(r[5] or Commodity(r[0], r[1], r[2], r[3]) for r in rows)
     paths = tuple(r[4] for r in rows)
-    # after merging, the number of distinct (path, budget) pairs is O(n^3)
-    if len(commodities) > max(1, tree.num_vertices) ** 3:
-        raise FzaError(f"{len(commodities)} commodities left after merging exceed n^3")
     return Instance(tree, instance.pricing, commodities, paths)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -171,30 +170,20 @@ def _bipartition(fragment, order, up, children, d: int):
 @dataclass(frozen=True)
 class Decomposition:
     """Levels of edge-set fragments; level 1 is the whole edge set and the
-    last level consists of single edges. parents[j][i] indexes level j-1."""
+    last level consists of single edges. children[j][i] lists the fragments
+    of 0-based level j+1 that refine fragment i of 0-based level j."""
 
     d: int
     levels: tuple[tuple[frozenset[int], ...], ...]
-    parents: tuple[tuple[int, ...], ...]
+    children: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def num_levels(self) -> int:
         return len(self.levels)
 
-    @cached_property
-    def _children(self) -> list[list[list[int]]]:
-        """_children[j][idx]: the fragments of 0-based level j+1 refining (j, idx)."""
-        out = [[[] for _ in level] for level in self.levels[:-1]]
-        for j in range(1, self.num_levels):
-            for i, p in enumerate(self.parents[j]):
-                out[j - 1][p].append(i)
-        return out
-
     def children_of(self, level: int, idx: int) -> tuple[int, ...]:
         """Indices within 1-based `level`+1 of the fragments refining (level, idx)."""
-        if not 0 < level < self.num_levels:
-            return ()
-        return tuple(self._children[level - 1][idx])
+        return self.children[level - 1][idx]
 
 
 def build_decomposition(tree, d: int | None = None) -> Decomposition:
@@ -212,24 +201,23 @@ def build_decomposition(tree, d: int | None = None) -> Decomposition:
         raise InvalidInstanceError("branching parameter d must be at least 2")
     level: list[frozenset[int]] = [frozenset(range(tree.num_edges))]
     levels = [tuple(level)]
-    parents: list[tuple[int, ...]] = [(-1,)]
+    children: list[tuple[tuple[int, ...], ...]] = []
     while any(len(f) > 1 for f in level):
         next_level: list[frozenset[int]] = []
-        next_parents: list[int] = []
-        for idx, frag in enumerate(level):
+        refined: list[tuple[int, ...]] = []
+        for frag in level:
             if len(frag) == 1:
                 kids = [frag]
             elif len(frag) < d:
                 kids = [frozenset({e}) for e in sorted(frag)]
             else:
                 kids = almost_balanced_decomposition(tree, frag, d)
-            for kid in kids:
-                next_level.append(kid)
-                next_parents.append(idx)
+            refined.append(tuple(range(len(next_level), len(next_level) + len(kids))))
+            next_level.extend(kids)
         levels.append(tuple(next_level))
-        parents.append(tuple(next_parents))
+        children.append(tuple(refined))
         level = next_level
-    return Decomposition(d=d, levels=tuple(levels), parents=tuple(parents))
+    return Decomposition(d=d, levels=tuple(levels), children=tuple(children))
 
 
 @dataclass(frozen=True)
@@ -246,8 +234,10 @@ class CommodityAssignment:
 
 
 def classify_commodities(decomp: Decomposition, instance: Instance) -> CommodityAssignment:
+    # the last level holds single edges only, and single-edge paths are
+    # `extra` before the descent, so no path the descent follows fits there
     masks = [
-        [edge_mask(f) for f in level_frags] for level_frags in decomp.levels
+        [edge_mask(f) for f in level_frags] for level_frags in decomp.levels[:-1]
     ]
     by_fragment: dict[tuple[int, int], list[int]] = {}
     extra = []
@@ -257,7 +247,7 @@ def classify_commodities(decomp: Decomposition, instance: Instance) -> Commodity
             extra.append(i)
             continue
         level, idx = 1, 0
-        while level < decomp.num_levels:
+        while level < decomp.num_levels - 1:
             child = next(
                 (
                     c
@@ -467,7 +457,10 @@ def _segment_members(
 ) -> list[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
     """One row per commodity that may join the aux instance of a segment
     rooted at `root`, whatever the guess: the root is an inner vertex of its
-    path, and the path meets the segment without holding all of it.
+    path, and the path meets the segment without holding all of it. Such a
+    path meets the segment in one piece that starts at the root, so the test
+    is: the path holds the segment's edge at the root, does not hold the
+    whole segment, and does not end at the root.
 
     A row is (prefix length, budget, scaled weight, blockers, held). The
     prefix length counts the segment edges the path covers from the root.
@@ -475,17 +468,24 @@ def _segment_members(
     commodity as an inner vertex and do not contain the root. The held
     segments are the other segments the path holds whole. Every mask test of
     the aux instances is made here, once per (segment, root).
+
+    A fragment's own commodity has a blocker only when d >= 5. A fragment
+    with k <= d children has at most k - 1 border vertices: the children and
+    the border vertices form a tree, and each border vertex sits in at least
+    two children. So the skeleton has at most d - 1 leaves. A blocker needs
+    a chain of three segments (one the path ends in, one it holds whole, one
+    it covers from the root), and such a chain needs at least four border
+    vertices. `branching_parameter` gives d >= 5 only for n > 65,536.
     """
     _, eids = _oriented(skeleton, seg_index, root)
     prefix = [0]
     for eid in eids:
         prefix.append(prefix[-1] | 1 << eid)
-    seg_mask = prefix[-1]
+    root_edge, seg_mask = prefix[1], prefix[-1]
     segments = skeleton.segments
     others = [(si, edge_mask(s.edges)) for si, s in enumerate(segments) if si != seg_index]
     # inner vertex of a segment that misses the root (so not this one) -> that segment
     blocker_at = {v: si for si, s in enumerate(segments) if root not in s.vertices for v in s.vertices[1:-1]}
-    root_mask = instance.tree.incident_masks[root]
     _, weights, _, budgets = instance._scaled
     commodities = instance.commodities
     paths = instance.paths
@@ -493,13 +493,15 @@ def _segment_members(
     rows = []
     for i in commodity_ids:
         pm = paths[i]
+        if not pm & root_edge:
+            continue
         reduced = pm & seg_mask
-        if (pm & root_mask).bit_count() != 2 or reduced in (0, seg_mask):
+        c = commodities[i]
+        if reduced == seg_mask or root in (c.source, c.target):
             continue
         length = reduced.bit_count()
         if reduced != prefix[length]:
             raise FzaError("reduced path is not a prefix of the segment")
-        c = commodities[i]
         blockers = tuple(blocker_at[v] for v in (c.source, c.target) if v in blocker_at)
         held = tuple(si for si, mask in others if pm & mask == mask)
         rows.append((length, budgets[i], weights[i], blockers, held))

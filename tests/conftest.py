@@ -532,7 +532,10 @@ def reference_aux_instance(instance, skeleton, seg_index, guesses, root, active,
     seg_masks = [edge_mask(s.edges) for s in segments]
     seg_mask = seg_masks[seg_index]
     inner_seg_of = {v: si for si, s in enumerate(segments) for v in s.vertices[1:-1]}
-    incident = instance.tree.incident_masks
+    incident = [0] * instance.tree.num_vertices
+    for eid, (u, v) in enumerate(instance.tree.edges):
+        incident[u] |= 1 << eid
+        incident[v] |= 1 << eid
     commodities = []
     for i in commodity_ids:
         c = instance.commodities[i]

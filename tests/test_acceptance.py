@@ -218,23 +218,23 @@ def test_criterion_8_decomposition_invariants():
             for level, frags in enumerate(decomp.levels):
                 if sorted(e for f in frags for e in f) != list(range(m)):
                     violations += 1
-                for i, f in enumerate(frags):
-                    if level:
-                        parent = decomp.levels[level - 1][decomp.parents[level][i]]
-                        if not f <= parent:
-                            violations += 1
+                for f in frags:
                     if d >= 4 and len(f) * d**level > 3**level * m:
                         violations += 1
-            if not all(len(f) == 1 for f in decomp.levels[-1]):
-                violations += 1
-            if d >= 4:
-                for level in range(1, decomp.num_levels):
-                    for i, f in enumerate(decomp.levels[level]):
-                        parent = decomp.levels[level - 1][decomp.parents[level][i]]
-                        if len(parent) >= d:
+            for level, refined in enumerate(decomp.children):
+                if sorted(c for kids in refined for c in kids) != list(range(len(decomp.levels[level + 1]))):
+                    violations += 1
+                for parent, kids in zip(decomp.levels[level], refined):
+                    for c in kids:
+                        f = decomp.levels[level + 1][c]
+                        if not f <= parent:
+                            violations += 1
+                        if d >= 4 and len(parent) >= d:
                             pm = len(parent)
                             if not (3 * d * len(f) >= pm and d * len(f) <= 3 * pm):
                                 violations += 1
+            if not all(len(f) == 1 for f in decomp.levels[-1]):
+                violations += 1
     ok = violations == 0
     report("8", ok, "partition/refinement/termination plus d>=4 size bounds, 200 trees")
     assert violations == 0

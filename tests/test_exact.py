@@ -17,6 +17,7 @@ from fza import (
     brute_force,
     dp_congestion,
     dp_pmax,
+    gen_rooted_path,
     gen_star_from_2sat,
     generalized_rooted_path_dp,
     normalize,
@@ -296,6 +297,18 @@ class TestGeneralizedPathDP:
                     for subset in combinations(range(n - 1), y)
                 )
                 assert res.revenue == best
+
+    def test_gen_rooted_path_from_the_far_end(self):
+        # rooted at the last vertex of `path_order`, the path is read backwards:
+        # its vertices and its edge ids alike
+        t = Tree(5, tuple((i, i + 1) for i in range(4)))
+        comms = [Commodity(4, 0, 2, Fraction(3)), Commodity(4, 1, 1, Fraction(2)), Commodity(2, 4, 1, Fraction(5))]
+        inst = make(t, PricingFunction.affine(5), comms)
+        assert inst.tree.path_order()[0][-1] == 4
+        results = [gen_rooted_path(inst, 0, root=4, cuts=y) for y in range(5)]
+        assert [len(res.cuts) for res in results] == list(range(5))
+        best = max(res.revenue for res in results)
+        assert best == rooted_dp(inst, 4).revenue == brute_force(inst).revenue == 23
 
     def test_identical_tables_match_rooted_dp(self):
         # maximizing over y recovers the unconstrained rooted optimum

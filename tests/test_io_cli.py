@@ -146,6 +146,28 @@ class TestCli:
                 lambda d: {**d, "num_vertices": 1, "edges": {}, "pricing": ["0"], "commodities": []},
                 id="object-edges",
             ),
+            pytest.param(
+                lambda d: {**d, "num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 0]], "pricing": ["0"] * 4},
+                id="cycle-and-isolated-vertex",
+            ),
+            pytest.param(lambda d: {**d, "edges": [[0, 1], [1, 3]]}, id="edge-endpoint-out-of-range"),
+            pytest.param(
+                lambda d: {**d, "num_vertices": 0, "edges": [], "pricing": [], "commodities": []},
+                id="zero-vertices",
+            ),
+            pytest.param(
+                lambda d: {**d, "commodities": [{"s": 0, "t": 3, "u": 1, "w": "1"}]},
+                id="commodity-endpoint-out-of-range",
+            ),
+            pytest.param(
+                lambda d: {**d, "commodities": [{"s": 1, "t": 1, "u": 1, "w": "1"}]},
+                id="coinciding-endpoints",
+            ),
+            pytest.param(lambda d: {**d, "commodities": [{"s": 0, "t": 2, "u": -1, "w": "1"}]}, id="negative-budget"),
+            pytest.param(lambda d: {**d, "commodities": [{"s": 0, "t": 2, "u": 1, "w": "0"}]}, id="zero-weight"),
+            pytest.param(lambda d: {**d, "pricing": ["0", "1"]}, id="pricing-shorter-than-n"),
+            pytest.param(lambda d: {**d, "pricing": []}, id="empty-pricing"),
+            pytest.param(lambda d: {**d, "commodities": [{"s": 0, "t": 2, "u": 1}]}, id="missing-weight"),
         ],
     )
     def test_validate_rejects_malformed_file(self, tmp_path, capsys, mutate):
@@ -347,6 +369,8 @@ class TestCli:
             pytest.param(lambda d: {**d, "instances": d["instances"] * 2}, id="duplicate-instances"),
             pytest.param(lambda d: {**d, "algorithms": ["brute", "brute"]}, id="duplicate-algorithms"),
             pytest.param(lambda d: {**d, "seeds": [1, 0, 1]}, id="duplicate-seeds"),
+            pytest.param(lambda d: {**d, "oracle": "sublog"}, id="approximate-oracle"),
+            pytest.param(lambda d: {**d, "instances": []}, id="empty-instances"),
         ],
     )
     def test_bench_rejects_malformed_config(self, tmp_path, capsys, mutate):

@@ -144,6 +144,19 @@ class TestExactness:
         for solver in (dp_umax, dp_pmax, dp_congestion):
             assert solver(inst).revenue == 200
 
+    def test_congestion_tie_prefers_no_cut_then_smaller_state(self):
+        # two transitions reach one dp_congestion state with equal value, and
+        # the tie rule decides which optimal cut set comes back
+        t = Tree(11, tuple((i, i + 1) for i in range(10)))
+        comms = [
+            Commodity(s, e, u, Fraction(1))
+            for s, e, u in ((0, 8, 2), (1, 8, 5), (1, 9, 4), (6, 7, 0), (8, 10, 1))
+        ]
+        inst = make(t, PricingFunction.affine(11), comms)
+        res = dp_congestion(inst)
+        assert res.cuts == (1, 2, 8) and res.revenue == 13
+        assert brute_force(inst).revenue == 13
+
     def test_cut_sets_pinned(self):
         # revenues alone miss a changed tie-break; this digest of every
         # (cuts, served) pair pins the fixed tie rule of all three DPs

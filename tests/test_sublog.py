@@ -141,12 +141,13 @@ class TestBuildDecomposition:
             inst = random_instance(seed, n, 0, "linear")
             decomp = build_decomposition(inst.tree)
             m = inst.tree.num_edges
-            for level, frags in enumerate(decomp.levels):
+            for frags in decomp.levels:
                 assert sorted(e for f in frags for e in f) == list(range(m))
-                if level:
-                    for i, f in enumerate(frags):
-                        parent = decomp.levels[level - 1][decomp.parents[level][i]]
-                        assert f <= parent
+            for level, refined in enumerate(decomp.children):
+                # every fragment of the next level refines exactly one fragment here
+                assert sorted(c for kids in refined for c in kids) == list(range(len(decomp.levels[level + 1])))
+                for parent, kids in zip(decomp.levels[level], refined):
+                    assert all(decomp.levels[level + 1][c] <= parent for c in kids)
             assert all(len(f) == 1 for f in decomp.levels[-1])
 
     def test_level_size_bound_forced_d4(self):
@@ -169,14 +170,21 @@ class TestBuildDecomposition:
         m = t.num_edges
         for level, frags in enumerate(decomp.levels):
             assert sorted(e for f in frags for e in f) == list(range(m))
-            for i, f in enumerate(frags):
-                if level:
-                    parent = decomp.levels[level - 1][decomp.parents[level][i]]
+            for f in frags:
+                assert len(f) * 4**level <= 3**level * m
+        for level, refined in enumerate(decomp.children):
+            assert sorted(c for kids in refined for c in kids) == list(range(len(decomp.levels[level + 1])))
+            for parent, kids in zip(decomp.levels[level], refined):
+                children = [decomp.levels[level + 1][c] for c in kids]
+                for f in children:
                     assert f <= parent
                     if len(parent) >= 4:
                         pm = len(parent)
                         assert 3 * 4 * len(f) >= pm and 4 * len(f) <= 3 * pm
-                assert len(f) * 4**level <= 3**level * m
+                if len(parent) > 1:
+                    # the children and the border vertices form a tree in which
+                    # every border vertex meets two children
+                    assert len(compute_skeleton(t, parent, children).border) <= decomp.d - 1
         assert all(len(f) == 1 for f in decomp.levels[-1])
 
 
