@@ -82,15 +82,13 @@ class BenchConfig:
                 raise InvalidInstanceError(f"unknown algorithm {shown(name)}")
         if self.oracle not in ORACLES:
             raise InvalidInstanceError(f"oracle must be one of {ORACLES}")
-        if not self.instances:
-            raise InvalidInstanceError("no instances configured")
-        if not self.seeds:
-            raise InvalidInstanceError("no seeds configured")
         for what, items in (
             ("instances", self.instances),
             ("algorithms", self.algorithms),
             ("seeds", self.seeds),
         ):
+            if not items:
+                raise InvalidInstanceError(f"no {what} configured")
             if len(set(items)) < len(items):
                 raise InvalidInstanceError(f"bench config {what} repeat an entry: {shown(list(items))}")
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import re
 import sys
 
 from .bench import SOLVERS, BenchConfig, run_bench
@@ -22,6 +23,10 @@ from .generators import (
 from .model import CapacityError, FzaError, InvalidInstanceError, parameters
 
 
+# a signed ASCII integer: `int` alone would also read "1_0" and non-ASCII digits
+_LITERAL = re.compile(r"[+-]?[0-9]+", re.ASCII)
+
+
 def parse_clauses(text: str, num_vars: int | None = None) -> Formula2CNF:
     """Parse '1 -2, -1 -2' style clause lists (1-based signed variables)."""
     clauses = []
@@ -32,12 +37,13 @@ def parse_clauses(text: str, num_vars: int | None = None) -> Formula2CNF:
             raise InvalidInstanceError(f"clause {chunk!r} needs exactly two literals")
         pair = []
         for lit in lits:
-            try:
-                value = int(lit)
-            except ValueError as exc:
-                raise InvalidInstanceError(f"bad literal {lit!r}") from exc
+            if not _LITERAL.fullmatch(lit):
+                raise InvalidInstanceError(f"bad literal {lit!r}")
+            value = int(lit)
             if value == 0:
                 raise InvalidInstanceError("literal 0 is not allowed")
+            if num_vars is not None and abs(value) > num_vars:
+                raise InvalidInstanceError(f"literal {value} out of range: variables are 1..{num_vars}")
             pair.append((abs(value) - 1, value < 0))
             top = max(top, abs(value))
         clauses.append((pair[0], pair[1]))

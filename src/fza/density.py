@@ -11,10 +11,10 @@ variant that samples each edge independently.
 from __future__ import annotations
 
 from .model import (
-    FzaError,
     Instance,
     InvalidInstanceError,
     SolveResult,
+    first_best,
     make_result,
 )
 from .rng import substream
@@ -27,29 +27,11 @@ def ceil_log2(n: int) -> int:
 
 
 def _argmax_candidates(instance, candidates, algorithm, seed=None):
-    """Pick the candidate with maximum full-instance revenue.
-
-    Ties go to the first such candidate in generation order, i.e. the lowest
-    class j and then the lowest offset theta; the cut set itself never
-    breaks a tie. Each cut set is scored once: a later equal candidate (the
-    empty set of each empty offset, or an unthinned offset bucket repeated by
-    every class whose modulus exceeds the tree's depth) earns the same
-    revenue, so under the strict `>` it could not win.
-    """
-    best = None
-    scored = set()
-    for cuts in candidates:
-        if cuts in scored:
-            continue
-        scored.add(cuts)
-        rev = instance.scaled_cut_revenue(cuts)
-        if best is None or rev > best[0]:
-            best = (rev, cuts)
-    if best is None:
-        raise FzaError("no candidates to choose from")
+    """Pick the candidate with maximum full-instance revenue by `first_best`:
+    ties go to the lowest class j, then the lowest offset theta."""
     return make_result(
         instance,
-        best[1],
+        first_best(candidates, instance.scaled_cut_revenue),
         algorithm=algorithm,
         seed=seed,
         diagnostics={"candidates": len(candidates)},

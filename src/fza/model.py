@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -465,6 +465,29 @@ def edge_mask(cuts: Iterable[int]) -> int:
     for eid in cuts:
         mask |= 1 << eid
     return mask
+
+
+def first_best(
+    candidates: Iterable[frozenset[int]], score: Callable[[frozenset[int]], int]
+) -> frozenset[int]:
+    """The first of `candidates` (a non-empty iterable) with the highest score.
+
+    Every approximation keeps its best cut set by this rule. Candidates are
+    walked in order and a later one replaces the best only on a strictly
+    higher score, so the first to reach the maximum wins a tie. Each
+    distinct candidate is scored once: a repeat earns the same score, so it
+    could not win.
+    """
+    seen = set()
+    best = best_score = None
+    for cand in candidates:
+        if cand in seen:
+            continue
+        seen.add(cand)
+        s = score(cand)
+        if best_score is None or s > best_score:
+            best, best_score = cand, s
+    return best
 
 
 def normalize(instance: Instance) -> Instance:

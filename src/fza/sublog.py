@@ -40,6 +40,7 @@ from .model import (
     InvalidInstanceError,
     SolveResult,
     edge_mask,
+    first_best,
     make_result,
 )
 from .rng import substream
@@ -558,8 +559,8 @@ def skeleton_solve(
     Within one call, each segment end's member rows are worked out once, and
     a path DP result is reused whenever the same (segment, root, rows, cut
     count) comes up again. All coin draws of a guess happen before its DPs,
-    so reuse does not change them. A cut set already scored in this call is
-    not scored again: under the strict `>` rule it could not replace `best`.
+    so reuse does not change them. The guesses' cut sets are picked by
+    `first_best` in guess order.
     """
     segments = skeleton.segments
     if not segments:
@@ -578,43 +579,39 @@ def skeleton_solve(
         for root in seg.terminals
     }
     placed: dict[tuple, list[int]] = {}
-    scored: set[int] = set()
-    best_rev: int | None = None
-    best: frozenset[int] = frozenset()
-    for gi, guess in enumerate(itertools.product(*options)):
-        rng = substream(*rng_labels, gi)
-        active = []
-        roots = []
-        for seg in segments:
-            deactivated = rng.random() < 0.5
-            active.append(not deactivated)
-            if deactivated:
-                roots.append(None)
-            else:
-                t1, t2 = seg.terminals
-                roots.append(t1 if rng.random() < 0.5 else t2)
-        cuts: set[int] = set()
-        for si, root in enumerate(roots):
-            if root is None:
-                continue
-            aux, eids = build_aux_instance(
-                instance, skeleton, si, guess, root, active, members[si, root]
-            )
-            key = (si, root, aux.commodities, guess[si])
-            if key not in placed:
-                sub = generalized_rooted_path_dp(aux, guess[si])
-                if len(set(sub.cuts)) != guess[si]:
-                    raise FzaError("path DP placed a different number of cuts than guessed")
-                placed[key] = [eids[p] for p in sub.cuts]
-            cuts.update(placed[key])
-        mask = edge_mask(cuts)
-        if mask in scored:
-            continue
-        scored.add(mask)
-        rev = instance.scaled_revenue(mask, commodity_ids)
-        if best_rev is None or rev > best_rev:
-            best_rev = rev
-            best = frozenset(cuts)
+
+    def guessed_cuts():
+        for gi, guess in enumerate(itertools.product(*options)):
+            rng = substream(*rng_labels, gi)
+            active = []
+            roots = []
+            for seg in segments:
+                deactivated = rng.random() < 0.5
+                active.append(not deactivated)
+                if deactivated:
+                    roots.append(None)
+                else:
+                    t1, t2 = seg.terminals
+                    roots.append(t1 if rng.random() < 0.5 else t2)
+            cuts: set[int] = set()
+            for si, root in enumerate(roots):
+                if root is None:
+                    continue
+                aux, eids = build_aux_instance(
+                    instance, skeleton, si, guess, root, active, members[si, root]
+                )
+                key = (si, root, aux.commodities, guess[si])
+                if key not in placed:
+                    sub = generalized_rooted_path_dp(aux, guess[si])
+                    if len(set(sub.cuts)) != guess[si]:
+                        raise FzaError("path DP placed a different number of cuts than guessed")
+                    placed[key] = [eids[p] for p in sub.cuts]
+                cuts.update(placed[key])
+            yield frozenset(cuts)
+
+    best = first_best(
+        guessed_cuts(), lambda cuts: instance.scaled_revenue(edge_mask(cuts), commodity_ids)
+    )
     if not best <= skeleton.edges:
         raise FzaError("skeleton candidate cuts a non-skeleton edge")
     return best
@@ -644,9 +641,10 @@ def sublog(
 
     Per level, each fragment with assigned commodities runs both the
     non-skeleton and the skeleton subroutine and keeps the better one by the
-    revenue of its own commodities; fragment cut sets merge into one level
-    candidate. The single-edge class gets an exact candidate. The best
-    candidate by full revenue wins, with the empty set always in the running.
+    revenue of its own commodities (the non-skeleton set on a tie); fragment
+    cut sets merge into one level candidate. The single-edge class gets an
+    exact candidate. The best candidate by full revenue wins, with the empty
+    set always in the running. Both choices are `first_best`'s.
     """
     tree = instance.tree
     if tree.num_edges == 0:
@@ -656,23 +654,19 @@ def sublog(
     candidates: list[frozenset[int]] = [frozenset()]
     detail: dict = {"d": decomp.d, "levels": [len(lv) for lv in decomp.levels]}
     fragments_info = []
-    for level in range(1, decomp.num_levels):
+    by_level = itertools.groupby(sorted(assignment.by_fragment.items()), lambda kv: kv[0][0])
+    for level, assigned in by_level:
         level_cuts: set[int] = set()
-        touched = False
-        for idx in range(len(decomp.levels[level - 1])):
-            ids = assignment.by_fragment.get((level, idx))
-            if not ids:
-                continue
-            touched = True
+        for (_, idx), ids in assigned:
             frag = decomp.levels[level - 1][idx]
             kids = [decomp.levels[level][c] for c in decomp.children_of(level, idx)]
             skel = compute_skeleton(tree, frag, kids)
             rng_ns = substream(seed, "sublog", "nonskel", level, idx)
             f_ns = non_skeleton_solve(instance, skel, ids, rng_ns)
             f_s = skeleton_solve(instance, skel, ids, (seed, "sublog", "skel", level, idx))
-            rev_ns = instance.scaled_revenue(edge_mask(f_ns), ids)
-            rev_s = instance.scaled_revenue(edge_mask(f_s), ids)
-            chosen = f_ns if rev_ns >= rev_s else f_s
+            chosen = first_best(
+                (f_ns, f_s), lambda cuts: instance.scaled_revenue(edge_mask(cuts), ids)
+            )
             level_cuts |= chosen
             if diagnostics:
                 fragments_info.append(
@@ -684,21 +678,14 @@ def sublog(
                         "skeleton": sorted(skel.edges),
                         "segments": [list(s.edges) for s in skel.segments],
                         "commodities": list(ids),
-                        "picked": "non-skeleton" if rev_ns >= rev_s else "skeleton",
+                        "picked": "non-skeleton" if chosen == f_ns else "skeleton",
                     }
                 )
-        if touched:
-            candidates.append(frozenset(level_cuts))
+        candidates.append(frozenset(level_cuts))
     if assignment.extra:
         candidates.append(_single_edge_candidate(instance, assignment.extra))
 
-    best_rev: int | None = None
-    best: frozenset[int] = frozenset()
-    for cand in candidates:
-        rev = instance.scaled_revenue(edge_mask(cand))
-        if best_rev is None or rev > best_rev:
-            best_rev = rev
-            best = cand
+    best = first_best(candidates, lambda cuts: instance.scaled_revenue(edge_mask(cuts)))
     diag = {"candidates": len(candidates), "num_levels": decomp.num_levels}
     if diagnostics:
         diag.update(detail)

@@ -274,6 +274,28 @@ class TestGeneralizedPathDP:
         with pytest.raises(InvalidInstanceError):
             GeneralizedCommodity(3, 3, Fraction(1), pricing, shift=-1)
 
+    @pytest.mark.parametrize(
+        "budget, weight",
+        [pytest.param(-1, 1, id="negative-budget"), pytest.param(1, 0, id="zero-weight")],
+    )
+    def test_commodity_refuses(self, budget, weight):
+        with pytest.raises(InvalidInstanceError):
+            GeneralizedCommodity(2, budget, weight, PricingFunction.linear(4))
+
+    @pytest.mark.parametrize(
+        "path, target",
+        [
+            pytest.param((), 1, id="empty-path"),
+            pytest.param((0, 1, 0), 1, id="repeated-vertex"),
+            pytest.param((0, 1, 2), 0, id="target-at-root"),
+            pytest.param((0, 1, 2), 5, id="target-off-path"),
+        ],
+    )
+    def test_instance_refuses(self, path, target):
+        c = GeneralizedCommodity(target, 1, Fraction(1), PricingFunction.linear(4))
+        with pytest.raises(InvalidInstanceError):
+            GeneralizedPathInstance(path, (c,))
+
     def test_refuses_non_int_fields(self):
         pricing = PricingFunction.linear(5)
         for target, budget, shift in ((3, True, 0), (3, 3, True), (3, 2.0, 0), (3, 3, 1.0), (3.0, 3, 0)):

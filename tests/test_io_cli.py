@@ -59,6 +59,27 @@ class TestParseClauses:
         with pytest.raises(InvalidInstanceError):
             parse_clauses("1 0")
 
+    @pytest.mark.parametrize("text", ["1 2 3", "1 x"])
+    def test_malformed_clause(self, text):
+        from fza import InvalidInstanceError
+
+        with pytest.raises(InvalidInstanceError):
+            parse_clauses(text)
+
+    # `int` alone reads both: Arabic-Indic 1 as 1, "1_0" as 10
+    @pytest.mark.parametrize("text", ["\u0661 -2", "1_0 -2"])
+    def test_gen_refuses_non_ascii_literal(self, tmp_path, capsys, text):
+        out = tmp_path / "x.json"
+        assert main(["gen", "star-sat", "--clauses", text, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad literal")
+        assert not out.exists()
+
+    def test_gen_names_literal_beyond_num_vars(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["gen", "path-sat", "--clauses", "1 -2", "--num-vars", "1", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: literal -2 out of range: variables are 1..1\n"
+
 
 class TestCli:
     def test_parser_built_once(self):
@@ -291,6 +312,34 @@ class TestCli:
             ["solve", "--algo", "gen-rooted-path", "--input", str(inst_path)]
         ) == 2
 
+    def test_gen_rooted_path_refuses_tree(self, tmp_path, capsys):
+        inst_path = tmp_path / "t.json"
+        write_instance(random_instance(4, 8, 5, "linear"), inst_path)
+        argv = ["solve", "--algo", "gen-rooted-path", "--input", str(inst_path), "--cuts", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: tree is not a path\n"
+
+    def test_gen_rooted_path_refuses_inner_root(self, tmp_path, capsys):
+        t = Tree(5, tuple((i, i + 1) for i in range(4)))
+        inst = normalize(
+            Instance.create(t, PricingFunction.linear(5), [Commodity(0, 4, 2, Fraction(1))])
+        )
+        inst_path = tmp_path / "p.json"
+        write_instance(inst, inst_path)
+        argv = ["solve", "--algo", "gen-rooted-path", "--input", str(inst_path), "--cuts", "1"]
+        assert main(argv + ["--root", "2"]) == 2
+        assert capsys.readouterr().err == "error: root 2 is not an endpoint of the path\n"
+
+    def test_solve_to_stdout_matches_output_file(self, tmp_path, capsys):
+        inst_path = tmp_path / "i.json"
+        out = tmp_path / "sol.json"
+        write_instance(random_instance(5, 9, 6, "affine"), inst_path)
+        argv = ["solve", "--algo", "sublog", "--input", str(inst_path), "--diagnostics"]
+        assert main(argv + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
     def test_gen_rooted_path_solve(self, tmp_path):
         # path with identity labels: vertex 0 is an endpoint
         t = Tree(5, tuple((i, i + 1) for i in range(4)))
@@ -371,6 +420,7 @@ class TestCli:
             pytest.param(lambda d: {**d, "seeds": [1, 0, 1]}, id="duplicate-seeds"),
             pytest.param(lambda d: {**d, "oracle": "sublog"}, id="approximate-oracle"),
             pytest.param(lambda d: {**d, "instances": []}, id="empty-instances"),
+            pytest.param(lambda d: {**d, "algorithms": []}, id="empty-algorithms"),
         ],
     )
     def test_bench_rejects_malformed_config(self, tmp_path, capsys, mutate):

@@ -21,7 +21,7 @@ from fza import (
     single_density_base,
     total_revenue,
 )
-from fza.model import edge_mask, make_result, revenue_for, to_fraction, total_revenue_mask
+from fza.model import edge_mask, first_best, make_result, revenue_for, to_fraction, total_revenue_mask
 from fza.sublog import build_decomposition, sublog
 from fza.files import instance_to_dict, read_instance, write_instance
 from conftest import (
@@ -481,6 +481,24 @@ class TestScaledKernel:
                 for c, path in zip(inst.commodities, inst.paths):
                     outcomes.add(((path & mask).bit_count() > c.budget, inst.pricing.base_revenue))
         assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_first_best_keeps_first_maximum_and_scores_each_set_once():
+    rng = Random(17)
+    for _ in range(300):
+        pool = [frozenset(rng.sample(range(6), rng.randint(0, 3))) for _ in range(rng.randint(1, 6))]
+        candidates = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+        points = {c: rng.randint(0, 3) for c in candidates}
+        scored = Counter()
+
+        def score(cuts):
+            scored[cuts] += 1
+            return points[cuts]
+
+        best = first_best(iter(candidates), score)
+        top = max(points.values())
+        assert best == next(c for c in candidates if points[c] == top)
+        assert scored == Counter(set(candidates))
 
 
 class TestParameters:
