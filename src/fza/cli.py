@@ -27,6 +27,13 @@ from .model import CapacityError, FzaError, InvalidInstanceError, parameters
 _LITERAL = re.compile(r"[+-]?[0-9]+", re.ASCII)
 
 
+def _integer(text: str) -> int:
+    """argparse type of every integer option: a `_LITERAL`, else exit 2."""
+    if not _LITERAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def parse_clauses(text: str, num_vars: int | None = None) -> Formula2CNF:
     """Parse '1 -2, -1 -2' style clause lists (1-based signed variables)."""
     clauses = []
@@ -118,24 +125,24 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algo", required=True, choices=SOLVERS)
     solve.add_argument("--input", required=True)
     solve.add_argument("--output")
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--root", type=int, default=0)
-    solve.add_argument("--cuts", type=int, default=None, help="exact cut count for gen-rooted-path")
+    solve.add_argument("--seed", type=_integer, default=0)
+    solve.add_argument("--root", type=_integer, default=0)
+    solve.add_argument("--cuts", type=_integer, default=None, help="exact cut count for gen-rooted-path")
     solve.add_argument("--diagnostics", action="store_true")
     solve.set_defaults(func=_solve)
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("family", choices=("random", "star-sat", "path-sat"))
     gen.add_argument("--output", required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--vertices", type=int, default=10)
-    gen.add_argument("--commodities", type=int, default=10)
+    gen.add_argument("--seed", type=_integer, default=0)
+    gen.add_argument("--vertices", type=_integer, default=10)
+    gen.add_argument("--commodities", type=_integer, default=10)
     gen.add_argument("--shape", choices=("tree", "path"), default="tree")
     gen.add_argument("--pricing", choices=("linear", "affine", "capped"), default="linear")
-    gen.add_argument("--max-weight", type=int, default=10)
+    gen.add_argument("--max-weight", type=_integer, default=10)
     gen.add_argument("--fractional-weights", action="store_true")
     gen.add_argument("--clauses", help="e.g. '1 -2, -1 -2' (1-based, negative = negated)")
-    gen.add_argument("--num-vars", type=int, default=None)
+    gen.add_argument("--num-vars", type=_integer, default=None)
     gen.add_argument("--big-m", default=None, help="M for path-sat, default m+1")
     gen.set_defaults(func=_gen)
 

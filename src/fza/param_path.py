@@ -2,13 +2,16 @@
 
 All three DPs run one left-to-right sweep (`_Sweep.run`) over the path's edge
 positions and differ only in how a state encodes the cuts so far: each
-supplies a start state and `step(state, p) -> (kept, cut, cut_gain)`, where
-cut_gain sums, over the commodities through p, the cached marginal gain
-`Instance.gains[i][z]` of a cut on a path that already holds z cuts. Tables
-are sparse and hash-indexed, so only reachable states are materialized; the
-stated worst-case sizes act purely as refusal guards. Tie-breaking is fixed:
-keep the no-cut transition, then the lexicographically smaller predecessor
-state, so reconstruction is deterministic.
+supplies a start state and `moves(states, p) -> (kept, cut, cut_gains)`,
+three lists aligned with the sorted states at p, where a cut gain sums, over
+the commodities through p, the cached marginal gain `Instance.gains[i][z]` of
+a cut on a path that already holds z cuts. Tables are sparse and
+hash-indexed, so only reachable states are materialized; the stated
+worst-case sizes act purely as refusal guards. Tie-breaking is fixed by pass
+order: every no-cut move merges before every cut move, each pass in
+ascending predecessor order, and a move replaces a held state only on a
+strictly higher value, so the no-cut move, then the lexicographically
+smaller predecessor, wins a tie and reconstruction is deterministic.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ DEAD = -2
 
 
 class _Sweep:
-    """Path layout plus the one DP loop with the fixed tie rule.
+    """Path layout plus the one DP loop, which merges each position's moves
+    in two ordered passes (see the module docstring for the tie rule).
 
     `covering[p]` is `Instance.edge_commodities` of the edge at 1-based
     position p: the commodities whose path holds it, ascending. `start[i]`
@@ -64,17 +68,17 @@ class _Sweep:
                     start[i] = p
                     self.entry_value[p] += instance.value(i, 0)
 
-    def run(self, initial, step, algorithm: str, diagnostics: dict) -> SolveResult:
+    def run(self, initial, moves, algorithm: str, diagnostics: dict) -> SolveResult:
         table = {initial: 0}
         parents_by_step = [{}]
         for p in range(1, self.m + 1):
             bp = self.entry_value[p]
+            states = sorted(table)
+            kept, cut, gains = moves(states, p)
+            values = [table[state] + bp for state in states]
             new_table, parents = {}, {}
-            for state in sorted(table):
-                val = table[state] + bp
-                kept, cut, gain = step(state, p)
-                _update(new_table, parents, kept, val, state, cut=False)
-                _update(new_table, parents, cut, val + gain, state, cut=True)
+            _update(new_table, parents, kept, values, states, False)
+            _update(new_table, parents, cut, [v + g for v, g in zip(values, gains)], states, True)
             table = new_table
             parents_by_step.append(parents)
 
@@ -93,15 +97,12 @@ class _Sweep:
         return result
 
 
-def _update(table, parents, key, value, pred, cut: bool) -> None:
-    held = table.get(key)
-    if held is None or value > held:
-        table[key] = value
-        parents[key] = (pred, cut)
-    elif value == held:
-        old_pred, old_cut = parents[key]
-        # same value: prefer no-cut, then the smaller predecessor
-        if (cut, pred) < (old_cut, old_pred):
+def _update(table, parents, keys, values, preds, cut: bool) -> None:
+    """Merge one pass of moves, keeping a move only on a strictly higher value."""
+    for key, value, pred in zip(keys, values, preds):
+        held = table.get(key)
+        if held is None or value > held:
+            table[key] = value
             parents[key] = (pred, cut)
 
 
@@ -122,17 +123,28 @@ def dp_umax(instance: Instance) -> SolveResult:
     if n ** (ell + 2) > STATE_BUDGET:
         raise CapacityError(f"state budget exceeded: {n}^{ell + 2} > {STATE_BUDGET}")
     gains, start = instance.gains, sweep.start
-    through = [tuple((start[i], gains[i]) for i in ids) for ids in sweep.covering]
+    # per position p: the first start among the commodities through p (past
+    # the path's end if none), and (start, gains) of each of them
+    through = [
+        (min((start[i] for i in ids), default=sweep.m + 1), tuple((start[i], gains[i]) for i in ids))
+        for ids in sweep.covering
+    ]
     size = ell + 1
 
-    def step(window, p):
-        gain = 0
-        for s, g in through[p]:
-            # cuts in the window at or after the commodity's first position
-            gain += g[size - bisect_left(window, s)]
-        return window, window[1:] + (p,), gain
+    def moves(windows, p):
+        first, comms = through[p]
+        # the gain reads only the window's cuts at or after `first`
+        memo, cut_gains = {}, []
+        for w in windows:
+            key = w[bisect_left(w, first):]
+            gain = memo.get(key)
+            if gain is None:
+                # cuts in the window at or after each commodity's first position
+                gain = memo[key] = sum(g[size - bisect_left(w, s)] for s, g in comms)
+            cut_gains.append(gain)
+        return windows, [w[1:] + (p,) for w in windows], cut_gains
 
-    return sweep.run(tuple(range(-ell, 1)), step, "dp-umax", {"u_max": ell})
+    return sweep.run(tuple(range(-ell, 1)), moves, "dp-umax", {"u_max": ell})
 
 
 def dp_pmax(instance: Instance) -> SolveResult:
@@ -152,16 +164,23 @@ def dp_pmax(instance: Instance) -> SolveResult:
         tuple(((1 << (p - start[i])) - 1, gains[i]) for i in ids)
         for p, ids in enumerate(sweep.covering)
     ]
+    # the widest `before` mask at p: the only bits of a state its cut gain reads
+    seen = [max((before for before, _ in comms), default=0) for comms in through]
     full = (1 << ell) - 1
 
-    def step(mask, p):
-        gain = 0
-        for before, g in through[p]:
-            gain += g[(mask & before).bit_count()]
-        shifted = (mask << 1) & full
-        return shifted, shifted | 1, gain
+    def moves(masks, p):
+        comms, visible = through[p], seen[p]
+        memo, cut_gains = {}, []
+        for mask in masks:
+            key = mask & visible
+            gain = memo.get(key)
+            if gain is None:
+                gain = memo[key] = sum(g[(mask & before).bit_count()] for before, g in comms)
+            cut_gains.append(gain)
+        kept = [(mask << 1) & full for mask in masks]
+        return kept, [k | 1 for k in kept], cut_gains
 
-    return sweep.run(0, step, "dp-pmax", {"p_max": ell})
+    return sweep.run(0, moves, "dp-pmax", {"p_max": ell})
 
 
 def dp_congestion(instance: Instance) -> SolveResult:
@@ -193,23 +212,28 @@ def dp_congestion(instance: Instance) -> SolveResult:
         entering_gain.append(sum(gains[i][0] for i in ids if i not in prev_index))
         prev_index = {i: t for t, i in enumerate(ids)}
 
-    def step(state, p):
-        kept = []
-        slashed = []
-        gain = entering_gain[p]
-        for t, u, g in slots[p]:
-            if t < 0:
-                kept.append(u)
-                slashed.append(u - 1)
-                continue
-            x = state[t]
-            kept.append(x)
-            if x == DEAD or x == -1:
-                slashed.append(DEAD)
-            else:
-                # slack x before the cut means u-x cuts lay on the path before it
-                gain += g[u - x]
-                slashed.append(x - 1)
-        return tuple(kept), tuple(slashed), gain
+    def moves(states, p):
+        all_kept, all_slashed, cut_gains = [], [], []
+        for state in states:
+            kept = []
+            slashed = []
+            gain = entering_gain[p]
+            for t, u, g in slots[p]:
+                if t < 0:
+                    kept.append(u)
+                    slashed.append(u - 1)
+                    continue
+                x = state[t]
+                kept.append(x)
+                if x == DEAD or x == -1:
+                    slashed.append(DEAD)
+                else:
+                    # slack x before the cut means u-x cuts lay on the path before it
+                    gain += g[u - x]
+                    slashed.append(x - 1)
+            all_kept.append(tuple(kept))
+            all_slashed.append(tuple(slashed))
+            cut_gains.append(gain)
+        return all_kept, all_slashed, cut_gains
 
-    return sweep.run((), step, "dp-cong", {"congestion": parameters(instance).congestion})
+    return sweep.run((), moves, "dp-cong", {"congestion": parameters(instance).congestion})

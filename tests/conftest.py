@@ -203,6 +203,45 @@ def bounded_path_instance(seed: int, n_max=12, u_cap=3, p_cap=6, cong_cap=3) -> 
             return inst
 
 
+def pairwise_sweep(solver, instance: Instance):
+    """`solver` (one of the three path DPs) with its sweep run one transition
+    at a time: the DP's own `moves` on one state at a time, each move merged
+    alone, and a tie decided by comparing (cut, predecessor), smallest first.
+    The solvers merge each position's moves in two ordered passes instead."""
+    from unittest import mock
+
+    from fza import param_path
+    from fza.model import make_result
+
+    def run(sweep, initial, moves, algorithm, diagnostics):
+        table, parents_by_step = {initial: 0}, [{}]
+        for p in range(1, sweep.m + 1):
+            new_table, parents = {}, {}
+            for state in sorted(table):
+                (kept,), (cut,), (gain,) = moves([state], p)
+                value = table[state] + sweep.entry_value[p]
+                for key, val, was_cut in ((kept, value, False), (cut, value + gain, True)):
+                    held = new_table.get(key)
+                    if held is None or val > held or (
+                        val == held and (was_cut, state) < parents[key][::-1]
+                    ):
+                        new_table[key] = val
+                        parents[key] = (state, was_cut)
+            table = new_table
+            parents_by_step.append(parents)
+        best = max(table.values())
+        key = min(k for k, v in table.items() if v == best)
+        cuts = []
+        for p in range(sweep.m, 0, -1):
+            key, was_cut = parents_by_step[p][key]
+            if was_cut:
+                cuts.append(sweep.edge_ids[p - 1])
+        return make_result(instance, cuts, algorithm=algorithm, diagnostics=diagnostics)
+
+    with mock.patch.object(param_path._Sweep, "run", run):
+        return solver(instance)
+
+
 # Reference code that no solver calls, kept as independent checks: the
 # density classes of the Single Density analysis, path resolution by walking
 # parents, a commodity's path edges, and one commodity's revenue as a plain

@@ -270,6 +270,33 @@ class TestCli:
         )
         assert main(["solve", "--algo", "brute", "--input", str(inst_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "option, value", [("--vertices", "1_0"), ("--seed", "\u0661"), ("--cuts", "1_0")]
+    )
+    def test_integer_option_refuses_other_forms(self, tmp_path, capsys, option, value):
+        # `int` alone reads "1_0" as 10 and Arabic-Indic 1 as 1; an integer option
+        # takes only the signed ASCII form the instance format and --clauses take
+        inst_path, out = tmp_path / "p.json", tmp_path / "o.json"
+        t = Tree(12, tuple((i, i + 1) for i in range(11)))
+        write_instance(
+            normalize(Instance.create(t, PricingFunction.linear(12), [Commodity(0, 11, 10, Fraction(1))])),
+            inst_path,
+        )
+        if option == "--cuts":
+            argv = ["solve", "--algo", "gen-rooted-path", "--input", str(inst_path)]
+        else:
+            argv = ["gen", "random"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(out), option, value])
+        assert exc.value.code == 2 and not out.exists()
+        assert f"argument {option}: invalid integer {value!r}\n" in capsys.readouterr().err
+
+    def test_integer_option_keeps_sign(self, tmp_path):
+        out, expected = tmp_path / "x.json", tmp_path / "e.json"
+        assert main(["gen", "random", "--seed", "-3", "--output", str(out)]) == 0
+        write_instance(gen_random(GenSpec("random-tree", 10, 10, seed=-3)), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_gen_star_sat(self, tmp_path):
         out = tmp_path / "star.json"
         code = main(

@@ -17,7 +17,9 @@ from fza import (
     normalize,
 )
 from fza import param_path
-from conftest import bounded_path_instance, path_edges
+from fza.generators import pricing_preset
+from fza.rng import substream
+from conftest import bounded_path_instance, pairwise_sweep, path_edges
 
 
 def make(tree, pricing, commodities):
@@ -157,6 +159,26 @@ class TestExactness:
         assert res.cuts == (1, 2, 8) and res.revenue == 13
         assert brute_force(inst).revenue == 13
 
+    def test_umax_tie_prefers_smaller_state(self):
+        # edge 0 carries no commodity, so cutting it or not ties; the windows
+        # (0, 2) and (1, 2) differ only there and both reach (2, 3) when edge
+        # 2 is cut, where the smaller predecessor (edge 0 uncut) wins
+        t = Tree(4, ((0, 1), (1, 2), (2, 3)))
+        comms = [Commodity(1, 2, 1, Fraction(1)), Commodity(2, 3, 1, Fraction(2))]
+        inst = make(t, PricingFunction.linear(4), comms)
+        res = dp_umax(inst)
+        assert res.cuts == (1, 2) and res.revenue == 3
+        assert brute_force(inst).revenue == 3
+
+    def test_pmax_tie_prefers_smaller_state(self):
+        # with p_max = 1 the masks 0 and 1 (edge 0 uncut / cut, a free choice)
+        # both reach mask 1 when edge 1 is cut, where the smaller wins
+        t = Tree(3, ((0, 1), (1, 2)))
+        inst = make(t, PricingFunction.affine(3), [Commodity(1, 2, 1, Fraction(1))])
+        res = dp_pmax(inst)
+        assert res.cuts == (1,) and res.revenue == 2
+        assert brute_force(inst).revenue == 2
+
     def test_cut_sets_pinned(self):
         # revenues alone miss a changed tie-break; this digest of every
         # (cuts, served) pair pins the fixed tie rule of all three DPs
@@ -167,3 +189,34 @@ class TestExactness:
                 res = solver(inst)
                 h.update(repr((res.cuts, res.served)).encode())
         assert h.hexdigest() == "e69f0579c6c4970b881e2509cb186c1af504b03efc115b3f331f9c89e0ecfbab"
+
+
+def tie_heavy_path(seed: int) -> Instance:
+    """A random path on 2..20 vertices under any pricing preset, with up to
+    six commodities of length at most 6, budgets 0..3 (lower on longer
+    paths, so dp_umax's windows stay few) and mostly unit or double weights,
+    so that many moves tie."""
+    rng = substream(seed, "tie-heavy-path")
+    n = rng.randint(2, 20)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    tree = Tree(n, tuple((labels[i], labels[i + 1]) for i in range(n - 1)))
+    pricing = pricing_preset(rng.choice(("linear", "affine", "capped")), n)
+    top = 3 if n <= 9 else 2 if n <= 12 else 1
+    comms = []
+    for _ in range(rng.randint(0, 6)):
+        a = rng.randrange(n - 1)
+        b = a + rng.randint(1, min(6, n - 1 - a))
+        w = Fraction(rng.randint(1, 2)) if rng.random() < 0.9 else Fraction(rng.randint(1, 5), 3)
+        comms.append(Commodity(labels[a], labels[b], rng.randint(0, top), w))
+    return make(tree, pricing, comms)
+
+
+def test_sweep_matches_pairwise_reference():
+    # the two ordered passes keep the pairwise (cut, predecessor) tie rule,
+    # and each DP's gain cache changes no move's value
+    for seed in range(1000):
+        inst = tie_heavy_path(seed)
+        for solver in (dp_umax, dp_pmax, dp_congestion):
+            res, ref = solver(inst), pairwise_sweep(solver, inst)
+            assert (res.cuts, res.served, res.revenue) == (ref.cuts, ref.served, ref.revenue), (seed, solver)
