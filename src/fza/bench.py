@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .density import (
     single_density_path,
 )
 from .exact import brute_force, gen_rooted_path, rooted_dp
-from .files import dumps_canonical, read_instance
+from .files import dumps_canonical, read_instance, read_json
 from .model import (
     CapacityError,
     FzaError,
@@ -94,11 +93,7 @@ class BenchConfig:
 
     @classmethod
     def from_file(cls, path) -> "BenchConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        # ValueError: bad JSON or UTF-8, or an int past Python's digit limit
-        except (ValueError, RecursionError) as exc:
-            raise InvalidInstanceError(f"malformed bench config: {exc}") from exc
+        data = read_json(path)
         try:
             return cls(
                 instances=_json_list(data["instances"], "instances", str),
@@ -119,9 +114,11 @@ def _json_list(value, what: str, kind: type) -> tuple:
 
 def run_bench(config: BenchConfig, output_dir) -> dict:
     """Execute the grid and write report.csv, summary.json, timings.csv."""
+    # every instance is read before the output directory exists, so a config
+    # naming an unreadable file leaves none behind
+    loaded = {name: read_instance(name) for name in config.instances}
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    loaded = {name: read_instance(name) for name in config.instances}
 
     opt: dict[str, Fraction | None] = {}
     for name, inst in sorted(loaded.items()):
@@ -132,50 +129,37 @@ def run_bench(config: BenchConfig, output_dir) -> dict:
 
     rows = []
     timings = []
+    ratios: dict[str, list[Fraction]] = {algo: [] for algo in config.algorithms}
     for name in sorted(loaded):
-        inst = loaded[name]
+        oracle_rev = opt[name]
         for algo in sorted(config.algorithms):
             fn, uses_seed = SOLVERS[algo]
             for seed in sorted(config.seeds) if uses_seed else [0]:
                 start = time.perf_counter()
                 try:
-                    result = fn(inst, seed)
+                    result = fn(loaded[name], seed)
                 except FzaError:
                     result = None
-                elapsed = time.perf_counter() - start
-                oracle_rev = opt[name]
+                timings.append((name, algo, seed, time.perf_counter() - start))
                 if result is None:
-                    status, revenue, cuts, served = "solver-error", "", "", ""
-                    oracle_str, ratio = "", ""
+                    status = "solver-error"
                 elif oracle_rev is None:
                     status = "oracle-unavailable"
-                    revenue = format_fraction(result.revenue)
-                    cuts, served = len(result.cuts), sum(result.served)
-                    oracle_str, ratio = "", ""
                 else:
                     status = "ok"
-                    revenue = format_fraction(result.revenue)
-                    cuts, served = len(result.cuts), sum(result.served)
-                    oracle_str = format_fraction(oracle_rev)
-                    ratio = (
-                        "1"
-                        if oracle_rev == 0
-                        else format_fraction(result.revenue / oracle_rev)
+                row = dict.fromkeys(REPORT_COLUMNS, "")
+                row.update(instance=name, algorithm=algo, seed=seed, status=status)
+                if result is not None:
+                    row.update(
+                        revenue=format_fraction(result.revenue),
+                        num_cuts=len(result.cuts),
+                        num_served=sum(result.served),
                     )
-                rows.append(
-                    {
-                        "instance": name,
-                        "algorithm": algo,
-                        "seed": seed,
-                        "status": status,
-                        "revenue": revenue,
-                        "oracle_revenue": oracle_str,
-                        "ratio": ratio,
-                        "num_cuts": cuts,
-                        "num_served": served,
-                    }
-                )
-                timings.append((name, algo, seed, elapsed))
+                if status == "ok":
+                    ratio = Fraction(1) if oracle_rev == 0 else result.revenue / oracle_rev
+                    ratios[algo].append(ratio)
+                    row.update(oracle_revenue=format_fraction(oracle_rev), ratio=format_fraction(ratio))
+                rows.append(row)
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=REPORT_COLUMNS, lineterminator="\n")
@@ -184,19 +168,12 @@ def run_bench(config: BenchConfig, output_dir) -> dict:
     (out / "report.csv").write_text(buf.getvalue(), encoding="utf-8")
 
     summary: dict = {"oracle": config.oracle, "rows": len(rows), "algorithms": {}}
-    for algo in sorted(config.algorithms):
-        ratios = [
-            Fraction(r["ratio"]) for r in rows if r["algorithm"] == algo and r["ratio"]
-        ]
-        if ratios:
-            mean = sum(ratios, Fraction(0)) / len(ratios)
-            summary["algorithms"][algo] = {
-                "mean_ratio": format_fraction(mean),
-                "min_ratio": format_fraction(min(ratios)),
-                "rows": len(ratios),
-            }
-        else:
-            summary["algorithms"][algo] = {"mean_ratio": "", "min_ratio": "", "rows": 0}
+    for algo, found in sorted(ratios.items()):
+        summary["algorithms"][algo] = {
+            "mean_ratio": format_fraction(sum(found) / len(found)) if found else "",
+            "min_ratio": format_fraction(min(found)) if found else "",
+            "rows": len(found),
+        }
     (out / "summary.json").write_text(dumps_canonical(summary), encoding="utf-8")
 
     tbuf = io.StringIO()

@@ -86,9 +86,11 @@ def write_instance(instance: Instance, path: PathLike) -> None:
     Path(path).write_text(dumps_canonical(instance_to_dict(instance)), encoding="utf-8")
 
 
-def read_instance(path: PathLike) -> Instance:
+def read_json(path: PathLike):
+    """The JSON value of a UTF-8 file; a file that does not decode is invalid
+    input, and the one-line message names the file."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInstanceError(f"not valid JSON: {path}") from exc
     except ValueError as exc:
@@ -96,7 +98,10 @@ def read_instance(path: PathLike) -> Instance:
         raise InvalidInstanceError(f"JSON integer too long: {path}") from exc
     except RecursionError as exc:
         raise InvalidInstanceError(f"JSON nested too deeply: {path}") from exc
-    return dict_to_instance(data)
+
+
+def read_instance(path: PathLike) -> Instance:
+    return dict_to_instance(read_json(path))
 
 
 def solution_to_dict(result: SolveResult) -> dict:

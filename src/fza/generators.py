@@ -64,8 +64,6 @@ def _prufer_tree(rng, n: int) -> Tree:
     """Uniform labeled tree from a random Pruefer sequence."""
     if n == 1:
         return Tree(1, ())
-    if n == 2:
-        return Tree(2, ((0, 1),))
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for s in seq:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -136,19 +135,6 @@ def bfs_rooting(tree: Tree, root: int) -> tuple[list[int], list[int], list[int]]
                 parent[w], parent_edge[w], depth[w] = v, eid, depth[v] + 1
                 queue.append(w)
     return parent, parent_edge, depth
-
-
-def best_of_size(instance: Instance, size: int) -> Fraction:
-    """Exhaustive optimum over cut sets of exactly `size` edges."""
-    from fza import total_revenue
-
-    m = instance.tree.num_edges
-    best = None
-    for subset in combinations(range(m), size):
-        rev = total_revenue(instance, subset)
-        if best is None or rev > best:
-            best = rev
-    return best
 
 
 def random_gpi(seed: int, n: int, k: int):

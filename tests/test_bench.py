@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -83,7 +84,7 @@ class TestBench:
         # json.loads refuses an int past Python's 4300-digit int-string limit
         p = tmp_path / "bench.json"
         p.write_text('{"instances": ["x"], "algorithms": ["brute"], "seeds": [' + "1" * 5000 + "]}")
-        with pytest.raises(InvalidInstanceError, match="malformed bench config"):
+        with pytest.raises(InvalidInstanceError, match="JSON integer too long"):
             BenchConfig.from_file(p)
 
     def test_solver_missing_its_option_is_solver_error(self, tmp_path):
@@ -97,6 +98,44 @@ class TestBench:
         run_bench(config, tmp_path / "out")
         status = {r["algorithm"]: r["status"] for r in read_rows(tmp_path / "out")}
         assert status == {"brute": "ok", "gen-rooted-path": "solver-error", "rooted": "solver-error"}
+
+    @pytest.mark.parametrize(
+        "oracle, digest",
+        [
+            ("brute", "09e08e227336e8fa13c0e9ed4220770088023b329496366fee09190b83b5e33a"),
+            ("dp-pmax", "81e38c58071a27b7febbeaea2988cf0a9eb09290fadfc80e1487a49c6ff7e92b"),
+        ],
+    )
+    def test_reports_pinned_across_statuses(self, tmp_path, monkeypatch, oracle, digest):
+        # every algorithm on a grid that yields all three statuses:
+        # a path whose optimum is 0 (linear pricing, every budget 0, so each
+        # row's ratio is the zero-optimum "1"), a 27-edge tree no oracle
+        # takes (oracle-unavailable), a path whose commodity avoids vertex 0
+        # (rooted and gen-rooted-path report solver-error) and a small tree
+        monkeypatch.chdir(tmp_path)
+        path = Tree(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+        zero = [Commodity(0, 4, 0, Fraction(3)), Commodity(0, 2, 0, Fraction(5, 2))]
+        unrooted = [Commodity(1, 3, 1, Fraction(1)), Commodity(1, 4, 2, Fraction(2))]
+        instances = {
+            "a-zero-optimum.json": Instance.create(path, PricingFunction.linear(5), zero),
+            "b-big-tree.json": gen_random(GenSpec("random-tree", 28, 12, pricing="affine", seed=3)),
+            "c-unrooted.json": Instance.create(path, PricingFunction.affine(5), unrooted),
+            "d-small-tree.json": gen_random(GenSpec("random-tree", 9, 8, fractional_weights=True, seed=5)),
+        }
+        for name, inst in instances.items():
+            write_instance(normalize(inst), name)
+        config = BenchConfig(
+            instances=tuple(instances), algorithms=tuple(SOLVERS), seeds=(1, 2), oracle=oracle
+        )
+        run_bench(config, "out")
+        rows = read_rows(tmp_path / "out")
+        assert {r["status"] for r in rows} == {"ok", "oracle-unavailable", "solver-error"}
+        zero_rows = [r for r in rows if r["instance"] == "a-zero-optimum.json" and r["status"] == "ok"]
+        assert zero_rows and {r["ratio"] for r in zero_rows} == {"1"}
+        h = hashlib.sha256()
+        for name in ("report.csv", "summary.json"):
+            h.update((tmp_path / "out" / name).read_bytes())
+        assert h.hexdigest() == digest
 
     def test_summary_aggregates(self, bench_setup):
         config, tmp = bench_setup

@@ -51,6 +51,11 @@ class TestClassification:
     def test_density_three_quarters_is_class_one(self):
         assert density_class(3, 4) == 1
 
+    def test_ceil_log2_refuses_zero(self):
+        assert [ceil_log2(n) for n in (1, 2, 3, 4, 5)] == [0, 1, 2, 2, 3]
+        with pytest.raises(InvalidInstanceError, match="n must be positive"):
+            ceil_log2(0)
+
     def test_zero_budget_is_class_zero(self):
         inst = path_instance(5, [Commodity(0, 4, 0, Fraction(1))])
         cls = classify_by_density(inst)
@@ -277,6 +282,11 @@ class TestSimplified:
         trials = 10_000
         hits = sum(0 in bernoulli_candidate(inst, seed, 1) for seed in range(trials))
         assert abs(hits / trials - 0.25) < 0.02
+
+    def test_refuses_class_index_zero(self):
+        inst = path_instance(4, [])
+        with pytest.raises(InvalidInstanceError, match="j must be >= 1"):
+            bernoulli_candidate(inst, 0, 0)
 
     def test_empty_candidate_floor(self):
         inst = path_instance(6, [Commodity(0, 5, 0, Fraction(4))], pricing="affine")

@@ -40,6 +40,18 @@ class TestFormula:
     def test_tautology_clause_allowed(self):
         Formula2CNF(1, (((0, False), (0, True)),))
 
+    @pytest.mark.parametrize(
+        "num_vars, clauses, fragment",
+        [
+            (0, (), "at least one variable"),
+            (2, (((0, False), (1, False), (0, True)),), "exactly two literals"),
+            (2, (((0, False), (2, True)),), "variable 2 out of range"),
+        ],
+    )
+    def test_malformed_formula_rejected(self, num_vars, clauses, fragment):
+        with pytest.raises(InvalidInstanceError, match=fragment):
+            Formula2CNF(num_vars, clauses)
+
 
 class TestMax2Sat:
     def test_fig2_formula(self):
@@ -95,9 +107,23 @@ class TestGenRandom:
         assert inst.tree.num_edges == 1
         assert all(path_edges(inst, i) == {0} for i in range(inst.num_commodities))
 
+    def test_two_vertex_tree_is_one_edge(self):
+        # the Pruefer sequence of a two-vertex tree is empty
+        for seed in range(5):
+            assert gen_random(GenSpec("random-tree", 2, 3, seed=seed)).tree.edges == ((0, 1),)
+
     def test_inconsistent_spec(self):
         with pytest.raises(InvalidInstanceError):
             GenSpec("random-tree", 1, 3)
+
+    @pytest.mark.parametrize(
+        "family, pricing, fragment",
+        [("random-star", "linear", "unknown family"), ("random-tree", "cubic", "unknown pricing preset")],
+    )
+    def test_unknown_family_or_pricing(self, family, pricing, fragment):
+        # the CLI's choices keep both out of `fza gen random`
+        with pytest.raises(InvalidInstanceError, match=fragment):
+            GenSpec(family, 5, 3, pricing=pricing)
 
     def test_all_draws_normalized(self):
         from fza.model import normalize as renorm

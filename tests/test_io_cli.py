@@ -432,6 +432,32 @@ class TestCli:
         ) == 2
 
     @pytest.mark.parametrize(
+        "options, fragment",
+        [
+            (["--vertices", "0"], "at least one vertex"),
+            (["--commodities", "-1"], "must be non-negative"),
+            (["--vertices", "1"], "at least two vertices"),
+            (["--max-weight", "0"], "max_weight must be at least 1"),
+        ],
+    )
+    def test_gen_random_rejects_bad_spec(self, tmp_path, capsys, options, fragment):
+        out = tmp_path / "i.json"
+        assert main(["gen", "random", "--output", str(out), *options]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+        assert not out.exists()
+
+    def test_bench_unreadable_instance_makes_no_output_dir(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({key: v for key, v in self.VALID.items() if key != "num_vertices"}))
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({"instances": [str(inst)], "algorithms": ["brute"]}))
+        outdir = tmp_path / "o"
+        assert main(["bench", "--config", str(config), "--output-dir", str(outdir)]) == 2
+        assert capsys.readouterr().err == "error: malformed instance file: 'num_vertices'\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
         "mutate",
         [
             pytest.param(lambda d: {**d, "seeds": [1.7, True]}, id="float-and-bool-seeds"),

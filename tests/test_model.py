@@ -277,6 +277,13 @@ class TestNormalize:
         assert inst.num_commodities == 1
         assert inst.commodities[0].weight == 5
 
+    def test_refuses_short_pricing_table(self):
+        # `Instance.create` checks the table length, so build the instance directly
+        t = Tree(3, ((0, 1), (1, 2)))
+        inst = Instance(t, PricingFunction.linear(2), (), ())
+        with pytest.raises(InvalidInstanceError, match="pricing table shorter than vertex count"):
+            normalize(inst)
+
     def test_clamps_budget_to_path_length(self):
         t = Tree(5, tuple((i, i + 1) for i in range(4)))
         inst = make(t, PricingFunction.linear(5), [Commodity(0, 4, 10, Fraction(1))])
@@ -337,6 +344,12 @@ class TestRevenue:
         t = Tree(4, ((0, 1), (1, 2), (2, 3)))
         inst = make(t, PricingFunction.linear(4), [Commodity(0, 3, 2, Fraction(3))])
         assert revenue_of_commodity(inst, 0, [0, 2]) == 6
+
+    def test_make_result_refuses_cut_outside_edge_range(self):
+        t = Tree(3, ((0, 1), (1, 2)))
+        inst = make(t, PricingFunction.linear(3), [Commodity(0, 2, 1, Fraction(1))])
+        with pytest.raises(InvalidInstanceError, match="cut id 2 outside edge range"):
+            make_result(inst, [0, 2], algorithm="test")
 
     def test_drop_out(self):
         t = Tree(4, ((0, 1), (1, 2), (2, 3)))

@@ -20,6 +20,7 @@ from fza import (
 from fza.sublog import (
     Segment,
     SkeletonInfo,
+    _oriented,
     _segment_members,
     almost_balanced_decomposition,
     branching_parameter,
@@ -116,6 +117,13 @@ class TestBalancedDecomposition:
                     assert 3 * d * len(p) >= m
                     assert d * len(p) <= 3 * m
 
+    def test_refuses_d_below_two_and_too_few_edges(self):
+        t = Tree(4, ((0, 1), (1, 2), (2, 3)))
+        with pytest.raises(InvalidInstanceError, match="at least 2"):
+            almost_balanced_decomposition(t, range(3), 1)
+        with pytest.raises(InvalidInstanceError, match="3 edges cannot be split 4 ways"):
+            almost_balanced_decomposition(t, range(3), 4)
+
 
 class TestBuildDecomposition:
     def test_single_edge_tree(self):
@@ -129,6 +137,12 @@ class TestBuildDecomposition:
         assert decomp.num_levels == 3
         assert len(decomp.levels[1]) == 3
         assert all(len(f) == 1 for f in decomp.levels[2])
+
+    def test_refuses_edgeless_tree_and_d_below_two(self):
+        with pytest.raises(InvalidInstanceError, match="at least one edge"):
+            build_decomposition(Tree(1, ()))
+        with pytest.raises(InvalidInstanceError, match="at least 2"):
+            build_decomposition(Tree(3, ((0, 1), (1, 2))), d=1)
 
     def test_branching_parameter(self):
         assert branching_parameter(2) == 2
@@ -256,6 +270,20 @@ class TestSkeleton:
         assert skel.border == {0}
         assert skel.edges == frozenset()
         assert skel.segments == ()
+
+    def test_one_child_has_no_border(self):
+        t = Tree(4, ((0, 1), (1, 2), (2, 3)))
+        skel = compute_skeleton(t, range(3), [frozenset(range(3))])
+        assert skel == SkeletonInfo(frozenset(), frozenset(), frozenset(), frozenset(), ())
+
+    def test_oriented_refuses_a_root_off_the_terminals(self):
+        t = Tree(10, tuple((i, i + 1) for i in range(9)))
+        skel = compute_skeleton(
+            t, range(9), [frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({6, 7, 8})]
+        )
+        assert _oriented(skel, 0, 6) == ((6, 5, 4, 3), (5, 4, 3))
+        with pytest.raises(InvalidInstanceError, match="root 4 is not a terminal of segment 0"):
+            _oriented(skel, 0, 4)
 
     def test_six_way_fragment(self):
         skel = compute_skeleton(fig3_tree(), range(27), FIG3_CHILDREN)
