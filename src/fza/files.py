@@ -8,6 +8,7 @@ write(read(f)) == f for canonically written files.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
@@ -23,6 +24,7 @@ from .model import (
     format_fraction,
     normalize,
     shown,
+    to_fraction,
 )
 
 FORMAT_VERSION = 1
@@ -64,13 +66,26 @@ def _edge(value) -> list:
 def dict_to_instance(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise InvalidInstanceError(f"instance must be a JSON object, got {type(data).__name__}")
+    # one Fraction per distinct rational string, shared by prices and weights;
+    # keyed on strings alone, since a dict keyed on JSON values would hand an
+    # earlier 1's Fraction to a later true or 1.0
+    parsed: dict[str, Fraction] = {}
+
+    def rational(value) -> Fraction:
+        if type(value) is not str:
+            return to_fraction(value)
+        f = parsed.get(value)
+        if f is None:
+            f = parsed[value] = to_fraction(value)
+        return f
+
     try:
         if as_int(data.get("version"), "version") != FORMAT_VERSION:
             raise InvalidInstanceError(f"unsupported format version {data['version']}")
         tree = Tree(data["num_vertices"], tuple(_edge(e) for e in _list(data["edges"], "edges")))
-        pricing = PricingFunction(tuple(_list(data["pricing"], "pricing")))
+        pricing = PricingFunction(tuple(map(rational, _list(data["pricing"], "pricing"))))
         commodities = [
-            Commodity(c["s"], c["t"], c["u"], c["w"])
+            Commodity(c["s"], c["t"], c["u"], rational(c["w"]))
             for c in _list(data["commodities"], "commodities")
         ]
     except (KeyError, TypeError) as exc:

@@ -35,6 +35,13 @@ Sub-problems read the same kernel: sublog's per-subtree rooted DPs and
 per-segment path DPs take W, F and D from the instance they were cut from
 (`Instance._scaled`) and never build, validate or re-scale an `Instance` of
 their own.
+
+Reading an instance file (`files.dict_to_instance`) skips the work a
+canonical file does not need. Each distinct rational string is parsed once
+per file, and the forms `format_fraction` writes, '7' and '7/3', skip
+`_RATIONAL`. The int checks try `type(x) is int` first. `Tree` looks for
+self-loops and duplicate edges only when its rooting walk fails to reach
+every vertex, and `normalize` returns an already canonical instance as it is.
 """
 
 from __future__ import annotations
@@ -76,11 +83,23 @@ def shown(value) -> str:
 def to_fraction(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a string holding an
     integer '7', a ratio '-7/3' or a decimal '2.5': ASCII digits only, an
-    optional sign and surrounding whitespace, no '_' and no exponent. The
-    string is matched once and the Fraction built from ints; a digit group
-    past Python's int-string limit is refused before any power of ten is built."""
+    optional sign and surrounding whitespace, no '_' and no exponent.
+
+    The two forms `format_fraction` writes for a non-negative value, '7' and
+    '7/3' with a non-zero denominator, are read with `str` methods. Every
+    other string is matched once by `_RATIONAL` and the Fraction built from
+    ints; a digit group past Python's int-string limit is refused before any
+    power of ten is built."""
     if isinstance(value, Fraction):
         return value
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        # an ASCII string is `isdigit` iff it is a non-empty run of 0-9
+        if num.isdigit() and (not slash or den.isdigit() and den.strip("0")):
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except ValueError:  # a digit group past the int-string limit
+                pass
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
@@ -103,6 +122,8 @@ def to_fraction(value: RationalLike) -> Fraction:
 
 def as_int(value, what: str) -> int:
     """An int; booleans, floats and other numbers are refused rather than coerced."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInstanceError(f"{what} must be an integer, got {shown(value)}")
     return value
@@ -128,12 +149,23 @@ class Tree:
     def __post_init__(self) -> None:
         n = as_int(self.num_vertices, "num_vertices")
         object.__setattr__(
-            self, "edges", tuple((as_int(u, "edge endpoint"), as_int(v, "edge endpoint")) for u, v in self.edges)
+            self,
+            "edges",
+            tuple(
+                (u, v) if type(u) is int and type(v) is int
+                else (as_int(u, "edge endpoint"), as_int(v, "edge endpoint"))
+                for u, v in self.edges
+            ),
         )
         if n < 1:
             raise InvalidInstanceError(f"tree needs at least one vertex, got {n}")
         if len(self.edges) != n - 1:
             raise InvalidInstanceError(f"tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}")
+        # n - 1 in-range edges along which the walk from vertex 0 reaches all n
+        # vertices form a tree, with no self-loop and no duplicate; the
+        # per-edge checks run only to name the first fault of a list that fails
+        if all(0 <= u < n and 0 <= v < n for u, v in self.edges) and len(self.rooting[3]) == n:
+            return
         seen = set()
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -144,9 +176,7 @@ class Tree:
             if key in seen:
                 raise InvalidInstanceError(f"duplicate edge ({u},{v})")
             seen.add(key)
-        # the walk from vertex 0 reaches all n vertices iff they are connected
-        if len(self.rooting[3]) != n:
-            raise InvalidInstanceError("edge list does not describe a connected tree")
+        raise InvalidInstanceError("edge list does not describe a connected tree")
 
     @property
     def num_edges(self) -> int:
@@ -159,7 +189,9 @@ class Tree:
         for eid, (u, v) in enumerate(self.edges):
             adj[u].append((v, eid))
             adj[v].append((u, eid))
-        return tuple(tuple(sorted(a)) for a in adj)
+        for a in adj:
+            a.sort()
+        return tuple(map(tuple, adj))
 
     def walk(
         self, root: int, edges: Iterable[int] | None = None
@@ -243,7 +275,7 @@ class PricingFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(to_fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(to_fraction, self.values)))
         if not self.values:
             raise InvalidInstanceError("pricing table is empty")
         vals = self.scaled[1]
@@ -312,11 +344,18 @@ class Commodity:
     weight: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", to_fraction(self.weight))
-        if as_int(self.source, "commodity endpoint") == as_int(self.target, "commodity endpoint"):
+        if type(self.weight) is not Fraction:
+            object.__setattr__(self, "weight", to_fraction(self.weight))
+        s, t, u = self.source, self.target, self.budget
+        if not (type(s) is int and type(t) is int):
+            as_int(s, "commodity endpoint")
+            as_int(t, "commodity endpoint")
+        if s == t:
             raise InvalidInstanceError("commodity endpoints coincide")
-        if as_int(self.budget, "budget") < 0:
-            raise InvalidInstanceError(f"budget must be a non-negative integer, got {self.budget!r}")
+        if type(u) is not int:
+            as_int(u, "budget")
+        if u < 0:
+            raise InvalidInstanceError(f"budget must be a non-negative integer, got {u!r}")
         if self.weight.numerator <= 0:
             raise InvalidInstanceError("commodity weight must be positive")
 
@@ -496,12 +535,24 @@ def normalize(instance: Instance) -> Instance:
 
     Commodities come out sorted by (low endpoint, high endpoint, budget) with
     endpoints in increasing order, which fixes the serialization order. An
-    input commodity that is already in that form and merges with no other is
-    kept as it is rather than built and validated again.
+    instance already in that form (s < t, u <= |P_i|, (s, t, u) strictly
+    increasing, as `write_instance` and `fza gen` write it) is returned as it
+    is after one pass: no two of its commodities share (path, budget), since
+    a tree path's edge set fixes its endpoints. Otherwise an input commodity
+    that is already in that form and merges with no other is kept as it is
+    rather than built and validated again.
     """
     tree = instance.tree
     if len(instance.pricing) < tree.num_vertices:
         raise InvalidInstanceError("pricing table shorter than vertex count")
+    last = None
+    for c, mask in zip(instance.commodities, instance.paths):
+        key = (c.source, c.target, c.budget)
+        if c.source >= c.target or c.budget > mask.bit_count() or (last is not None and key <= last):
+            break
+        last = key
+    else:
+        return instance
     merged: dict[tuple[int, int], list] = {}
     for c, mask in zip(instance.commodities, instance.paths):
         u = min(c.budget, mask.bit_count())

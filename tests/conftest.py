@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +20,8 @@ from fza import (
 )
 from fza.density import _offset_buckets, ceil_log2
 from fza.generators import pricing_preset
-from fza.model import edge_mask
+from fza.files import FORMAT_VERSION, _edge, _list, dumps_canonical, instance_to_dict
+from fza.model import edge_mask, shown
 from fza.rng import substream
 
 # The 13-vertex example instance: two three-vertex arms on each side of a
@@ -314,6 +317,134 @@ def reference_normalize(instance: Instance) -> Instance:
     rows = sorted(merged.values(), key=lambda r: r[:3])
     commodities = tuple(Commodity(s, t, u, w) for s, t, u, w, _ in rows)
     return Instance(instance.tree, instance.pricing, commodities, tuple(r[4] for r in rows))
+
+
+# the rational grammar of the file format: sign, integer digits, then a '/'
+# denominator or '.' decimals, a digit leading or following the '.'
+REFERENCE_RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*", re.ASCII)
+
+
+def reference_fraction(value) -> Fraction:
+    """`model.to_fraction` without its fast path: every string is matched by
+    `REFERENCE_RATIONAL`, with the same refusals and messages."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        m = REFERENCE_RATIONAL.fullmatch(value)
+        if m is None:
+            hint = " (no exponent notation)" if "e" in value or "E" in value else ""
+            raise InvalidInstanceError(f"not a rational{hint}: {shown(value)}")
+        sign, num, den, dec = m.groups()
+        limit = sys.get_int_max_str_digits()
+        if limit and max(len(num), len(den or ""), len(dec or "")) > limit:
+            raise InvalidInstanceError(f"not a rational (a digit group over {limit} digits): {shown(value)}")
+        scale = 10 ** len(dec or "")
+        n = int(num or 0) * scale + int(dec or 0)
+        try:
+            return Fraction(-n if sign == "-" else n, int(den or 1) * scale)
+        except ZeroDivisionError as exc:  # '1/0'
+            raise InvalidInstanceError(f"not a rational: {shown(value)}") from exc
+    raise InvalidInstanceError(f"not a rational: {shown(value)}")
+
+
+def _reference_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInstanceError(f"{what} must be an integer, got {shown(value)}")
+    return value
+
+
+def _reference_tree(n, edges) -> Tree:
+    """`Tree`'s checks, in their order: every endpoint an int, then the
+    vertex and edge counts, then per edge range, self-loop and duplicate,
+    then connectivity."""
+    n = _reference_int(n, "num_vertices")
+    edges = tuple((_reference_int(u, "edge endpoint"), _reference_int(v, "edge endpoint")) for u, v in edges)
+    if n < 1:
+        raise InvalidInstanceError(f"tree needs at least one vertex, got {n}")
+    if len(edges) != n - 1:
+        raise InvalidInstanceError(f"tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidInstanceError(f"edge ({u},{v}) out of range for {n} vertices")
+        if u == v:
+            raise InvalidInstanceError(f"self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise InvalidInstanceError(f"duplicate edge ({u},{v})")
+        seen.add(key)
+    neighbors = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    reached, queue = {0}, deque([0])
+    while queue:
+        for w in neighbors[queue.popleft()]:
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+    if len(reached) != n:
+        raise InvalidInstanceError("edge list does not describe a connected tree")
+    return Tree(n, edges)
+
+
+def _reference_commodity(s, t, u, w) -> Commodity:
+    """`Commodity`'s checks, in their order: weight, endpoints, budget, sign of the weight."""
+    w = reference_fraction(w)
+    if _reference_int(s, "commodity endpoint") == _reference_int(t, "commodity endpoint"):
+        raise InvalidInstanceError("commodity endpoints coincide")
+    if _reference_int(u, "budget") < 0:
+        raise InvalidInstanceError(f"budget must be a non-negative integer, got {u!r}")
+    if w <= 0:
+        raise InvalidInstanceError("commodity weight must be positive")
+    return Commodity(s, t, u, w)
+
+
+def reference_read(data) -> Instance:
+    """`files.dict_to_instance` with every check written out in its order
+    and no shortcut: each rational string parsed where it stands, each
+    commodity built from its JSON values, and the instance normalized by
+    `reference_normalize`. Refusals raise `InvalidInstanceError` with the
+    reader's messages."""
+    if not isinstance(data, dict):
+        raise InvalidInstanceError(f"instance must be a JSON object, got {type(data).__name__}")
+    try:
+        if _reference_int(data.get("version"), "version") != FORMAT_VERSION:
+            raise InvalidInstanceError(f"unsupported format version {data['version']}")
+        tree = _reference_tree(data["num_vertices"], tuple(_edge(e) for e in _list(data["edges"], "edges")))
+        values = tuple(reference_fraction(v) for v in _list(data["pricing"], "pricing"))
+        error = fraction_pricing_error(values)
+        if error:
+            raise InvalidInstanceError(error)
+        commodities = [
+            _reference_commodity(c["s"], c["t"], c["u"], c["w"])
+            for c in _list(data["commodities"], "commodities")
+        ]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInstanceError(f"malformed instance file: {exc}") from exc
+    n = tree.num_vertices
+    if len(values) < n:
+        raise InvalidInstanceError(f"pricing table has {len(values)} entries, need at least {n}")
+    for c in commodities:
+        if not (0 <= c.source < n and 0 <= c.target < n):
+            raise InvalidInstanceError(f"commodity endpoint out of range: ({c.source},{c.target})")
+    return reference_normalize(Instance.create(tree, PricingFunction(values), commodities))
+
+
+def assert_same_instance(got: Instance, want: Instance) -> None:
+    """Field by field, with the types a reader must produce: int vertices,
+    `Fraction` prices and weights, and byte-equal canonical dicts."""
+    assert got.tree.num_vertices == want.tree.num_vertices and got.tree.edges == want.tree.edges
+    assert all(type(u) is int and type(v) is int for u, v in got.tree.edges)
+    assert got.pricing.values == want.pricing.values
+    assert all(type(v) is Fraction for v in got.pricing.values)
+    fields = [(c.source, c.target, c.budget, c.weight) for c in got.commodities]
+    assert fields == [(c.source, c.target, c.budget, c.weight) for c in want.commodities]
+    assert all(list(map(type, f)) == [int, int, int, Fraction] for f in fields)
+    assert got.paths == want.paths
+    assert dumps_canonical(instance_to_dict(got)) == dumps_canonical(instance_to_dict(want))
 
 
 def resolve_path(tree: Tree, s: int, t: int) -> frozenset[int]:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -535,3 +539,19 @@ class TestCli:
         assert main(
             ["solve", "--algo", "rooted", "--input", str(inst_path), "--root", "0"]
         ) == 2
+
+
+def test_package_imports_only_the_standard_library():
+    # fza has no runtime dependency: importing it and its CLI loads no module
+    # from outside the standard library but its own
+    import fza
+
+    code = (
+        "import sys; before = set(sys.modules); import fza, fza.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fza.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = done.stdout.split()
+    assert "fza.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] not in (*sys.stdlib_module_names, "fza")] == []

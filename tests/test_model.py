@@ -338,6 +338,31 @@ class TestNormalize:
         assert again == inst and inst.num_commodities > 100
         assert sum(built.values()) == inst.num_commodities and set(built.values()) == {1}
 
+    # a path 0-1-2-3; (0, 3) has 3 edges, (0, 2) has 2
+    CANONICAL = [(0, 2, 0, 1), (0, 2, 2, 1), (0, 3, 3, 2), (1, 3, 1, 3)]
+
+    def test_canonical_instance_is_returned_as_it_is(self):
+        # budgets reach their path lengths and stay canonical
+        tree = Tree(4, ((0, 1), (1, 2), (2, 3)))
+        raw = Instance.create(tree, PricingFunction.affine(4), [Commodity(*c) for c in self.CANONICAL])
+        assert normalize(raw) is raw
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([(0, 2, 0, 1), (0, 2, 0, 5), (0, 3, 3, 2), (1, 3, 1, 3)], id="repeat-in-canonical-order"),
+            pytest.param([(0, 2, 0, 1), (0, 2, 3, 1), (0, 3, 3, 2), (1, 3, 1, 3)], id="budget-above-path-length"),
+            pytest.param([(0, 2, 0, 1), (0, 2, 2, 1), (0, 3, 3, 2), (3, 1, 1, 3)], id="reversed-endpoints"),
+            pytest.param([(0, 2, 0, 1), (0, 2, 2, 1), (1, 3, 1, 3), (0, 3, 3, 2)], id="out-of-order"),
+        ],
+    )
+    def test_near_canonical_instance_is_normalized(self, rows):
+        tree = Tree(4, ((0, 1), (1, 2), (2, 3)))
+        raw = Instance.create(tree, PricingFunction.affine(4), [Commodity(*c) for c in rows])
+        got, want = normalize(raw), reference_normalize(raw)
+        assert got is not raw
+        assert instance_to_dict(got) == instance_to_dict(want) and got.paths == want.paths
+
 
 class TestRevenue:
     def test_direct_formula(self):
