@@ -15,12 +15,16 @@ from .model import (
     PricingFunction,
     Tree,
     normalize,
+    shown,
     to_fraction,
 )
 from .rng import substream
 
 PRICING_PRESETS = ("linear", "affine", "capped")
 FAMILIES = ("random-tree", "random-path")
+# Formula2CNF refuses more variables; the path-sat instance of a formula at
+# this cap has 10^5 edges
+MAX_FORMULA_VARS = 10_000
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,8 @@ class Formula2CNF:
         object.__setattr__(self, "clauses", clauses)
         if self.num_vars < 1:
             raise InvalidInstanceError("formula needs at least one variable")
+        if self.num_vars > MAX_FORMULA_VARS:
+            raise CapacityError(f"formula limited to {MAX_FORMULA_VARS} variables, got {shown(self.num_vars)}")
         occurrences = [0] * self.num_vars
         for clause in clauses:
             if len(clause) != 2:

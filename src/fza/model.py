@@ -7,9 +7,13 @@ add and compare ints and divide by `Instance.scale` only when a revenue leaves
 them. There is no floating point anywhere in the revenue computation.
 
 Every walk from a root is `Tree.walk`: one depth-first walk over the whole
-tree or over one edge set, so a walk over a fragment of the tree (sublog's
+tree or over one edge set. A walk over a fragment of the tree (sublog's
 decomposition, skeleton and hanging subtrees, the rooted DP within a
-subtree) scans only that fragment's edges. A `Tree` is rooted once: its
+subtree) reads the tree's own sorted `adjacency` at each vertex it reaches
+and skips the edges outside the fragment, so it builds no adjacency of its
+own. At a hub, a vertex with more tree neighbors than the fragment has
+edges, it reads the neighbors off the fragment instead, so a vertex costs
+at most min(degree, fragment size). A `Tree` is rooted once: its
 constructor checks connectivity with the walk from vertex 0 and caches it as
 `Tree.rooting`, which `Instance.create`, `Instance.edge_commodities` and the
 density candidates read. The tree's `adjacency` and `is_path` are cached
@@ -204,26 +208,40 @@ class Tree:
         vertex's children are pushed together, ascending by (neighbor, edge
         id), so every parent comes before its children. Every walk from a
         root, over the tree or over a fragment of it, is this one.
+
+        A walk over an edge set scans `adjacency[v]` at each vertex it
+        reaches and skips the edges outside the set. At a vertex of more
+        tree neighbors than the set has edges (a hub), it reads the
+        neighbors off the set instead, so a vertex costs at most
+        min(deg(v), |edges|) and a small fragment at a hub stays small.
         """
         if not (0 <= root < self.num_vertices):
             raise InvalidInstanceError(f"invalid root {root}")
-        if edges is None:
-            adj = self.adjacency
-        else:
-            adj = {root: []}
-            for eid in edges:
-                u, v = self.edges[eid]
-                adj.setdefault(u, []).append((v, eid))
-                adj.setdefault(v, []).append((u, eid))
-            for pairs in adj.values():
-                pairs.sort()
+        adj = self.adjacency
         up = {root: (-1, -1)}
         order = [root]
         stack = [root]
+        if edges is None:
+            # the whole tree: no membership test, as every constructor runs this
+            while stack:
+                v = stack.pop()
+                for w, eid in adj[v]:
+                    if w not in up:
+                        up[w] = (v, eid)
+                        order.append(w)
+                        stack.append(w)
+            return order, up
+        if not isinstance(edges, (set, frozenset)):
+            edges = frozenset(edges)
+        size = len(edges)
+        tree_edges = self.edges
         while stack:
             v = stack.pop()
-            for w, eid in adj[v]:
-                if w not in up:
+            pairs = adj[v]
+            if len(pairs) > size:
+                pairs = sorted((sum(tree_edges[eid]) - v, eid) for eid in edges if v in tree_edges[eid])
+            for w, eid in pairs:
+                if eid in edges and w not in up:
                     up[w] = (v, eid)
                     order.append(w)
                     stack.append(w)

@@ -10,16 +10,19 @@ place exactly that many cuts per active segment with a path DP). Commodities
 whose path is a single edge are never separated by the decomposition and get
 an exact per-edge treatment instead.
 
-Each fact about a fragment's geometry is worked out once. One walk over the
-fragment's edges (`Tree.walk`), rooted at a border vertex, yields the
-skeleton (an edge is on it iff the part of the fragment below the edge holds
-a border vertex), its segments and the hanging subtrees (one off-skeleton
-edge at a skeleton vertex plus all beyond it). The decomposition carves each
-fragment along the same walk, rooted at its lowest vertex. Per (segment,
-root), one scan of the fragment's commodities yields the member rows of
-every aux instance on that segment: prefix length, the segments that block
-the member and the segments its path holds whole. Per guess, an aux instance
-only reads those rows.
+Each fact about a fragment's geometry is worked out once, off the tree's
+own adjacency. The border vertices are those a second child fragment
+touches. One walk over the fragment's edges (`Tree.walk`), rooted at a
+border vertex, yields the skeleton (an edge is on it iff the part of the
+fragment below the edge holds a border vertex), its segments and the
+hanging subtrees (one off-skeleton edge at a skeleton vertex plus all
+beyond it). The decomposition carves each fragment along the same walk,
+rooted at its lowest vertex. A commodity descends the levels with one
+mask test per level, against the child holding its path's lowest edge. Per
+(segment, root), one scan of the fragment's commodities yields the member
+rows of every aux instance on that segment: prefix length, the segments that
+block the member and the segments its path holds whole. Per guess, an aux
+instance only reads those rows.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def almost_balanced_decomposition(
         raise InvalidInstanceError(f"fragment with {m} edges cannot be split {d} ways")
     target = -(-m // d)
 
-    root = min(v for eid in fragment for v in tree.edges[eid])
+    root = min(map(min, map(tree.edges.__getitem__, fragment)))
     order, up = tree.walk(root, fragment)
     children: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
     for v in order[1:]:
@@ -235,29 +238,38 @@ class CommodityAssignment:
 
 
 def classify_commodities(decomp: Decomposition, instance: Instance) -> CommodityAssignment:
+    """Assign each commodity to the deepest fragment that holds its whole path.
+
+    The fragments of one level are edge-disjoint, so the only child that can
+    hold a path is the one holding its lowest edge: one label lookup and one
+    mask test per level. A fragment's mask is built the first time a path
+    is tested against it.
+    """
     # the last level holds single edges only, and single-edge paths are
     # `extra` before the descent, so no path the descent follows fits there
-    masks = [
-        [edge_mask(f) for f in level_frags] for level_frags in decomp.levels[:-1]
-    ]
+    inner = decomp.levels[1:-1]
+    labels = []
+    for level_frags in inner:
+        label = [0] * instance.tree.num_edges
+        for idx, frag in enumerate(level_frags):
+            for eid in frag:
+                label[eid] = idx
+        labels.append(label)
+    masks: list[dict[int, int]] = [{} for _ in inner]
     by_fragment: dict[tuple[int, int], list[int]] = {}
     extra = []
-    for i in range(instance.num_commodities):
-        pm = instance.paths[i]
+    for i, pm in enumerate(instance.paths):
         if pm.bit_count() == 1:
             extra.append(i)
             continue
+        low = (pm & -pm).bit_length() - 1
         level, idx = 1, 0
-        while level < decomp.num_levels - 1:
-            child = next(
-                (
-                    c
-                    for c in decomp.children_of(level, idx)
-                    if pm & ~masks[level][c] == 0
-                ),
-                None,
-            )
-            if child is None:
+        for label, level_masks, level_frags in zip(labels, masks, inner):
+            child = label[low]
+            mask = level_masks.get(child)
+            if mask is None:
+                mask = level_masks[child] = edge_mask(level_frags[child])
+            if pm & ~mask:
                 break
             level, idx = level + 1, child
         by_fragment.setdefault((level, idx), []).append(i)
@@ -304,17 +316,15 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
     starts a hanging subtree; every other off-skeleton edge joins the subtree
     of its upper end.
     """
-    vertex_sets = []
-    for child in child_fragments:
-        vs = set()
+    # a vertex is on the border once a second child touches it
+    first_child: dict[int, int] = {}
+    touched_again = set()
+    for ci, child in enumerate(child_fragments):
         for eid in child:
-            vs.update(tree.edges[eid])
-        vertex_sets.append(vs)
-    counts: dict[int, int] = {}
-    for vs in vertex_sets:
-        for v in vs:
-            counts[v] = counts.get(v, 0) + 1
-    border = frozenset(v for v, c in counts.items() if c >= 2)
+            for v in tree.edges[eid]:
+                if first_child.setdefault(v, ci) != ci:
+                    touched_again.add(v)
+    border = frozenset(touched_again)
     if not border:
         return SkeletonInfo(border, frozenset(), border, frozenset(), ())
 

@@ -103,12 +103,21 @@ def _random_tree(rng, n: int) -> Tree:
 
 
 def shaped_tree(rng, n: int, shape: str) -> Tree:
-    """A random "tree", "path" or "star" on n vertices, with shuffled labels,
-    edge order and edge orientation, so vertex 0 is nowhere in particular."""
+    """A random "tree", "path", "star", "broom" (a path through half the
+    vertices with the rest on its last vertex) or "caterpillar" (a path
+    through a third of the vertices with the rest on random path vertices)
+    on n vertices, with shuffled labels, edge order and edge orientation, so
+    vertex 0 is nowhere in particular."""
     if shape == "path":
         edges = [(v - 1, v) for v in range(1, n)]
     elif shape == "star":
         edges = [(0, v) for v in range(1, n)]
+    elif shape == "broom":
+        handle = max(1, n // 2)
+        edges = [(v - 1, v) for v in range(1, handle)] + [(handle - 1, v) for v in range(handle, n)]
+    elif shape == "caterpillar":
+        spine = max(1, n // 3)
+        edges = [(v - 1, v) for v in range(1, spine)] + [(rng.randrange(spine), v) for v in range(spine, n)]
     else:
         edges = [(rng.randrange(v), v) for v in range(1, n)]
     label = list(range(n))
@@ -116,6 +125,31 @@ def shaped_tree(rng, n: int, shape: str) -> Tree:
     edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u]) for u, v in edges]
     rng.shuffle(edges)
     return Tree(n, tuple(edges))
+
+
+def reference_walk(tree: Tree, root: int, edges):
+    """`Tree.walk(root, edges)` over an adjacency dict built from `edges`
+    alone and sorted by (neighbor, edge id), so it never reads
+    `Tree.adjacency`: the form the walk took before it scanned the tree's
+    own adjacency."""
+    adj = {root: []}
+    for eid in edges:
+        u, v = tree.edges[eid]
+        adj.setdefault(u, []).append((v, eid))
+        adj.setdefault(v, []).append((u, eid))
+    for pairs in adj.values():
+        pairs.sort()
+    up = {root: (-1, -1)}
+    order = [root]
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w, eid in adj[v]:
+            if w not in up:
+                up[w] = (v, eid)
+                order.append(w)
+                stack.append(w)
+    return order, up
 
 
 def bfs_rooting(tree: Tree, root: int) -> tuple[list[int], list[int], list[int]]:

@@ -322,3 +322,43 @@ def test_bench_pairs_exits_1_on_either_rejection_rule(tmp_path, monkeypatch, cap
         assert (code, err) == (0, "")
     else:
         assert code == 1 and err.startswith(expected) and err.count("\n") == 1
+
+
+CLAIM_LINE = "claim w/solves_per_s: change better in {}/10 pairs (needs 9 of 10), median gain 2.5 vs parent IQR 1: {}"
+
+
+@pytest.mark.parametrize(
+    "change, line, code",
+    [
+        pytest.param([13.0] * 9 + [11.0], CLAIM_LINE.format(9, "holds"), 0, id="holds"),
+        pytest.param([13.0] * 8 + [10.0, 11.0], CLAIM_LINE.format(8, "NO"), 1, id="fails"),
+        pytest.param([20.0] * 9, "claim w/solves_per_s: too few pairs (9 < 10)", 1, id="nine-pairs"),
+    ],
+)
+def test_bench_pairs_judges_an_existing_file(tmp_path, capsys, change, line, code):
+    # the verdict comes from the file's runs and the BENCHMARK.json beside it;
+    # nothing is run, so no checkout is named
+    bench_pairs = load_bench_pairs()
+    bench = {"command": ["false"], "run_seconds": 1, "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.24}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def run(seed, side, value):
+        result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {"solves_per_s": {"value": value}}}
+        return {"workload": "w", "seed": seed, "side": side, "ran_first": side == "parent", "result": result}
+
+    runs = [run(seed, "parent", p) for seed, p in enumerate(CLAIM_PARENT)]
+    runs += [run(seed, "change", c) for seed, c in enumerate(change)]
+    (tmp_path / "BENCH_9.json").write_text(json.dumps({"runs": runs}))
+    assert bench_pairs.main(["--judge", str(tmp_path / "BENCH_9.json"), "--claim", "w/solves_per_s"]) == code
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == line
+    assert err == ("" if code == 0 else "error: the claimed gain w/solves_per_s does not hold\n")
+
+
+def test_bench_pairs_judge_needs_a_claim_and_nothing_to_run(tmp_path, capsys):
+    bench_pairs = load_bench_pairs()
+    for argv in (["--judge", "BENCH_9.json"], ["--judge", "BENCH_9.json", "--claim", "w/solves_per_s", "w=1"]):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(argv)
+        assert exc.value.code == 2
+        assert "--judge FILE takes --claim WORKLOAD/METRIC and nothing else" in capsys.readouterr().err

@@ -10,6 +10,7 @@ import pytest
 from fza import Commodity, GenSpec, Instance, PricingFunction, Tree, gen_random, normalize
 from fza.cli import build_parser, main, parse_clauses
 from fza.files import read_instance, solution_to_json, write_instance
+from fza.generators import MAX_FORMULA_VARS, Formula2CNF
 from conftest import random_instance
 
 
@@ -83,6 +84,23 @@ class TestParseClauses:
         argv = ["gen", "path-sat", "--clauses", "1 -2", "--num-vars", "1", "--output", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: literal -2 out of range: variables are 1..1\n"
+
+    # the variable count is checked before the formula sizes anything by it
+    @pytest.mark.parametrize(
+        "flags", [["--clauses", "1 -2", "--num-vars", "100000000000000000000"], ["--clauses", "1 -100000000000000000000"]]
+    )
+    def test_gen_refuses_num_vars_over_cap(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.json"
+        assert main(["gen", "star-sat", *flags, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"capacity error: formula limited to {MAX_FORMULA_VARS} variables, got 100000000000000000000\n"
+        )
+        assert not out.exists()
+
+    def test_formula_at_cap_accepted(self):
+        top = MAX_FORMULA_VARS - 1
+        assert Formula2CNF(MAX_FORMULA_VARS, (((0, False), (top, True)),)).num_vars == MAX_FORMULA_VARS
+        assert parse_clauses(f"1 -{MAX_FORMULA_VARS}").num_vars == MAX_FORMULA_VARS
 
 
 class TestCli:

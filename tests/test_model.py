@@ -31,6 +31,7 @@ from conftest import (
     path_edges,
     random_instance,
     reference_normalize,
+    reference_walk,
     resolve_path,
     revenue_of_commodity,
     shaped_tree,
@@ -168,6 +169,39 @@ class TestWalk:
                     vertices = sorted({v for e in fragment for v in tree.edges[e]})
                     for root in {vertices[0], rng.choice(vertices)}:
                         self.check_walk(tree, root, fragment)
+
+    def test_edge_set_walk_matches_reference(self):
+        # the walk reads `Tree.adjacency` and, at a vertex of more neighbors
+        # than the set has edges, the set itself; both must give the order
+        # of a walk over an adjacency built from the set alone
+        rng = Random(2111)
+        for trial in range(60):
+            shape = ("tree", "star", "broom")[trial % 3]
+            tree = shaped_tree(rng, rng.randint(2, 150), shape)
+            m = tree.num_edges
+            for _ in range(4):
+                # a random connected edge set: grow from one edge along the tree
+                start = rng.randrange(m)
+                chosen, frontier = {start}, set(tree.edges[start])
+                for _ in range(rng.randint(0, m - 1)):
+                    nxt = [e for v in frontier for _, e in tree.adjacency[v] if e not in chosen]
+                    if not nxt:
+                        break
+                    e = rng.choice(nxt)
+                    chosen.add(e)
+                    frontier.update(tree.edges[e])
+                inside = sorted(frontier)
+                outside = [v for v in range(tree.num_vertices) if v not in frontier]
+                roots = {inside[0], rng.choice(inside), max(inside, key=lambda v: len(tree.adjacency[v]))}
+                if outside:
+                    roots.add(rng.choice(outside))
+                for root in roots:
+                    want = reference_walk(tree, root, chosen)
+                    edge_ids = sorted(chosen)
+                    rng.shuffle(edge_ids)
+                    for edges in (chosen, frozenset(chosen), tuple(edge_ids), edge_ids, (e for e in edge_ids)):
+                        assert tree.walk(root, edges) == want, (trial, shape, root)
+                    assert tree.walk(root, ()) == ([root], {root: (-1, -1)})
 
     def test_edge_set_away_from_root(self):
         tree = Tree(5, ((0, 1), (1, 2), (2, 3), (3, 4)))

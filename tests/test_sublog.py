@@ -2,6 +2,7 @@ import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -44,6 +45,7 @@ from conftest import (
     reference_non_skeleton_solve,
     reference_skeleton,
     reference_skeleton_solve,
+    shaped_tree,
 )
 
 
@@ -688,3 +690,29 @@ class TestPinned:
                 res = sublog(inst, seed, diagnostics=True)
                 h.update(repr((res.cuts, res.served, res.revenue, res.diagnostics)).encode())
         assert h.hexdigest() == "77068306f20dea67288e2eb13308757351ca6805cda44ee6fe5db3802b7d6adb"
+
+    def test_structure_pinned(self):
+        # the outputs pin reaches only n <= 400, where d <= 3; this digest of
+        # the decomposition, the commodity assignment and every assigned
+        # fragment's skeleton covers d = 2..6 on shapes up to n = 2000
+        h = hashlib.sha256()
+        rng = Random(2101)
+        cases = [(shape, n) for shape in ("tree", "path", "star", "broom", "caterpillar") for n in (30, 250, 700)]
+        for shape, n in cases + [("tree", 2000)]:
+            tree = shaped_tree(rng, n, shape)
+            commodities = [Commodity(*rng.sample(range(n), 2), 0, Fraction(1)) for _ in range(n // 2)]
+            inst = Instance.create(tree, PricingFunction.linear(n), commodities)
+            for d in range(2, 7):
+                decomp = build_decomposition(tree, d)
+                h.update(repr(([[sorted(f) for f in level] for level in decomp.levels], decomp.children)).encode())
+                assignment = classify_commodities(decomp, inst)
+                h.update(repr((sorted(assignment.by_fragment.items()), assignment.extra)).encode())
+                for level, idx in sorted(assignment.by_fragment):
+                    kids = [decomp.levels[level][c] for c in decomp.children_of(level, idx)]
+                    skel = compute_skeleton(tree, decomp.levels[level - 1][idx], kids)
+                    h.update(repr((
+                        sorted(skel.border), sorted(skel.edges), sorted(skel.vertices), sorted(skel.junctions),
+                        [(s.vertices, s.edges) for s in skel.segments],
+                        [(sorted(e), sorted(v), a) for e, v, a in skel.hanging],
+                    )).encode())
+        assert h.hexdigest() == "8b7e8d7b73cbf1452c564f0e34c5e12b3e553967c604165c13a8d78d3ffd82f1"

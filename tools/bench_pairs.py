@@ -25,6 +25,13 @@ than the parent's quartile spread. With fewer than 10 complete pairs of the
 workload the claim is not judged: the line says "too few pairs". A line says
 whether it holds, and the exit status is 1 when it does not.
 
+`--judge FILE --claim WORKLOAD/METRIC` runs nothing: it reads the runs of an
+existing BENCH file, such as one made without `--claim`, and prints the
+summary and verdict a run would end with, by the end-to-end metrics of the
+BENCHMARK.json in FILE's directory, with the same exit status.
+
+    python3 tools/bench_pairs.py --judge BENCH_N.json --claim sublog-tree/solves_per_s
+
 Standard library only.
 """
 
@@ -154,15 +161,55 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[list[str], list
     return lines, rejected
 
 
+def verdict(runs: list[dict], end_to_end: list[dict], claim: str | None) -> int:
+    """Print the summary of `runs`, and the verdict on `claim` when one is
+    made; then one `error:` line per rejection. Returns the exit status."""
+    lines, rejected = summarize(runs, end_to_end)
+    if claim:
+        line, holds = check_claim(runs, end_to_end, claim)
+        lines.append(line)
+        if not holds:
+            rejected.append(f"the claimed gain {claim} does not hold")
+    print("\n".join(lines))
+    rejected += [
+        f"{r['workload']} seed {r['seed']} {r['side']} reported correct: false"
+        for r in runs
+        if not r["result"]["correct"]
+    ]
+    for message in rejected:
+        print(f"error: {message}", file=sys.stderr)
+    return 1 if rejected else 0
+
+
+def check_claim_args(parser, claim: str, workloads, end_to_end: list[dict]) -> None:
+    workload, _, metric = claim.partition("/")
+    if workload not in workloads or metric not in {spec["name"] for spec in end_to_end}:
+        parser.error(f"--claim takes a planned workload and an end-to-end metric, got {claim!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
-    parser.add_argument("--change", type=Path, required=True, help="root of the changed checkout")
-    parser.add_argument("--out", type=Path, required=True, help="BENCH_<pr>.json to write")
-    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--parent", type=Path, help="root of the parent checkout")
+    parser.add_argument("--change", type=Path, help="root of the changed checkout")
+    parser.add_argument("--out", type=Path, help="BENCH_<pr>.json to write")
+    parser.add_argument("--seed", type=int, help="seed of the first pair")
     parser.add_argument("--claim", metavar="WORKLOAD/METRIC", help="check a claimed gain on one end-to-end metric")
-    parser.add_argument("plan", nargs="+", metavar="WORKLOAD=PAIRS")
+    parser.add_argument("--judge", type=Path, metavar="FILE", help="judge --claim on the runs of an existing BENCH file")
+    parser.add_argument("plan", nargs="*", metavar="WORKLOAD=PAIRS")
     args = parser.parse_args(argv)
+    if args.judge:
+        if not args.claim or args.plan or any((args.parent, args.change, args.out, args.seed is not None)):
+            parser.error("--judge FILE takes --claim WORKLOAD/METRIC and nothing else")
+        try:
+            runs = json.loads(args.judge.read_text())["runs"]
+            end_to_end = json.loads((args.judge.parent / "BENCHMARK.json").read_text())["end_to_end"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            parser.error(f"cannot read the runs of {args.judge} or the BENCHMARK.json beside it: {exc}")
+        check_claim_args(parser, args.claim, {r["workload"] for r in runs}, end_to_end)
+        return verdict(runs, end_to_end, args.claim)
+    missing = [f"--{name}" for name in ("parent", "change", "out", "seed") if getattr(args, name) is None]
+    if missing or not args.plan:
+        parser.error(f"a run needs {', '.join(missing or ['a plan'])} (or --judge FILE)")
     plan = []
     for item in args.plan:
         workload, _, count = item.partition("=")
@@ -176,9 +223,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     if args.claim:
-        workload, _, metric = args.claim.partition("/")
-        if workload not in dict(plan) or metric not in {spec["name"] for spec in bench["end_to_end"]}:
-            parser.error(f"--claim takes a planned workload and an end-to-end metric, got {args.claim!r}")
+        check_claim_args(parser, args.claim, dict(plan), bench["end_to_end"])
 
     report = {
         "what": "perfbench end-to-end result lines, parent "
@@ -205,21 +250,7 @@ def main(argv=None) -> int:
                     f" failed {result['failed']}/{result['attempted']} ops",
                     flush=True,
                 )
-    lines, rejected = summarize(report["runs"], bench["end_to_end"])
-    if args.claim:
-        line, holds = check_claim(report["runs"], bench["end_to_end"], args.claim)
-        lines.append(line)
-        if not holds:
-            rejected.append(f"the claimed gain {args.claim} does not hold")
-    print("\n".join(lines))
-    rejected += [
-        f"{r['workload']} seed {r['seed']} {r['side']} reported correct: false"
-        for r in report["runs"]
-        if not r["result"]["correct"]
-    ]
-    for message in rejected:
-        print(f"error: {message}", file=sys.stderr)
-    return 1 if rejected else 0
+    return verdict(report["runs"], bench["end_to_end"], args.claim)
 
 
 if __name__ == "__main__":
