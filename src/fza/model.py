@@ -212,8 +212,9 @@ class Tree:
         A walk over an edge set scans `adjacency[v]` at each vertex it
         reaches and skips the edges outside the set. At a vertex of more
         tree neighbors than the set has edges (a hub), it reads the
-        neighbors off the set instead, so a vertex costs at most
-        min(deg(v), |edges|) and a small fragment at a hub stays small.
+        neighbors off an index of the set instead, built once at the first
+        hub, so a small fragment at a hub stays small and a fragment of many
+        hubs costs |edges| log |edges|, not |edges| per hub.
         """
         if not (0 <= root < self.num_vertices):
             raise InvalidInstanceError(f"invalid root {root}")
@@ -234,12 +235,19 @@ class Tree:
         if not isinstance(edges, (set, frozenset)):
             edges = frozenset(edges)
         size = len(edges)
-        tree_edges = self.edges
+        hub_index = None
         while stack:
             v = stack.pop()
             pairs = adj[v]
             if len(pairs) > size:
-                pairs = sorted((sum(tree_edges[eid]) - v, eid) for eid in edges if v in tree_edges[eid])
+                if hub_index is None:
+                    # vertex -> its (neighbor, edge id) pairs within the set
+                    hub_index = {}
+                    for eid in edges:
+                        a, b = self.edges[eid]
+                        hub_index.setdefault(a, []).append((b, eid))
+                        hub_index.setdefault(b, []).append((a, eid))
+                pairs = sorted(hub_index.get(v, ()))
             for w, eid in pairs:
                 if eid in edges and w not in up:
                     up[w] = (v, eid)

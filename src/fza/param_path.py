@@ -5,13 +5,31 @@ positions and differ only in how a state encodes the cuts so far: each
 supplies a start state and `moves(states, p) -> (kept, cut, cut_gains)`,
 three lists aligned with the sorted states at p, where a cut gain sums, over
 the commodities through p, the cached marginal gain `Instance.gains[i][z]` of
-a cut on a path that already holds z cuts. Tables are sparse and
-hash-indexed, so only reachable states are materialized; the stated
-worst-case sizes act purely as refusal guards. Tie-breaking is fixed by pass
+a cut on a path that already holds z cuts. Tie-breaking is fixed by pass
 order: every no-cut move merges before every cut move, each pass in
 ascending predecessor order, and a move replaces a held state only on a
 strictly higher value, so the no-cut move, then the lexicographically
 smaller predecessor, wins a tie and reconstruction is deterministic.
+
+Tables are sparse and hold only reachable states, and `dp_umax` and
+`dp_pmax` also drop dominated ones. Let future[p] be the lowest first
+position of the commodities through any position after p (m + 1 if none).
+No later step reads a cut before future[p], so a state's projection onto
+its cuts at or after future[p] fixes every later move and gain. Where
+future grows, the sweep groups the new table by that projection and drops
+each state strictly below its group's maximum:
+- Two states in one group get the same moves and the same gains from then
+  on, so a strictly lower state is never the chosen parent of a
+  non-dominated state, nor on the chain of a best final state.
+- Every non-dominated state therefore keeps its value and its parent, and
+  the set of best final states is unchanged, so the minimum over their keys
+  and the reconstruction return the same cut set.
+- Where future does not grow, two groups meet only on identical keys, which
+  the merge already combines.
+Every state tied at its group's maximum stays: the unpruned DP breaks such
+a tie forward- or reverse-lexicographically depending on the cuts that
+follow, so keeping one state per group would change cut sets. The stated
+worst-case sizes bound the unpruned tables and act purely as refusal guards.
 """
 
 from __future__ import annotations
@@ -30,8 +48,9 @@ from .model import (
     parameters,
 )
 
-# refusal guards: n^(u_max+2) states for dp_umax, 2^p_max windows for
-# dp_pmax, and the largest per-position slack product for dp_congestion
+# refusal guards on the unpruned worst case: n^(u_max+2) states for dp_umax,
+# 2^p_max windows for dp_pmax, and the largest per-position slack product for
+# dp_congestion
 STATE_BUDGET = 10**7
 WINDOW_BUDGET = 1 << 20
 TABLE_BUDGET = 10**6
@@ -49,7 +68,9 @@ class _Sweep:
     position p: the commodities whose path holds it, ascending. `start[i]`
     is the first position whose `covering` holds commodity i, and
     `entry_value[p]` is the zero-cut revenue of the commodities starting at
-    p, which both transitions at p earn.
+    p, which both transitions at p earn. `first[p]` is the lowest start
+    among the commodities through p and `future[p]` the lowest among those
+    through any position after p, each m + 1 if there is none.
     """
 
     def __init__(self, instance: Instance):
@@ -67,10 +88,19 @@ class _Sweep:
                 if not start[i]:
                     start[i] = p
                     self.entry_value[p] += instance.value(i, 0)
+        self.first = [min((start[i] for i in ids), default=m + 1) for ids in covering]
+        self.future = future = [m + 1] * (m + 1)
+        for p in range(m - 1, -1, -1):
+            future[p] = min(future[p + 1], self.first[p + 1])
 
-    def run(self, initial, moves, algorithm: str, diagnostics: dict) -> SolveResult:
+    def run(self, initial, moves, algorithm: str, diagnostics: dict, project=None) -> SolveResult:
+        """Sweep the path from `initial`. `project(states, p)` lists, for
+        each state, the part that a step after p can read; where `future`
+        grows, a state strictly below its group's maximum is dropped (see the
+        module docstring). Without it every reachable state is kept."""
         table = {initial: 0}
         parents_by_step = [{}]
+        future = self.future
         for p in range(1, self.m + 1):
             bp = self.entry_value[p]
             states = sorted(table)
@@ -79,6 +109,8 @@ class _Sweep:
             new_table, parents = {}, {}
             _update(new_table, parents, kept, values, states, False)
             _update(new_table, parents, cut, [v + g for v, g in zip(values, gains)], states, True)
+            if project is not None and future[p] > future[p - 1]:
+                new_table = _drop_dominated(new_table, project(new_table, p))
             table = new_table
             parents_by_step.append(parents)
 
@@ -106,6 +138,17 @@ def _update(table, parents, keys, values, preds, cut: bool) -> None:
             parents[key] = (pred, cut)
 
 
+def _drop_dominated(table: dict, keys: list) -> dict:
+    """`table` without the states strictly below the best value of their
+    group, `keys` giving each state's group in the table's order."""
+    top = {}
+    for value, key in zip(table.values(), keys):
+        held = top.get(key)
+        if held is None or value > held:
+            top[key] = value
+    return {state: value for (state, value), key in zip(table.items(), keys) if value == top[key]}
+
+
 def dp_umax(instance: Instance) -> SolveResult:
     """Exact optimum, exponential only in the maximum budget.
 
@@ -122,17 +165,13 @@ def dp_umax(instance: Instance) -> SolveResult:
     n = instance.tree.num_vertices
     if n ** (ell + 2) > STATE_BUDGET:
         raise CapacityError(f"state budget exceeded: {n}^{ell + 2} > {STATE_BUDGET}")
-    gains, start = instance.gains, sweep.start
-    # per position p: the first start among the commodities through p (past
-    # the path's end if none), and (start, gains) of each of them
-    through = [
-        (min((start[i] for i in ids), default=sweep.m + 1), tuple((start[i], gains[i]) for i in ids))
-        for ids in sweep.covering
-    ]
+    gains, start, future = instance.gains, sweep.start, sweep.future
+    # per position p: (start, gains) of each commodity through p
+    through = [tuple((start[i], gains[i]) for i in ids) for ids in sweep.covering]
     size = ell + 1
 
     def moves(windows, p):
-        first, comms = through[p]
+        first, comms = sweep.first[p], through[p]
         # the gain reads only the window's cuts at or after `first`
         memo, cut_gains = {}, []
         for w in windows:
@@ -144,7 +183,11 @@ def dp_umax(instance: Instance) -> SolveResult:
             cut_gains.append(gain)
         return windows, [w[1:] + (p,) for w in windows], cut_gains
 
-    return sweep.run(tuple(range(-ell, 1)), moves, "dp-umax", {"u_max": ell})
+    def project(windows, p):
+        cutoff = future[p]
+        return [w[bisect_left(w, cutoff):] for w in windows]
+
+    return sweep.run(tuple(range(-ell, 1)), moves, "dp-umax", {"u_max": ell}, project)
 
 
 def dp_pmax(instance: Instance) -> SolveResult:
@@ -158,7 +201,7 @@ def dp_pmax(instance: Instance) -> SolveResult:
     ell = max(1, parameters(instance).p_max)
     if (1 << ell) > WINDOW_BUDGET:
         raise CapacityError(f"window budget exceeded: 2^{ell} > {WINDOW_BUDGET}")
-    gains, start = instance.gains, sweep.start
+    gains, start, future = instance.gains, sweep.start, sweep.future
     # per position p: (bits of the positions start_i .. p-1 in the state, gains of i)
     through = [
         tuple(((1 << (p - start[i])) - 1, gains[i]) for i in ids)
@@ -180,7 +223,12 @@ def dp_pmax(instance: Instance) -> SolveResult:
         kept = [(mask << 1) & full for mask in masks]
         return kept, [k | 1 for k in kept], cut_gains
 
-    return sweep.run(0, moves, "dp-pmax", {"p_max": ell})
+    def project(masks, p):
+        # bit t is position p - t, so bits 0..p - future[p] are the readable ones
+        readable = (1 << max(0, p - future[p] + 1)) - 1
+        return [mask & readable for mask in masks]
+
+    return sweep.run(0, moves, "dp-pmax", {"p_max": ell}, project)
 
 
 def dp_congestion(instance: Instance) -> SolveResult:

@@ -226,17 +226,42 @@ def bounded_path_instance(seed: int, n_max=12, u_cap=3, p_cap=6, cong_cap=3) -> 
             return inst
 
 
+def small_path_family():
+    """Every path 0-1-...-(n-1) with n = 2..5 under linear, affine and capped
+    pricing, with one commodity or two drawn with replacement from every
+    (s < t, u = 0..t-s, w in {1, 5/2}), normalized: 7,749 instances in a
+    fixed order."""
+    from itertools import combinations_with_replacement
+
+    for n in range(2, 6):
+        tree = Tree(n, tuple((v, v + 1) for v in range(n - 1)))
+        choices = [
+            Commodity(s, t, u, w)
+            for s in range(n)
+            for t in range(s + 1, n)
+            for u in range(t - s + 1)
+            for w in (Fraction(1), Fraction(5, 2))
+        ]
+        groups = [(c,) for c in choices] + list(combinations_with_replacement(choices, 2))
+        for name in ("linear", "affine", "capped"):
+            pricing = pricing_preset(name, n)
+            for comms in groups:
+                yield normalize(Instance.create(tree, pricing, comms))
+
+
 def pairwise_sweep(solver, instance: Instance):
     """`solver` (one of the three path DPs) with its sweep run one transition
     at a time: the DP's own `moves` on one state at a time, each move merged
     alone, and a tie decided by comparing (cut, predecessor), smallest first.
-    The solvers merge each position's moves in two ordered passes instead."""
+    The solvers merge each position's moves in two ordered passes instead.
+    It ignores the DP's projection and so keeps every reachable state: the
+    unpruned reference for dropping dominated states."""
     from unittest import mock
 
     from fza import param_path
     from fza.model import make_result
 
-    def run(sweep, initial, moves, algorithm, diagnostics):
+    def run(sweep, initial, moves, algorithm, diagnostics, project=None):
         table, parents_by_step = {initial: 0}, [{}]
         for p in range(1, sweep.m + 1):
             new_table, parents = {}, {}

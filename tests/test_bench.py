@@ -362,3 +362,27 @@ def test_bench_pairs_judge_needs_a_claim_and_nothing_to_run(tmp_path, capsys):
             bench_pairs.main(argv)
         assert exc.value.code == 2
         assert "--judge FILE takes --claim WORKLOAD/METRIC and nothing else" in capsys.readouterr().err
+
+
+def test_bench_pairs_shows_order_bias(tmp_path, capsys):
+    # each side does better whenever it runs first: the change wins half the
+    # pairs, and the first-run side wins all ten
+    bench_pairs = load_bench_pairs()
+    bench = {"command": ["false"], "run_seconds": 1, "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.24}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def run(seed, side, first):
+        result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {"solves_per_s": {"value": 11.0 if first else 10.0}}}
+        return {"workload": "w", "seed": seed, "side": side, "ran_first": first, "result": result}
+
+    runs = [run(seed, side, (seed % 2 == 0) == (side == "parent")) for seed in range(10) for side in bench_pairs.SIDES]
+    (tmp_path / "BENCH_9.json").write_text(json.dumps({"runs": runs}))
+    assert bench_pairs.main(["--judge", str(tmp_path / "BENCH_9.json"), "--claim", "w/solves_per_s"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "w            side that ran first better on solves_per_s in 10/10 pairs" in out
+    assert any("change better in 5/10 pairs" in line for line in out)
+    # a run with no recorded order adds no line
+    for r in runs:
+        del r["ran_first"]
+    lines, _ = bench_pairs.summarize(runs, bench["end_to_end"])
+    assert not any("ran first" in line for line in lines)

@@ -203,6 +203,24 @@ class TestWalk:
                         assert tree.walk(root, edges) == want, (trial, shape, root)
                     assert tree.walk(root, ()) == ([root], {root: (-1, -1)})
 
+    def test_hub_walks_match_reference(self):
+        # fragments made of hubs: a caterpillar's spine (99 edges, 100 leaves
+        # on each spine vertex), a star and a broom, walked at every level of
+        # their decompositions from the fragment's lowest and busiest vertex
+        spine = [(v, v + 1) for v in range(99)]
+        leaves = [(v, 100 + 100 * v + j) for v in range(100) for j in range(100)]
+        caterpillar = Tree(10100, tuple(spine + leaves))
+        star = Tree(400, tuple((0, v) for v in range(1, 400)))
+        broom = Tree(400, tuple([(v, v + 1) for v in range(40)] + [(40, v) for v in range(41, 400)]))
+        assert caterpillar.walk(0, range(99)) == reference_walk(caterpillar, 0, range(99))
+        for tree in (caterpillar, star, broom):
+            for level in build_decomposition(tree).levels:
+                for fragment in level:
+                    vertices = {v for e in fragment for v in tree.edges[e]}
+                    busiest = max(vertices, key=lambda v: (len(tree.adjacency[v]), v))
+                    for root in {min(vertices), busiest}:
+                        assert tree.walk(root, fragment) == reference_walk(tree, root, fragment)
+
     def test_edge_set_away_from_root(self):
         tree = Tree(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
         assert tree.walk(0, {2, 3}) == ([0], {0: (-1, -1)})

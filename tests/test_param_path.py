@@ -15,11 +15,12 @@ from fza import (
     dp_pmax,
     dp_umax,
     normalize,
+    parameters,
 )
 from fza import param_path
 from fza.generators import pricing_preset
 from fza.rng import substream
-from conftest import bounded_path_instance, pairwise_sweep, path_edges
+from conftest import bounded_path_instance, pairwise_sweep, path_edges, small_path_family
 
 
 def make(tree, pricing, commodities):
@@ -190,6 +191,56 @@ class TestExactness:
                 h.update(repr((res.cuts, res.served)).encode())
         assert h.hexdigest() == "e69f0579c6c4970b881e2509cb186c1af504b03efc115b3f331f9c89e0ecfbab"
 
+    def test_small_paths_exhaustive(self):
+        # every instance of a small enumerated family: each DP earns brute
+        # force's revenue, and one digest per DP over its (cuts, served)
+        # pairs, recorded before the DPs dropped dominated states, pins the
+        # tie rule each one returns
+        digests = {solver: hashlib.sha256() for solver in (dp_umax, dp_pmax, dp_congestion)}
+        count = 0
+        for inst in small_path_family():
+            opt = brute_force(inst).revenue
+            for solver, h in digests.items():
+                res = solver(inst)
+                assert res.revenue == opt, (solver.__name__, inst)
+                h.update(repr((res.cuts, res.served)).encode())
+            count += 1
+        assert count == 7749
+        assert {solver.__name__: h.hexdigest() for solver, h in digests.items()} == {
+            "dp_umax": "c347f5224fdf79bfae8f3e1db8b0e2a5323c213a65bcde80708185736fca703e",
+            "dp_pmax": "5beafd3886f37e95c84387dbd325d798f490096a5618501c7e288ebd9941d590",
+            "dp_congestion": "d3641762f4d3434a235afa7bacd2b25e1fa6fb8d5ae85a150dadf0d798b4b55e",
+        }
+
+
+def test_tables_stay_within_the_readable_window(monkeypatch):
+    # 150 short commodities on a 200-vertex path with u_max = 1 and p_max = 4:
+    # without dropping dominated states dp_umax holds about p^2/2 windows at
+    # position p (19,702 at the widest merge); with it, a table holds no more
+    # states than the cuts a later commodity can still read tell apart
+    rng = substream(0, "state-bound")
+    n = 200
+    tree = Tree(n, tuple((v, v + 1) for v in range(n - 1)))
+    comms = []
+    for _ in range(150):
+        a = rng.randrange(n - 1)
+        b = a + rng.randint(1, min(4, n - 1 - a))
+        comms.append(Commodity(a, b, rng.randint(0, 1), Fraction(rng.randint(1, 7), 3)))
+    inst = make(tree, PricingFunction.affine(n), comms)
+    params = parameters(inst)
+    assert (params.u_max, params.p_max) == (1, 4)
+    widest = 0
+    update = param_path._update
+
+    def recording(table, parents, keys, *rest):
+        nonlocal widest
+        widest = max(widest, len(keys))
+        update(table, parents, keys, *rest)
+
+    monkeypatch.setattr(param_path, "_update", recording)
+    assert dp_umax(inst).revenue == dp_pmax(inst).revenue
+    assert widest <= 64
+
 
 def tie_heavy_path(seed: int) -> Instance:
     """A random path on 2..20 vertices under any pricing preset, with up to
@@ -212,11 +263,24 @@ def tie_heavy_path(seed: int) -> Instance:
     return make(tree, pricing, comms)
 
 
-def test_sweep_matches_pairwise_reference():
+def test_sweep_matches_pairwise_reference(monkeypatch):
     # the two ordered passes keep the pairwise (cut, predecessor) tie rule,
-    # and each DP's gain cache changes no move's value
+    # each DP's gain cache changes no move's value, and dropping dominated
+    # states changes no cut set: the reference keeps every reachable state
+    pruned = {dp_umax: set(), dp_pmax: set()}
+    drop = param_path._drop_dominated
+
+    def recording(table, keys):
+        kept = drop(table, keys)
+        if len(kept) < len(table):
+            pruned[solver].add(seed)
+        return kept
+
+    monkeypatch.setattr(param_path, "_drop_dominated", recording)
     for seed in range(1000):
         inst = tie_heavy_path(seed)
         for solver in (dp_umax, dp_pmax, dp_congestion):
             res, ref = solver(inst), pairwise_sweep(solver, inst)
             assert (res.cuts, res.served, res.revenue) == (ref.cuts, ref.served, ref.revenue), (seed, solver)
+    # the comparison means something only where a state was dropped
+    assert all(pruned.values()), {solver.__name__: len(seeds) for solver, seeds in pruned.items()}

@@ -11,12 +11,14 @@ change in odd ones. Every run is the change's BENCHMARK.json `command` plus
 root of its checkout, and its last stdout line is kept. The file is
 rewritten after every run, so an interrupted session keeps the pairs it
 finished. At the end a summary prints, per workload, each side's failed and
-attempted ops, and per end-to-end metric of BENCHMARK.json, each side's
-median and quartiles, how many pairs the change won (ties count for neither
-side) and whether the change's median is within the metric's bound. The exit
-status is 1, with one `error:` line on stderr per cause, if any run reported
-`correct: false`, if a change median is outside its metric's bound, or if
-the change failed a larger share of a workload's ops than the parent.
+attempted ops, how many pairs the side that ran first won on
+`solves_per_s` (a large share shows order bias), and per end-to-end metric
+of BENCHMARK.json, each side's median and quartiles, how many pairs the
+change won (ties count for neither side) and whether the change's median is
+within the metric's bound. The exit status is 1, with one `error:` line on
+stderr per cause, if any run reported `correct: false`, if a change median
+is outside its metric's bound, or if the change failed a larger share of a
+workload's ops than the parent.
 
 `--claim WORKLOAD/METRIC` checks a claimed gain on one end-to-end metric by
 the benchmark's rule: the change wins at least 9 of every 10 pairs (ties
@@ -98,6 +100,18 @@ def complete_pairs(runs: list[dict], workload: str) -> list[dict]:
     return [p for p in pairs.values() if len(p) == 2]
 
 
+def first_run_wins(runs: list[dict]) -> tuple[int, int]:
+    """The pairs of one workload's `runs` where the side that ran first had
+    the higher `solves_per_s` (ties count for neither side), and the
+    complete pairs whose runs record which side ran first."""
+    pairs: dict[int, dict] = {}
+    for r in runs:
+        if "ran_first" in r:
+            pairs.setdefault(r["seed"], {})[r["ran_first"]] = r["result"]["metrics"]["solves_per_s"]["value"]
+    ordered = [p for p in pairs.values() if len(p) == 2]
+    return sum(p[True] > p[False] for p in ordered), len(ordered)
+
+
 def check_claim(runs: list[dict], end_to_end: list[dict], claim: str) -> tuple[str, bool]:
     """Whether the claimed gain WORKLOAD/METRIC holds: there are at least
     `MIN_CLAIM_PAIRS` complete pairs, the change wins at least 9 of every 10,
@@ -118,11 +132,13 @@ def check_claim(runs: list[dict], end_to_end: list[dict], claim: str) -> tuple[s
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[list[str], list[str]]:
-    """Per workload: each side's failed and attempted ops over all its runs.
-    Then per end-to-end metric (BENCHMARK.json's `end_to_end` entries): each
-    side's median and quartiles, the pairs the change won, whether the medians
-    differ by more than the parent's quartile spread, and whether the change's
-    median is within the metric's relative `bound` of the parent's.
+    """Per workload: each side's failed and attempted ops over all its runs,
+    and, where the runs record their order, the pairs the first-run side won
+    on `solves_per_s`. Then per end-to-end metric (BENCHMARK.json's
+    `end_to_end` entries): each side's median and quartiles, the pairs the
+    change won, whether the medians differ by more than the parent's
+    quartile spread, and whether the change's median is within the metric's
+    relative `bound` of the parent's.
 
     Returns those lines and the rejections: one message per change median
     outside its bound and per workload where the change failed a larger
@@ -137,6 +153,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[list[str], list
             f"{workload:12} failed/attempted ops" + "".join(f"  {s} {totals[s][0]}/{totals[s][1]}" for s in SIDES)
         )
         (p_failed, p_attempted), (c_failed, c_attempted) = totals["parent"], totals["change"]
+        wins, ordered = first_run_wins(own)
+        if ordered:
+            lines.append(f"{workload:12} side that ran first better on solves_per_s in {wins}/{ordered} pairs")
         if c_failed * p_attempted > p_failed * c_attempted:
             rejected.append(
                 f"{workload}: the change failed {c_failed}/{c_attempted} ops, the parent {p_failed}/{p_attempted}"
