@@ -84,6 +84,8 @@ def _gen(args) -> int:
         )
         instance = gen_random(spec)
     else:
+        if not args.clauses:
+            raise InvalidInstanceError("--clauses is required for SAT families")
         formula = parse_clauses(args.clauses, args.num_vars)
         if args.family == "star-sat":
             instance, target = gen_star_from_2sat(formula)
@@ -159,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "gen" and args.family in ("star-sat", "path-sat") and not args.clauses:
-        sys.stderr.write("error: --clauses is required for SAT families\n")
-        return 2
     try:
         return args.func(args)
     except CapacityError as exc:

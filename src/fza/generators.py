@@ -25,6 +25,8 @@ FAMILIES = ("random-tree", "random-path")
 # Formula2CNF refuses more variables; the path-sat instance of a formula at
 # this cap has 10^5 edges
 MAX_FORMULA_VARS = 10_000
+# max2sat_optimum enumerates 2^n assignments; larger formulas are refused
+MAX_2SAT_VARS = 20
 
 
 @dataclass(frozen=True)
@@ -153,11 +155,11 @@ class Formula2CNF:
         return len(self.clauses)
 
 
-def max2sat_optimum(formula: Formula2CNF, max_vars: int = 20) -> int:
+def max2sat_optimum(formula: Formula2CNF) -> int:
     """Exhaustive maximum number of simultaneously satisfiable clauses."""
     n = formula.num_vars
-    if n > max_vars:
-        raise CapacityError(f"exhaustive 2-SAT limited to {max_vars} variables, got {n}")
+    if n > MAX_2SAT_VARS:
+        raise CapacityError(f"exhaustive 2-SAT limited to {MAX_2SAT_VARS} variables, got {n}")
     best = 0
     for assignment in range(1 << n):
         sat = 0

@@ -2,30 +2,38 @@
 
 All three DPs run one left-to-right sweep (`_Sweep.run`) over the path's edge
 positions and differ only in how a state encodes the cuts so far: each
-supplies a start state and `moves(states, p) -> (kept, cut, cut_gains)`,
+supplies a start state and `moves(states, keys, p) -> (kept, cut, cut_gains)`,
 three lists aligned with the sorted states at p, where a cut gain sums, over
 the commodities through p, the cached marginal gain `Instance.gains[i][z]` of
 a cut on a path that already holds z cuts. Tie-breaking is fixed by pass
 order: every no-cut move merges before every cut move, each pass in
 ascending predecessor order, and a move replaces a held state only on a
 strictly higher value, so the no-cut move, then the lexicographically
-smaller predecessor, wins a tie and reconstruction is deterministic.
+smaller predecessor, wins a tie. A table maps each state to (value,
+predecessor, was cut), and reconstruction follows the kept tables back.
 
-Tables are sparse and hold only reachable states, and `dp_umax` and
-`dp_pmax` also drop dominated ones. Let future[p] be the lowest first
-position of the commodities through any position after p (m + 1 if none).
-No later step reads a cut before future[p], so a state's projection onto
-its cuts at or after future[p] fixes every later move and gain. Where
-future grows, the sweep groups the new table by that projection and drops
-each state strictly below its group's maximum:
-- Two states in one group get the same moves and the same gains from then
-  on, so a strictly lower state is never the chosen parent of a
-  non-dominated state, nor on the chain of a best final state.
-- Every non-dominated state therefore keeps its value and its parent, and
-  the set of best final states is unchanged, so the minimum over their keys
-  and the reconstruction return the same cut set.
-- Where future does not grow, two groups meet only on identical keys, which
-  the merge already combines.
+The sweep starts from the zero-cut revenue F_0 * sum W_i: every commodity
+earns its zero-cut value on both moves at its first position, the same for
+every state there, so no merge, tie or drop depends on when it is added.
+
+Let first[p] be the lowest start among the commodities through p and
+future[p] the lowest among those through any position after p (m + 1 if
+none). No step after p reads a cut before future[p], so `dp_umax` and
+`dp_pmax` each give one `readable(states, p)`, a state's cuts at or after
+future[p], and the sweep uses it twice:
+- It keys the gain cache at p by `readable(states, p - 1)`. Wherever a
+  commodity runs through p, future[p - 1] == first[p]: a commodity through
+  some q > p starting at or before p runs through p, so it starts at or
+  after first[p], as does one starting after p. Where none runs through p,
+  no commodity gains, so the key does not matter.
+- Where future grows, it groups the states leaving p by `readable(states,
+  p)` and drops each entry strictly below its group's maximum. Two states
+  in one group get the same moves and gains from then on, so a strictly
+  lower one is never the predecessor of a non-dominated state, nor on the
+  chain of a best final state: every kept state keeps its value and
+  predecessor, and the best final states and the cut set are unchanged.
+  Where future does not grow, two groups meet only on identical keys,
+  which the merge already combines.
 Every state tied at its group's maximum stays: the unpruned DP breaks such
 a tie forward- or reverse-lexicographically depending on the cuts that
 follow, so keeping one state per group would change cut sets. The stated
@@ -67,10 +75,8 @@ class _Sweep:
     `covering[p]` is `Instance.edge_commodities` of the edge at 1-based
     position p: the commodities whose path holds it, ascending. `start[i]`
     is the first position whose `covering` holds commodity i, and
-    `entry_value[p]` is the zero-cut revenue of the commodities starting at
-    p, which both transitions at p earn. `first[p]` is the lowest start
-    among the commodities through p and `future[p]` the lowest among those
-    through any position after p, each m + 1 if there is none.
+    `future[p]` the lowest start among the commodities through any position
+    after p, m + 1 if there is none.
     """
 
     def __init__(self, instance: Instance):
@@ -82,45 +88,42 @@ class _Sweep:
         on_edge = instance.edge_commodities
         self.covering = covering = [()] + [on_edge[e] for e in self.edge_ids]
         self.start = start = [0] * instance.num_commodities
-        self.entry_value = [0] * (m + 1)
         for p in range(1, m + 1):
             for i in covering[p]:
                 if not start[i]:
                     start[i] = p
-                    self.entry_value[p] += instance.value(i, 0)
-        self.first = [min((start[i] for i in ids), default=m + 1) for ids in covering]
+        first = [min((start[i] for i in ids), default=m + 1) for ids in covering]
         self.future = future = [m + 1] * (m + 1)
         for p in range(m - 1, -1, -1):
-            future[p] = min(future[p + 1], self.first[p + 1])
+            future[p] = min(future[p + 1], first[p + 1])
 
-    def run(self, initial, moves, algorithm: str, diagnostics: dict, project=None) -> SolveResult:
-        """Sweep the path from `initial`. `project(states, p)` lists, for
-        each state, the part that a step after p can read; where `future`
-        grows, a state strictly below its group's maximum is dropped (see the
-        module docstring). Without it every reachable state is kept."""
-        table = {initial: 0}
-        parents_by_step = [{}]
+    def run(self, initial, moves, algorithm: str, diagnostics: dict, readable=None) -> SolveResult:
+        """Sweep the path from `initial`. `readable(states, p)` lists the part
+        of each state that a step after p can read, which keys the gain cache
+        at p + 1 and groups the dominance drop at p (see the module
+        docstring); without it every state is its own key and none drops."""
+        table = {initial: (self.instance._empty_revenue, None, False)}
+        tables = [table]
         future = self.future
         for p in range(1, self.m + 1):
-            bp = self.entry_value[p]
             states = sorted(table)
-            kept, cut, gains = moves(states, p)
-            values = [table[state] + bp for state in states]
-            new_table, parents = {}, {}
-            _update(new_table, parents, kept, values, states, False)
-            _update(new_table, parents, cut, [v + g for v, g in zip(values, gains)], states, True)
-            if project is not None and future[p] > future[p - 1]:
-                new_table = _drop_dominated(new_table, project(new_table, p))
-            table = new_table
-            parents_by_step.append(parents)
+            keys = states if readable is None else readable(states, p - 1)
+            kept, cut, gains = moves(states, keys, p)
+            values = [table[state][0] for state in states]
+            table = {}
+            _update(table, kept, values, states, False)
+            _update(table, cut, [v + g for v, g in zip(values, gains)], states, True)
+            if readable is not None and future[p] > future[p - 1]:
+                table = _drop_dominated(table, readable(table, p))
+            tables.append(table)
 
         if not table:
             raise InvalidInstanceError("dynamic program ended with no feasible state")
-        best_val = max(table.values())
-        key = min(k for k, v in table.items() if v == best_val)
+        best_val = max(value for value, _, _ in table.values())
+        key = min(k for k, (value, _, _) in table.items() if value == best_val)
         cuts = []
         for p in range(self.m, 0, -1):
-            key, was_cut = parents_by_step[p][key]
+            _, key, was_cut = tables[p][key]
             if was_cut:
                 cuts.append(self.edge_ids[p - 1])
         result = make_result(self.instance, cuts, algorithm=algorithm, diagnostics=diagnostics)
@@ -129,24 +132,24 @@ class _Sweep:
         return result
 
 
-def _update(table, parents, keys, values, preds, cut: bool) -> None:
-    """Merge one pass of moves, keeping a move only on a strictly higher value."""
+def _update(table, keys, values, preds, cut: bool) -> None:
+    """Merge one pass of moves as (value, predecessor, cut) entries, keeping a
+    move only on a strictly higher value."""
     for key, value, pred in zip(keys, values, preds):
         held = table.get(key)
-        if held is None or value > held:
-            table[key] = value
-            parents[key] = (pred, cut)
+        if held is None or value > held[0]:
+            table[key] = (value, pred, cut)
 
 
 def _drop_dominated(table: dict, keys: list) -> dict:
-    """`table` without the states strictly below the best value of their
+    """`table` without the entries strictly below the best value of their
     group, `keys` giving each state's group in the table's order."""
     top = {}
-    for value, key in zip(table.values(), keys):
+    for (value, _, _), key in zip(table.values(), keys):
         held = top.get(key)
         if held is None or value > held:
             top[key] = value
-    return {state: value for (state, value), key in zip(table.items(), keys) if value == top[key]}
+    return {state: entry for (state, entry), key in zip(table.items(), keys) if entry[0] == top[key]}
 
 
 def dp_umax(instance: Instance) -> SolveResult:
@@ -158,7 +161,7 @@ def dp_umax(instance: Instance) -> SolveResult:
     previous cuts, i.e. including the position about to slide out of the
     window; with fewer slots a commodity at the maximum budget whose path
     holds two more cuts than its budget would be charged its drop-out penalty
-    twice.
+    twice. The readable part of a window is its suffix from future[p].
     """
     sweep = _Sweep(instance)
     ell = parameters(instance).u_max
@@ -168,26 +171,22 @@ def dp_umax(instance: Instance) -> SolveResult:
     gains, start, future = instance.gains, sweep.start, sweep.future
     # per position p: (start, gains) of each commodity through p
     through = [tuple((start[i], gains[i]) for i in ids) for ids in sweep.covering]
-    size = ell + 1
 
-    def moves(windows, p):
-        first, comms = sweep.first[p], through[p]
-        # the gain reads only the window's cuts at or after `first`
-        memo, cut_gains = {}, []
-        for w in windows:
-            key = w[bisect_left(w, first):]
+    def moves(windows, keys, p):
+        comms, memo, cut_gains = through[p], {}, []
+        for key in keys:
             gain = memo.get(key)
             if gain is None:
-                # cuts in the window at or after each commodity's first position
-                gain = memo[key] = sum(g[size - bisect_left(w, s)] for s, g in comms)
+                # the key holds every cut at or after each commodity's first position
+                gain = memo[key] = sum(g[len(key) - bisect_left(key, s)] for s, g in comms)
             cut_gains.append(gain)
         return windows, [w[1:] + (p,) for w in windows], cut_gains
 
-    def project(windows, p):
+    def readable(windows, p):
         cutoff = future[p]
         return [w[bisect_left(w, cutoff):] for w in windows]
 
-    return sweep.run(tuple(range(-ell, 1)), moves, "dp-umax", {"u_max": ell}, project)
+    return sweep.run(tuple(range(-ell, 1)), moves, "dp-umax", {"u_max": ell}, readable)
 
 
 def dp_pmax(instance: Instance) -> SolveResult:
@@ -195,7 +194,8 @@ def dp_pmax(instance: Instance) -> SolveResult:
 
     The state is the cut pattern of the last p_max positions as a bitmask
     (bit t set means position p-t is cut), which covers every commodity path
-    entirely, so marginal gains are exact.
+    entirely, so marginal gains are exact. The readable part of a mask is
+    its low p - future[p] + 1 bits.
     """
     sweep = _Sweep(instance)
     ell = max(1, parameters(instance).p_max)
@@ -207,28 +207,24 @@ def dp_pmax(instance: Instance) -> SolveResult:
         tuple(((1 << (p - start[i])) - 1, gains[i]) for i in ids)
         for p, ids in enumerate(sweep.covering)
     ]
-    # the widest `before` mask at p: the only bits of a state its cut gain reads
-    seen = [max((before for before, _ in comms), default=0) for comms in through]
     full = (1 << ell) - 1
 
-    def moves(masks, p):
-        comms, visible = through[p], seen[p]
-        memo, cut_gains = {}, []
-        for mask in masks:
-            key = mask & visible
+    def moves(masks, keys, p):
+        comms, memo, cut_gains = through[p], {}, []
+        for key in keys:
             gain = memo.get(key)
             if gain is None:
-                gain = memo[key] = sum(g[(mask & before).bit_count()] for before, g in comms)
+                gain = memo[key] = sum(g[(key & before).bit_count()] for before, g in comms)
             cut_gains.append(gain)
         kept = [(mask << 1) & full for mask in masks]
         return kept, [k | 1 for k in kept], cut_gains
 
-    def project(masks, p):
+    def readable(masks, p):
         # bit t is position p - t, so bits 0..p - future[p] are the readable ones
-        readable = (1 << max(0, p - future[p] + 1)) - 1
-        return [mask & readable for mask in masks]
+        part = (1 << max(0, p - future[p] + 1)) - 1
+        return [mask & part for mask in masks]
 
-    return sweep.run(0, moves, "dp-pmax", {"p_max": ell}, project)
+    return sweep.run(0, moves, "dp-pmax", {"p_max": ell}, readable)
 
 
 def dp_congestion(instance: Instance) -> SolveResult:
@@ -260,7 +256,7 @@ def dp_congestion(instance: Instance) -> SolveResult:
         entering_gain.append(sum(gains[i][0] for i in ids if i not in prev_index))
         prev_index = {i: t for t, i in enumerate(ids)}
 
-    def moves(states, p):
+    def moves(states, _keys, p):
         all_kept, all_slashed, cut_gains = [], [], []
         for state in states:
             kept = []

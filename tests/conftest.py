@@ -249,25 +249,66 @@ def small_path_family():
                 yield normalize(Instance.create(tree, pricing, comms))
 
 
+def prufer_tree(n: int, sequence) -> Tree:
+    """The labeled tree on 0..n-1 with Prüfer sequence `sequence` (length n - 2),
+    its edges in decoding order: each step joins the smallest current leaf to
+    the next entry, and the last edge joins the two vertices left."""
+    degree = [1] * n
+    for v in sequence:
+        degree[v] += 1
+    edges = []
+    for v in sequence:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] = 0
+        degree[v] -= 1
+    edges.append(tuple(v for v in range(n) if degree[v] == 1))
+    return Tree(n, tuple(edges))
+
+
+def small_tree_family():
+    """Every labeled tree on n = 2..5 vertices, one per Prüfer sequence (145
+    trees), under linear, affine and capped pricing: for each, one instance
+    per commodity (s, t, u, 5/2) with s < t and u = 0..|P|, then one holding
+    all of them, normalized: 11,655 single-commodity instances and 435 whole
+    ones, 12,090 in a fixed order."""
+    from itertools import product
+
+    for n in range(2, 6):
+        for sequence in product(range(n), repeat=n - 2):
+            tree = prufer_tree(n, sequence)
+            choices = [
+                Commodity(s, t, u, Fraction(5, 2))
+                for s in range(n)
+                for t in range(s + 1, n)
+                for u in range(len(resolve_path(tree, s, t)) + 1)
+            ]
+            for name in ("linear", "affine", "capped"):
+                pricing = pricing_preset(name, n)
+                for comms in [(c,) for c in choices] + [choices]:
+                    yield normalize(Instance.create(tree, pricing, comms))
+
+
 def pairwise_sweep(solver, instance: Instance):
     """`solver` (one of the three path DPs) with its sweep run one transition
-    at a time: the DP's own `moves` on one state at a time, each move merged
+    at a time from the zero-cut revenue: the DP's own `moves` on one state at
+    a time, keyed by itself so that no cached gain is shared, each move merged
     alone, and a tie decided by comparing (cut, predecessor), smallest first.
     The solvers merge each position's moves in two ordered passes instead.
-    It ignores the DP's projection and so keeps every reachable state: the
+    It ignores the DP's readable part and so keeps every reachable state: the
     unpruned reference for dropping dominated states."""
     from unittest import mock
 
     from fza import param_path
     from fza.model import make_result
 
-    def run(sweep, initial, moves, algorithm, diagnostics, project=None):
-        table, parents_by_step = {initial: 0}, [{}]
+    def run(sweep, initial, moves, algorithm, diagnostics, readable=None):
+        table, parents_by_step = {initial: instance._empty_revenue}, [{}]
         for p in range(1, sweep.m + 1):
             new_table, parents = {}, {}
             for state in sorted(table):
-                (kept,), (cut,), (gain,) = moves([state], p)
-                value = table[state] + sweep.entry_value[p]
+                (kept,), (cut,), (gain,) = moves([state], [state], p)
+                value = table[state]
                 for key, val, was_cut in ((kept, value, False), (cut, value + gain, True)):
                     held = new_table.get(key)
                     if held is None or val > held or (

@@ -386,3 +386,20 @@ def test_bench_pairs_shows_order_bias(tmp_path, capsys):
         del r["ran_first"]
     lines, _ = bench_pairs.summarize(runs, bench["end_to_end"])
     assert not any("ran first" in line for line in lines)
+
+
+def test_tier1_verdict():
+    # tools/tier1.py passes exactly the known red set and nothing else
+    path = Path(__file__).resolve().parents[1] / "tools" / "tier1.py"
+    spec = importlib.util.spec_from_file_location("tier1", path)
+    tier1 = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tier1)
+    (red,) = tier1.KNOWN_RED
+    other = "tests/test_model.py::TestWalk::test_edge_set_walk_matches_reference"
+    assert tier1.verdict({red}, 0) == 0
+    assert tier1.verdict({red, other}, 0) == 1
+    assert tier1.verdict(set(), 0) == 1
+    assert tier1.verdict({red}, 1) == 1
+    # junitxml's (classname, name) pairs map back to pytest's node ids
+    assert tier1.node_id("tests.test_acceptance", red.rpartition("::")[2]) == red
+    assert tier1.node_id("tests.test_model.TestWalk", "test_edge_set_walk_matches_reference") == other

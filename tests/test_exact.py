@@ -22,13 +22,24 @@ from fza import (
     generalized_rooted_path_dp,
     normalize,
     rooted_dp,
+    simplified_single_density,
+    single_density,
+    single_density_base,
     total_revenue,
 )
 from fza.exact import MAX_BRUTE_EDGES
 from fza.generators import pricing_preset
 from fza.model import make_result
 from fza.rng import substream
-from conftest import gray_code_optimum, random_gpi, random_instance, shaped_tree
+from fza.sublog import sublog
+from conftest import (
+    gray_code_optimum,
+    random_gpi,
+    random_instance,
+    resolve_path,
+    shaped_tree,
+    small_tree_family,
+)
 
 
 def make(tree, pricing, commodities):
@@ -367,3 +378,47 @@ class TestGeneralizedPathDP:
                 for y in range(len(edge_ids) + 1)
             )
             assert best == rooted_dp(inst2, root).revenue
+
+
+def test_small_trees_exhaustive():
+    # every labeled tree with 2..5 vertices, one instance per commodity and
+    # one with all of them (12,090): brute force returns the Gray-code
+    # enumeration's optimum, `rooted_dp` from a lone commodity's source earns
+    # its revenue, and one digest per solver over its cut sets, recorded
+    # before any change to either, pins the optimum each one returns. Every
+    # result, and those of the approximations on the 885 instances with
+    # n <= 4 and every tenth of the 11,205 with n = 5 (2,005 in all), reports
+    # its own cut set's revenue and served flags. Only the whole instances
+    # tell brute force's tie rule from keeping the last optimum found.
+    digests = {"brute": hashlib.sha256(), "rooted": hashlib.sha256()}
+    count = approximated = 0
+    for inst in small_tree_family():
+        brute = brute_force(inst)
+        assert brute.cuts == gray_code_optimum(inst), inst
+        digests["brute"].update(repr(brute.cuts).encode())
+        results = [brute]
+        if inst.num_commodities == 1:
+            rooted = rooted_dp(inst, inst.commodities[0].source)
+            assert rooted.revenue == brute.revenue, inst
+            digests["rooted"].update(repr(rooted.cuts).encode())
+            results.append(rooted)
+        if inst.tree.num_vertices <= 4 or count % 10 == 0:
+            approximated += 1
+            results += [
+                single_density(inst, 0),
+                simplified_single_density(inst, 0),
+                sublog(inst, 0),
+            ]
+            if inst.pricing.base_revenue:
+                results.append(single_density_base(inst))
+        paths = [resolve_path(inst.tree, c.source, c.target) for c in inst.commodities]
+        for res in results:
+            assert res.revenue == total_revenue(inst, res.cuts), (res.algorithm, inst)
+            served = tuple(len(p.intersection(res.cuts)) <= c.budget for p, c in zip(paths, inst.commodities))
+            assert res.served == served, (res.algorithm, inst)
+        count += 1
+    assert (count, approximated) == (12090, 2005)
+    assert {name: h.hexdigest() for name, h in digests.items()} == {
+        "brute": "fb2afc4035a887db4a713fcd7bf146f15f3e52a3f25612d4db1313b4abcd7ea7",
+        "rooted": "948f4a783da2d917b1d68bab99cc14f9663c3f910eb78440563bd007c071a8dd",
+    }

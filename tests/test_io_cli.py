@@ -346,8 +346,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_gen_sat_requires_clauses(self, tmp_path):
+    def test_gen_sat_requires_clauses(self, tmp_path, capsys):
         assert main(["gen", "star-sat", "--output", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == "error: --clauses is required for SAT families\n"
 
     def test_gen_rooted_path_needs_cuts(self, tmp_path):
         inst_path = tmp_path / "p.json"

@@ -232,10 +232,10 @@ def test_tables_stay_within_the_readable_window(monkeypatch):
     widest = 0
     update = param_path._update
 
-    def recording(table, parents, keys, *rest):
+    def recording(table, keys, *rest):
         nonlocal widest
         widest = max(widest, len(keys))
-        update(table, parents, keys, *rest)
+        update(table, keys, *rest)
 
     monkeypatch.setattr(param_path, "_update", recording)
     assert dp_umax(inst).revenue == dp_pmax(inst).revenue
