@@ -8,7 +8,10 @@ the best found, so it returns the enumeration's optimum and tie-break.
 
 Both DPs add and compare the integer revenues of `Instance`'s kernel
 (`Instance._scaled`). `rooted_cut_set` solves a rooted sub-problem within an
-edge set of the instance's own tree, and the path DP reads integer rows
+edge set of the instance's own tree: it keeps one table per vertex of
+`Tree.walk`'s order, merges each into its parent's through the walk's
+parent map in reversed order and reads the cuts off in walk order, with no
+child lists. The path DP reads integer rows
 (`IntegerPathInstance`) against one scaled price table, so sublog's
 sub-solves run on the parent instance with no sub-`Instance` built.
 """
@@ -132,62 +135,54 @@ def rooted_cut_set(
     running from `root` to `far_end[i]`, cutting only edges in `edges` (all
     edges by default).
 
-    Bottom-up over the subtree of `edges` that spans the root and the far
-    ends: R_v(x) is the best revenue obtainable from commodities whose path
-    passes v, given exactly x cuts between the root and v. Each child edge is
-    either kept (stay at x) or cut (recurse at x+1); a cut must be strictly
-    better than keeping the edge, so reconstruction yields a minimal optimal
-    cut set, and an edge with no far end below it is never cut, which is why
-    the DP can leave those edges out. Revenues are the instance's scaled ints.
+    The DP runs over the vertices of `Tree.walk(root, edges)` that lie on a
+    path from the root to a far end, reading the walk's parent map `up`.
+    R_v(x) is the best revenue obtainable from commodities whose path passes
+    v, given exactly x cuts between the root and v, so v's table is one
+    entry longer than its parent's. In reversed walk order each vertex v is
+    merged into its parent p: R_p(x) gains R_v(x) if v's parent edge is kept
+    or R_v(x + 1) if it is cut, whichever is better. Reconstruction runs in
+    walk order, parents first, and cuts an edge only on a strict gain, so
+    it yields a minimal optimal cut set; an edge with no far end below it is
+    never cut, which is why the DP can leave those edges out. Revenues are
+    the instance's scaled ints.
 
     The closing self-check scores the cut set with the instance's own path
     masks, so each commodity's path must meet `edges` exactly in its part
     between the root and its far end.
     """
     order, up = instance.tree.walk(root, edges)
-    ends_at: dict[int, list[int]] = {}
     spanned = {root}
-    for i, t in far_end.items():
+    for t in far_end.values():
         if t not in up:
             raise InvalidInstanceError(f"far end {t} is not reachable from root {root}")
-        ends_at.setdefault(t, []).append(i)
         while t not in spanned:
             spanned.add(t)
             t = up[t][0]
     order = [v for v in order if v in spanned]
-    children: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
-    depth = {root: 0}
+    table = {root: [0]}
     for v in order[1:]:
-        p, eid = up[v]
-        children[p].append((v, eid))
-        depth[v] = depth[p] + 1
+        table[v] = [0] * (len(table[up[v][0]]) + 1)
 
     _, weights, prices, budgets = instance._scaled
-    table: dict[int, list[int]] = {}
-    for v in reversed(order):
-        dv = depth[v]
-        vals = [0] * (dv + 1)
-        for i in ends_at.get(v, ()):
-            w = weights[i]
-            for x in range(min(dv, budgets[i]) + 1):
-                vals[x] += w * prices[x]
-        for w, _ in children[v]:
-            below = table[w]
-            # keep (below[x]) or cut (below[x + 1]): the better value either way
-            vals = [a + (s if s >= c else c) for a, s, c in zip(vals, below, below[1:])]
-        table[v] = vals
+    for i, t in far_end.items():
+        vals, w = table[t], weights[i]
+        for x in range(min(len(vals), budgets[i] + 1)):
+            vals[x] += w * prices[x]
+    for v in reversed(order[1:]):
+        p, below = up[v][0], table[v]
+        # keep (below[x]) or cut (below[x + 1]): the better value either way
+        table[p] = [a + (s if s >= c else c) for a, s, c in zip(table[p], below, below[1:])]
 
     cuts = []
-    stack = [(root, 0)]
-    while stack:
-        v, x = stack.pop()
-        for w, eid in children[v]:
-            below = table[w]
-            if below[x + 1] > below[x]:
-                cuts.append(eid)
-                stack.append((w, x + 1))
-            else:
-                stack.append((w, x))
+    above = {root: 0}  # per vertex: the cuts between the root and it
+    for v in order[1:]:
+        p, eid = up[v]
+        x, below = above[p], table[v]
+        if below[x + 1] > below[x]:
+            cuts.append(eid)
+            x += 1
+        above[v] = x
     if instance.scaled_revenue(edge_mask(cuts), far_end) != table[root][0]:
         raise FzaError("rooted DP value disagrees with the revenue of its cut set")
     return cuts

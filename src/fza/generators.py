@@ -264,8 +264,6 @@ def gen_path_from_2sat(
 
     for lit1, lit2 in formula.clauses:
         g1, g2 = sorted((gadget_index(lit1), gadget_index(lit2)))
-        if g1 == g2:
-            raise InvalidInstanceError("clause literals map to the same gadget")
         between = g2 - g1 - 1
         s = 5 * g1 + 4
         t = 5 * g2 + 1

@@ -6,14 +6,17 @@ instance's common denominator to a Python int (`Instance.value`), so solvers
 add and compare ints and divide by `Instance.scale` only when a revenue leaves
 them. There is no floating point anywhere in the revenue computation.
 
-Every walk from a root is `Tree.walk`: one depth-first walk over the whole
-tree or over one edge set. A walk over a fragment of the tree (sublog's
-decomposition, skeleton and hanging subtrees, the rooted DP within a
-subtree) reads the tree's own sorted `adjacency` at each vertex it reaches
-and skips the edges outside the fragment, so it builds no adjacency of its
-own. At a hub, a vertex with more tree neighbors than the fragment has
-edges, it reads the neighbors off the fragment instead, so a vertex costs
-at most min(degree, fragment size). A `Tree` is rooted once: its
+Every walk from a root is `Tree.walk`: one depth-first loop over the whole
+tree or over one edge set, returning the walk order and the parent map
+`up`. A walk over a fragment of the tree (sublog's decomposition, skeleton
+and hanging subtrees, the rooted DP within a subtree) reads the tree's own
+sorted `adjacency` at each vertex it reaches and skips the edges outside
+the fragment, so it builds no adjacency of its own. At a hub, a vertex with
+more tree neighbors than the fragment has edges, it reads the neighbors off
+the fragment instead, so a vertex costs at most min(degree, fragment
+size); a whole-tree walk never takes that branch. The rooted DP and the
+skeleton pass read `up` in walk order (parents first) or reversed (children
+first) and build no child lists. A `Tree` is rooted once: its
 constructor checks connectivity with the walk from vertex 0 and caches it as
 `Tree.rooting`, which `Instance.create`, `Instance.edge_commodities` and the
 density candidates read. The tree's `adjacency` and `is_path` are cached
@@ -207,39 +210,32 @@ class Tree:
         `up` maps each to its (parent, parent edge), the root to (-1, -1). A
         vertex's children are pushed together, ascending by (neighbor, edge
         id), so every parent comes before its children. Every walk from a
-        root, over the tree or over a fragment of it, is this one.
+        root, over the tree or over a fragment of it, is this one loop, and
+        every rooted pass reads `up` as its parent map.
 
-        A walk over an edge set scans `adjacency[v]` at each vertex it
-        reaches and skips the edges outside the set. At a vertex of more
-        tree neighbors than the set has edges (a hub), it reads the
-        neighbors off an index of the set instead, built once at the first
-        hub, so a small fragment at a hub stays small and a fragment of many
-        hubs costs |edges| log |edges|, not |edges| per hub.
+        The loop scans `adjacency[v]` at each vertex it reaches and skips
+        the edges outside the set. At a vertex of more tree neighbors than
+        the set has edges (a hub), it reads the neighbors off an index of
+        the set instead, built once at the first hub, so a small fragment at
+        a hub stays small and a fragment of many hubs costs
+        |edges| log |edges|, not |edges| per hub. A whole-tree walk has no
+        hubs: the constructor walks an edge list it has not yet checked,
+        where a self-loop or a duplicate edge can give a vertex more than
+        n - 1 neighbors.
         """
         if not (0 <= root < self.num_vertices):
             raise InvalidInstanceError(f"invalid root {root}")
+        if edges is not None and not isinstance(edges, (set, frozenset)):
+            edges = frozenset(edges)
         adj = self.adjacency
         up = {root: (-1, -1)}
         order = [root]
         stack = [root]
-        if edges is None:
-            # the whole tree: no membership test, as every constructor runs this
-            while stack:
-                v = stack.pop()
-                for w, eid in adj[v]:
-                    if w not in up:
-                        up[w] = (v, eid)
-                        order.append(w)
-                        stack.append(w)
-            return order, up
-        if not isinstance(edges, (set, frozenset)):
-            edges = frozenset(edges)
-        size = len(edges)
         hub_index = None
         while stack:
             v = stack.pop()
             pairs = adj[v]
-            if len(pairs) > size:
+            if edges is not None and len(pairs) > len(edges):
                 if hub_index is None:
                     # vertex -> its (neighbor, edge id) pairs within the set
                     hub_index = {}
@@ -249,7 +245,7 @@ class Tree:
                         hub_index.setdefault(b, []).append((a, eid))
                 pairs = sorted(hub_index.get(v, ()))
             for w, eid in pairs:
-                if eid in edges and w not in up:
+                if (edges is None or eid in edges) and w not in up:
                     up[w] = (v, eid)
                     order.append(w)
                     stack.append(w)

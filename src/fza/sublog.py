@@ -14,10 +14,12 @@ Each fact about a fragment's geometry is worked out once, off the tree's
 own adjacency. The border vertices are those a second child fragment
 touches. One walk over the fragment's edges (`Tree.walk`), rooted at a
 border vertex, yields the skeleton (an edge is on it iff the part of the
-fragment below the edge holds a border vertex), its segments and the
-hanging subtrees (one off-skeleton edge at a skeleton vertex plus all
-beyond it). The decomposition carves each fragment along the same walk,
-rooted at its lowest vertex. A commodity descends the levels with one
+fragment below the edge holds a border vertex) and its junctions, read
+bottom-up; one top-down pass over the same walk then groups every edge
+into a segment or a hanging subtree (one off-skeleton edge at a skeleton
+vertex plus all beyond it); segments are read from their lower-numbered
+terminal. The decomposition carves each fragment along a walk rooted at
+its lowest vertex. A commodity descends the levels with one
 mask test per level, against the child holding its path's lowest edge. Per
 (segment, root), one scan of the fragment's commodities yields the member
 rows of every aux instance on that segment: prefix length, the segments that
@@ -308,13 +310,19 @@ class SkeletonInfo:
 def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Sequence[Iterable[int]]) -> SkeletonInfo:
     """Border vertices (shared by >= 2 child fragments), the subtree spanning
     them, junction vertices, the segment partition of that subtree, and the
-    hanging subtrees, all from one pass over the fragment rooted at its
+    hanging subtrees, all from one walk over the fragment rooted at its
     lowest border vertex.
 
-    An edge is on the skeleton iff the part of the fragment below it holds a
-    border vertex. An off-skeleton edge whose upper end is on the skeleton
-    starts a hanging subtree; every other off-skeleton edge joins the subtree
-    of its upper end.
+    Bottom-up along the walk, an edge is on the skeleton iff the part of the
+    fragment below it holds a border vertex, and each skeleton vertex counts
+    its skeleton children: a non-border vertex with two or more is a
+    junction (its parent edge makes three). One top-down pass then puts
+    every edge in a group. A skeleton edge joins the segment of its upper
+    end, and starts a new segment at a breakpoint (a border vertex or a
+    junction). An off-skeleton edge joins the hanging subtree of its upper
+    end, and starts a new one at a skeleton vertex. Each segment is read
+    from its lower-numbered terminal, and segments are ordered by (that
+    terminal, first edge).
     """
     # a vertex is on the border once a second child touches it
     first_child: dict[int, int] = {}
@@ -333,60 +341,49 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
     # a connected fragment is a tree, so it has one vertex more than edges
     if len(order) != len(fragment) + 1:
         raise FzaError("skeleton pass does not reach every fragment vertex")
-    sverts = set(border)
+    kids = dict.fromkeys(border, 0)  # skeleton vertex -> its skeleton children
     skel = set()
     for v in reversed(order[1:]):
-        if v in sverts:
+        if v in kids:
             p, eid = up[v]
-            sverts.add(p)
+            kids[p] = kids.get(p, 0) + 1
             skel.add(eid)
+    junctions = frozenset(v for v, k in kids.items() if k >= 2 and v not in border)
+    breakpoints = border | junctions
 
-    subtrees: list[tuple[list[int], list[int], int]] = []  # (edges, vertices, attachment)
-    subtree_of: dict[int, int] = {}  # vertex below the skeleton -> index in subtrees
+    segments: list[tuple[list[int], list[int]]] = []  # (vertices, edges), top down
+    subtrees: list[tuple[list[int], list[int]]] = []  # (vertices, edges), attachment first
+    group_of: dict[int, tuple[list[int], list[int]]] = {}  # vertex -> group of its parent edge
     for v in order[1:]:
         p, eid = up[v]
-        if eid in skel:
-            continue
-        if p in sverts:
-            subtree_of[v] = len(subtrees)
-            subtrees.append(([], [p], p))
+        if eid in skel and p in breakpoints:
+            group = ([p], [])
+            segments.append(group)
+        elif eid not in skel and p in kids:
+            group = ([p], [])
+            subtrees.append(group)
         else:
-            subtree_of[v] = subtree_of[p]
-        sub_edges, sub_verts, _ = subtrees[subtree_of[v]]
-        sub_edges.append(eid)
-        sub_verts.append(v)
+            group = group_of[p]
+        group[0].append(v)
+        group[1].append(eid)
+        group_of[v] = group
     hanging = tuple(
-        (frozenset(sub_edges), frozenset(sub_verts), attach)
-        for sub_edges, sub_verts, attach in sorted(subtrees, key=lambda sub: min(sub[0]))
+        (frozenset(edges), frozenset(verts), verts[0])
+        for verts, edges in sorted(subtrees, key=lambda sub: min(sub[1]))
     )
-
-    incident: dict[int, list[int]] = {v: [] for v in sverts}
-    for eid in skel:
-        for v in tree.edges[eid]:
-            incident[v].append(eid)
-    junctions = frozenset(v for v in sverts if len(incident[v]) >= 3 and v not in border)
-    breakpoints = set(border) | set(junctions)
-
-    segments = []
-    used: set[int] = set()
-    for b in sorted(breakpoints):
-        for eid in sorted(incident[b]):
-            if eid in used:
-                continue
-            verts = [b]
-            edges = []
-            cur, e = b, eid
-            while True:
-                used.add(e)
-                edges.append(e)
-                u, v = tree.edges[e]
-                cur = v if u == cur else u
-                verts.append(cur)
-                if cur in breakpoints:
-                    break
-                e = next(x for x in incident[cur] if x != e)
-            segments.append(Segment(tuple(verts), tuple(edges)))
-    return SkeletonInfo(border, frozenset(skel), frozenset(sverts), junctions, tuple(segments), hanging)
+    oriented = [
+        (verts, edges) if verts[0] < verts[-1] else (verts[::-1], edges[::-1])
+        for verts, edges in segments
+    ]
+    oriented.sort(key=lambda seg: (seg[0][0], seg[1][0]))
+    return SkeletonInfo(
+        border,
+        frozenset(skel),
+        frozenset(kids),
+        junctions,
+        tuple(Segment(tuple(verts), tuple(edges)) for verts, edges in oriented),
+        hanging,
+    )
 
 
 def non_skeleton_solve(

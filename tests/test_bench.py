@@ -169,6 +169,24 @@ def test_perfbench_tracer_installs_and_uninstalls():
     assert SOLVERS == before
 
 
+def test_perfbench_traced_names_resolve():
+    # every name perfbench/tracing.py patches resolves the way `Tracer.install`
+    # looks it up, so renaming a traced function fails tier-1, not only the
+    # benchmark; nothing is installed here
+    tracing = load_tracing()
+    for module, attr, *_ in tracing.SPANS + tracing.COUNTED:
+        mod = importlib.import_module(f"fza.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in getattr(mod, cls_name).__dict__, f"{module}.{attr}"
+        else:
+            assert callable(vars(mod).get(attr)), f"{module}.{attr}"
+    # `Tracer._replace_everywhere` unpacks each solver as (function, uses seed)
+    for name, entry in SOLVERS.items():
+        fn, uses_seed = entry
+        assert type(entry) is tuple and callable(fn) and type(uses_seed) is bool, name
+
+
 def test_perfbench_sublog_counters():
     # the tracer derives these counters from sublog's arguments and results
     # (the member rows passed to build_aux_instance, the aux rows it keeps,
@@ -403,3 +421,26 @@ def test_tier1_verdict():
     # junitxml's (classname, name) pairs map back to pytest's node ids
     assert tier1.node_id("tests.test_acceptance", red.rpartition("::")[2]) == red
     assert tier1.node_id("tests.test_model.TestWalk", "test_edge_set_walk_matches_reference") == other
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = (
+        '"""Module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    text = \"\"\"a string\n"
+        "    that is not a docstring\"\"\"  # trailing comment\n"
+        "    return (x,\n"
+        "            text)\n"
+    )
+    sample = tmp_path / "sample.py"
+    sample.write_text(source)
+    assert code_lines.code_lines(source) == 5
+    assert code_lines.main([str(sample), str(sample)]) == 0
+    assert capsys.readouterr().out.split() == ["5", str(sample), "5", str(sample), "10", "total"]

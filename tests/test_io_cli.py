@@ -546,6 +546,27 @@ class TestCli:
             main(["solve", "--algo", "nope", "--input", str(inst_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("shape", ["tree", "path"])
+    def test_every_algorithm_on_one_vertex(self, tmp_path, shape):
+        # one vertex and no commodity: the smallest instance `fza gen` makes
+        inst_path = tmp_path / "one.json"
+        assert main(
+            [
+                "gen", "random", "--vertices", "1", "--commodities", "0",
+                "--shape", shape, "--pricing", "affine", "--output", str(inst_path),
+            ]
+        ) == 0
+        from fza.bench import SOLVERS
+
+        for algo in SOLVERS:
+            out = tmp_path / f"{algo}.json"
+            argv = ["solve", "--algo", algo, "--input", str(inst_path), "--output", str(out)]
+            if algo == "gen-rooted-path":
+                argv += ["--cuts", "0"]
+            assert main(argv) == 0, algo
+            sol = json.loads(out.read_text())
+            assert (sol["cuts"], sol["revenue"]) == ([], "0"), algo
+
     def test_rooted_requires_rooted_instance(self, tmp_path):
         t = Tree(4, ((0, 1), (1, 2), (2, 3)))
         inst = normalize(

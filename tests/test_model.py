@@ -291,6 +291,10 @@ class TestPricing:
     def test_capped_is_concave(self):
         PricingFunction.capped(10, 3)  # must not raise
 
+    def test_capped_refuses_negative_cap(self):
+        with pytest.raises(InvalidInstanceError, match="cap must be non-negative"):
+            PricingFunction.capped(5, -1)
+
     def test_integer_checks_match_fraction_checks(self):
         # the checks run on the scaled integer table; the reference compares
         # the Fraction prices themselves
