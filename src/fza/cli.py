@@ -14,6 +14,7 @@ import sys
 from .bench import SOLVERS, BenchConfig, run_bench
 from .files import read_instance, solution_to_json, write_instance, write_solution
 from .generators import (
+    PRICING_PRESETS,
     Formula2CNF,
     GenSpec,
     gen_path_from_2sat,
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--vertices", type=_integer, default=10)
     gen.add_argument("--commodities", type=_integer, default=10)
     gen.add_argument("--shape", choices=("tree", "path"), default="tree")
-    gen.add_argument("--pricing", choices=("linear", "affine", "capped"), default="linear")
+    gen.add_argument("--pricing", choices=PRICING_PRESETS, default="linear")
     gen.add_argument("--max-weight", type=_integer, default=10)
     gen.add_argument("--fractional-weights", action="store_true")
     gen.add_argument("--clauses", help="e.g. '1 -2, -1 -2' (1-based, negative = negated)")

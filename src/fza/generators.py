@@ -14,6 +14,7 @@ from .model import (
     InvalidInstanceError,
     PricingFunction,
     Tree,
+    as_int,
     normalize,
     shown,
     to_fraction,
@@ -42,6 +43,8 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_vertices", "num_commodities", "max_weight", "seed"):
+            as_int(getattr(self, name), name)
         if self.family not in FAMILIES:
             raise InvalidInstanceError(f"unknown family {self.family!r}")
         if self.pricing not in PRICING_PRESETS:
@@ -128,9 +131,10 @@ class Formula2CNF:
 
     def __post_init__(self) -> None:
         clauses = tuple(
-            tuple((int(var), bool(neg)) for var, neg in clause) for clause in self.clauses
+            tuple((var, neg) for var, neg in clause) for clause in self.clauses
         )
         object.__setattr__(self, "clauses", clauses)
+        as_int(self.num_vars, "num_vars")
         if self.num_vars < 1:
             raise InvalidInstanceError("formula needs at least one variable")
         if self.num_vars > MAX_FORMULA_VARS:
@@ -140,7 +144,10 @@ class Formula2CNF:
             if len(clause) != 2:
                 raise InvalidInstanceError("every clause needs exactly two literals")
             (v1, n1), (v2, n2) = clause
-            for v in (v1, v2):
+            for v, neg in clause:
+                as_int(v, "variable")
+                if type(neg) is not bool:
+                    raise InvalidInstanceError(f"negation flag must be a bool, got {shown(neg)}")
                 if not 0 <= v < self.num_vars:
                     raise InvalidInstanceError(f"variable {v} out of range")
             if (v1, n1) == (v2, n2):
@@ -183,9 +190,11 @@ class ReductionTarget:
         return self.offset + self.per_clause * y
 
 
-def _literal_vertex(lit: Literal) -> int:
+def _literal_index(lit: Literal) -> int:
+    """2i for x_i and 2i + 1 for its negation: the literal's leaf, less one,
+    in the star instance and its gadget in the path instance."""
     var, neg = lit
-    return 1 + 2 * var + (1 if neg else 0)
+    return 2 * var + neg
 
 
 def gen_star_from_2sat(formula: Formula2CNF) -> tuple[Instance, ReductionTarget]:
@@ -207,7 +216,7 @@ def gen_star_from_2sat(formula: Formula2CNF) -> tuple[Instance, ReductionTarget]
     for i in range(n):
         commodities.append(Commodity(1 + 2 * i, 2 + 2 * i, 1, Fraction(9, 2)))
     for lit1, lit2 in formula.clauses:
-        v1, v2 = _literal_vertex(lit1), _literal_vertex(lit2)
+        v1, v2 = 1 + _literal_index(lit1), 1 + _literal_index(lit2)
         commodities.append(Commodity(0, v1, 1, Fraction(2)))
         commodities.append(Commodity(0, v2, 1, Fraction(2)))
         commodities.append(Commodity(v1, v2, 1, Fraction(1)))
@@ -258,12 +267,8 @@ def gen_path_from_2sat(
         boundary = 10 * i + 4
         commodities.append(Commodity(boundary, boundary + 2, 1, big))
 
-    def gadget_index(lit: Literal) -> int:
-        var, neg = lit
-        return 2 * var + (1 if neg else 0)
-
     for lit1, lit2 in formula.clauses:
-        g1, g2 = sorted((gadget_index(lit1), gadget_index(lit2)))
+        g1, g2 = sorted((_literal_index(lit1), _literal_index(lit2)))
         between = g2 - g1 - 1
         s = 5 * g1 + 4
         t = 5 * g2 + 1

@@ -18,13 +18,16 @@ fragment below the edge holds a border vertex) and its junctions, read
 bottom-up; one top-down pass over the same walk then groups every edge
 into a segment or a hanging subtree (one off-skeleton edge at a skeleton
 vertex plus all beyond it); segments are read from their lower-numbered
-terminal. The decomposition carves each fragment along a walk rooted at
-its lowest vertex. A commodity descends the levels with one
-mask test per level, against the child holding its path's lowest edge. Per
-(segment, root), one scan of the fragment's commodities yields the member
-rows of every aux instance on that segment: prefix length, the segments that
-block the member and the segments its path holds whole. Per guess, an aux
-instance only reads those rows.
+terminal. The decomposition carves each fragment greedily bottom-up along
+a walk rooted at its lowest vertex, numbers the pieces in the order they
+are cut off, lets a small remainder join the smallest piece cut off at one
+of its vertices, and falls back to a centroid split when d = 2 leaves one
+piece. A commodity descends the levels with one mask test per level,
+against the child holding its path's lowest edge. Per (segment, root), one
+scan of the fragment's commodities yields the member rows of every aux
+instance on that segment: prefix length, the segments that block the member
+and the segments its path holds whole. Per guess, an aux instance only
+reads those rows.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ def almost_balanced_decomposition(
 
     Greedy bottom-up carving: accumulate subtree edges and detach a piece as
     soon as it reaches ceil(m/d) edges; a final remainder below the lower
-    bound is merged into the smallest adjacent piece. The bounds are verified
-    afterwards and a violation raises (it would indicate a bug, not bad
-    input).
+    bound is merged into the smallest piece cut off at one of its vertices
+    (the lowest index on a tie). The bounds are verified afterwards and a
+    violation raises (it would indicate a bug, not bad input).
     """
     fragment = frozenset(fragment_edges)
     m = len(fragment)
@@ -84,12 +87,15 @@ def almost_balanced_decomposition(
 
     root = min(map(min, map(tree.edges.__getitem__, fragment)))
     order, up = tree.walk(root, fragment)
+    # children in walk order fix the order pieces are emitted, which numbers
+    # the fragments of the next level
     children: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
     for v in order[1:]:
         p, eid = up[v]
         children[p].append((v, eid))
 
     pieces: list[set[int]] = []
+    cut_at: list[int] = []  # the vertex each piece was cut off at
     acc: dict[int, list[int]] = {}
     for v in reversed(order):
         bucket: list[int] = []
@@ -98,6 +104,7 @@ def almost_balanced_decomposition(
             bucket.append(eid)
             if len(bucket) >= target:
                 pieces.append(set(bucket))
+                cut_at.append(v)
                 bucket = []
         acc[v] = bucket
     remainder = acc[root]
@@ -106,25 +113,20 @@ def almost_balanced_decomposition(
         if 3 * d * len(remainder) >= m:
             pieces.append(set(remainder))
         else:
-            rem_verts = set()
-            for eid in remainder:
-                rem_verts.update(tree.edges[eid])
-            touching = [
-                (len(p), idx)
-                for idx, p in enumerate(pieces)
-                if any(u in rem_verts or v in rem_verts for u, v in (tree.edges[e] for e in p))
-            ]
+            # a piece meets the remainder only at the vertex it was cut off
+            # at: its other vertices have every edge in it or in earlier pieces
+            rem_verts = {v for eid in remainder for v in tree.edges[eid]}
+            touching = [(len(p), idx) for idx, (p, v) in enumerate(zip(pieces, cut_at)) if v in rem_verts]
             if not touching:
                 raise FzaError("remainder not adjacent to any piece")
-            _, idx = min(touching)
-            pieces[idx].update(remainder)
+            pieces[min(touching)[1]].update(remainder)
 
     if len(pieces) == 1:
         # only possible for d = 2: a lone oversized piece swallowed the
         # remainder; fall back to a centroid split into two branch bundles
-        pieces = _bipartition(fragment, order, up, children, d)
+        pieces = _bipartition(fragment, order, up, d)
 
-    if m >= 2 and not 2 <= len(pieces) <= d:
+    if not 2 <= len(pieces) <= d:
         raise FzaError(f"carving produced {len(pieces)} pieces for d={d}")
     for p in pieces:
         if not (3 * d * len(p) >= m and d * len(p) <= 3 * m):
@@ -134,36 +136,33 @@ def almost_balanced_decomposition(
     return [frozenset(p) for p in pieces]
 
 
-def _bipartition(fragment, order, up, children, d: int):
+def _bipartition(fragment, order, up, d: int):
     """Split a fragment in two at a centroid vertex: bundle its branches
-    greedily until the first side clears the lower size bound. `order`, `up`
-    and `children` are the fragment's walk from its root `order[0]`."""
+    greedily until the first side clears the lower size bound. `order` and
+    `up` are the fragment's walk from its root `order[0]`.
+
+    One reversed pass gives each vertex its edges below and its largest
+    branch below; the branch above it holds the other m - below edges.
+    """
     m = len(fragment)
-    sub_edges = {v: 0 for v in order}
-    for v in reversed(order):
-        for child, _ in children[v]:
-            sub_edges[v] += sub_edges[child] + 1
-
-    def branch_sizes(v):
-        sizes = [sub_edges[c] + 1 for c, _ in children[v]]
-        if v != order[0]:
-            sizes.append(m - sub_edges[v])
-        return sizes
-
-    centroid = min(order, key=lambda v: (max(branch_sizes(v)), v))
+    below = dict.fromkeys(order, 0)
+    largest = dict.fromkeys(order, 0)
+    for v in reversed(order[1:]):
+        p, _ = up[v]
+        below[p] += below[v] + 1
+        largest[p] = max(largest[p], below[v] + 1)
+    centroid = min(order, key=lambda v: (max(largest[v], m - below[v]), v))
 
     # each edge joins the branch of the centroid's child above it, or the
-    # branch through the centroid's parent (key -1)
+    # branch through the centroid's parent (key -1), which comes last
+    bundles = {v: set() for v in order[1:] if up[v][0] == centroid}
+    bundles[-1] = set()
     branch = {order[0]: -1}
-    bundles: dict[int, set[int]] = {}
     for v in order[1:]:
         p, eid = up[v]
         branch[v] = v if p == centroid else branch[p]
-        bundles.setdefault(branch[v], set()).add(eid)
-    branches = [bundles[c] for c, _ in children[centroid]]
-    if centroid != order[0]:
-        branches.append(bundles[-1])
-    branches.sort(key=len, reverse=True)
+        bundles[branch[v]].add(eid)
+    branches = sorted(filter(None, bundles.values()), key=len, reverse=True)
     lower = -(-m // (3 * d))
     side = set()
     i = 0
@@ -212,9 +211,7 @@ def build_decomposition(tree, d: int | None = None) -> Decomposition:
         next_level: list[frozenset[int]] = []
         refined: list[tuple[int, ...]] = []
         for frag in level:
-            if len(frag) == 1:
-                kids = [frag]
-            elif len(frag) < d:
+            if len(frag) < d:
                 kids = [frozenset({e}) for e in sorted(frag)]
             else:
                 kids = almost_balanced_decomposition(tree, frag, d)

@@ -3,6 +3,8 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -257,6 +259,26 @@ def test_bench_pairs_exits_1_on_an_incorrect_run(tmp_path, monkeypatch, capsys):
     assert "w seed 1 change reported correct: false" in capsys.readouterr().err
 
 
+def test_bench_pairs_file_keeps_the_summary(tmp_path, monkeypatch, capsys):
+    # the side that runs first is faster, so the file's summary shows the bias
+    bench_pairs = load_bench_pairs()
+    bench = {"command": ["true"], "run_seconds": 1, "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.24}]}
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def run_once(checkout, command, workload, seed, seconds):
+        first = (seed % 2 == 1) == (checkout.name == "parent")
+        return {"correct": True, "attempted": 4, "failed": 0, "metrics": {"solves_per_s": {"value": 11.0 if first else 10.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--seed", "1"]
+    assert bench_pairs.main([*argv, "--out", str(tmp_path / "b.json"), "w=4"]) == 0
+    summary = json.loads((tmp_path / "b.json").read_text())["summary"]
+    assert summary == capsys.readouterr().out.splitlines()[-len(summary):]
+    assert "w            side that ran first better on solves_per_s in 4/4 pairs" in summary
+
+
 # the parent's solves_per_s per pair: median 10.5, quartiles 10 and 11
 CLAIM_PARENT = [10.0, 11.0] * 5
 
@@ -444,3 +466,20 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     assert code_lines.code_lines(source) == 5
     assert code_lines.main([str(sample), str(sample)]) == 0
     assert capsys.readouterr().out.split() == ["5", str(sample), "5", str(sample), "10", "total"]
+
+
+@pytest.mark.parametrize("case", ["no-file", "missing-file", "untokenizable-file"])
+def test_code_lines_fails_cleanly(tmp_path, case):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    broken = tmp_path / "broken.py"
+    broken.write_text("x = (1,\n")
+    args = {"no-file": [], "missing-file": [str(tmp_path / "missing.py")], "untokenizable-file": [str(broken)]}[case]
+    run = subprocess.run([sys.executable, str(tool), *args], capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1
+    if case == "no-file":
+        assert lines[0].startswith("usage: ")
+    else:
+        assert lines[0].startswith(f"error: {args[0]}: ")

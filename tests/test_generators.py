@@ -258,3 +258,37 @@ class TestPathReduction:
         # literals x1 and not-x3 sit 4 gadgets apart: budgets 3B+1 = 13
         budgets = sorted(c.budget for c in inst.commodities)
         assert 13 in budgets and 12 in budgets
+
+
+class TestInputTypes:
+    """Generator inputs of the wrong type are refused, never coerced."""
+
+    @pytest.mark.parametrize(
+        "num_vars, clauses, fragment",
+        [
+            (2, (((0.9, "x"), (1.7, 0)),), "variable must be an integer, got 0.9"),
+            (2, (((0, "x"), (1, 0)),), "negation flag must be a bool, got 'x'"),
+            (True, (((0, False), (0, True)),), "num_vars must be an integer, got True"),
+            ("3", (), "num_vars must be an integer, got '3'"),
+        ],
+        ids=["float-variable", "non-bool-flag", "bool-num-vars", "str-num-vars"],
+    )
+    def test_formula_refuses(self, num_vars, clauses, fragment):
+        with pytest.raises(InvalidInstanceError, match=fragment):
+            Formula2CNF(num_vars, clauses)
+
+    @pytest.mark.parametrize(
+        "fields, fragment",
+        [
+            ({"num_vertices": 5.5}, "num_vertices must be an integer, got 5.5"),
+            ({"num_vertices": True, "num_commodities": 0}, "num_vertices must be an integer, got True"),
+            ({"num_commodities": 3.0}, "num_commodities must be an integer, got 3.0"),
+            ({"max_weight": 2.0}, "max_weight must be an integer, got 2.0"),
+            ({"seed": "7"}, "seed must be an integer, got '7'"),
+        ],
+        ids=["float-vertices", "bool-vertices", "float-commodities", "float-max-weight", "str-seed"],
+    )
+    def test_spec_refuses(self, fields, fragment):
+        spec = {"family": "random-tree", "num_vertices": 5, "num_commodities": 3, **fields}
+        with pytest.raises(InvalidInstanceError, match=fragment):
+            GenSpec(**spec)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -34,11 +35,13 @@ from fza.sublog import (
     skeleton_solve,
     sublog,
 )
+import fza.sublog as sublog_module
 from fza.exact import generalized_rooted_path_dp, rooted_cut_set
 from fza.rng import substream
 from conftest import (
     materialized_rooted_cuts,
     path_edges,
+    prufer_tree,
     random_instance,
     reference_aux_instance,
     reference_hanging_subtrees,
@@ -202,6 +205,36 @@ class TestBuildDecomposition:
                     # every border vertex meets two children
                     assert len(compute_skeleton(t, parent, children).border) <= decomp.d - 1
         assert all(len(f) == 1 for f in decomp.levels[-1])
+
+    def test_small_family_pinned(self, monkeypatch):
+        # every labeled tree on 2..6 vertices plus seeded shapes on 8..16,
+        # each split with d = 2 and d = 3; the digest pins which piece the
+        # remainder joins and the centroid fallback, which must run here
+        fallbacks = 0
+        bipartition = sublog_module._bipartition
+
+        def counted(*args):
+            nonlocal fallbacks
+            fallbacks += 1
+            return bipartition(*args)
+
+        monkeypatch.setattr(sublog_module, "_bipartition", counted)
+        trees = [prufer_tree(n, seq) for n in range(2, 7) for seq in itertools.product(range(n), repeat=n - 2)]
+        assert len(trees) == 1441
+        rng = Random(2501)
+        trees += [
+            shaped_tree(rng, n, shape)
+            for shape in ("tree", "path", "star", "broom", "caterpillar")
+            for n in range(8, 17)
+            for _ in range(10)
+        ]
+        h = hashlib.sha256()
+        for tree in trees:
+            for d in (2, 3):
+                decomp = build_decomposition(tree, d)
+                h.update(repr(([[sorted(f) for f in level] for level in decomp.levels], decomp.children)).encode())
+        assert fallbacks > 300
+        assert h.hexdigest() == "b94237d62fb30f6de46805cbbee815bcca87eeb157ef69537379f0e141afae13"
 
 
 class TestClassification:

@@ -10,12 +10,12 @@ change in odd ones. Every run is the change's BENCHMARK.json `command` plus
 `--workload W --seed S --seconds <run_seconds> --trace 0`, started in the
 root of its checkout, and its last stdout line is kept. The file is
 rewritten after every run, so an interrupted session keeps the pairs it
-finished. At the end a summary prints, per workload, each side's failed and
-attempted ops, how many pairs the side that ran first won on
-`solves_per_s` (a large share shows order bias), and per end-to-end metric
-of BENCHMARK.json, each side's median and quartiles, how many pairs the
-change won (ties count for neither side) and whether the change's median is
-within the metric's bound. The exit status is 1, with one `error:` line on
+finished. At the end a summary prints, and the file keeps its lines under
+`summary`: per workload, each side's failed and attempted ops, how many
+pairs the side that ran first won on `solves_per_s` (a large share shows
+order bias), and per end-to-end metric of BENCHMARK.json, each side's
+median and quartiles, how many pairs the change won (ties count for neither
+side) and whether the change's median is within the metric's bound. The exit status is 1, with one `error:` line on
 stderr per cause, if any run reported `correct: false`, if a change median
 is outside its metric's bound, or if the change failed a larger share of a
 workload's ops than the parent.
@@ -269,6 +269,8 @@ def main(argv=None) -> int:
                     f" failed {result['failed']}/{result['attempted']} ops",
                     flush=True,
                 )
+    report["summary"], _ = summarize(report["runs"], bench["end_to_end"])
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
     return verdict(report["runs"], bench["end_to_end"], args.claim)
 
 

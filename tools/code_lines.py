@@ -3,11 +3,13 @@ not counting docstrings, comments or blank lines.
 
     python3 tools/code_lines.py src/fza/*.py
 
-Prints one `lines  path` row per file and a `total` row. A docstring is
-the string constant that opens a module, class or function body (`ast`);
-a line counts when it holds any token other than a comment or such a
-docstring (`tokenize`). A multi-line token other than a docstring counts
-every line it spans.
+Prints one `lines  path` row per file and a `total` row. With no FILE it
+prints a usage line to stderr and exits 2; at a FILE it cannot read or
+tokenize it prints one `error: <path>: <reason>` line to stderr and exits
+2. A docstring is the string constant that opens a module, class or
+function body (`ast`); a line counts when it holds any token other than a
+comment or such a docstring (`tokenize`). A multi-line token other than a
+docstring counts every line it spans.
 
 Standard library only.
 """
@@ -49,9 +51,16 @@ def code_lines(source: str) -> int:
 
 
 def main(paths: list[str]) -> int:
+    if not paths:
+        print("usage: code_lines.py FILE [FILE ...]", file=sys.stderr)
+        return 2
     total = 0
     for path in paths:
-        count = code_lines(Path(path).read_text(encoding="utf-8"))
+        try:
+            count = code_lines(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, SyntaxError, tokenize.TokenError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
         total += count
         print(f"{count:6d}  {path}")
     print(f"{total:6d}  total")
