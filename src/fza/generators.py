@@ -45,6 +45,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         for name in ("num_vertices", "num_commodities", "max_weight", "seed"):
             as_int(getattr(self, name), name)
+        if type(self.fractional_weights) is not bool:
+            raise InvalidInstanceError(f"fractional_weights must be a bool, got {shown(self.fractional_weights)}")
         if self.family not in FAMILIES:
             raise InvalidInstanceError(f"unknown family {self.family!r}")
         if self.pricing not in PRICING_PRESETS:
@@ -122,6 +124,10 @@ def gen_random(spec: GenSpec) -> Instance:
 Literal = tuple[int, bool]  # (variable index, negated?)
 
 
+def _is_pair(value) -> bool:
+    return isinstance(value, (tuple, list)) and len(value) == 2
+
+
 @dataclass(frozen=True)
 class Formula2CNF:
     """A 2-CNF formula in which each variable occurs in at most three clauses."""
@@ -130,32 +136,35 @@ class Formula2CNF:
     clauses: tuple[tuple[Literal, Literal], ...]
 
     def __post_init__(self) -> None:
-        clauses = tuple(
-            tuple((var, neg) for var, neg in clause) for clause in self.clauses
-        )
-        object.__setattr__(self, "clauses", clauses)
         as_int(self.num_vars, "num_vars")
         if self.num_vars < 1:
             raise InvalidInstanceError("formula needs at least one variable")
         if self.num_vars > MAX_FORMULA_VARS:
             raise CapacityError(f"formula limited to {MAX_FORMULA_VARS} variables, got {shown(self.num_vars)}")
+        if not isinstance(self.clauses, (tuple, list)):
+            raise InvalidInstanceError(f"clauses must be a tuple of clauses, got {shown(self.clauses)}")
         occurrences = [0] * self.num_vars
-        for clause in clauses:
-            if len(clause) != 2:
+        for clause in self.clauses:
+            # each shape is checked before it is unpacked
+            if not _is_pair(clause):
                 raise InvalidInstanceError("every clause needs exactly two literals")
-            (v1, n1), (v2, n2) = clause
-            for v, neg in clause:
+            for lit in clause:
+                if not _is_pair(lit):
+                    raise InvalidInstanceError(f"literal must be a (variable, negation flag) pair, got {shown(lit)}")
+                v, neg = lit
                 as_int(v, "variable")
                 if type(neg) is not bool:
                     raise InvalidInstanceError(f"negation flag must be a bool, got {shown(neg)}")
                 if not 0 <= v < self.num_vars:
                     raise InvalidInstanceError(f"variable {v} out of range")
+            (v1, n1), (v2, n2) = clause
             if (v1, n1) == (v2, n2):
                 raise InvalidInstanceError("clause repeats one literal twice")
             for v in {v1, v2}:
                 occurrences[v] += 1
         if any(o > 3 for o in occurrences):
             raise InvalidInstanceError("a variable occurs in more than three clauses")
+        object.__setattr__(self, "clauses", tuple(tuple(map(tuple, clause)) for clause in self.clauses))
 
     @property
     def num_clauses(self) -> int:

@@ -22,8 +22,8 @@ terminal. The decomposition carves each fragment greedily bottom-up along
 a walk rooted at its lowest vertex, numbers the pieces in the order they
 are cut off, lets a small remainder join the smallest piece cut off at one
 of its vertices, and falls back to a centroid split when d = 2 leaves one
-piece. A commodity descends the levels with one mask test per level,
-against the child holding its path's lowest edge. Per (segment, root), one
+piece. A commodity descends the levels along the stored child lists, with
+one mask test per level against the child holding its path's lowest edge. Per (segment, root), one
 scan of the fragment's commodities yields the member rows of every aux
 instance on that segment: prefix length, the segments that block the member
 and the segments its path holds whole. Per guess, an aux instance only
@@ -240,20 +240,14 @@ def classify_commodities(decomp: Decomposition, instance: Instance) -> Commodity
     """Assign each commodity to the deepest fragment that holds its whole path.
 
     The fragments of one level are edge-disjoint, so the only child that can
-    hold a path is the one holding its lowest edge: one label lookup and one
-    mask test per level. A fragment's mask is built the first time a path
-    is tested against it.
+    hold a path is the one holding its lowest edge. Each level reads the
+    current fragment's child list from `decomp.children` and tests at most d
+    children for that edge, then makes one mask test. A fragment's mask is
+    built the first time a path is tested against it.
     """
     # the last level holds single edges only, and single-edge paths are
     # `extra` before the descent, so no path the descent follows fits there
     inner = decomp.levels[1:-1]
-    labels = []
-    for level_frags in inner:
-        label = [0] * instance.tree.num_edges
-        for idx, frag in enumerate(level_frags):
-            for eid in frag:
-                label[eid] = idx
-        labels.append(label)
     masks: list[dict[int, int]] = [{} for _ in inner]
     by_fragment: dict[tuple[int, int], list[int]] = {}
     extra = []
@@ -263,8 +257,8 @@ def classify_commodities(decomp: Decomposition, instance: Instance) -> Commodity
             continue
         low = (pm & -pm).bit_length() - 1
         level, idx = 1, 0
-        for label, level_masks, level_frags in zip(labels, masks, inner):
-            child = label[low]
+        for refined, level_masks, level_frags in zip(decomp.children, masks, inner):
+            child = next(c for c in refined[idx] if low in level_frags[c])
             mask = level_masks.get(child)
             if mask is None:
                 mask = level_masks[child] = edge_mask(level_frags[child])
@@ -398,8 +392,14 @@ def non_skeleton_solve(
     are `skeleton.hanging`, in its order, one coin each. The rooted DP runs
     on the instance's own tree, within the subtree's edges; a subtree with no
     such commodity is not solved (it would get no cut).
+
+    `commodity_ids` must be the fragment's own commodities, whose endpoints
+    are fragment vertices. `compute_skeleton` puts every fragment edge in a
+    segment or a hanging subtree, so each fragment vertex is a skeleton
+    vertex or a non-attachment vertex of exactly one hanging subtree: an
+    endpoint in no subtree is on the skeleton, and `skeleton.vertices` is
+    not read.
     """
-    skel_verts = skeleton.vertices
     comps = skeleton.hanging
     active = [rng.random() >= 0.5 for _ in comps]
 
@@ -418,13 +418,8 @@ def non_skeleton_solve(
         loc_s, loc_t = locate(c.source), locate(c.target)
         if loc_s == loc_t:
             continue
-        for idx, inner_end, other_end, other_loc in (
-            (loc_s, c.source, c.target, loc_t),
-            (loc_t, c.target, c.source, loc_s),
-        ):
-            if idx is None or not active[idx]:
-                continue
-            if other_end in skel_verts or (other_loc is not None and not active[other_loc]):
+        for idx, inner_end, other_loc in ((loc_s, c.source, loc_t), (loc_t, c.target, loc_s)):
+            if idx is not None and active[idx] and (other_loc is None or not active[other_loc]):
                 far_ends[idx][i] = inner_end
 
     cuts: set[int] = set()
@@ -564,11 +559,11 @@ def skeleton_solve(
     a path DP result is reused whenever the same (segment, root, rows, cut
     count) comes up again. All coin draws of a guess happen before its DPs,
     so reuse does not change them. The guesses' cut sets are picked by
-    `first_best` in guess order.
+    `first_best` in guess order. A skeleton with no segment needs no case
+    of its own: the empty product of guesses is one empty guess, whose cut
+    set is empty.
     """
     segments = skeleton.segments
-    if not segments:
-        return frozenset()
     options = [segment_guesses(len(s)) for s in segments]
     total = 1
     for opt in options:

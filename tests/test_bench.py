@@ -445,6 +445,78 @@ def test_tier1_verdict():
     assert tier1.node_id("tests.test_model.TestWalk", "test_edge_set_walk_matches_reference") == other
 
 
+def load_same_bytes():
+    path = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
+    spec = importlib.util.spec_from_file_location("same_bytes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_bytes_reports_the_first_difference():
+    same_bytes = load_same_bytes()
+
+    def record(argv=("solve", "--algo", "sublog"), **fields):
+        base = {"group": "sublog", "cwd": ".", "argv": list(argv), "exit": 0, "stdout": "a\nb\n", "stderr": "", "files": {}}
+        return {**base, **fields}
+
+    runs = [record(), record(files={"out/s.json": "{}\n"})]
+    assert same_bytes.first_difference(runs, runs) == (2, None)
+    assert same_bytes.first_difference([], []) == (0, None)
+    cases = [
+        (record(stdout="a\nc\n"), "stdout line 2: parent 'b\\n' / change 'c\\n'"),
+        (record(stdout="a\n"), "stdout line 2: parent 'b\\n' / change '<end>'"),
+        (record(exit=2, stderr="error: x\n"), "exit: parent 0 / change 2"),
+        (record(exit="raised TypeError: t"), "exit: parent 0 / change 'raised TypeError: t'"),
+        (record(stderr="error: x\n"), "stderr line 1: parent '<end>' / change 'error: x\\n'"),
+        (record(files={"out/s.json": "[]\n"}), "file out/s.json line 1: parent '{}\\n' / change '[]\\n'"),
+        (record(files={"out/s.json": None}), "file out/s.json: written by the parent only"),
+        (record(files={"out/s.json": "{}\n", "out/t.json": ""}), "file out/t.json: written by the change only"),
+        (record(argv=("validate",)), "the corpora differ: the change ran ['validate']"),
+    ]
+    for changed, detail in cases:
+        count, found = same_bytes.first_difference(runs, [runs[0], changed])
+        assert count == 2
+        assert found == f"run 2 (sublog): fza solve --algo sublog\n  {detail}", found
+    # the first difference wins, and a stream that ends early is one
+    count, found = same_bytes.first_difference(runs, [record(stdout="x\n"), record(exit=1)])
+    assert count == 1 and found.endswith("stdout line 1: parent 'a\\n' / change 'x\\n'")
+    assert same_bytes.first_difference(runs, runs[:1]) == (2, "run 2: only the parent ran fza solve --algo sublog")
+    assert same_bytes.first_difference(runs[:1], runs) == (2, "run 2: only the change ran fza solve --algo sublog")
+
+
+def test_same_bytes_records_a_call(tmp_path, monkeypatch):
+    same_bytes = load_same_bytes()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+
+    def fake_main(argv):
+        target = Path(argv[-1])
+        target.mkdir()
+        (target / "report.csv").write_text("a,b\n")
+        (target / "timings.csv").write_text("instance,seconds\nx,0.123\n")
+        print("done")
+        raise SystemExit(3)
+
+    got = same_bytes.run_call(fake_main, ".", ["bench", "--output-dir", "out/b"])
+    assert got == {
+        "cwd": ".",
+        "argv": ["bench", "--output-dir", "out/b"],
+        "exit": 3,
+        "stdout": "done\n",
+        "stderr": "",
+        # the seconds column is dropped, and the call's outputs are removed once read
+        "files": {"out/b/report.csv": "a,b\n", "out/b/timings.csv": "instance\nx\n"},
+    }
+    assert not (tmp_path / "out" / "b").exists()
+
+    def crash(argv):
+        raise TypeError("boom")
+
+    got = same_bytes.run_call(crash, ".", ["solve", "--output", "in.json"])
+    assert (got["exit"], got["files"]) == ("raised TypeError: boom", {"in.json": None})
+
+
 def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
     spec = importlib.util.spec_from_file_location("code_lines", path)

@@ -270,8 +270,19 @@ class TestInputTypes:
             (2, (((0, "x"), (1, 0)),), "negation flag must be a bool, got 'x'"),
             (True, (((0, False), (0, True)),), "num_vars must be an integer, got True"),
             ("3", (), "num_vars must be an integer, got '3'"),
+            (1, (5,), "every clause needs exactly two literals"),
+            (1, ((0, (0, False)),), r"literal must be a \(variable, negation flag\) pair, got 0"),
+            (1, 5, "clauses must be a tuple of clauses, got 5"),
         ],
-        ids=["float-variable", "non-bool-flag", "bool-num-vars", "str-num-vars"],
+        ids=[
+            "float-variable",
+            "non-bool-flag",
+            "bool-num-vars",
+            "str-num-vars",
+            "non-pair-clause",
+            "non-pair-literal",
+            "non-sequence-clauses",
+        ],
     )
     def test_formula_refuses(self, num_vars, clauses, fragment):
         with pytest.raises(InvalidInstanceError, match=fragment):
@@ -285,8 +296,18 @@ class TestInputTypes:
             ({"num_commodities": 3.0}, "num_commodities must be an integer, got 3.0"),
             ({"max_weight": 2.0}, "max_weight must be an integer, got 2.0"),
             ({"seed": "7"}, "seed must be an integer, got '7'"),
+            ({"fractional_weights": "no"}, "fractional_weights must be a bool, got 'no'"),
+            ({"fractional_weights": 1}, "fractional_weights must be a bool, got 1"),
         ],
-        ids=["float-vertices", "bool-vertices", "float-commodities", "float-max-weight", "str-seed"],
+        ids=[
+            "float-vertices",
+            "bool-vertices",
+            "float-commodities",
+            "float-max-weight",
+            "str-seed",
+            "str-fractional-weights",
+            "int-fractional-weights",
+        ],
     )
     def test_spec_refuses(self, fields, fragment):
         spec = {"family": "random-tree", "num_vertices": 5, "num_commodities": 3, **fields}

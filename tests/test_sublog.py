@@ -153,6 +153,9 @@ class TestBuildDecomposition:
         assert branching_parameter(2) == 2
         assert branching_parameter(200) == 3
         assert branching_parameter(1000) == 4
+        # d steps up only once 2^(d*d) falls below n: 2^4 = 16 and 2^9 = 512
+        for n, d in ((15, 2), (16, 2), (17, 3), (511, 3), (512, 3), (513, 4)):
+            assert branching_parameter(n) == d, n
 
     def test_invariants_random(self):
         for seed in range(20):
