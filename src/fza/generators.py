@@ -145,7 +145,6 @@ class Formula2CNF:
             raise InvalidInstanceError(f"clauses must be a tuple of clauses, got {shown(self.clauses)}")
         occurrences = [0] * self.num_vars
         for clause in self.clauses:
-            # each shape is checked before it is unpacked
             if not _is_pair(clause):
                 raise InvalidInstanceError("every clause needs exactly two literals")
             for lit in clause:

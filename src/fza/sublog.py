@@ -397,8 +397,7 @@ def non_skeleton_solve(
     are fragment vertices. `compute_skeleton` puts every fragment edge in a
     segment or a hanging subtree, so each fragment vertex is a skeleton
     vertex or a non-attachment vertex of exactly one hanging subtree: an
-    endpoint in no subtree is on the skeleton, and `skeleton.vertices` is
-    not read.
+    endpoint in no subtree is on the skeleton.
     """
     comps = skeleton.hanging
     active = [rng.random() >= 0.5 for _ in comps]
@@ -559,9 +558,8 @@ def skeleton_solve(
     a path DP result is reused whenever the same (segment, root, rows, cut
     count) comes up again. All coin draws of a guess happen before its DPs,
     so reuse does not change them. The guesses' cut sets are picked by
-    `first_best` in guess order. A skeleton with no segment needs no case
-    of its own: the empty product of guesses is one empty guess, whose cut
-    set is empty.
+    `first_best` in guess order. With no segments, the one empty guess
+    yields the empty cut set.
     """
     segments = skeleton.segments
     options = [segment_guesses(len(s)) for s in segments]

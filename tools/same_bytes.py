@@ -1,7 +1,7 @@
 """Run one fixed, seeded corpus of `fza.cli.main` calls against two checkouts
 and report the first call whose output differs.
 
-    python3 tools/same_bytes.py PARENT CHANGE [--group NAME ...]
+    python3 tools/same_bytes.py PARENT CHANGE
 
 Each checkout gets one worker process: this script with `--worker`, started
 with only the checkout's `src` and root on PYTHONPATH, in a temporary
@@ -13,11 +13,11 @@ program writes, the seconds of `timings.csv`, is dropped before the compare.
 Paths in argv are relative, so error messages name the same files on both
 sides.
 
-Groups (all by default; each `--group` adds one):
+The corpus, in run order: the `fza gen random` calls that write the shared
+inputs, then these groups.
 
 - gen: `fza gen random`, `star-sat` and `path-sat`, malformed options and
-  clause lists included. The `fza gen random` calls that write the shared
-  inputs always run and are compared, whatever the groups.
+  clause lists included.
 - reader: `fza validate` on every shared input, `validate` and
   `solve --algo brute` on seeded mutations of small instance files and on
   files that are not instances at all, and malformed command lines.
@@ -53,7 +53,6 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-GROUPS = ("gen", "reader", "sublog", "density", "paths", "rooted", "bench")
 SIDES = ("parent", "change")
 NUM_INPUTS = 600
 SOLVER_NAMES = (
@@ -351,11 +350,11 @@ BUILDERS = {
 }
 
 
-def corpus(groups):
+def corpus():
     for name in ("in", "out"):
         Path(name).mkdir(exist_ok=True)
     specs = input_specs()
-    return itertools.chain(gen_inputs(specs), *(BUILDERS[g](specs) for g in GROUPS if g in groups))
+    return itertools.chain(gen_inputs(specs), *(build(specs) for build in BUILDERS.values()))
 
 
 # --- the worker --------------------------------------------------------------
@@ -412,13 +411,13 @@ def run_call(main, cwd: str, argv) -> dict:
     return {"cwd": cwd, "argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
 
 
-def worker(records: Path, groups) -> int:
+def worker(records: Path) -> int:
     import fza
     from fza.cli import main
 
     with records.open("w", encoding="utf-8") as sink:
         sink.write(json.dumps({"fza": str(Path(fza.__file__).resolve())}) + "\n")
-        for group, cwd, argv in corpus(groups):
+        for group, cwd, argv in corpus():
             sink.write(json.dumps({"group": group, **run_call(main, cwd, argv)}) + "\n")
     return 0
 
@@ -481,12 +480,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, nargs="?", help="root of the parent checkout")
     parser.add_argument("change", type=Path, nargs="?", help="root of the changed checkout")
-    parser.add_argument("--group", action="append", choices=GROUPS, help="a corpus group to run (default: all)")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    groups = args.group or GROUPS
     if args.worker:
-        return worker(args.worker, groups)
+        return worker(args.worker)
     if args.parent is None or args.change is None:
         parser.error("give the PARENT and CHANGE checkouts")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -500,7 +497,6 @@ def main(argv=None) -> int:
             (Path(tmp) / side).mkdir()
             env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(root / "src"), str(root)))}
             command = [sys.executable, str(Path(__file__).resolve()), "--worker", str(Path(tmp) / f"{side}.jsonl")]
-            command += [f"--group={g}" for g in groups]
             jobs[side] = subprocess.Popen(command, cwd=Path(tmp) / side, env=env, stderr=subprocess.PIPE, text=True)
         failed = False
         for side, job in jobs.items():
