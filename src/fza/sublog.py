@@ -33,8 +33,8 @@ reads those rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
 
 from .exact import (
     IntegerPathInstance,
@@ -70,6 +70,8 @@ def almost_balanced_decomposition(
 ) -> list[frozenset[int]]:
     """Split a connected fragment with at least d edges into edge-disjoint
     connected subtrees, each holding between m/(3d) and 3m/d of its m edges.
+    A fragment whose walk from its lowest vertex misses an edge is not
+    connected and is refused.
 
     Greedy bottom-up carving: accumulate subtree edges and detach a piece as
     soon as it reaches ceil(m/d) edges; a final remainder below the lower
@@ -87,6 +89,9 @@ def almost_balanced_decomposition(
 
     root = min(map(min, map(tree.edges.__getitem__, fragment)))
     order, up = tree.walk(root, fragment)
+    # a connected fragment is a tree, so it has one vertex more than edges
+    if len(order) != m + 1:
+        raise InvalidInstanceError("fragment is not connected")
     # children in walk order fix the order pieces are emitted, which numbers
     # the fragments of the next level
     children: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
@@ -186,10 +191,6 @@ class Decomposition:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    def children_of(self, level: int, idx: int) -> tuple[int, ...]:
-        """Indices within 1-based `level`+1 of the fragments refining (level, idx)."""
-        return self.children[level - 1][idx]
-
 
 def build_decomposition(tree, d: int | None = None) -> Decomposition:
     """Recursively refine the edge set until only single edges remain.
@@ -287,22 +288,22 @@ class Segment:
 @dataclass(frozen=True)
 class SkeletonInfo:
     """A fragment's skeleton and what hangs off it. `hanging` holds one
-    (edges, vertices, attachment vertex) per hanging subtree, ordered by
-    lowest edge id."""
+    (edges, attachment vertex) per hanging subtree, ordered by lowest edge
+    id, and `subtree_of` maps each fragment vertex off the skeleton to the
+    index in `hanging` of the one subtree holding it."""
 
     border: frozenset[int]
     edges: frozenset[int]
-    vertices: frozenset[int]
-    junctions: frozenset[int]
     segments: tuple[Segment, ...]
-    hanging: tuple[tuple[frozenset[int], frozenset[int], int], ...] = ()
+    hanging: tuple[tuple[frozenset[int], int], ...] = ()
+    subtree_of: Mapping[int, int] = field(default_factory=dict)
 
 
 def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Sequence[Iterable[int]]) -> SkeletonInfo:
     """Border vertices (shared by >= 2 child fragments), the subtree spanning
-    them, junction vertices, the segment partition of that subtree, and the
-    hanging subtrees, all from one walk over the fragment rooted at its
-    lowest border vertex.
+    them, the segment partition of that subtree, and the hanging subtrees
+    with the map from each vertex off the skeleton to its subtree, all from
+    one walk over the fragment rooted at its lowest border vertex.
 
     Bottom-up along the walk, an edge is on the skeleton iff the part of the
     fragment below it holds a border vertex, and each skeleton vertex counts
@@ -313,7 +314,9 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
     junction). An off-skeleton edge joins the hanging subtree of its upper
     end, and starts a new one at a skeleton vertex. Each segment is read
     from its lower-numbered terminal, and segments are ordered by (that
-    terminal, first edge).
+    terminal, first edge). Once the subtrees are sorted, each non-attachment
+    vertex is mapped to its subtree's index. Junctions only place
+    breakpoints; the record does not hold them.
     """
     # a vertex is on the border once a second child touches it
     first_child: dict[int, int] = {}
@@ -325,7 +328,7 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
                     touched_again.add(v)
     border = frozenset(touched_again)
     if not border:
-        return SkeletonInfo(border, frozenset(), border, frozenset(), ())
+        return SkeletonInfo(border, frozenset(), ())
 
     fragment = frozenset(fragment_edges)
     order, up = tree.walk(min(border), fragment)
@@ -358,10 +361,8 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
         group[0].append(v)
         group[1].append(eid)
         group_of[v] = group
-    hanging = tuple(
-        (frozenset(edges), frozenset(verts), verts[0])
-        for verts, edges in sorted(subtrees, key=lambda sub: min(sub[1]))
-    )
+    subtrees.sort(key=lambda sub: min(sub[1]))
+    subtree_of = {v: idx for idx, (verts, _) in enumerate(subtrees) for v in verts[1:]}
     oriented = [
         (verts, edges) if verts[0] < verts[-1] else (verts[::-1], edges[::-1])
         for verts, edges in segments
@@ -370,10 +371,9 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
     return SkeletonInfo(
         border,
         frozenset(skel),
-        frozenset(kids),
-        junctions,
         tuple(Segment(tuple(verts), tuple(edges)) for verts, edges in oriented),
-        hanging,
+        tuple((frozenset(edges), verts[0]) for verts, edges in subtrees),
+        subtree_of,
     )
 
 
@@ -389,26 +389,18 @@ def non_skeleton_solve(
     subtree is solved exactly as an instance rooted at its attachment vertex,
     restricted to commodities with exactly one endpoint inside it and the
     other endpoint on the skeleton or in a deactivated subtree. The subtrees
-    are `skeleton.hanging`, in its order, one coin each. The rooted DP runs
-    on the instance's own tree, within the subtree's edges; a subtree with no
-    such commodity is not solved (it would get no cut).
+    are `skeleton.hanging`, in its order, one coin each, and an endpoint is
+    located by `skeleton.subtree_of`. The rooted DP runs on the instance's
+    own tree, within the subtree's edges; a subtree with no such commodity
+    is not solved (it would get no cut).
 
     `commodity_ids` must be the fragment's own commodities, whose endpoints
-    are fragment vertices. `compute_skeleton` puts every fragment edge in a
-    segment or a hanging subtree, so each fragment vertex is a skeleton
-    vertex or a non-attachment vertex of exactly one hanging subtree: an
-    endpoint in no subtree is on the skeleton.
+    are fragment vertices: an endpoint `subtree_of` does not hold is then on
+    the skeleton.
     """
     comps = skeleton.hanging
     active = [rng.random() >= 0.5 for _ in comps]
-
-    # vertex -> index of the hanging subtree holding it (attachment excluded)
-    where: dict[int, int] = {}
-    for idx, (_, verts, attach) in enumerate(comps):
-        for v in verts:
-            if v != attach:
-                where.setdefault(v, idx)
-    locate = where.get
+    locate = skeleton.subtree_of.get
 
     # per subtree: member commodity id -> its endpoint inside the subtree
     far_ends: list[dict[int, int]] = [{} for _ in comps]
@@ -422,7 +414,7 @@ def non_skeleton_solve(
                 far_ends[idx][i] = inner_end
 
     cuts: set[int] = set()
-    for (comp_edges, _, attach), far_end in zip(comps, far_ends):
+    for (comp_edges, attach), far_end in zip(comps, far_ends):
         if far_end:
             cuts.update(rooted_cut_set(instance, attach, far_end, comp_edges))
     if cuts & skeleton.edges:
@@ -656,7 +648,7 @@ def sublog(
         level_cuts: set[int] = set()
         for (_, idx), ids in assigned:
             frag = decomp.levels[level - 1][idx]
-            kids = [decomp.levels[level][c] for c in decomp.children_of(level, idx)]
+            kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
             skel = compute_skeleton(tree, frag, kids)
             rng_ns = substream(seed, "sublog", "nonskel", level, idx)
             f_ns = non_skeleton_solve(instance, skel, ids, rng_ns)

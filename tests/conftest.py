@@ -629,10 +629,27 @@ def revenue_of_commodity(instance: Instance, i: int, cuts) -> Fraction:
 # components of a DFS that stops at skeleton vertices.
 
 
-def reference_skeleton(tree: Tree, fragment_edges, child_fragments):
+@dataclass(frozen=True)
+class ReferenceSkeleton:
+    """The leaf-pruning skeleton, with the vertex and junction sets that
+    `sublog.SkeletonInfo` does not keep."""
+
+    border: frozenset
+    edges: frozenset
+    vertices: frozenset
+    junctions: frozenset
+    segments: tuple
+
+
+def skeleton_vertices(tree: Tree, skeleton) -> frozenset:
+    """The border vertices and every endpoint of a skeleton edge."""
+    return skeleton.border.union(v for eid in skeleton.edges for v in tree.edges[eid])
+
+
+def reference_skeleton(tree: Tree, fragment_edges, child_fragments) -> ReferenceSkeleton:
     """`sublog.compute_skeleton` by leaf pruning: strip non-border leaves of
     the fragment until only the subtree spanning the border vertices is left."""
-    from fza.sublog import Segment, SkeletonInfo
+    from fza.sublog import Segment
 
     counts: dict[int, int] = {}
     for child in child_fragments:
@@ -640,7 +657,7 @@ def reference_skeleton(tree: Tree, fragment_edges, child_fragments):
             counts[v] = counts.get(v, 0) + 1
     border = frozenset(v for v, c in counts.items() if c >= 2)
     if len(border) <= 1:
-        return SkeletonInfo(border, frozenset(), border, frozenset(), ())
+        return ReferenceSkeleton(border, frozenset(), border, frozenset(), ())
     skel = set(fragment_edges)
     adj: dict[int, set[int]] = {}
     for eid in skel:
@@ -678,13 +695,15 @@ def reference_skeleton(tree: Tree, fragment_edges, child_fragments):
                     break
                 (e,) = set(incident[cur]) - {e}
             segments.append(Segment(tuple(verts), tuple(edges)))
-    return SkeletonInfo(border, frozenset(skel), frozenset(incident), junctions, tuple(segments))
+    return ReferenceSkeleton(border, frozenset(skel), frozenset(incident), junctions, tuple(segments))
 
 
 def reference_hanging_subtrees(tree: Tree, fragment, skeleton):
-    """`sublog._hanging_subtrees` as the components of the fragment minus the
-    skeleton edges, found by a DFS that does not cross skeleton vertices;
-    each component's attachment is its one vertex on the skeleton."""
+    """`compute_skeleton`'s hanging subtrees as the components of the
+    fragment minus the skeleton edges, found by a DFS that does not cross
+    skeleton vertices; each is (edges, vertices, attachment), the attachment
+    being its one vertex on the skeleton."""
+    on_skeleton = skeleton_vertices(tree, skeleton)
     rest = sorted(frozenset(fragment) - skeleton.edges)
     adj: dict[int, list[tuple[int, int]]] = {}
     for eid in rest:
@@ -701,7 +720,7 @@ def reference_hanging_subtrees(tree: Tree, fragment, skeleton):
         stack = list(tree.edges[start])
         while stack:
             v = stack.pop()
-            if v in skeleton.vertices:
+            if v in on_skeleton:
                 continue
             for w, eid in adj[v]:
                 if eid not in seen:
@@ -709,7 +728,7 @@ def reference_hanging_subtrees(tree: Tree, fragment, skeleton):
                     comp_edges.add(eid)
                     comp_verts.add(w)
                     stack.append(w)
-        (attach,) = comp_verts & skeleton.vertices
+        (attach,) = comp_verts & on_skeleton
         comps.append((frozenset(comp_edges), frozenset(comp_verts), attach))
     return comps
 
@@ -746,7 +765,7 @@ def materialized_rooted_cuts(instance: Instance, root: int, far_end: dict, edges
 def reference_non_skeleton_solve(instance, fragment_edges, skeleton, commodity_ids, rng):
     """`sublog.non_skeleton_solve` with a materialized sub-instance per
     active hanging subtree, members or not."""
-    skel_verts = skeleton.vertices
+    skel_verts = skeleton_vertices(instance.tree, skeleton)
     comps = reference_hanging_subtrees(instance.tree, fragment_edges, skeleton)
     active = [rng.random() >= 0.5 for _ in comps]
     where = {}

@@ -254,7 +254,7 @@ def test_criterion_9_sublog_structural_and_statistical():
         assign = classify_commodities(decomp, inst)
         for (level, idx), ids in assign.by_fragment.items():
             frag = decomp.levels[level - 1][idx]
-            kids = [decomp.levels[level][c] for c in decomp.children_of(level, idx)]
+            kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
             skel = compute_skeleton(inst.tree, frag, kids)
             rng = substream(seed, "check", level, idx)
             f_ns = non_skeleton_solve(inst, skel, ids, rng)

@@ -517,6 +517,32 @@ def test_same_bytes_records_a_call(tmp_path, monkeypatch):
     assert (got["exit"], got["files"]) == ("raised TypeError: boom", {"in.json": None})
 
 
+def test_mutants_bookkeeping(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
+    monkeypatch.syspath_prepend(str(path.parent))  # for its `import tier1`
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    (red,) = mutants.tier1.KNOWN_RED
+    # only a failure outside the known red set, or a collection error, catches
+    assert not mutants.caught({red}, 0) and not mutants.caught(set(), 0)
+    assert mutants.caught({red, "tests/test_model.py::test_x"}, 0) and mutants.caught(set(), 1)
+
+    plain = mutants.Mutant("src/fza/x.py", "a <= b", "a < b", "off by one")
+    same = mutants.Mutant("src/fza/x.py", "c > d", "c >= d", "only loosens", equivalent=True)
+    assert mutants.verdict([(plain, True), (same, False)]) == (0, [])
+    assert mutants.verdict([(plain, False), (same, True)]) == (1, [
+        "mutant 1 (src/fza/x.py) survived: off by one",
+        "mutant 2 (src/fza/x.py) is marked equivalent but was caught: only loosens",
+    ])
+    gone = mutants.Mutant("src/fza/x.py", "e", "f", "moved away")
+    texts = {"src/fza/x.py": "a <= b\nc > d\nc > d\n"}
+    assert mutants.source_problems([plain, same, gone], texts.__getitem__) == [
+        "mutant 2 (src/fza/x.py): source text occurs 2 times: 'c > d'",
+        "mutant 3 (src/fza/x.py): source text occurs 0 times: 'e'",
+    ]
+
+
 def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
     spec = importlib.util.spec_from_file_location("code_lines", path)

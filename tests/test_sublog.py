@@ -49,6 +49,7 @@ from conftest import (
     reference_skeleton,
     reference_skeleton_solve,
     shaped_tree,
+    skeleton_vertices,
 )
 
 
@@ -78,6 +79,26 @@ FIG3_CHILDREN = (
 
 def fig3_tree() -> Tree:
     return Tree(28, FIG3_EDGES)
+
+
+def derived_vertices(skel) -> frozenset[int]:
+    """The skeleton's vertices as the record gives them: the border vertices
+    and every segment vertex."""
+    return skel.border.union(*(s.vertices for s in skel.segments))
+
+
+def derived_junctions(skel) -> frozenset[int]:
+    """The junctions as the record gives them: segment terminals off the border."""
+    return frozenset(v for s in skel.segments for v in s.terminals) - skel.border
+
+
+def derived_subtree_vertices(skel) -> list[frozenset[int]]:
+    """Each hanging subtree's vertices: its attachment plus every vertex
+    `subtree_of` maps to its index."""
+    verts = [{attach} for _, attach in skel.hanging]
+    for v, idx in skel.subtree_of.items():
+        verts[idx].add(v)
+    return [frozenset(vs) for vs in verts]
 
 
 class FixedRng:
@@ -121,6 +142,15 @@ class TestBalancedDecomposition:
                 for p in pieces:
                     assert 3 * d * len(p) >= m
                     assert d * len(p) <= 3 * m
+
+    def test_refuses_a_disconnected_fragment(self):
+        # the walk from vertex 0 misses edges 6 and 7 of the first fragment
+        # and edge 7 of the second; unchecked, the carving would split the
+        # edges it reached and silently drop the rest
+        t = Tree(9, tuple((i, i + 1) for i in range(8)))
+        for fragment in ({0, 1, 2, 3, 6, 7}, {0, 1, 2, 3, 4, 5, 7}):
+            with pytest.raises(InvalidInstanceError, match="fragment is not connected"):
+                almost_balanced_decomposition(t, fragment, 3)
 
     def test_refuses_d_below_two_and_too_few_edges(self):
         t = Tree(4, ((0, 1), (1, 2), (2, 3)))
@@ -277,9 +307,7 @@ class TestClassification:
             assert sorted(ids) == list(range(inst.num_commodities))
             for (level, idx), group in assign.by_fragment.items():
                 frag = decomp.levels[level - 1][idx]
-                kids = [
-                    decomp.levels[level][c] for c in decomp.children_of(level, idx)
-                ]
+                kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
                 assert len(kids) >= 2
                 skel = compute_skeleton(inst.tree, frag, kids)
                 for i in group:
@@ -312,7 +340,8 @@ class TestSkeleton:
     def test_one_child_has_no_border(self):
         t = Tree(4, ((0, 1), (1, 2), (2, 3)))
         skel = compute_skeleton(t, range(3), [frozenset(range(3))])
-        assert skel == SkeletonInfo(frozenset(), frozenset(), frozenset(), frozenset(), ())
+        assert skel == SkeletonInfo(frozenset(), frozenset(), ())
+        assert derived_vertices(skel) == derived_junctions(skel) == frozenset()
 
     def test_oriented_refuses_a_root_off_the_terminals(self):
         t = Tree(10, tuple((i, i + 1) for i in range(9)))
@@ -327,7 +356,7 @@ class TestSkeleton:
         skel = compute_skeleton(fig3_tree(), range(27), FIG3_CHILDREN)
         assert skel.border == {2, 9, 10, 13, 15}
         assert skel.edges == {4, 5, 6, 7, 10, 11, 12, 13, 14}
-        assert skel.junctions == {5, 11}
+        assert derived_junctions(skel) == {5, 11}
         assert sorted(tuple(s.edges) for s in skel.segments) == [
             (4,), (5, 6), (7,), (10,), (11, 12), (13, 14),
         ]
@@ -347,10 +376,11 @@ class TestGeometryMatchesReference:
     def assert_matches(self, tree, frag, kids):
         skel = compute_skeleton(tree, frag, kids)
         ref = reference_skeleton(tree, frag, kids)
-        assert (skel.border, skel.edges, skel.vertices, skel.junctions, skel.segments) == (
+        assert (skel.border, skel.edges, derived_vertices(skel), derived_junctions(skel), skel.segments) == (
             ref.border, ref.edges, ref.vertices, ref.junctions, ref.segments
         )
-        assert list(skel.hanging) == reference_hanging_subtrees(tree, frag, ref)
+        hanging = [(edges, verts, attach) for (edges, attach), verts in zip(skel.hanging, derived_subtree_vertices(skel))]
+        assert hanging == reference_hanging_subtrees(tree, frag, ref)
         return skel
 
     def test_decomposition_fragments(self):
@@ -364,13 +394,55 @@ class TestGeometryMatchesReference:
         # the hub edges form one child and each outer edge another: the leg
         # middles are the border, the hub a junction, the outer edges hang
         skel = self.assert_matches(spider(5), range(10), [frozenset(range(0, 10, 2))] + [{e} for e in range(1, 10, 2)])
-        assert skel.junctions == {0} and skel.edges == set(range(0, 10, 2)) and len(skel.segments) == 5
+        assert derived_junctions(skel) == {0} and skel.edges == set(range(0, 10, 2)) and len(skel.segments) == 5
 
     def test_one_border_vertex(self):
         # each leg is a child: the hub is the one border vertex, every leg hangs from it
         skel = self.assert_matches(spider(4), range(8), [{2 * i, 2 * i + 1} for i in range(4)])
-        assert skel.vertices == skel.border == {0} and not skel.edges
-        assert [attach for _, _, attach in skel.hanging] == [0] * 4
+        assert derived_vertices(skel) == skel.border == {0} and not skel.edges
+        assert [attach for _, attach in skel.hanging] == [0] * 4
+
+
+class TestSkeletonContract:
+    """What `non_skeleton_solve` and `skeleton_solve` read of the record:
+    segments and hanging subtrees partition the fragment's edges, and
+    `subtree_of` locates exactly the vertices off the skeleton."""
+
+    def assert_contract(self, tree, frag, kids):
+        skel = compute_skeleton(tree, frag, kids)
+        groups = [s.edges for s in skel.segments] + [edges for edges, _ in skel.hanging]
+        assert sorted(e for g in groups for e in g) == sorted(frag)
+        on_skeleton = skeleton_vertices(tree, skel)
+        frag_verts = {v for e in frag for v in tree.edges[e]}
+        assert skel.subtree_of.keys() == frag_verts - on_skeleton
+        for v, idx in skel.subtree_of.items():
+            assert any(v in tree.edges[e] for e in skel.hanging[idx][0]), (v, idx)
+        assert all(attach in on_skeleton for _, attach in skel.hanging)
+        return skel
+
+    def test_sublog_fragments(self):
+        hanging = 0
+        for inst, frag, kids, _, _ in sublog_fragments(range(48)):
+            hanging += len(self.assert_contract(inst.tree, frag, kids).hanging)
+        assert hanging > 500
+
+    def test_small_trees(self):
+        # every labeled tree on 2..6 vertices, each fragment of two or more
+        # edges in its decompositions at d = 2, 3 and 4 (a single edge has
+        # one child and no border, and sublog never assigns it a commodity)
+        several = 0
+        for n in range(2, 7):
+            for seq in itertools.product(range(n), repeat=n - 2):
+                tree = prufer_tree(n, seq)
+                for d in (2, 3, 4):
+                    decomp = build_decomposition(tree, d)
+                    for level, refined in enumerate(decomp.children):
+                        for frag, kids in zip(decomp.levels[level], refined):
+                            if len(frag) < 2:
+                                continue
+                            skel = self.assert_contract(tree, frag, [decomp.levels[level + 1][c] for c in kids])
+                            several += len(skel.hanging) >= 2
+        assert several > 13000
 
 
 class TestNonSkeleton:
@@ -486,8 +558,6 @@ class TestSkeletonSolve:
         skel = SkeletonInfo(
             border=frozenset({0, 26}),
             edges=frozenset(range(26)),
-            vertices=frozenset(range(27)),
-            junctions=frozenset(range(2, 26, 2)),
             segments=segments,
         )
 
@@ -568,6 +638,14 @@ class TestSublog:
         # cut edge 0 (5*2), keep edge 1 (2*1)
         assert res.revenue == 12
 
+    def test_single_edge_class_keeps_an_edge_on_a_tie(self):
+        # under f(x) = x a budget-0 commodity earns 0 with its edge cut or
+        # kept; the edge stays uncut, so the winning candidate is edge 0 alone
+        t = Tree(4, ((0, 1), (1, 2), (2, 3)))
+        comms = [Commodity(0, 1, 1, Fraction(5)), Commodity(2, 3, 0, Fraction(1))]
+        res = sublog(make(t, PricingFunction.linear(4), comms), 0)
+        assert (res.cuts, res.revenue) == ((0,), 5)
+
 
 def sublog_fragments(seeds, max_guesses=None):
     """(instance, fragment edges, child fragments, skeleton, commodity ids) of every fragment
@@ -592,7 +670,7 @@ def sublog_fragments(seeds, max_guesses=None):
         assign = classify_commodities(decomp, inst)
         for (level, idx), ids in sorted(assign.by_fragment.items()):
             frag = decomp.levels[level - 1][idx]
-            kids = [decomp.levels[level][c] for c in decomp.children_of(level, idx)]
+            kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
             skel = compute_skeleton(inst.tree, frag, kids)
             guesses = 1
             for seg in skel.segments:
@@ -744,11 +822,12 @@ class TestPinned:
                 assignment = classify_commodities(decomp, inst)
                 h.update(repr((sorted(assignment.by_fragment.items()), assignment.extra)).encode())
                 for level, idx in sorted(assignment.by_fragment):
-                    kids = [decomp.levels[level][c] for c in decomp.children_of(level, idx)]
+                    kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
                     skel = compute_skeleton(tree, decomp.levels[level - 1][idx], kids)
                     h.update(repr((
-                        sorted(skel.border), sorted(skel.edges), sorted(skel.vertices), sorted(skel.junctions),
+                        sorted(skel.border), sorted(skel.edges),
+                        sorted(derived_vertices(skel)), sorted(derived_junctions(skel)),
                         [(s.vertices, s.edges) for s in skel.segments],
-                        [(sorted(e), sorted(v), a) for e, v, a in skel.hanging],
+                        [(sorted(e), sorted(v), a) for (e, a), v in zip(skel.hanging, derived_subtree_vertices(skel))],
                     )).encode())
         assert h.hexdigest() == "8b7e8d7b73cbf1452c564f0e34c5e12b3e553967c604165c13a8d78d3ffd82f1"

@@ -1,0 +1,247 @@
+"""Run a committed list of one-edit mutants of `src/fza` against the tier-1
+suite and report which ones it catches.
+
+    python3 tools/mutants.py
+
+`MUTANTS` lists each mutant as (file, source text, replacement, reason), and
+marks the equivalent ones: edits that change no output, so no test can see
+them. Before anything runs, every source text must occur exactly once in its
+file; a refactor that moves or rewrites one must update the list with the
+code. The repository is then copied once to a temporary directory, and each
+mutant is applied there in turn and undone after its run.
+
+A mutant is caught when a test outside `tools/tier1.py`'s `KNOWN_RED` fails,
+or a module fails to collect, in tier-1's pytest command (read through its
+junitxml report by `tier1.read_report`). Each mutant first runs the tests of
+its own module (`tests/test_<module>.py`, stopping at the first failure);
+only a mutant those tests miss runs the whole suite, criterion 10b included.
+Bytecode is not written, so no stale `.pyc` can hide an edit. A run that
+exceeds `TIMEOUT` seconds counts as caught.
+
+The exit status is 0 when every mutant not marked equivalent is caught and
+no equivalent one is, else 1 (also when a source text does not occur exactly
+once). Standard library only; not part of tier-1, as a full pass takes
+minutes.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+import tier1  # a sibling: the script's own directory is on sys.path
+
+ROOT = tier1.ROOT
+TIMEOUT = 900
+
+
+class Mutant(NamedTuple):
+    file: str
+    source: str
+    replacement: str
+    reason: str
+    equivalent: bool = False
+
+
+MUTANTS = (
+    Mutant(
+        "src/fza/exact.py", "if bound <= best_rev:", "if bound < best_rev:",
+        "brute force's prune test only loosens: a subtree that can at best tie is searched, and a tie never replaces the best",
+        equivalent=True,
+    ),
+    Mutant(
+        "src/fza/exact.py", "if c + r <= u:  # leaving", "if c + r < u:  # leaving",
+        "brute force's bound update only loosens: the bound stays an upper bound, so pruning is later and the result the same",
+        equivalent=True,
+    ),
+    Mutant(
+        "src/fza/exact.py", "if child_rev > best_rev:", "if child_rev >= best_rev:",
+        "brute force's tie rule: a later cut set of equal revenue would win",
+    ),
+    Mutant(
+        "src/fza/exact.py", "range(min(len(vals), budgets[i] + 1))", "range(min(len(vals), budgets[i]))",
+        "rooted_dp's budget off by one: a commodity at exactly its budget earns nothing",
+    ),
+    Mutant(
+        "src/fza/exact.py", "if below[x + 1] > below[x]:\n            cuts.append(eid)",
+        "if below[x + 1] >= below[x]:\n            cuts.append(eid)",
+        "rooted_dp's reconstruction cuts on a tie",
+    ),
+    Mutant(
+        "src/fza/exact.py", "range(lo, min(hi, slack) + 1)", "range(lo, min(hi, slack))",
+        "the generalized path DP's budget off by one",
+    ),
+    Mutant(
+        "src/fza/exact.py", "if below[x + 1] > below[x]:\n            cuts.append(j)",
+        "if below[x + 1] >= below[x]:\n            cuts.append(j)",
+        "the generalized path DP's reconstruction cuts on a tie",
+    ),
+    Mutant(
+        "src/fza/exact.py", "ok = shift + count <= budget", "ok = shift + count < budget",
+        "the generalized path DP's served test off by one",
+    ),
+    Mutant(
+        "src/fza/model.py", "prices[x] if x <= budgets[i] else 0\n", "prices[x] if x < budgets[i] else 0\n",
+        "Instance.value's budget off by one",
+    ),
+    Mutant(
+        "src/fza/model.py", "(w * prices[count] if count <= budgets[i] else 0)", "(w * prices[count] if count < budgets[i] else 0)",
+        "the edge-index scoring kernel's budget off by one",
+    ),
+    Mutant(
+        "src/fza/model.py", "            if count <= budgets[i]:", "            if count < budgets[i]:",
+        "the path-mask scoring kernel's budget off by one",
+    ),
+    Mutant(
+        "src/fza/model.py", "if count <= c.budget:", "if count < c.budget:",
+        "total_revenue's budget off by one",
+    ),
+    Mutant(
+        "src/fza/model.py", "if best_score is None or s > best_score:", "if best_score is None or s >= best_score:",
+        "first_best keeps the last of the tied candidates",
+    ),
+    Mutant(
+        "src/fza/param_path.py", "if held is None or value > held[0]:", "if held is None or value >= held[0]:",
+        "the path DP sweep's tie rule: a later move of equal value replaces the held one",
+    ),
+    Mutant(
+        "src/fza/param_path.py", "                if t < 0:", "                if t <= 0:",
+        "dp_congestion treats the first carried commodity as entering",
+    ),
+    Mutant(
+        "src/fza/density.py", "return (n - 1).bit_length()", "return n.bit_length()",
+        "ceil_log2 off by one at powers of two: one class too many",
+    ),
+    Mutant(
+        "src/fza/density.py", "range(1, ceil_log2(instance.tree.num_vertices) + 1)", "range(1, ceil_log2(instance.tree.num_vertices))",
+        "the offset buckets miss the last class",
+    ),
+    Mutant(
+        "src/fza/sublog.py", "while (1 << (d * d)) < n:", "while (1 << (d * d)) <= n:",
+        "branching_parameter steps d up one n early (at n = 16 and 512)",
+    ),
+    Mutant(
+        "src/fza/sublog.py", "if 3 * d * len(remainder) >= m:", "if 3 * d * len(remainder) > m:",
+        "a remainder at exactly the lower size bound joins a piece instead of standing alone",
+    ),
+    Mutant(
+        "src/fza/sublog.py", "    while p <= length:", "    while p < length:",
+        "segment_guesses drops the guess equal to a power-of-two segment length",
+    ),
+    Mutant(
+        "src/fza/sublog.py", "if shift <= budget:", "if shift < budget:",
+        "an aux row whose committed cuts use its whole budget is dropped",
+    ),
+    Mutant(
+        "src/fza/sublog.py", "if cut > keep:", "if cut >= keep:",
+        "the single-edge class cuts an edge on a tie",
+    ),
+    Mutant(
+        "src/fza/sublog.py", "for v in verts[1:]}", "for v in verts}",
+        "subtree_of also maps each attachment, a skeleton vertex, to a hanging subtree",
+    ),
+    Mutant(
+        "src/fza/sublog.py",
+        "    subtrees.sort(key=lambda sub: min(sub[1]))\n    subtree_of = {v: idx for idx, (verts, _) in enumerate(subtrees) for v in verts[1:]}\n",
+        "    subtree_of = {v: idx for idx, (verts, _) in enumerate(subtrees) for v in verts[1:]}\n    subtrees.sort(key=lambda sub: min(sub[1]))\n",
+        "subtree_of numbers the hanging subtrees in walk order, before they are sorted",
+    ),
+)
+
+
+def source_problems(mutants, read) -> list[str]:
+    """One line per mutant whose source text does not occur exactly once in
+    its file; `read(file)` gives a file's text."""
+    problems = []
+    for n, mutant in enumerate(mutants, 1):
+        count = read(mutant.file).count(mutant.source)
+        if count != 1:
+            problems.append(f"mutant {n} ({mutant.file}): source text occurs {count} times: {mutant.source!r}")
+    return problems
+
+
+def caught(failed: set[str], collection_errors: int) -> bool:
+    """A run catches its mutant when a test outside the known red set fails
+    or a module fails to collect."""
+    return bool(failed - tier1.KNOWN_RED) or collection_errors > 0
+
+
+def verdict(outcomes) -> tuple[int, list[str]]:
+    """(exit status, one line per problem) over (mutant, caught) pairs: a
+    mutant not marked equivalent must be caught, and one marked equivalent
+    must not be."""
+    problems = []
+    for n, (mutant, was_caught) in enumerate(outcomes, 1):
+        if not was_caught and not mutant.equivalent:
+            problems.append(f"mutant {n} ({mutant.file}) survived: {mutant.reason}")
+        elif was_caught and mutant.equivalent:
+            problems.append(f"mutant {n} ({mutant.file}) is marked equivalent but was caught: {mutant.reason}")
+    return (1 if problems else 0), problems
+
+
+def run_tests(copy: Path, targets: list[str], first_failure: bool) -> tuple[bool, str]:
+    """Run tier-1's pytest command on `targets` in `copy`: (caught, detail)."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    report = copy.parent / "mutant.xml"
+    report.unlink(missing_ok=True)
+    command = [
+        sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+        f"--junitxml={report}", *(["-x"] if first_failure else []), *targets,
+    ]
+    try:
+        subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return True, f"timed out after {TIMEOUT} s"
+    if not report.is_file():
+        return True, "pytest wrote no junit report"
+    _, failed, collection_errors = tier1.read_report(report)
+    if not caught(failed, collection_errors):
+        return False, ""
+    first = sorted(failed - tier1.KNOWN_RED)
+    return True, first[0] if first else f"{collection_errors} collection errors"
+
+
+def main() -> int:
+    problems = source_problems(MUTANTS, lambda file: (ROOT / file).read_text(encoding="utf-8"))
+    if problems:
+        print("\n".join(problems))
+        return 1
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "_work"))
+        for n, mutant in enumerate(MUTANTS, 1):
+            path = copy / mutant.file
+            original = path.read_text(encoding="utf-8")
+            path.write_text(original.replace(mutant.source, mutant.replacement), encoding="utf-8")
+            start = time.monotonic()
+            try:
+                own = f"tests/test_{Path(mutant.file).stem}.py"
+                was_caught, detail = run_tests(copy, [own], True) if (copy / own).is_file() else (False, "")
+                if not was_caught:
+                    was_caught, detail = run_tests(copy, [], False)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            label = "caught" if was_caught else "survived"
+            mark = " (marked equivalent)" if mutant.equivalent else ""
+            print(f"{n:3d} {label:8s} {time.monotonic() - start:6.1f} s  {mutant.file}: {mutant.reason}{mark}")
+            if detail:
+                print(f"{'':22s}by {detail}")
+            sys.stdout.flush()
+            outcomes.append((mutant, was_caught))
+    code, problems = verdict(outcomes)
+    for line in problems:
+        print(line)
+    print(f"{sum(c for _, c in outcomes)} of {len(outcomes)} mutants caught; " + ("as listed" if code == 0 else "not as listed"))
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())
