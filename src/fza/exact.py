@@ -11,9 +11,11 @@ Both DPs add and compare the integer revenues of `Instance`'s kernel
 edge set of the instance's own tree: it keeps one table per vertex of
 `Tree.walk`'s order, merges each into its parent's through the walk's
 parent map in reversed order and reads the cuts off in walk order, with no
-child lists. The path DP reads integer rows
-(`IntegerPathInstance`) against one scaled price table, so sublog's
-sub-solves run on the parent instance with no sub-`Instance` built.
+child lists. The path DP is a kernel too: it reads integer rows
+(`IntegerPathInstance`) against one scaled price table and returns cut
+positions, so sublog's sub-solves run on the parent instance with no
+sub-`Instance` built, and `gen_rooted_path` builds its result through
+`make_result` like every other solver.
 """
 
 from __future__ import annotations
@@ -220,15 +222,15 @@ class GeneralizedCommodity:
 class IntegerPathInstance(NamedTuple):
     """A generalized rooted path instance in the integer kernel's terms.
 
-    `path` lists the vertices from the root. Each commodity is one row
-    (end, budget, W, shift): its path runs from the root to position `end`,
-    and with x cuts on it it pays W * prices[shift + x] / scale if
-    shift + x <= budget and nothing otherwise. Every price is >= 0.
+    The path has `m` edges, at positions 0..m - 1 from the root. Each
+    commodity is one row (end, budget, W, shift): its path holds the
+    positions below `end`, and with x cuts on it it pays
+    W * prices[shift + x] if shift + x <= budget and nothing otherwise, in
+    the caller's scale. Every price is >= 0.
     """
 
-    path: tuple[int, ...]
+    m: int
     commodities: tuple[tuple[int, int, int, int], ...]
-    scale: int
     prices: tuple[int, ...]
 
 
@@ -263,7 +265,7 @@ class GeneralizedPathInstance:
         own table, as `__post_init__` checks."""
         # distinct tables by identity: hashing a table hashes all its Fractions
         tables = {id(c.pricing): c.pricing for c in self.commodities}
-        scale, weights, scaled_tables = scale_terms(
+        _, weights, scaled_tables = scale_terms(
             [c.weight for c in self.commodities], list(tables.values())
         )
         offset: dict[int, int] = {}
@@ -276,25 +278,19 @@ class GeneralizedPathInstance:
         for c, w in zip(self.commodities, weights):
             shift = offset[id(c.pricing)] + c.shift
             rows.append((pos[c.target], shift + c.budget, w, shift))
-        return IntegerPathInstance(self.path, tuple(rows), scale, tuple(prices))
+        return IntegerPathInstance(len(self.path) - 1, tuple(rows), tuple(prices))
 
 
-def generalized_rooted_path_dp(
-    gpi: GeneralizedPathInstance | IntegerPathInstance, y: int
-) -> SolveResult:
-    """Best solution with exactly y cuts on the path.
+def generalized_rooted_path_dp(gpi: IntegerPathInstance, y: int) -> list[int]:
+    """The ascending edge positions of a best cut set with exactly y cuts.
 
     R[j][x] is the best revenue from commodities whose path reaches position j
     when x cuts lie on positions < j, among solutions with |F| = y overall.
     Only lo_j <= x <= hi_j is feasible (x <= min(j, y), and the y - x cuts
     still to place must fit on the m - j edges left). Ties prefer leaving the
-    next edge uncut. Cut ids in the result are 0-based edge positions along
-    the path; `served` follows the commodity order.
+    next edge uncut. The closing self-check scores the positions row by row.
     """
-    if isinstance(gpi, GeneralizedPathInstance):
-        gpi = gpi.integer
-    path, rows, scale, prices = gpi
-    m = len(path) - 1
+    m, rows, prices = gpi
     if not (0 <= y <= m):
         raise InvalidInstanceError(f"cut count {y} out of range 0..{m}")
     ends_at: list[list[tuple[int, int, int]]] = [[] for _ in range(m + 1)]
@@ -326,23 +322,14 @@ def generalized_rooted_path_dp(
         if below[x + 1] > below[x]:
             cuts.append(j)
             x += 1
-    served = []
     check = 0
     for end, budget, w, shift in rows:
         count = bisect_left(cuts, end)
-        ok = shift + count <= budget
-        served.append(ok)
-        if ok:
+        if shift + count <= budget:
             check += w * prices[shift + count]
     if check != table[0][0]:
         raise FzaError("generalized path DP value disagrees with the revenue of its cut set")
-    return SolveResult(
-        cuts=tuple(cuts),
-        revenue=Fraction(check, scale),
-        served=tuple(served),
-        algorithm="gen-rooted-path",
-        diagnostics={"cut_count": y},
-    )
+    return cuts
 
 
 def generalized_from_instance(
@@ -372,10 +359,10 @@ def gen_rooted_path(
     if cuts is None:
         raise InvalidInstanceError("--cuts is required for gen-rooted-path")
     gpi, edge_ids = generalized_from_instance(instance, root)
-    sub = generalized_rooted_path_dp(gpi, cuts)
+    positions = generalized_rooted_path_dp(gpi.integer, cuts)
     return make_result(
         instance,
-        (edge_ids[p] for p in sub.cuts),
+        (edge_ids[p] for p in positions),
         algorithm="gen-rooted-path",
-        diagnostics=dict(sub.diagnostics),
+        diagnostics={"cut_count": cuts},
     )

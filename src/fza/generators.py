@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
+    MAX_VERTICES,
     CapacityError,
     Commodity,
     Instance,
@@ -24,8 +25,10 @@ from .rng import substream
 PRICING_PRESETS = ("linear", "affine", "capped")
 FAMILIES = ("random-tree", "random-path")
 # Formula2CNF refuses more variables; the path-sat instance of a formula at
-# this cap has 10^5 edges
+# this cap has 10^5 edges, one vertex more than `Instance.create` accepts
 MAX_FORMULA_VARS = 10_000
+# GenSpec refuses more commodities (and more vertices than MAX_VERTICES)
+MAX_GEN_COMMODITIES = 100_000
 # max2sat_optimum enumerates 2^n assignments; larger formulas are refused
 MAX_2SAT_VARS = 20
 
@@ -45,6 +48,12 @@ class GenSpec:
     def __post_init__(self) -> None:
         for name in ("num_vertices", "num_commodities", "max_weight", "seed"):
             as_int(getattr(self, name), name)
+        if self.num_vertices > MAX_VERTICES:
+            raise CapacityError(f"random instance limited to {MAX_VERTICES} vertices, got {shown(self.num_vertices)}")
+        if self.num_commodities > MAX_GEN_COMMODITIES:
+            raise CapacityError(
+                f"random instance limited to {MAX_GEN_COMMODITIES} commodities, got {shown(self.num_commodities)}"
+            )
         if type(self.fractional_weights) is not bool:
             raise InvalidInstanceError(f"fractional_weights must be a bool, got {shown(self.fractional_weights)}")
         if self.family not in FAMILIES:

@@ -76,6 +76,11 @@ class CapacityError(FzaError, RuntimeError):
     """Input exceeds a solver's configured enumeration budget."""
 
 
+# Instance.create refuses larger trees: its table of root-path masks takes
+# Θ(n²) bits, about 1.3 GB at this size
+MAX_VERTICES = 100_000
+
+
 # sign, integer digits, then a '/' denominator or '.' decimals; a digit leads or follows the '.'
 _RATIONAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*", re.ASCII)
 
@@ -408,6 +413,8 @@ class Instance:
         pricing: PricingFunction,
         commodities: Sequence[Commodity],
     ) -> "Instance":
+        if tree.num_vertices > MAX_VERTICES:
+            raise CapacityError(f"instance limited to {MAX_VERTICES} vertices, got {tree.num_vertices}")
         if len(pricing) < tree.num_vertices:
             raise InvalidInstanceError(
                 f"pricing table has {len(pricing)} entries, need at least {tree.num_vertices}"

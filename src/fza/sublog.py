@@ -433,13 +433,13 @@ def segment_guesses(length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _oriented(skeleton: SkeletonInfo, seg_index: int, root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(vertices, edge ids) of a segment read from its terminal `root`."""
+def _oriented(skeleton: SkeletonInfo, seg_index: int, root: int) -> tuple[int, ...]:
+    """The edge ids of a segment read from its terminal `root`."""
     seg = skeleton.segments[seg_index]
     if root == seg.vertices[0]:
-        return seg.vertices, seg.edges
+        return seg.edges
     if root == seg.vertices[-1]:
-        return seg.vertices[::-1], seg.edges[::-1]
+        return seg.edges[::-1]
     raise InvalidInstanceError(f"root {root} is not a terminal of segment {seg_index}")
 
 
@@ -468,7 +468,7 @@ def _segment_members(
     it covers from the root), and such a chain needs at least four border
     vertices. `branching_parameter` gives d >= 5 only for n > 65,536.
     """
-    _, eids = _oriented(skeleton, seg_index, root)
+    eids = _oriented(skeleton, seg_index, root)
     prefix = [0]
     for eid in eids:
         prefix.append(prefix[-1] | 1 << eid)
@@ -519,9 +519,8 @@ def build_aux_instance(
 
     Returns the path instance plus the position -> original edge id map.
     """
-    verts, eids = _oriented(skeleton, seg_index, root)
+    eids = _oriented(skeleton, seg_index, root)
     committed = [g if on else 0 for g, on in zip(guesses, active)]
-    scale, _, prices, _ = instance._scaled
     rows = []
     for length, budget, weight, blockers, held in members:
         if any(active[b] for b in blockers):
@@ -529,7 +528,7 @@ def build_aux_instance(
         shift = sum(committed[s] for s in held)
         if shift <= budget:
             rows.append((length, budget, weight, shift))
-    return IntegerPathInstance(verts, tuple(rows), scale, prices), list(eids)
+    return IntegerPathInstance(len(eids), tuple(rows), instance._scaled[2]), list(eids)
 
 
 def skeleton_solve(
@@ -591,10 +590,10 @@ def skeleton_solve(
                 )
                 key = (si, root, aux.commodities, guess[si])
                 if key not in placed:
-                    sub = generalized_rooted_path_dp(aux, guess[si])
-                    if len(set(sub.cuts)) != guess[si]:
+                    positions = generalized_rooted_path_dp(aux, guess[si])
+                    if len(positions) != guess[si]:
                         raise FzaError("path DP placed a different number of cuts than guessed")
-                    placed[key] = [eids[p] for p in sub.cuts]
+                    placed[key] = [eids[p] for p in positions]
                 cuts.update(placed[key])
             yield frozenset(cuts)
 

@@ -624,6 +624,71 @@ def revenue_of_commodity(instance: Instance, i: int, cuts) -> Fraction:
     return c.weight * instance.pricing(count)
 
 
+def congestion_optimum(instance: Instance, max_states: int = 20_000) -> Fraction:
+    """The optimal revenue by a DP whose tables grow with congestion, not with
+    the number of edges: an exact oracle on trees far beyond brute force's
+    reach, as long as few commodities share an edge. It reads only
+    `tree.edges`, `pricing.values` and `commodities`, in Fractions.
+
+    The tree is rooted at vertex 0 by a BFS of its own. Bottom-up, each vertex
+    keeps a table from states to best revenue. A state lists, per commodity
+    with exactly one endpoint in the vertex's subtree, the cuts on its path
+    inside the subtree, up to budget + 1 (dropped). A child's table is lifted
+    over its parent edge, once kept and once cut, and merged pairwise into
+    its parent's: a commodity open on both sides closes there and earns
+    w * f(cuts) within budget. At the root every commodity has closed.
+    Raises RuntimeError when one table would hold more than `max_states`
+    states.
+    """
+    n = instance.tree.num_vertices
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in instance.tree.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for w in adjacency[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    prices = instance.pricing.values
+    commodities = instance.commodities
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, c in enumerate(commodities):
+        ends[c.source].append((i, 0))
+        ends[c.target].append((i, 0))
+    tables = [{tuple(e): Fraction(0)} for e in ends]
+    for v in reversed(order[1:]):
+        lifted: dict[tuple, Fraction] = {}
+        for state, value in tables[v].items():
+            cut = tuple((i, min(x + 1, commodities[i].budget + 1)) for i, x in state)
+            for s in (state, cut):
+                if s not in lifted or lifted[s] < value:
+                    lifted[s] = value
+        merged: dict[tuple, Fraction] = {}
+        for above, above_value in tables[parent[v]].items():
+            for below, below_value in lifted.items():
+                open_ = dict(above)
+                value = above_value + below_value
+                for i, x in below:
+                    if i in open_:
+                        total = open_.pop(i) + x
+                        if total <= commodities[i].budget:
+                            value += commodities[i].weight * prices[total]
+                    else:
+                        open_[i] = x
+                key = tuple(sorted(open_.items()))
+                if key not in merged or merged[key] < value:
+                    merged[key] = value
+            if len(merged) > max_states:
+                raise RuntimeError(f"congestion oracle exceeded {max_states} states")
+        tables[parent[v]] = merged
+        tables[v] = {}
+    (optimum,) = tables[0].values()
+    return optimum
+
+
 # Reference fragment geometry for sublog, each piece with its own adjacency:
 # the skeleton by pruning non-border leaves, and the hanging subtrees as the
 # components of a DFS that stops at skeleton vertices.
@@ -859,7 +924,7 @@ def reference_skeleton_solve(instance, skeleton, commodity_ids, rng_labels):
         for si, root in enumerate(roots):
             if root is not None:
                 gpi, eids = reference_aux_instance(instance, skeleton, si, guess, root, active, commodity_ids)
-                cuts.update(eids[p] for p in generalized_rooted_path_dp(gpi, guess[si]).cuts)
+                cuts.update(eids[p] for p in generalized_rooted_path_dp(gpi.integer, guess[si]))
         rev = sum(revenue_of_commodity(instance, i, cuts) for i in commodity_ids)
         if best_rev is None or rev > best_rev:
             best_rev, best = rev, frozenset(cuts)

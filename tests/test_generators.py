@@ -21,6 +21,8 @@ from fza import (
     total_revenue,
 )
 from fza.files import instance_to_dict, dumps_canonical
+from fza.generators import MAX_GEN_COMMODITIES
+from fza.model import MAX_VERTICES
 from fza.rng import substream
 from conftest import path_edges
 
@@ -111,6 +113,19 @@ class TestGenRandom:
         # the Pruefer sequence of a two-vertex tree is empty
         for seed in range(5):
             assert gen_random(GenSpec("random-tree", 2, 3, seed=seed)).tree.edges == ((0, 1),)
+
+    @pytest.mark.parametrize(
+        "vertices, commodities, fragment",
+        [
+            (MAX_VERTICES + 1, 0, f"limited to {MAX_VERTICES} vertices, got {MAX_VERTICES + 1}"),
+            (10, MAX_GEN_COMMODITIES + 1, f"limited to {MAX_GEN_COMMODITIES} commodities, got {MAX_GEN_COMMODITIES + 1}"),
+            (10**30, 10**30, "vertices, got 1000000000000000000000000000000"),
+        ],
+    )
+    def test_spec_caps(self, vertices, commodities, fragment):
+        # the spec itself is refused, so no draw is made
+        with pytest.raises(CapacityError, match=fragment):
+            GenSpec("random-tree", vertices, commodities)
 
     def test_inconsistent_spec(self):
         with pytest.raises(InvalidInstanceError):

@@ -10,7 +10,8 @@ import pytest
 from fza import Commodity, GenSpec, Instance, PricingFunction, Tree, gen_random, normalize
 from fza.cli import build_parser, main, parse_clauses
 from fza.files import read_instance, solution_to_json, write_instance
-from fza.generators import MAX_FORMULA_VARS, Formula2CNF
+from fza.generators import MAX_FORMULA_VARS, MAX_GEN_COMMODITIES, Formula2CNF
+from fza.model import MAX_VERTICES
 from conftest import random_instance
 
 
@@ -468,6 +469,19 @@ class TestCli:
         assert main(["gen", "random", "--output", str(out), *options]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--vertices", str(MAX_VERTICES + 1)], f"{MAX_VERTICES} vertices, got {MAX_VERTICES + 1}"),
+            (["--commodities", str(MAX_GEN_COMMODITIES + 1)], f"{MAX_GEN_COMMODITIES} commodities, got {MAX_GEN_COMMODITIES + 1}"),
+        ],
+    )
+    def test_gen_random_refuses_sizes_over_cap(self, tmp_path, capsys, options, message):
+        out = tmp_path / "i.json"
+        assert main(["gen", "random", "--output", str(out), *options]) == 3
+        assert capsys.readouterr().err == f"capacity error: random instance limited to {message}\n"
         assert not out.exists()
 
     def test_bench_unreadable_instance_makes_no_output_dir(self, tmp_path, capsys):

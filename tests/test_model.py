@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from fza import (
+    CapacityError,
     Commodity,
     Instance,
     InvalidInstanceError,
@@ -21,7 +22,7 @@ from fza import (
     single_density_base,
     total_revenue,
 )
-from fza.model import edge_mask, first_best, make_result, revenue_for, to_fraction, total_revenue_mask
+from fza.model import MAX_VERTICES, edge_mask, first_best, make_result, revenue_for, to_fraction, total_revenue_mask
 from fza.sublog import build_decomposition, sublog
 from fza.files import instance_to_dict, read_instance, write_instance
 from conftest import (
@@ -43,6 +44,13 @@ def make(tree, pricing, commodities):
 
 
 class TestTree:
+    def test_instance_refuses_a_tree_over_the_vertex_cap(self):
+        # refused before the root-path table, and before the pricing table's
+        # length is read: this one is far too short for the tree
+        tree = Tree(MAX_VERTICES + 1, tuple((v, v + 1) for v in range(MAX_VERTICES)))
+        with pytest.raises(CapacityError, match=f"instance limited to {MAX_VERTICES} vertices, got {MAX_VERTICES + 1}"):
+            Instance.create(tree, PricingFunction.linear(2), [])
+
     def test_rejects_disconnected(self):
         with pytest.raises(InvalidInstanceError):
             Tree(4, ((0, 1), (2, 3), (0, 1)))

@@ -348,7 +348,7 @@ class TestSkeleton:
         skel = compute_skeleton(
             t, range(9), [frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({6, 7, 8})]
         )
-        assert _oriented(skel, 0, 6) == ((6, 5, 4, 3), (5, 4, 3))
+        assert _oriented(skel, 0, 6) == (5, 4, 3)
         with pytest.raises(InvalidInstanceError, match="root 4 is not a terminal of segment 0"):
             _oriented(skel, 0, 4)
 
@@ -479,10 +479,32 @@ class TestNonSkeleton:
         assert len(cuts) == 1
 
 
-def row_price(aux, row, x):
-    """Revenue of an aux row's commodity with x cuts: its weight times price."""
+def row_price(aux, row, x, scale):
+    """Revenue of an aux row's commodity with x cuts: its weight times price,
+    divided by the instance's `scale`."""
     _, _, w, shift = row
-    return Fraction(w * aux.prices[shift + x], aux.scale)
+    return Fraction(w * aux.prices[shift + x], scale)
+
+
+def row_outcomes(aux, positions, scale):
+    """Per aux row, in order: (served, revenue) under cuts at `positions`."""
+    out = []
+    for row in aux.commodities:
+        end, budget, _, shift = row
+        x = sum(1 for p in positions if p < end)
+        out.append((shift + x <= budget, row_price(aux, row, x, scale) if shift + x <= budget else 0))
+    return out
+
+
+def commodity_outcomes(gpi, positions):
+    """Per commodity of a `GeneralizedPathInstance`, in order: (served,
+    revenue) under cuts at `positions`, from its Fraction pricing."""
+    pos = {v: j for j, v in enumerate(gpi.path)}
+    out = []
+    for c in gpi.commodities:
+        x = sum(1 for p in positions if p < pos[c.target])
+        out.append((x <= c.budget, c.weight * c.price(x) if x <= c.budget else 0))
+    return out
 
 
 class TestAuxInstance:
@@ -496,13 +518,13 @@ class TestAuxInstance:
         active = [False, True, True, False, True, False]
         members = _segment_members(inst, skel, seg_index, 11, [0])
         gpi, edge_map = build_aux_instance(inst, skel, seg_index, (0, 2, 1, 0, 1, 0), 11, active, members)
-        assert gpi.path == (11, 12, 13)
+        assert gpi.m == 2
         assert edge_map == [11, 12]
         assert len(gpi.commodities) == 1
         c = gpi.commodities[0]
-        assert gpi.path[c[0]] == 12
+        assert c[0] == 1  # the path from 11 ends at 12, one edge along
         assert c[1] - c[3] == 5 - 3  # two active inner segments guessed 2 + 1
-        assert (row_price(gpi, c, 0), row_price(gpi, c, 1)) == (Fraction(3), Fraction(4))
+        assert (row_price(gpi, c, 0, inst.scale), row_price(gpi, c, 1, inst.scale)) == (Fraction(3), Fraction(4))
 
     def test_negative_budget_omits(self):
         tree = fig3_tree()
@@ -527,7 +549,8 @@ class TestAuxInstance:
         members = _segment_members(inst, skel, seg_index, 11, [0])
         gpi, _ = build_aux_instance(inst, skel, seg_index, (0, 2, 1, 0, 1, 0), 11, active, members)
         c = gpi.commodities[0]
-        assert c[1] - c[3] == 2 and (row_price(gpi, c, 0), row_price(gpi, c, 1)) == (Fraction(0), Fraction(1))
+        assert c[1] - c[3] == 2
+        assert (row_price(gpi, c, 0, inst.scale), row_price(gpi, c, 1, inst.scale)) == (Fraction(0), Fraction(1))
 
 
 class TestSkeletonSolve:
@@ -753,8 +776,9 @@ class TestSubSolvesMatchReference:
                             filtered["kept with a blocker"] += 1
                     for y in range(len(seg) + 1):
                         got = generalized_rooted_path_dp(aux, y)
-                        want = generalized_rooted_path_dp(gpi, y)
-                        assert (got.cuts, got.served, got.revenue) == (want.cuts, want.served, want.revenue)
+                        want = generalized_rooted_path_dp(gpi.integer, y)
+                        assert got == want
+                        assert row_outcomes(aux, got, inst.scale) == commodity_outcomes(gpi, want)
                         checked += 1
         assert checked > 2000 and with_rows > 200
         assert len(filtered) == 3 and min(filtered.values()) > 0, filtered

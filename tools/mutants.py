@@ -83,7 +83,7 @@ MUTANTS = (
         "the generalized path DP's reconstruction cuts on a tie",
     ),
     Mutant(
-        "src/fza/exact.py", "ok = shift + count <= budget", "ok = shift + count < budget",
+        "src/fza/exact.py", "if shift + count <= budget:", "if shift + count < budget:",
         "the generalized path DP's served test off by one",
     ),
     Mutant(
