@@ -24,9 +24,9 @@ from .rng import substream
 
 PRICING_PRESETS = ("linear", "affine", "capped")
 FAMILIES = ("random-tree", "random-path")
-# Formula2CNF refuses more variables; the path-sat instance of a formula at
-# this cap has 10^5 edges, one vertex more than `Instance.create` accepts
-MAX_FORMULA_VARS = 10_000
+# Formula2CNF refuses more variables: the path-sat instance of n variables
+# has 10 * n + 1 vertices, which must stay within `Instance.create`'s cap
+MAX_FORMULA_VARS = (MAX_VERTICES - 1) // 10
 # GenSpec refuses more commodities (and more vertices than MAX_VERTICES)
 MAX_GEN_COMMODITIES = 100_000
 # max2sat_optimum enumerates 2^n assignments; larger formulas are refused

@@ -14,7 +14,8 @@ Each fact about a fragment's geometry is worked out once, off the tree's
 own adjacency. The border vertices are those a second child fragment
 touches. One walk over the fragment's edges (`Tree.walk`), rooted at a
 border vertex, yields the skeleton (an edge is on it iff the part of the
-fragment below the edge holds a border vertex) and its junctions, read
+fragment below the edge holds a border vertex) and its breakpoints (the
+border and every vertex with two or more skeleton children), read
 bottom-up; one top-down pass over the same walk then groups every edge
 into a segment or a hanging subtree (one off-skeleton edge at a skeleton
 vertex plus all beyond it); segments are read from their lower-numbered
@@ -23,16 +24,17 @@ a walk rooted at its lowest vertex, numbers the pieces in the order they
 are cut off, lets a small remainder join the smallest piece cut off at one
 of its vertices, and falls back to a centroid split when d = 2 leaves one
 piece. A commodity descends the levels along the stored child lists, with
-one mask test per level against the child holding its path's lowest edge. Per (segment, root), one
-scan of the fragment's commodities yields the member rows of every aux
-instance on that segment: prefix length, the segments that block the member
-and the segments its path holds whole. Per guess, an aux instance only
-reads those rows.
+one mask test per level against the child holding its path's lowest edge.
+Per (segment, root), one scan of the fragment's commodities yields the
+member rows of every aux instance on that segment: prefix length, the
+segments that block the member and the segments its path holds whole. Per
+guess, an aux instance only reads those rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -307,16 +309,16 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
 
     Bottom-up along the walk, an edge is on the skeleton iff the part of the
     fragment below it holds a border vertex, and each skeleton vertex counts
-    its skeleton children: a non-border vertex with two or more is a
-    junction (its parent edge makes three). One top-down pass then puts
-    every edge in a group. A skeleton edge joins the segment of its upper
-    end, and starts a new segment at a breakpoint (a border vertex or a
-    junction). An off-skeleton edge joins the hanging subtree of its upper
-    end, and starts a new one at a skeleton vertex. Each segment is read
-    from its lower-numbered terminal, and segments are ordered by (that
-    terminal, first edge). Once the subtrees are sorted, each non-attachment
-    vertex is mapped to its subtree's index. Junctions only place
-    breakpoints; the record does not hold them.
+    its skeleton children. The breakpoints are the border plus every vertex
+    with two or more skeleton children (a junction, when it is off the
+    border: its parent edge makes three). One top-down pass then puts every
+    edge in a group. A skeleton edge joins the segment of its upper end, and
+    starts a new segment at a breakpoint. An off-skeleton edge joins the
+    hanging subtree of its upper end, and starts a new one at a skeleton
+    vertex. Each segment is read from its lower-numbered terminal, and
+    segments are ordered by (that terminal, first edge). Once the subtrees
+    are sorted, each non-attachment vertex is mapped to its subtree's index.
+    Breakpoints only split segments; the record does not hold them.
     """
     # a vertex is on the border once a second child touches it
     first_child: dict[int, int] = {}
@@ -342,8 +344,8 @@ def compute_skeleton(tree, fragment_edges: Iterable[int], child_fragments: Seque
             p, eid = up[v]
             kids[p] = kids.get(p, 0) + 1
             skel.add(eid)
-    junctions = frozenset(v for v, k in kids.items() if k >= 2 and v not in border)
-    breakpoints = border | junctions
+    # a vertex with two or more skeleton children is a junction
+    breakpoints = border | {v for v, k in kids.items() if k >= 2}
 
     segments: list[tuple[list[int], list[int]]] = []  # (vertices, edges), top down
     subtrees: list[tuple[list[int], list[int]]] = []  # (vertices, edges), attachment first
@@ -520,12 +522,11 @@ def build_aux_instance(
     Returns the path instance plus the position -> original edge id map.
     """
     eids = _oriented(skeleton, seg_index, root)
-    committed = [g if on else 0 for g, on in zip(guesses, active)]
     rows = []
     for length, budget, weight, blockers, held in members:
         if any(active[b] for b in blockers):
             continue
-        shift = sum(committed[s] for s in held)
+        shift = sum(guesses[s] for s in held if active[s])
         if shift <= budget:
             rows.append((length, budget, weight, shift))
     return IntegerPathInstance(len(eids), tuple(rows), instance._scaled[2]), list(eids)
@@ -545,22 +546,21 @@ def skeleton_solve(
     with the generalized path DP, and keep the combination with the best
     revenue over the fragment's commodities.
 
-    Within one call, each segment end's member rows are worked out once, and
-    a path DP result is reused whenever the same (segment, root, rows, cut
-    count) comes up again. All coin draws of a guess happen before its DPs,
-    so reuse does not change them. The guesses' cut sets are picked by
-    `first_best` in guess order. With no segments, the one empty guess
-    yields the empty cut set.
+    Each guess draws one root per segment from its own substream, in
+    segment order: a coin that deactivates the segment (its root is None),
+    then, for a survivor only, a coin between its two terminals. Whether a
+    segment is active is read off that one list. Within one call, each
+    segment end's member rows are worked out once, and a path DP result is
+    reused whenever the same (segment, root, rows, cut count) comes up
+    again. All coin draws of a guess happen before its DPs, so reuse does
+    not change them. The guesses' cut sets are picked by `first_best` in
+    guess order. With no segments, the one empty guess yields the empty cut
+    set.
     """
     segments = skeleton.segments
     options = [segment_guesses(len(s)) for s in segments]
-    total = 1
-    for opt in options:
-        total *= len(opt)
-        if total > GUESS_BUDGET:
-            raise CapacityError(
-                f"guess space exceeds budget {GUESS_BUDGET} for {len(segments)} segments"
-            )
+    if math.prod(map(len, options)) > GUESS_BUDGET:
+        raise CapacityError(f"guess space exceeds budget {GUESS_BUDGET} for {len(segments)} segments")
     members = {
         (si, root): _segment_members(instance, skeleton, si, root, commodity_ids)
         for si, seg in enumerate(segments)
@@ -571,16 +571,11 @@ def skeleton_solve(
     def guessed_cuts():
         for gi, guess in enumerate(itertools.product(*options)):
             rng = substream(*rng_labels, gi)
-            active = []
-            roots = []
-            for seg in segments:
-                deactivated = rng.random() < 0.5
-                active.append(not deactivated)
-                if deactivated:
-                    roots.append(None)
-                else:
-                    t1, t2 = seg.terminals
-                    roots.append(t1 if rng.random() < 0.5 else t2)
+            roots = [
+                None if rng.random() < 0.5 else (t1 if rng.random() < 0.5 else t2)
+                for t1, t2 in (seg.terminals for seg in segments)
+            ]
+            active = [root is not None for root in roots]
             cuts: set[int] = set()
             for si, root in enumerate(roots):
                 if root is None:
@@ -640,7 +635,6 @@ def sublog(
     decomp = build_decomposition(tree)
     assignment = classify_commodities(decomp, instance)
     candidates: list[frozenset[int]] = [frozenset()]
-    detail: dict = {"d": decomp.d, "levels": [len(lv) for lv in decomp.levels]}
     fragments_info = []
     by_level = itertools.groupby(sorted(assignment.by_fragment.items()), lambda kv: kv[0][0])
     for level, assigned in by_level:
@@ -676,6 +670,5 @@ def sublog(
     best = first_best(candidates, lambda cuts: instance.scaled_revenue(edge_mask(cuts)))
     diag = {"candidates": len(candidates), "num_levels": decomp.num_levels}
     if diagnostics:
-        diag.update(detail)
-        diag["fragments"] = fragments_info
+        diag.update(d=decomp.d, levels=[len(lv) for lv in decomp.levels], fragments=fragments_info)
     return make_result(instance, best, algorithm="sublog", seed=seed, diagnostics=diag)

@@ -103,6 +103,17 @@ class TestParseClauses:
         assert Formula2CNF(MAX_FORMULA_VARS, (((0, False), (top, True)),)).num_vars == MAX_FORMULA_VARS
         assert parse_clauses(f"1 -{MAX_FORMULA_VARS}").num_vars == MAX_FORMULA_VARS
 
+    # the path-sat instance of n variables has 10 * n + 1 vertices, so the
+    # formula cap refuses before a path over the vertex cap is built; no
+    # instance is built at the cap, as its root-path table alone is about 1.1 GB
+    def test_formula_cap_follows_vertex_cap(self, tmp_path, capsys):
+        assert 10 * MAX_FORMULA_VARS + 1 <= MAX_VERTICES
+        out = tmp_path / "x.json"
+        argv = ["gen", "path-sat", "--clauses", f"1 -{MAX_FORMULA_VARS + 1}", "--output", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "capacity error: formula limited to 9999 variables, got 10000\n"
+        assert not out.exists()
+
 
 class TestCli:
     def test_parser_built_once(self):

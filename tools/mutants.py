@@ -152,6 +152,14 @@ MUTANTS = (
         "    subtree_of = {v: idx for idx, (verts, _) in enumerate(subtrees) for v in verts[1:]}\n    subtrees.sort(key=lambda sub: min(sub[1]))\n",
         "subtree_of numbers the hanging subtrees in walk order, before they are sorted",
     ),
+    Mutant(
+        "src/fza/sublog.py", "(t1 if rng.random() < 0.5 else t2)", "(t2 if rng.random() < 0.5 else t1)",
+        "skeleton_solve roots each surviving segment at the other terminal of its coin",
+    ),
+    Mutant(
+        "src/fza/sublog.py", "sum(guesses[s] for s in held if active[s])", "sum(guesses[s] for s in held)",
+        "an aux row's shift also counts the guess of a deactivated held segment",
+    ),
 )
 
 

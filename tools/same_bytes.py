@@ -17,18 +17,22 @@ The corpus, in run order: the `fza gen random` calls that write the shared
 inputs, then these groups.
 
 - gen: `fza gen random`, `star-sat` and `path-sat`, malformed options and
-  clause lists included.
+  clause lists included, and `gen random` over its vertex and commodity
+  caps.
 - reader: `fza validate` on every shared input, `validate` and
   `solve --algo brute` on seeded mutations of small instance files and on
-  files that are not instances at all, and malformed command lines.
+  files that are not instances at all, a file one vertex over
+  `model.MAX_VERTICES`, and malformed command lines.
 - sublog: `solve --algo sublog` on every shared input, once to stdout and
   once with `--diagnostics` to a file, plus perfbench's sublog-tree
   (instance, seed) pairs both ways when the checkout has `perfbench/`.
 - density: the four density solvers on a quarter of the shared inputs.
 - paths: `dp-umax`, `dp-pmax`, `dp-cong` and `gen-rooted-path` (at several
-  cut counts and roots) on small paths with short commodities.
+  cut counts and roots) on small paths with short commodities, and
+  `dp-pmax` on a path whose commodity is wider than its window budget.
 - rooted: `solve --algo rooted` at the instance's root and off it, and
-  brute force where it fits, on rooted trees.
+  brute force where it fits, on rooted trees; then brute force on one
+  shared input with more edges than it takes.
 - bench: `fza bench` grids over small shared inputs with every solver and
   oracle, and malformed configs.
 
@@ -168,6 +172,7 @@ def gen_group(specs):
         ["--vertices", "0"], ["--vertices", "1", "--commodities", "3"], ["--vertices", "1", "--commodities", "0"],
         ["--max-weight", "0"], ["--commodities", "-1"], ["--pricing", "bogus"], ["--shape", "star"],
         ["--vertices", "1_0"], ["--seed", "-5"], ["--fractional-weights", "--max-weight", "1"],
+        ["--vertices", "100001"], ["--commodities", "100001"],
     ):
         yield "gen", ".", ["gen", "random", *extra, "--output", "out/bad.json"]
 
@@ -221,6 +226,9 @@ def reader_group(specs):
         path = _write(f"in/raw-{name}.json", text)
         yield "reader", ".", ["validate", "--input", path]
         yield "reader", ".", ["solve", "--algo", "sublog", "--input", path]
+    # one vertex over `model.MAX_VERTICES`: refused before the root-path table
+    huge = _instance(100_001, ((v, v + 1) for v in range(100_000)), ["0", "1"], ())
+    yield "reader", ".", ["validate", "--input", _write("in/huge.json", json.dumps(huge))]
     for argv in (
         ["validate", "--input", "in/missing.json"],
         ["validate", "--input", "in"],
@@ -294,6 +302,9 @@ def paths_group(specs):
         if s["shape"] == "path" and s["n"] <= 12:
             for algo in ("dp-umax", "dp-pmax", "dp-cong"):
                 yield "paths", ".", ["solve", "--algo", algo, "--input", s["path"]]
+    # a 21-edge commodity: dp-pmax's window would exceed 2^20
+    wide = _instance(22, ((v, v + 1) for v in range(21)), [str(x) for x in range(22)], [(0, 21, 1, "1")])
+    yield "paths", ".", ["solve", "--algo", "dp-pmax", "--input", _write("in/path-wide.json", json.dumps(wide))]
 
 
 def rooted_group(specs):
@@ -312,6 +323,9 @@ def rooted_group(specs):
         yield "rooted", ".", ["solve", "--algo", "rooted", "--input", path, "--root", str((root + 1) % n)]
         if n <= 13:
             yield "rooted", ".", ["solve", "--algo", "brute", "--input", path, "--output", f"out/brute{i}.json"]
+    # more edges than brute force takes
+    big = next(s["path"] for s in specs if s["n"] > 25)
+    yield "rooted", ".", ["solve", "--algo", "brute", "--input", big, "--output", "out/brute-big.json"]
 
 
 def bench_group(specs):
