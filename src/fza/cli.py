@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 invalid input, 3 capacity guard tripped.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import re
@@ -21,7 +22,7 @@ from .generators import (
     gen_random,
     gen_star_from_2sat,
 )
-from .model import CapacityError, FzaError, InvalidInstanceError, parameters
+from .model import CapacityError, FzaError, InvalidInstanceError, parameters, shown
 
 
 # a signed ASCII integer: `int` alone would also read "1_0" and non-ASCII digits
@@ -29,10 +30,13 @@ _LITERAL = re.compile(r"[+-]?[0-9]+", re.ASCII)
 
 
 def _integer(text: str) -> int:
-    """argparse type of every integer option: a `_LITERAL`, else exit 2."""
-    if not _LITERAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    return int(text)
+    """argparse type of every integer option, and the reader of each
+    `--clauses` literal: a `_LITERAL` within Python's int-string limit, else
+    exit 2 with one line that `shown` cuts short."""
+    if _LITERAL.fullmatch(text):
+        with contextlib.suppress(ValueError):  # more digits than the limit
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid integer {shown(text)}")
 
 
 def parse_clauses(text: str, num_vars: int | None = None) -> Formula2CNF:
@@ -45,9 +49,10 @@ def parse_clauses(text: str, num_vars: int | None = None) -> Formula2CNF:
             raise InvalidInstanceError(f"clause {chunk!r} needs exactly two literals")
         pair = []
         for lit in lits:
-            if not _LITERAL.fullmatch(lit):
-                raise InvalidInstanceError(f"bad literal {lit!r}")
-            value = int(lit)
+            try:
+                value = _integer(lit)
+            except argparse.ArgumentTypeError:
+                raise InvalidInstanceError(f"bad literal {shown(lit)}") from None
             if value == 0:
                 raise InvalidInstanceError("literal 0 is not allowed")
             if num_vars is not None and abs(value) > num_vars:

@@ -35,8 +35,9 @@ rather than one AND per commodity.
 value(i, c) for c below its path length, so a solver that adds or removes
 one cut at a time updates its revenue with one table read per commodity
 touched. It holds sum of |P_i| ints; brute force and the three path DPs,
-whose guards keep that sum small, are its only readers. Every `Instance`
-cache is built on first use.
+whose guards keep that sum small, are its only readers, and each reads it
+only once its guard has passed. Every `Instance` cache is built on first
+use.
 
 Sub-problems read the same kernel: sublog's per-subtree rooted DPs and
 per-segment path DPs take W, F and D from the instance they were cut from
@@ -461,7 +462,7 @@ class Instance:
         the scaled marginal gain of the (c+1)-th cut on its path.
 
         Holds sum of |P_i| ints, so only the guard-bounded exact solvers
-        (brute force and the three path DPs) build it.
+        (brute force and the three path DPs) build it, each after its guard.
         """
         _, weights, prices, budgets = self._scaled
         out = []

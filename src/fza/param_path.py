@@ -2,7 +2,7 @@
 
 All three DPs run one left-to-right sweep (`_Sweep.run`) over the path's edge
 positions and differ only in how a state encodes the cuts so far: each
-supplies a start state and `moves(states, keys, p) -> (kept, cut, cut_gains)`,
+supplies a start state and `moves(states, p) -> (kept, cut, cut_gains)`,
 three lists aligned with the sorted states at p, where a cut gain sums, over
 the commodities through p, the cached marginal gain `Instance.gains[i][z]` of
 a cut on a path that already holds z cuts. Tie-breaking is fixed by pass
@@ -12,6 +12,13 @@ strictly higher value, so the no-cut move, then the lexicographically
 smaller predecessor, wins a tie. A table maps each state to (value,
 predecessor, was cut), and reconstruction follows the kept tables back.
 
+Each DP reads its own parameter (u_max off the budgets, |P|_max off the
+path masks, the congestion off its covering lists) and refuses an instance
+over its guard before it builds a table; `dp_umax` and `dp_pmax` refuse
+before the sweep builds `Instance.edge_commodities`, and `dp_congestion`
+before it reads `Instance.gains`. A guard first tests `Tree.is_path`, so a
+tree that is not a path is refused as invalid, not over capacity.
+
 The sweep starts from the zero-cut revenue F_0 * sum W_i: every commodity
 earns its zero-cut value on both moves at its first position, the same for
 every state there, so no merge, tie or drop depends on when it is added.
@@ -20,20 +27,14 @@ Let first[p] be the lowest start among the commodities through p and
 future[p] the lowest among those through any position after p (m + 1 if
 none). No step after p reads a cut before future[p], so `dp_umax` and
 `dp_pmax` each give one `readable(states, p)`, a state's cuts at or after
-future[p], and the sweep uses it twice:
-- It keys the gain cache at p by `readable(states, p - 1)`. Wherever a
-  commodity runs through p, future[p - 1] == first[p]: a commodity through
-  some q > p starting at or before p runs through p, so it starts at or
-  after first[p], as does one starting after p. Where none runs through p,
-  no commodity gains, so the key does not matter.
-- Where future grows, it groups the states leaving p by `readable(states,
-  p)` and drops each entry strictly below its group's maximum. Two states
-  in one group get the same moves and gains from then on, so a strictly
-  lower one is never the predecessor of a non-dominated state, nor on the
-  chain of a best final state: every kept state keeps its value and
-  predecessor, and the best final states and the cut set are unchanged.
-  Where future does not grow, two groups meet only on identical keys,
-  which the merge already combines.
+future[p], and the sweep uses it for one thing: where future grows, it
+groups the states leaving p by `readable(states, p)` and drops each entry
+strictly below its group's maximum. Two states in one group get the same
+moves and gains from then on, so a strictly lower one is never the
+predecessor of a non-dominated state, nor on the chain of a best final
+state: every kept state keeps its value and predecessor, and the best final
+states and the cut set are unchanged. Where future does not grow, two
+groups meet only on identical keys, which the merge already combines.
 Every state tied at its group's maximum stays: the unpruned DP breaks such
 a tie forward- or reverse-lexicographically depending on the cuts that
 follow, so keeping one state per group would change cut sets. The stated
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import prod
 
 from .model import (
     CapacityError,
@@ -53,7 +53,6 @@ from .model import (
     InvalidInstanceError,
     SolveResult,
     make_result,
-    parameters,
 )
 
 # refusal guards on the unpruned worst case: n^(u_max+2) states for dp_umax,
@@ -62,6 +61,9 @@ from .model import (
 STATE_BUDGET = 10**7
 WINDOW_BUDGET = 1 << 20
 TABLE_BUDGET = 10**6
+# dp_congestion's slack product stops at this bound, far past TABLE_BUDGET, so
+# its refusal of a wide position neither multiplies nor prints a huge number
+SLACK_CAP = 10**100
 
 # slack marker for commodities that exceeded their budget by two or more cuts;
 # such a commodity can never contribute again
@@ -83,15 +85,13 @@ class _Sweep:
         if not instance.tree.is_path:
             raise InvalidInstanceError("parameterized DPs require a path instance")
         self.instance = instance
-        _, self.edge_ids = instance.tree.path_order()
+        order, self.edge_ids = instance.tree.path_order()
         self.m = m = len(self.edge_ids)
-        on_edge = instance.edge_commodities
-        self.covering = covering = [()] + [on_edge[e] for e in self.edge_ids]
-        self.start = start = [0] * instance.num_commodities
-        for p in range(1, m + 1):
-            for i in covering[p]:
-                if not start[i]:
-                    start[i] = p
+        self.covering = covering = [()] + [instance.edge_commodities[e] for e in self.edge_ids]
+        # position p joins the vertices at places p - 1 and p, so a path's
+        # first position is one past the place of its nearer end
+        place = {v: q for q, v in enumerate(order)}
+        self.start = start = [min(place[c.source], place[c.target]) + 1 for c in instance.commodities]
         first = [min((start[i] for i in ids), default=m + 1) for ids in covering]
         self.future = future = [m + 1] * (m + 1)
         for p in range(m - 1, -1, -1):
@@ -99,16 +99,15 @@ class _Sweep:
 
     def run(self, initial, moves, algorithm: str, diagnostics: dict, readable=None) -> SolveResult:
         """Sweep the path from `initial`. `readable(states, p)` lists the part
-        of each state that a step after p can read, which keys the gain cache
-        at p + 1 and groups the dominance drop at p (see the module
-        docstring); without it every state is its own key and none drops."""
+        of each state that a step after p can read, which groups the
+        dominance drop at p (see the module docstring); without it no state
+        drops."""
         table = {initial: (self.instance._empty_revenue, None, False)}
         tables = [table]
         future = self.future
         for p in range(1, self.m + 1):
             states = sorted(table)
-            keys = states if readable is None else readable(states, p - 1)
-            kept, cut, gains = moves(states, keys, p)
+            kept, cut, gains = moves(states, p)
             values = [table[state][0] for state in states]
             table = {}
             _update(table, kept, values, states, False)
@@ -161,30 +160,26 @@ def dp_umax(instance: Instance) -> SolveResult:
     previous cuts, i.e. including the position about to slide out of the
     window; with fewer slots a commodity at the maximum budget whose path
     holds two more cuts than its budget would be charged its drop-out penalty
-    twice. The readable part of a window is its suffix from future[p].
+    twice. A commodity starting at s has as many cuts on its path as the
+    window holds at or after s. The readable part of a window is its suffix
+    from future[p].
     """
-    sweep = _Sweep(instance)
-    ell = parameters(instance).u_max
+    ell = max((c.budget for c in instance.commodities), default=0)
     n = instance.tree.num_vertices
-    if n ** (ell + 2) > STATE_BUDGET:
+    if instance.tree.is_path and n ** (ell + 2) > STATE_BUDGET:
         raise CapacityError(f"state budget exceeded: {n}^{ell + 2} > {STATE_BUDGET}")
+    sweep = _Sweep(instance)
     gains, start, future = instance.gains, sweep.start, sweep.future
     # per position p: (start, gains) of each commodity through p
     through = [tuple((start[i], gains[i]) for i in ids) for ids in sweep.covering]
 
-    def moves(windows, keys, p):
-        comms, memo, cut_gains = through[p], {}, []
-        for key in keys:
-            gain = memo.get(key)
-            if gain is None:
-                # the key holds every cut at or after each commodity's first position
-                gain = memo[key] = sum(g[len(key) - bisect_left(key, s)] for s, g in comms)
-            cut_gains.append(gain)
+    def moves(windows, p):
+        comms = through[p]
+        cut_gains = [sum(g[len(w) - bisect_left(w, s)] for s, g in comms) for w in windows]
         return windows, [w[1:] + (p,) for w in windows], cut_gains
 
     def readable(windows, p):
-        cutoff = future[p]
-        return [w[bisect_left(w, cutoff):] for w in windows]
+        return [w[bisect_left(w, future[p]):] for w in windows]
 
     return sweep.run(tuple(range(-ell, 1)), moves, "dp-umax", {"u_max": ell}, readable)
 
@@ -196,11 +191,18 @@ def dp_pmax(instance: Instance) -> SolveResult:
     (bit t set means position p-t is cut), which covers every commodity path
     entirely, so marginal gains are exact. The readable part of a mask is
     its low p - future[p] + 1 bits.
+
+    The cut gains at p are scored once per distinct `readable(masks, p - 1)`:
+    wherever a commodity runs through p, future[p - 1] == first[p] (a
+    commodity through some q > p starting at or before p runs through p, so
+    it starts at or after first[p], as does one starting after p), so that
+    part holds every bit a commodity through p reads. Where none runs
+    through p, no commodity gains, so the key does not matter.
     """
-    sweep = _Sweep(instance)
-    ell = max(1, parameters(instance).p_max)
-    if (1 << ell) > WINDOW_BUDGET:
+    ell = max((mask.bit_count() for mask in instance.paths), default=1)
+    if instance.tree.is_path and (1 << ell) > WINDOW_BUDGET:
         raise CapacityError(f"window budget exceeded: 2^{ell} > {WINDOW_BUDGET}")
+    sweep = _Sweep(instance)
     gains, start, future = instance.gains, sweep.start, sweep.future
     # per position p: (bits of the positions start_i .. p-1 in the state, gains of i)
     through = [
@@ -209,9 +211,9 @@ def dp_pmax(instance: Instance) -> SolveResult:
     ]
     full = (1 << ell) - 1
 
-    def moves(masks, keys, p):
+    def moves(masks, p):
         comms, memo, cut_gains = through[p], {}, []
-        for key in keys:
+        for key in readable(masks, p - 1):
             gain = memo.get(key)
             if gain is None:
                 gain = memo[key] = sum(g[(key & before).bit_count()] for before, g in comms)
@@ -227,6 +229,16 @@ def dp_pmax(instance: Instance) -> SolveResult:
     return sweep.run(0, moves, "dp-pmax", {"p_max": ell}, readable)
 
 
+def _slack_states(factors) -> int:
+    """prod(factors), or SLACK_CAP once a partial product reaches it."""
+    states = 1
+    for factor in factors:
+        states *= factor
+        if states >= SLACK_CAP:
+            return SLACK_CAP
+    return states
+
+
 def dp_congestion(instance: Instance) -> SolveResult:
     """Exact optimum, exponential only in the congestion.
 
@@ -238,11 +250,12 @@ def dp_congestion(instance: Instance) -> SolveResult:
     marginal at zero cuts, the same for every state and summed once per p.
     """
     sweep = _Sweep(instance)
-    comm = instance.commodities
-    gains, covering = instance.gains, sweep.covering
-    worst = max(prod(comm[i].budget + 3 for i in ids) for ids in covering)
+    comm, covering = instance.commodities, sweep.covering
+    worst = max(_slack_states(comm[i].budget + 3 for i in ids) for ids in covering)
     if worst > TABLE_BUDGET:
-        raise CapacityError(f"slack table would hold up to {worst} states > {TABLE_BUDGET}")
+        held = f"up to {worst}" if worst < SLACK_CAP else f"at least {worst}"
+        raise CapacityError(f"slack table would hold {held} states > {TABLE_BUDGET}")
+    gains = instance.gains
 
     # per position: (index in the previous state or -1 if entering, budget,
     # gains) for each covering commodity, and the summed zero-cut marginal of
@@ -256,7 +269,7 @@ def dp_congestion(instance: Instance) -> SolveResult:
         entering_gain.append(sum(gains[i][0] for i in ids if i not in prev_index))
         prev_index = {i: t for t, i in enumerate(ids)}
 
-    def moves(states, _keys, p):
+    def moves(states, p):
         all_kept, all_slashed, cut_gains = [], [], []
         for state in states:
             kept = []
@@ -280,4 +293,4 @@ def dp_congestion(instance: Instance) -> SolveResult:
             cut_gains.append(gain)
         return all_kept, all_slashed, cut_gains
 
-    return sweep.run((), moves, "dp-cong", {"congestion": parameters(instance).congestion})
+    return sweep.run((), moves, "dp-cong", {"congestion": max(map(len, covering))})

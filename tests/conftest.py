@@ -292,9 +292,9 @@ def small_tree_family():
 def pairwise_sweep(solver, instance: Instance):
     """`solver` (one of the three path DPs) with its sweep run one transition
     at a time from the zero-cut revenue: the DP's own `moves` on one state at
-    a time, keyed by itself so that no cached gain is shared, each move merged
-    alone, and a tie decided by comparing (cut, predecessor), smallest first.
-    The solvers merge each position's moves in two ordered passes instead.
+    a time, so that no cached gain is shared, each move merged alone, and a
+    tie decided by comparing (cut, predecessor), smallest first. The solvers
+    merge each position's moves in two ordered passes instead.
     It ignores the DP's readable part and so keeps every reachable state: the
     unpruned reference for dropping dominated states."""
     from unittest import mock
@@ -307,7 +307,7 @@ def pairwise_sweep(solver, instance: Instance):
         for p in range(1, sweep.m + 1):
             new_table, parents = {}, {}
             for state in sorted(table):
-                (kept,), (cut,), (gain,) = moves([state], [state], p)
+                (kept,), (cut,), (gain,) = moves([state], p)
                 value = table[state]
                 for key, val, was_cut in ((kept, value, False), (cut, value + gain, True)):
                     held = new_table.get(key)

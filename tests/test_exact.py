@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +23,7 @@ from fza import (
     gen_star_from_2sat,
     generalized_rooted_path_dp,
     normalize,
+    parameters,
     rooted_dp,
     simplified_single_density,
     single_density,
@@ -36,6 +38,7 @@ from fza.model import make_result
 from fza.rng import substream
 from fza.sublog import sublog
 from conftest import (
+    bounded_path_instance,
     congestion_optimum,
     gray_code_optimum,
     random_gpi,
@@ -541,3 +544,75 @@ def test_congestion_oracle_beyond_brute_force():
         )
     assert failures == []
     assert ran == {"brute": 8, "rooted": 10, "dp-umax": 8, "dp-pmax": 14, "dp-cong": 18, "gen-rooted-path": 6, "bound": 32}
+
+
+def milp_cut_set(instance: Instance) -> list[int]:
+    """The cut set of an optimal solution to a MILP (scipy's HiGHS): one
+    binary per edge and, per commodity i, a one-hot choice among served with
+    c cuts on its path for c = 0 .. min(u_i, |P_i|), earning w_i * f(c), and
+    dropped, earning nothing with u_i + 1 .. |P_i| cuts. The MILP works in
+    floats, so only the cut set is kept and its revenue is scored exactly."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    m = instance.tree.num_edges
+    objective, rows = [0.0] * m, []  # rows: ({variable: coefficient}, low, high)
+    for c, path in zip(instance.commodities, instance.paths):
+        length, first = path.bit_count(), len(objective)
+        served = min(c.budget, length) + 1
+        objective += [-float(c.weight * instance.pricing(x)) for x in range(served)] + [0.0]
+        dropped = first + served
+        rows.append((dict.fromkeys(range(first, dropped + 1), 1), 1, 1))
+        # the cuts on the path, less the count of the chosen served state
+        counted = {**{e: 1 for e in range(m) if path >> e & 1}, **{first + x: -x for x in range(served)}}
+        rows.append(({**counted, dropped: -(c.budget + 1)}, 0, np.inf))
+        rows.append(({**counted, dropped: -length}, -np.inf, 0))
+    matrix = np.zeros((len(rows), len(objective)))
+    for r, (coefficients, _, _) in enumerate(rows):
+        for v, a in coefficients.items():
+            matrix[r, v] = a
+    constraint = optimize.LinearConstraint(matrix, [low for _, low, _ in rows], [high for _, _, high in rows])
+    res = optimize.milp(
+        np.array(objective), constraints=constraint, integrality=np.ones(len(objective)),
+        bounds=optimize.Bounds(0, 1), options={"mip_rel_gap": 0},
+    )
+    assert res.success, res.message
+    return [e for e in range(m) if res.x[e] > 0.5]
+
+
+def test_milp_never_beats_an_exact_solver():
+    # one-sided: the MILP's cut set, scored by `total_revenue`, is a revenue
+    # some cut set earns, so an exact solver that earns less has lost revenue;
+    # a MILP short of the optimum would only weaken the check, and on the
+    # instances brute force solves it reaches the optimum
+    cases = []
+    for seed in range(24):  # brute force: trees and paths on 8-21 vertices
+        n = 8 + seed % 14
+        pricing = ("linear", "affine", "capped")[seed % 3]
+        cases.append(random_instance(seed, n, n, pricing, ("tree", "path")[seed % 2], max_budget=3))
+    for seed in range(6):  # rooted_dp: every commodity from vertex 0
+        cases.append(random_instance(seed, 12 + 4 * seed, 8, "affine", "tree", root_commodities=True))
+    cases += [bounded_path_instance(seed) for seed in range(10)]  # the path DPs, inside their guards
+    for i in range(6):  # congestion_optimum beyond brute force's reach
+        n = (30, 40, 60)[i % 3]
+        shape, pricing = ("tree", "path", "caterpillar")[i % 3], ("linear", "affine", "capped")[i % 3]
+        cases.append(local_instance(i, n, n // 2, shape, pricing, 3))
+    ran = dict.fromkeys(("brute", "rooted", "dp-umax", "dp-pmax", "dp-cong", "congestion"), 0)
+    for index, inst in enumerate(cases):
+        milp = total_revenue(inst, milp_cut_set(inst))
+        exact = {}
+        if inst.tree.num_edges <= MAX_BRUTE_EDGES:
+            exact["brute"] = brute_force(inst).revenue
+            assert milp == exact["brute"], index
+        else:
+            exact["congestion"] = congestion_optimum(inst)
+        if all(0 in (c.source, c.target) for c in inst.commodities):
+            exact["rooted"] = rooted_dp(inst, 0).revenue
+        # short commodities only: dp_pmax's tables double with each edge of |P|_max
+        if inst.tree.is_path and parameters(inst).p_max <= 8:
+            for name, solver in (("dp-umax", dp_umax), ("dp-pmax", dp_pmax), ("dp-cong", dp_congestion)):
+                with contextlib.suppress(CapacityError):
+                    exact[name] = solver(inst).revenue
+        for name, revenue in exact.items():
+            ran[name] += 1
+            assert milp <= revenue, (name, index, milp, revenue)
+    assert ran == {"brute": 38, "rooted": 11, "dp-umax": 14, "dp-pmax": 16, "dp-cong": 15, "congestion": 8}

@@ -80,6 +80,13 @@ class TestParseClauses:
         assert capsys.readouterr().err.startswith("error: bad literal")
         assert not out.exists()
 
+    def test_gen_refuses_literal_past_int_string_limit(self, tmp_path, capsys):
+        # `int` raises ValueError on more digits than sys.get_int_max_str_digits()
+        out, literal = tmp_path / "x.json", "-" + "9" * 5000
+        assert main(["gen", "star-sat", "--clauses", f"1 {literal}", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bad literal {repr(literal)[:40]}... (5003 characters)\n"
+        assert not out.exists()
+
     def test_gen_names_literal_beyond_num_vars(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         argv = ["gen", "path-sat", "--clauses", "1 -2", "--num-vars", "1", "--output", str(out)]
@@ -324,6 +331,14 @@ class TestCli:
             main(argv + ["--output", str(out), option, value])
         assert exc.value.code == 2 and not out.exists()
         assert f"argument {option}: invalid integer {value!r}\n" in capsys.readouterr().err
+
+    def test_integer_option_refuses_digits_past_int_string_limit(self, tmp_path, capsys):
+        out, value = tmp_path / "x.json", "9" * 5000
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "random", "--seed", value, "--output", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"fza gen: error: argument --seed: invalid integer {repr(value)[:40]}... (5002 characters)"
 
     def test_integer_option_keeps_sign(self, tmp_path):
         out, expected = tmp_path / "x.json", tmp_path / "e.json"

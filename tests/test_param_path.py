@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -18,6 +19,8 @@ from fza import (
     parameters,
 )
 from fza import param_path
+from fza.cli import main
+from fza.files import write_instance
 from fza.generators import pricing_preset
 from fza.rng import substream
 from conftest import bounded_path_instance, pairwise_sweep, path_edges, small_path_family
@@ -30,19 +33,30 @@ def make(tree, pricing, commodities):
 class TestGuards:
     def test_non_path_rejected(self):
         t = Tree(4, ((0, 1), (0, 2), (0, 3)))
-        inst = make(t, PricingFunction.linear(4), [])
-        for solver in (dp_umax, dp_pmax, dp_congestion):
-            with pytest.raises(InvalidInstanceError):
-                solver(inst)
+        # a star of 60 vertices holds 60^(2 + 2) > 10^7 dp_umax states, and
+        # a path of 22 vertices with a leaf off vertex 1 holds a 2^21 window
+        big_star = Tree(60, tuple((0, v) for v in range(1, 60)))
+        broom = Tree(23, tuple((v, v + 1) for v in range(21)) + ((1, 22),))
+        instances = [
+            make(t, PricingFunction.linear(4), []),
+            make(big_star, PricingFunction.linear(60), [Commodity(1, 2, 2, Fraction(1))]),
+            make(broom, PricingFunction.linear(23), [Commodity(0, 21, 4, Fraction(1))]),
+        ]
+        for inst in instances:
+            for solver in (dp_umax, dp_pmax, dp_congestion):
+                with pytest.raises(InvalidInstanceError):
+                    solver(inst)
 
     # each guard trips on an instance just beyond its fixed limit and must
-    # refuse before the sweep makes a single transition
+    # refuse before the sweep makes a single transition, and before it builds
+    # the edge index (dp_umax, dp_pmax) or the gain table (dp_congestion)
     def test_umax_budget_guard(self, monkeypatch):
         t = Tree(30, tuple((i, i + 1) for i in range(29)))
         inst = make(t, PricingFunction.linear(30), [Commodity(0, 5, 3, Fraction(1))])
         monkeypatch.setattr(param_path, "_update", _no_transition)
         with pytest.raises(CapacityError, match=r"30\^5 > 10000000"):
             dp_umax(inst)
+        assert "edge_commodities" not in inst.__dict__
 
     def test_pmax_budget_guard(self, monkeypatch):
         t = Tree(23, tuple((i, i + 1) for i in range(22)))
@@ -50,14 +64,40 @@ class TestGuards:
         monkeypatch.setattr(param_path, "_update", _no_transition)
         with pytest.raises(CapacityError, match=r"2\^22 > 1048576"):
             dp_pmax(inst)
+        assert "edge_commodities" not in inst.__dict__
 
     def test_congestion_budget_guard(self, monkeypatch):
         t = Tree(11, tuple((i, i + 1) for i in range(10)))
         comms = [Commodity(0, v, 3, Fraction(1)) for v in range(3, 11)]
         inst = make(t, PricingFunction.linear(11), comms)
         monkeypatch.setattr(param_path, "_update", _no_transition)
-        with pytest.raises(CapacityError, match="1679616 states > 1000000"):
+        with pytest.raises(CapacityError, match="would hold up to 1679616 states > 1000000"):
             dp_congestion(inst)
+        assert "gains" not in inst.__dict__
+
+    def test_congestion_guard_caps_its_product(self, tmp_path, capsys, monkeypatch):
+        # 5,000 commodities through the middle edge of a 100-vertex path: the
+        # exact slack product there has over 4,300 digits, more than Python
+        # turns into a string, so the refusal names the cap instead
+        n = 100
+        t = Tree(n, tuple((i, i + 1) for i in range(n - 1)))
+        comms = [
+            Commodity(a, b, u, Fraction(1))
+            for a in range(50)
+            for b in range(50, n)
+            for u in (b - a, (b - a) // 2)
+        ]
+        inst = make(t, PricingFunction.linear(n), comms)
+        monkeypatch.setattr(param_path, "_update", _no_transition)
+        message = f"slack table would hold at least {param_path.SLACK_CAP} states > 1000000"
+        with pytest.raises(CapacityError) as exc:
+            dp_congestion(inst)
+        assert str(exc.value) == message and "gains" not in inst.__dict__
+        assert parameters(inst).congestion == inst.num_commodities == 5000
+        assert prod(c.budget + 3 for c in inst.commodities) > 10**4300
+        write_instance(inst, tmp_path / "wide.json")
+        assert main(["solve", "--algo", "dp-cong", "--input", str(tmp_path / "wide.json")]) == 3
+        assert capsys.readouterr().err == f"capacity error: {message}\n"
 
 
 def _no_transition(*args):

@@ -65,6 +65,10 @@ MUTANTS = (
         "brute force's tie rule: a later cut set of equal revenue would win",
     ),
     Mutant(
+        "src/fza/exact.py", "        for e in range(start, m):", "        for e in range(start, m - 1):",
+        "brute force never cuts the last edge: its cut set loses revenue yet scores as it claims",
+    ),
+    Mutant(
         "src/fza/exact.py", "range(min(len(vals), budgets[i] + 1))", "range(min(len(vals), budgets[i]))",
         "rooted_dp's budget off by one: a commodity at exactly its budget earns nothing",
     ),
@@ -113,6 +117,26 @@ MUTANTS = (
     Mutant(
         "src/fza/param_path.py", "                if t < 0:", "                if t <= 0:",
         "dp_congestion treats the first carried commodity as entering",
+    ),
+    Mutant(
+        "src/fza/param_path.py", "g[len(w) - bisect_left(w, s)]", "g[len(w) - bisect_left(w, s + 1)]",
+        "dp_umax's gain by bisect_right: a cut at a commodity's first position goes uncounted",
+    ),
+    Mutant(
+        "src/fza/param_path.py", "min(place[c.source], place[c.target]) + 1", "min(place[c.source], place[c.target])",
+        "_Sweep.start one position early: each commodity starts at the place of its nearer end",
+    ),
+    Mutant(
+        "src/fza/param_path.py", "if instance.tree.is_path and n ** (ell + 2)", "if n ** (ell + 2)",
+        "dp_umax's guard refuses a tree that is not a path as over capacity, not as invalid",
+    ),
+    Mutant(
+        "src/fza/param_path.py", "if instance.tree.is_path and (1 << ell)", "if (1 << ell)",
+        "dp_pmax's guard refuses a tree that is not a path as over capacity, not as invalid",
+    ),
+    Mutant(
+        "src/fza/param_path.py", "            return SLACK_CAP\n", "            return states\n",
+        "dp_congestion's capped slack product stops at the first partial product past the cap, not at the cap",
     ),
     Mutant(
         "src/fza/density.py", "return (n - 1).bit_length()", "return n.bit_length()",

@@ -28,8 +28,9 @@ inputs, then these groups.
   (instance, seed) pairs both ways when the checkout has `perfbench/`.
 - density: the four density solvers on a quarter of the shared inputs.
 - paths: `dp-umax`, `dp-pmax`, `dp-cong` and `gen-rooted-path` (at several
-  cut counts and roots) on small paths with short commodities, and
-  `dp-pmax` on a path whose commodity is wider than its window budget.
+  cut counts and roots) on small paths with short commodities, `dp-pmax`
+  on a path whose commodity is wider than its window budget, each DP on a
+  dense path over its guard, and all three on a tree over two of them.
 - rooted: `solve --algo rooted` at the instance's root and off it, and
   brute force where it fits, on rooted trees; then brute force on one
   shared input with more edges than it takes.
@@ -305,6 +306,23 @@ def paths_group(specs):
     # a 21-edge commodity: dp-pmax's window would exceed 2^20
     wide = _instance(22, ((v, v + 1) for v in range(21)), [str(x) for x in range(22)], [(0, 21, 1, "1")])
     yield "paths", ".", ["solve", "--algo", "dp-pmax", "--input", _write("in/path-wide.json", json.dumps(wide))]
+    # a dense path over each DP's guard, run through that DP, then a tree
+    # over dp-umax's and dp-pmax's, which every DP refuses as not a path
+    rng = random.Random("same-bytes/over-guard")
+    n = 40
+    for algo, top, length in (("dp-umax", 4, 8), ("dp-pmax", 2, n - 1), ("dp-cong", 3, 8)):
+        commodities = []
+        for _ in range(60):
+            a = rng.randrange(n - 1)
+            b = rng.randint(a + 1, min(n - 1, a + length))
+            commodities.append((a, b, rng.randint(0, min(top, b - a)), _weight(rng)))
+        commodities.append((0, n - 1, top, "1"))
+        dense = _instance(n, ((v, v + 1) for v in range(n - 1)), _pricing(rng, n), commodities)
+        yield "paths", ".", ["solve", "--algo", algo, "--input", _write(f"in/over-{algo}.json", json.dumps(dense))]
+    broom = _instance(n, [(v, v + 1) for v in range(n - 2)] + [(1, n - 1)], _pricing(rng, n), [(0, n - 2, 4, "1")])
+    path = _write("in/over-tree.json", json.dumps(broom))
+    for algo in ("dp-umax", "dp-pmax", "dp-cong"):
+        yield "paths", ".", ["solve", "--algo", algo, "--input", path]
 
 
 def rooted_group(specs):
