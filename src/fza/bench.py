@@ -120,24 +120,20 @@ def run_bench(config: BenchConfig, output_dir) -> dict:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    opt: dict[str, Fraction | None] = {}
-    for name, inst in sorted(loaded.items()):
-        try:
-            opt[name] = SOLVERS[config.oracle][0](inst, 0).revenue
-        except (CapacityError, InvalidInstanceError):
-            opt[name] = None  # row gets marked, never fabricated
-
     rows = []
     timings = []
     ratios: dict[str, list[Fraction]] = {algo: [] for algo in config.algorithms}
-    for name in sorted(loaded):
-        oracle_rev = opt[name]
+    for name, inst in sorted(loaded.items()):
+        try:
+            oracle_rev = SOLVERS[config.oracle][0](inst, 0).revenue
+        except (CapacityError, InvalidInstanceError):
+            oracle_rev = None  # row gets marked, never fabricated
         for algo in sorted(config.algorithms):
             fn, uses_seed = SOLVERS[algo]
             for seed in sorted(config.seeds) if uses_seed else [0]:
                 start = time.perf_counter()
                 try:
-                    result = fn(loaded[name], seed)
+                    result = fn(inst, seed)
                 except FzaError:
                     result = None
                 timings.append((name, algo, seed, time.perf_counter() - start))

@@ -288,7 +288,10 @@ def generalized_rooted_path_dp(gpi: IntegerPathInstance, y: int) -> list[int]:
     when x cuts lie on positions < j, among solutions with |F| = y overall.
     Only lo_j <= x <= hi_j is feasible (x <= min(j, y), and the y - x cuts
     still to place must fit on the m - j edges left). Ties prefer leaving the
-    next edge uncut. The closing self-check scores the positions row by row.
+    next edge uncut. The fill starts from a sentinel row R[m + 1], which is 0
+    at x = y and infeasible elsewhere, so one rule fills every row from m
+    down to 0: at j = m its window is x = y alone, which reads that 0. The
+    closing self-check scores the positions row by row.
     """
     m, rows, prices = gpi
     if not (0 <= y <= m):
@@ -297,23 +300,22 @@ def generalized_rooted_path_dp(gpi: IntegerPathInstance, y: int) -> list[int]:
     for end, budget, w, shift in rows:
         ends_at[end].append((budget - shift, w, shift))
 
-    # table[j][x] for x in 0..y+1; values are >= 0, so -1 marks an infeasible x
+    # table[j][x] for x in 0..y+1; values are >= 0, so -1 marks an infeasible
+    # x; the sentinel row past position m admits exactly y cuts placed
     table: list[list[int]] = [[]] * (m + 1)
+    below = [-1] * (y + 2)
+    below[y] = 0
     for j in range(m, -1, -1):
         lo, hi = max(0, y - m + j), min(j, y)
         vals = [-1] * (y + 2)
-        if j == m:
-            vals[y] = 0
-        else:
-            below = table[j + 1]
-            # keep (below[x]) or cut (below[x + 1]): the better feasible value
-            vals[lo : hi + 1] = [
-                s if s >= c else c for s, c in zip(below[lo : hi + 1], below[lo + 1 : hi + 2])
-            ]
+        # keep (below[x]) or cut (below[x + 1]): the better feasible value
+        vals[lo : hi + 1] = [
+            s if s >= c else c for s, c in zip(below[lo : hi + 1], below[lo + 1 : hi + 2])
+        ]
         for slack, w, shift in ends_at[j]:
             for x in range(lo, min(hi, slack) + 1):
                 vals[x] += w * prices[shift + x]
-        table[j] = vals
+        table[j] = below = vals
 
     cuts = []
     x = 0

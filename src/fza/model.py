@@ -563,14 +563,16 @@ def normalize(instance: Instance) -> Instance:
     """Canonicalize an instance: clamp budgets to path lengths and merge
     commodities that share both path and budget (weights add up).
 
-    Commodities come out sorted by (low endpoint, high endpoint, budget) with
-    endpoints in increasing order, which fixes the serialization order. An
-    instance already in that form (s < t, u <= |P_i|, (s, t, u) strictly
-    increasing, as `write_instance` and `fza gen` write it) is returned as it
-    is after one pass: no two of its commodities share (path, budget), since
-    a tree path's edge set fixes its endpoints. Otherwise an input commodity
-    that is already in that form and merges with no other is kept as it is
-    rather than built and validated again.
+    The merge key is (low endpoint, high endpoint, clamped budget): a tree
+    path's edge set fixes its endpoints, so two commodities share a path
+    exactly when they share that pair. Commodities come out sorted by that
+    key, with endpoints in increasing order, which fixes the serialization
+    order. An instance already in that form (s < t, u <= |P_i|, (s, t, u)
+    strictly increasing, as `write_instance` and `fza gen` write it) is
+    returned as it is after one pass, since no two of its commodities share
+    a key. Otherwise an input commodity that is already in that form and
+    merges with no other is kept as it is rather than built and validated
+    again.
     """
     tree = instance.tree
     if len(instance.pricing) < tree.num_vertices:
@@ -583,20 +585,19 @@ def normalize(instance: Instance) -> Instance:
         last = key
     else:
         return instance
-    merged: dict[tuple[int, int], list] = {}
+    # (s, t, u) -> [summed weight, the input commodity if it stays as it is, path mask]
+    merged: dict[tuple[int, int, int], list] = {}
     for c, mask in zip(instance.commodities, instance.paths):
-        u = min(c.budget, mask.bit_count())
         s, t = min(c.source, c.target), max(c.source, c.target)
-        key = (mask, u)
+        key = (s, t, min(c.budget, mask.bit_count()))
         if key in merged:
-            merged[key][3] += c.weight
-            merged[key][5] = None
+            merged[key][0] += c.weight
+            merged[key][1] = None
         else:
-            merged[key] = [s, t, u, c.weight, mask, c if (s, u) == (c.source, c.budget) else None]
-    rows = sorted(merged.values(), key=lambda r: (r[0], r[1], r[2]))
-    commodities = tuple(r[5] or Commodity(r[0], r[1], r[2], r[3]) for r in rows)
-    paths = tuple(r[4] for r in rows)
-    return Instance(tree, instance.pricing, commodities, paths)
+            merged[key] = [c.weight, c if (s, key[2]) == (c.source, c.budget) else None, mask]
+    rows = [(key, merged[key]) for key in sorted(merged)]
+    commodities = tuple(kept or Commodity(*key, weight) for key, (weight, kept, _) in rows)
+    return Instance(tree, instance.pricing, commodities, tuple(mask for _, (_, _, mask) in rows))
 
 
 def total_revenue(instance: Instance, cuts: Iterable[int]) -> Fraction:

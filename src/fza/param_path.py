@@ -23,9 +23,9 @@ The sweep starts from the zero-cut revenue F_0 * sum W_i: every commodity
 earns its zero-cut value on both moves at its first position, the same for
 every state there, so no merge, tie or drop depends on when it is added.
 
-Let first[p] be the lowest start among the commodities through p and
-future[p] the lowest among those through any position after p (m + 1 if
-none). No step after p reads a cut before future[p], so `dp_umax` and
+Let future[p] be the lowest start among the commodities through any
+position after p (m + 1 if none); `_Sweep` reads it off the commodities' end
+places. No step after p reads a cut before future[p], so `dp_umax` and
 `dp_pmax` each give one `readable(states, p)`, a state's cuts at or after
 future[p], and the sweep uses it for one thing: where future grows, it
 groups the states leaving p by `readable(states, p)` and drops each entry
@@ -78,7 +78,10 @@ class _Sweep:
     position p: the commodities whose path holds it, ascending. `start[i]`
     is the first position whose `covering` holds commodity i, and
     `future[p]` the lowest start among the commodities through any position
-    after p, m + 1 if there is none.
+    after p, m + 1 if there is none. Both are read off each commodity's end
+    places in O(k + m), with no scan of the covering lists: each commodity
+    lowers `future` at the position before its last, and suffix minima
+    carry that to every earlier position.
     """
 
     def __init__(self, instance: Instance):
@@ -87,15 +90,19 @@ class _Sweep:
         self.instance = instance
         order, self.edge_ids = instance.tree.path_order()
         self.m = m = len(self.edge_ids)
-        self.covering = covering = [()] + [instance.edge_commodities[e] for e in self.edge_ids]
+        self.covering = [()] + [instance.edge_commodities[e] for e in self.edge_ids]
         # position p joins the vertices at places p - 1 and p, so a path's
         # first position is one past the place of its nearer end
         place = {v: q for q, v in enumerate(order)}
-        self.start = start = [min(place[c.source], place[c.target]) + 1 for c in instance.commodities]
-        first = [min((start[i] for i in ids), default=m + 1) for ids in covering]
+        ends = [sorted((place[c.source], place[c.target])) for c in instance.commodities]
+        self.start = [a + 1 for a, _ in ends]
         self.future = future = [m + 1] * (m + 1)
+        # at places a < b a path runs through positions a + 1 .. b, so it
+        # runs through a position after p exactly when p < b
+        for a, b in ends:
+            future[b - 1] = min(future[b - 1], a + 1)
         for p in range(m - 1, -1, -1):
-            future[p] = min(future[p + 1], first[p + 1])
+            future[p] = min(future[p], future[p + 1])
 
     def run(self, initial, moves, algorithm: str, diagnostics: dict, readable=None) -> SolveResult:
         """Sweep the path from `initial`. `readable(states, p)` lists the part
@@ -193,11 +200,12 @@ def dp_pmax(instance: Instance) -> SolveResult:
     its low p - future[p] + 1 bits.
 
     The cut gains at p are scored once per distinct `readable(masks, p - 1)`:
-    wherever a commodity runs through p, future[p - 1] == first[p] (a
-    commodity through some q > p starting at or before p runs through p, so
-    it starts at or after first[p], as does one starting after p), so that
-    part holds every bit a commodity through p reads. Where none runs
-    through p, no commodity gains, so the key does not matter.
+    wherever a commodity runs through p, future[p - 1] == first[p], the
+    lowest start among the commodities through p (a commodity through some
+    q > p starting at or before p runs through p, so it starts at or after
+    first[p], as does one starting after p), so that part holds every bit a
+    commodity through p reads. Where none runs through p, no commodity
+    gains, so the key does not matter.
     """
     ell = max((mask.bit_count() for mask in instance.paths), default=1)
     if instance.tree.is_path and (1 << ell) > WINDOW_BUDGET:
@@ -245,9 +253,12 @@ def dp_congestion(instance: Instance) -> SolveResult:
     The state carries one slack value per commodity whose path covers the
     current position: budget minus cuts so far, with -1 meaning just dropped
     out and DEAD meaning over budget by two or more. Commodities whose path
-    ended are projected out by maximizing. A commodity entering at p has
-    slack equal to its budget and no cuts yet, so its cut gain is the
-    marginal at zero cuts, the same for every state and summed once per p.
+    ended are projected out by maximizing. A commodity entering at p is an
+    ordinary slot whose slack before p is its budget, so every slot follows
+    one rule: its slack x is kept, or on a cut becomes DEAD if x < 0, else
+    x - 1 with the marginal gain of a cut after u - x cuts. A slack of -1
+    and DEAD earn the same from then on, but they stay distinct states:
+    merging them would change which states meet, and so how ties break.
     """
     sweep = _Sweep(instance)
     comm, covering = instance.commodities, sweep.covering
@@ -258,15 +269,12 @@ def dp_congestion(instance: Instance) -> SolveResult:
     gains = instance.gains
 
     # per position: (index in the previous state or -1 if entering, budget,
-    # gains) for each covering commodity, and the summed zero-cut marginal of
-    # those entering
+    # gains) for each covering commodity
     slots = [()]
-    entering_gain = [0]
     prev_index: dict[int, int] = {}
     for p in range(1, sweep.m + 1):
         ids = covering[p]
         slots.append(tuple((prev_index.get(i, -1), comm[i].budget, gains[i]) for i in ids))
-        entering_gain.append(sum(gains[i][0] for i in ids if i not in prev_index))
         prev_index = {i: t for t, i in enumerate(ids)}
 
     def moves(states, p):
@@ -274,15 +282,12 @@ def dp_congestion(instance: Instance) -> SolveResult:
         for state in states:
             kept = []
             slashed = []
-            gain = entering_gain[p]
+            gain = 0
             for t, u, g in slots[p]:
-                if t < 0:
-                    kept.append(u)
-                    slashed.append(u - 1)
-                    continue
-                x = state[t]
+                # an entering commodity's slack before p is its whole budget
+                x = state[t] if t >= 0 else u
                 kept.append(x)
-                if x == DEAD or x == -1:
+                if x < 0:
                     slashed.append(DEAD)
                 else:
                     # slack x before the cut means u-x cuts lay on the path before it

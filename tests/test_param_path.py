@@ -324,3 +324,42 @@ def test_sweep_matches_pairwise_reference(monkeypatch):
             assert (res.cuts, res.served, res.revenue) == (ref.cuts, ref.served, ref.revenue), (seed, solver)
     # the comparison means something only where a state was dropped
     assert all(pruned.values()), {solver.__name__: len(seeds) for solver, seeds in pruned.items()}
+
+
+def test_sweep_future_matches_its_definition():
+    # `_Sweep` reads start and future off each commodity's end places; here
+    # both come from the covering lists instead: start[i] is the first
+    # position holding i, future[p] the lowest start among the commodities
+    # on any position after p (m + 1 if none)
+    tails = reaching_end = 0
+    for seed in range(300):
+        rng = substream(seed, "sweep-future")
+        n = rng.randint(2, 24)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        tree = Tree(n, tuple((labels[i], labels[i + 1]) for i in range(n - 1)))
+        # commodities stay left of `reach`, so positions past every commodity
+        # occur, and about a third end at `reach`, the last vertex when
+        # reach = n - 1
+        reach = rng.randint(1, n - 1)
+        comms = []
+        for _ in range(rng.randint(0, 8)):
+            a = rng.randrange(reach)
+            b = reach if rng.random() < 0.3 else rng.randint(a + 1, reach)
+            pair = (labels[a], labels[b]) if rng.random() < 0.5 else (labels[b], labels[a])
+            comms.append(Commodity(*pair, rng.randint(0, 2), Fraction(1)))
+        sweep = param_path._Sweep(make(tree, PricingFunction.linear(n), comms))
+        m, covering = sweep.m, sweep.covering
+        start = {}
+        for p in range(1, m + 1):
+            for i in covering[p]:
+                start.setdefault(i, p)
+        assert sweep.start == [start[i] for i in range(len(sweep.instance.commodities))], seed
+        future = [
+            min((start[i] for q in range(p + 1, m + 1) for i in covering[q]), default=m + 1)
+            for p in range(m + 1)
+        ]
+        assert sweep.future == future, seed
+        tails += bool(comms) and reach < m
+        reaching_end += any(covering[m])
+    assert tails >= 50 and reaching_end >= 50, (tails, reaching_end)

@@ -82,6 +82,10 @@ MUTANTS = (
         "the generalized path DP's budget off by one",
     ),
     Mutant(
+        "src/fza/exact.py", "    below[y] = 0\n", "    below[0] = 0\n",
+        "the generalized path DP's sentinel row admits zero cuts placed instead of y",
+    ),
+    Mutant(
         "src/fza/exact.py", "if below[x + 1] > below[x]:\n            cuts.append(j)",
         "if below[x + 1] >= below[x]:\n            cuts.append(j)",
         "the generalized path DP's reconstruction cuts on a tie",
@@ -115,16 +119,24 @@ MUTANTS = (
         "the path DP sweep's tie rule: a later move of equal value replaces the held one",
     ),
     Mutant(
-        "src/fza/param_path.py", "                if t < 0:", "                if t <= 0:",
+        "src/fza/param_path.py", "x = state[t] if t >= 0 else u\n", "x = state[t] if t > 0 else u\n",
         "dp_congestion treats the first carried commodity as entering",
+    ),
+    Mutant(
+        "src/fza/param_path.py", "x = state[t] if t >= 0 else u\n", "x = state[t] if t >= 0 else u - 1\n",
+        "dp_congestion's entering commodity starts one cut into its budget",
     ),
     Mutant(
         "src/fza/param_path.py", "g[len(w) - bisect_left(w, s)]", "g[len(w) - bisect_left(w, s + 1)]",
         "dp_umax's gain by bisect_right: a cut at a commodity's first position goes uncounted",
     ),
     Mutant(
-        "src/fza/param_path.py", "min(place[c.source], place[c.target]) + 1", "min(place[c.source], place[c.target])",
+        "src/fza/param_path.py", "self.start = [a + 1 for a, _ in ends]", "self.start = [a for a, _ in ends]",
         "_Sweep.start one position early: each commodity starts at the place of its nearer end",
+    ),
+    Mutant(
+        "src/fza/param_path.py", "future[b - 1] = min(future[b - 1], a + 1)", "future[b] = min(future[b], a + 1)",
+        "_Sweep.future also counts the commodities that end at p: it prunes less and gives the same outputs, so only a check of future itself sees it",
     ),
     Mutant(
         "src/fza/param_path.py", "if instance.tree.is_path and n ** (ell + 2)", "if n ** (ell + 2)",

@@ -27,15 +27,19 @@ inputs, then these groups.
   once with `--diagnostics` to a file, plus perfbench's sublog-tree
   (instance, seed) pairs both ways when the checkout has `perfbench/`.
 - density: the four density solvers on a quarter of the shared inputs.
-- paths: `dp-umax`, `dp-pmax`, `dp-cong` and `gen-rooted-path` (at several
-  cut counts and roots) on small paths with short commodities, `dp-pmax`
-  on a path whose commodity is wider than its window budget, each DP on a
-  dense path over its guard, and all three on a tree over two of them.
+- paths: `dp-umax`, `dp-pmax`, `dp-cong` and `gen-rooted-path` (at cut
+  counts 0, 1, 2 and m, one past m, and a root inside the path) on small
+  paths with short commodities, all three DPs on paths where several
+  commodities enter at one position and one spans the whole path,
+  `dp-pmax` on a path whose commodity is wider than its window budget,
+  each DP on a dense path over its guard, and all three on a tree over two
+  of them.
 - rooted: `solve --algo rooted` at the instance's root and off it, and
   brute force where it fits, on rooted trees; then brute force on one
   shared input with more edges than it takes.
 - bench: `fza bench` grids over small shared inputs with every solver and
-  oracle, and malformed configs.
+  oracle, two grids whose oracle refuses the first instance and runs on
+  the second, and malformed configs.
 
 The exit status is 0 when every record matches, 1 on the first difference
 (printed with the call's argv and the first differing line), and 2 when a
@@ -306,6 +310,19 @@ def paths_group(specs):
     # a 21-edge commodity: dp-pmax's window would exceed 2^20
     wide = _instance(22, ((v, v + 1) for v in range(21)), [str(x) for x in range(22)], [(0, 21, 1, "1")])
     yield "paths", ".", ["solve", "--algo", "dp-pmax", "--input", _write("in/path-wide.json", json.dumps(wide))]
+    # two or three commodities entering at each of two positions, and one
+    # over the whole path: every DP, dp-cong's entering slots above all
+    rng = random.Random("same-bytes/entering")
+    for i in range(12):
+        n = rng.randint(3, 10)
+        commodities = [(0, n - 1, rng.randint(0, 2), _weight(rng))]
+        for a in rng.sample(range(n - 1), 2):
+            for _ in range(rng.randint(2, 3)):
+                commodities.append((a, rng.randint(a + 1, min(n - 1, a + 3)), rng.randint(0, 2), _weight(rng)))
+        entering = _instance(n, ((v, v + 1) for v in range(n - 1)), _pricing(rng, n), commodities)
+        path = _write(f"in/path-entering{i}.json", json.dumps(entering))
+        for algo in ("dp-umax", "dp-pmax", "dp-cong"):
+            yield "paths", ".", ["solve", "--algo", algo, "--input", path]
     # a dense path over each DP's guard, run through that DP, then a tree
     # over dp-umax's and dp-pmax's, which every DP refuses as not a path
     rng = random.Random("same-bytes/over-guard")
@@ -358,6 +375,19 @@ def bench_group(specs):
         }
         path = _write(f"in/bench{i}.json", json.dumps(config))
         yield "bench", ".", ["bench", "--config", path, "--output-dir", f"out/bench{i}"]
+    # grids whose oracle refuses the first instance (by name) and runs on the
+    # second: a tree before a path for dp-umax, 30 edges before 5 for brute
+    rng = random.Random("same-bytes/bench-oracle")
+    for oracle, first in (("dp-umax", _random_tree(rng, 8)), ("brute", [(v, v + 1) for v in range(30)])):
+        names = []
+        for edges in (first, [(v, v + 1) for v in range(5)]):
+            n = len(edges) + 1
+            commodities = [(*sorted(rng.sample(range(n), 2)), rng.randint(0, 2), _weight(rng)) for _ in range(n)]
+            data = _instance(n, edges, _pricing(rng, n), commodities)
+            names.append(_write(f"in/bench-{oracle}-{len(names)}.json", json.dumps(data)))
+        config = {"instances": names, "algorithms": ["dp-cong", "sublog", "single-density"], "seeds": [0, 3], "oracle": oracle}
+        path = _write(f"in/bench-{oracle}.json", json.dumps(config))
+        yield "bench", ".", ["bench", "--config", path, "--output-dir", f"out/bench-{oracle}"]
     good = {"instances": small[:2], "algorithms": ["sublog", "simplified"], "seeds": [0, 1]}
     for name, config in {
         "no-instances": {**good, "instances": []},
