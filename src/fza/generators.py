@@ -25,7 +25,7 @@ from .rng import substream
 PRICING_PRESETS = ("linear", "affine", "capped")
 FAMILIES = ("random-tree", "random-path")
 # Formula2CNF refuses more variables: the path-sat instance of n variables
-# has 10 * n + 1 vertices, which must stay within `Instance.create`'s cap
+# has 10 * n + 1 vertices, which must stay within `Instance`'s cap
 MAX_FORMULA_VARS = (MAX_VERTICES - 1) // 10
 # GenSpec refuses more commodities (and more vertices than MAX_VERTICES)
 MAX_GEN_COMMODITIES = 100_000

@@ -18,13 +18,15 @@ size); a whole-tree walk never takes that branch. The rooted DP and the
 skeleton pass read `up` in walk order (parents first) or reversed (children
 first) and build no child lists. A `Tree` is rooted once: its
 constructor checks connectivity with the walk from vertex 0 and caches it as
-`Tree.rooting`, which `Instance.create`, `Instance.edge_commodities` and the
+`Tree.rooting`, which `Instance.paths`, `Instance.edge_commodities` and the
 density candidates read. The tree's `adjacency` and `is_path` are cached
 on first use.
 
-Commodity paths are cached two ways. `Instance.paths` holds each path as a
+An `Instance` holds only its inputs, the tree, the pricing table and the
+commodities, and its constructor checks them together. Commodity paths are
+derived from them and cached two ways. `Instance.paths` holds each path as a
 bitmask over edge ids, so counting one commodity's cuts is an AND plus a
-popcount; `create` reads each path off the rooting as the XOR of its
+popcount; its first read builds each path off the rooting as the XOR of its
 endpoints' masks of edges up to vertex 0. `Instance.edge_commodities` is
 the inverse index, edge id -> commodities whose path holds it, built by
 walking each path once, so scoring a whole cut set
@@ -77,8 +79,8 @@ class CapacityError(FzaError, RuntimeError):
     """Input exceeds a solver's configured enumeration budget."""
 
 
-# Instance.create refuses larger trees: its table of root-path masks takes
-# Θ(n²) bits, about 1.3 GB at this size
+# an Instance refuses larger trees: the table of root-path masks that
+# `Instance.paths` builds takes Θ(n²) bits, about 1.3 GB at this size
 MAX_VERTICES = 100_000
 
 
@@ -396,45 +398,48 @@ class Parameters(NamedTuple):
 
 @dataclass(frozen=True)
 class Instance:
-    """A tree, a pricing table covering 0..n-1 cuts, and resolved commodities.
+    """A tree, a pricing table covering 0..n-1 cuts, and commodities whose
+    endpoints are vertices of the tree.
 
-    `paths[i]` is the bitmask of edge ids on commodity i's path. Instances are
-    immutable; solvers never mutate shared state.
+    The constructor checks the vertex cap, the table length and the
+    endpoints, in that order, however the instance is built; `paths` and the
+    other caches are derived from these three fields on first read.
+    Instances are immutable; solvers never mutate shared state.
     """
 
     tree: Tree
     pricing: PricingFunction
     commodities: tuple[Commodity, ...]
-    paths: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = self.tree.num_vertices
+        if n > MAX_VERTICES:
+            raise CapacityError(f"instance limited to {MAX_VERTICES} vertices, got {n}")
+        if len(self.pricing) < n:
+            raise InvalidInstanceError(f"pricing table has {len(self.pricing)} entries, need at least {n}")
+        for c in self.commodities:
+            if not (0 <= c.source < n and 0 <= c.target < n):
+                raise InvalidInstanceError(f"commodity endpoint out of range: ({c.source},{c.target})")
 
     @classmethod
     def create(
         cls,
         tree: Tree,
         pricing: PricingFunction,
-        commodities: Sequence[Commodity],
+        commodities: Iterable[Commodity],
     ) -> "Instance":
-        if tree.num_vertices > MAX_VERTICES:
-            raise CapacityError(f"instance limited to {MAX_VERTICES} vertices, got {tree.num_vertices}")
-        if len(pricing) < tree.num_vertices:
-            raise InvalidInstanceError(
-                f"pricing table has {len(pricing)} entries, need at least {tree.num_vertices}"
-            )
+        return cls(tree, pricing, tuple(commodities))
+
+    @cached_property
+    def paths(self) -> tuple[int, ...]:
+        """Per commodity i: the bitmask of edge ids on its path."""
         # the tree's one rooting at vertex 0 serves every commodity: each
         # vertex's mask of edges up to vertex 0, so a path is the XOR of its ends'
-        n = tree.num_vertices
-        parent, parent_edge, _, order = tree.rooting
-        root_path = [0] * n
+        parent, parent_edge, _, order = self.tree.rooting
+        root_path = [0] * self.tree.num_vertices
         for v in order[1:]:
             root_path[v] = root_path[parent[v]] | 1 << parent_edge[v]
-        paths = []
-        for c in commodities:
-            if not (0 <= c.source < n and 0 <= c.target < n):
-                raise InvalidInstanceError(
-                    f"commodity endpoint out of range: ({c.source},{c.target})"
-                )
-            paths.append(root_path[c.source] ^ root_path[c.target])
-        return cls(tree, pricing, tuple(commodities), tuple(paths))
+        return tuple(root_path[c.source] ^ root_path[c.target] for c in self.commodities)
 
     @property
     def num_commodities(self) -> int:
@@ -572,11 +577,8 @@ def normalize(instance: Instance) -> Instance:
     returned as it is after one pass, since no two of its commodities share
     a key. Otherwise an input commodity that is already in that form and
     merges with no other is kept as it is rather than built and validated
-    again.
+    again. A rebuilt instance derives its own `paths` on first read.
     """
-    tree = instance.tree
-    if len(instance.pricing) < tree.num_vertices:
-        raise InvalidInstanceError("pricing table shorter than vertex count")
     last = None
     for c, mask in zip(instance.commodities, instance.paths):
         key = (c.source, c.target, c.budget)
@@ -585,7 +587,7 @@ def normalize(instance: Instance) -> Instance:
         last = key
     else:
         return instance
-    # (s, t, u) -> [summed weight, the input commodity if it stays as it is, path mask]
+    # (s, t, u) -> [summed weight, the input commodity if it stays as it is]
     merged: dict[tuple[int, int, int], list] = {}
     for c, mask in zip(instance.commodities, instance.paths):
         s, t = min(c.source, c.target), max(c.source, c.target)
@@ -594,10 +596,10 @@ def normalize(instance: Instance) -> Instance:
             merged[key][0] += c.weight
             merged[key][1] = None
         else:
-            merged[key] = [c.weight, c if (s, key[2]) == (c.source, c.budget) else None, mask]
-    rows = [(key, merged[key]) for key in sorted(merged)]
-    commodities = tuple(kept or Commodity(*key, weight) for key, (weight, kept, _) in rows)
-    return Instance(tree, instance.pricing, commodities, tuple(mask for _, (_, _, mask) in rows))
+            merged[key] = [c.weight, c if (s, key[2]) == (c.source, c.budget) else None]
+    rows = [(key, *merged[key]) for key in sorted(merged)]
+    commodities = tuple(kept or Commodity(*key, weight) for key, weight, kept in rows)
+    return Instance(instance.tree, instance.pricing, commodities)
 
 
 def total_revenue(instance: Instance, cuts: Iterable[int]) -> Fraction:

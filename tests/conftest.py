@@ -416,7 +416,7 @@ def reference_normalize(instance: Instance) -> Instance:
         row[3] += c.weight
     rows = sorted(merged.values(), key=lambda r: r[:3])
     commodities = tuple(Commodity(s, t, u, w) for s, t, u, w, _ in rows)
-    return Instance(instance.tree, instance.pricing, commodities, tuple(r[4] for r in rows))
+    return Instance(instance.tree, instance.pricing, commodities)
 
 
 # the rational grammar of the file format: sign, integer digits, then a '/'

@@ -1,6 +1,9 @@
 import ast
+import re
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -89,6 +92,57 @@ class TestTree:
         assert eids == [1, 2, 0]
 
 
+class TestInstance:
+    PATH = Tree(3, ((0, 1), (1, 2)))
+
+    def test_fields_are_the_inputs(self):
+        assert [f.name for f in fields(Instance)] == ["tree", "pricing", "commodities"]
+        assert isinstance(Instance.__dict__["paths"], cached_property)
+        assert isinstance(Instance.__dict__["create"], classmethod)
+
+    def test_create_keeps_every_commodity_of_a_generator(self):
+        inst = Instance.create(self.PATH, PricingFunction.linear(3), (Commodity(0, 2, 1, 1) for _ in range(2)))
+        assert inst.num_commodities == 2 and len(inst.paths) == 2
+        assert inst == Instance(self.PATH, PricingFunction.linear(3), (Commodity(0, 2, 1, 1),) * 2)
+        assert normalize(inst).commodities == (Commodity(0, 2, 1, 2),)
+
+    def test_constructor_refuses_an_over_cap_tree(self):
+        # refused before the pricing table's length is read: this one is far too short
+        tree = Tree(MAX_VERTICES + 1, tuple((v, v + 1) for v in range(MAX_VERTICES)))
+        with pytest.raises(CapacityError, match=f"instance limited to {MAX_VERTICES} vertices, got {MAX_VERTICES + 1}"):
+            Instance(tree, PricingFunction.linear(2), ())
+
+    def test_constructor_refuses_a_short_pricing_table_before_an_endpoint(self):
+        with pytest.raises(InvalidInstanceError, match="pricing table has 2 entries, need at least 3"):
+            Instance(self.PATH, PricingFunction.linear(2), (Commodity(0, 3, 1, 1),))
+
+    @pytest.mark.parametrize("s, t", [(0, 3), (3, 0), (-1, 2), (2, -1)])
+    def test_constructor_refuses_an_endpoint_out_of_range(self, s, t):
+        with pytest.raises(InvalidInstanceError, match=re.escape(f"commodity endpoint out of range: ({s},{t})")):
+            Instance(self.PATH, PricingFunction.linear(3), (Commodity(0, 1, 0, 1), Commodity(s, t, 1, 1)))
+
+    def test_paths_are_built_on_first_read_and_once(self, monkeypatch):
+        built = []
+        derive = Instance.__dict__["paths"].func
+
+        def counting(self):
+            built.append(self)
+            return derive(self)
+
+        paths = cached_property(counting)
+        paths.__set_name__(Instance, "paths")
+        monkeypatch.setattr(Instance, "paths", paths)
+        canonical = Instance.create(self.PATH, PricingFunction.linear(3), [Commodity(0, 2, 1, 1), Commodity(1, 2, 0, 3)])
+        assert "paths" not in canonical.__dict__
+        assert normalize(canonical) is canonical and built == [canonical]
+        assert canonical.paths == (0b11, 0b10) and built == [canonical]
+        # a changed input and its normal form each derive their own
+        raw = Instance.create(self.PATH, PricingFunction.linear(3), [Commodity(2, 0, 5, 1)])
+        out = normalize(raw)
+        assert built[1:] == [raw]
+        assert out.paths == (0b11,) and built[1:] == [raw, out]
+
+
 class TestResolvePath:
     def test_single_edge(self):
         t = Tree(2, ((0, 1),))
@@ -114,8 +168,8 @@ SHAPES = ("tree", "path", "star")
 
 
 def test_path_masks_match_resolve_path():
-    # `create` reads each mask off the rooting at vertex 0; `resolve_path`
-    # walks up from t to s on the tree rooted at s
+    # `Instance.paths` reads each mask off the rooting at vertex 0;
+    # `resolve_path` walks up from t to s on the tree rooted at s
     rng = Random(1301)
     for trial in range(90):
         n = rng.randint(2, 200) if trial % 3 else rng.randint(2, 6)
@@ -342,11 +396,11 @@ class TestNormalize:
         assert inst.commodities[0].weight == 5
 
     def test_refuses_short_pricing_table(self):
-        # `Instance.create` checks the table length, so build the instance directly
+        # the constructor checks the table length, so no instance that
+        # reaches `normalize` can hold a short table
         t = Tree(3, ((0, 1), (1, 2)))
-        inst = Instance(t, PricingFunction.linear(2), (), ())
-        with pytest.raises(InvalidInstanceError, match="pricing table shorter than vertex count"):
-            normalize(inst)
+        with pytest.raises(InvalidInstanceError, match="pricing table has 2 entries, need at least 3"):
+            normalize(Instance(t, PricingFunction.linear(2), ()))
 
     def test_clamps_budget_to_path_length(self):
         t = Tree(5, tuple((i, i + 1) for i in range(4)))

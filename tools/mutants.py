@@ -95,6 +95,22 @@ MUTANTS = (
         "the generalized path DP's served test off by one",
     ),
     Mutant(
+        "src/fza/exact.py", "        edge_ids = edge_ids[::-1]\n", "        edge_ids = edge_ids\n",
+        "gen-rooted-path rooted at the far end of the path order reports each cut position as the edge counted from the other end",
+    ),
+    Mutant(
+        "src/fza/model.py", "root_path[c.source] ^ root_path[c.target]", "root_path[c.source] | root_path[c.target]",
+        "Instance.paths joins both ends' root paths, so a path keeps the edges above its meeting point",
+    ),
+    Mutant(
+        "src/fza/model.py", "(0 <= c.source < n and 0 <= c.target < n)", "(0 <= c.source <= n and 0 <= c.target <= n)",
+        "the Instance constructor admits an endpoint one past the last vertex",
+    ),
+    Mutant(
+        "src/fza/model.py", "key = (s, t, min(c.budget, mask.bit_count()))", "key = (s, t, c.budget)",
+        "normalize keys on the unclamped budget: budgets above a path's length are neither clamped nor merged",
+    ),
+    Mutant(
         "src/fza/model.py", "prices[x] if x <= budgets[i] else 0\n", "prices[x] if x < budgets[i] else 0\n",
         "Instance.value's budget off by one",
     ),

@@ -20,9 +20,10 @@ inputs, then these groups.
   clause lists included, and `gen random` over its vertex and commodity
   caps.
 - reader: `fza validate` on every shared input, `validate` and
-  `solve --algo brute` on seeded mutations of small instance files and on
-  files that are not instances at all, a file one vertex over
-  `model.MAX_VERTICES`, and malformed command lines.
+  `solve --algo brute` on seeded mutations of small instance files, every
+  solver on files whose commodities both merge and clamp, `validate` and
+  `solve --algo sublog` on files that are not instances at all, a file one
+  vertex over `model.MAX_VERTICES`, and malformed command lines.
 - sublog: `solve --algo sublog` on every shared input, once to stdout and
   once with `--diagnostics` to a file, plus perfbench's sublog-tree
   (instance, seed) pairs both ways when the checkout has `perfbench/`.
@@ -217,6 +218,22 @@ def reader_group(specs):
         path = _write(f"in/mut{i}.json", json.dumps(data))
         yield "reader", ".", ["validate", "--input", path]
         yield "reader", ".", ["solve", "--algo", "brute", "--input", path]
+    # commodities from vertex 0 on paths and trees that merge and clamp:
+    # repeats of one path under either endpoint order, some with budgets past
+    # every path length, each file solved by every algorithm
+    rng = random.Random("same-bytes/merge-clamp")
+    for i in range(8):
+        n = rng.randint(3, 12)
+        edges = [(v, v + 1) for v in range(n - 1)] if i % 2 == 0 else _random_tree(rng, n)
+        commodities = []
+        for far in rng.sample(range(1, n), rng.randint(1, min(4, n - 1))):
+            for _ in range(rng.randint(2, 3)):
+                pair = (0, far) if rng.random() < 0.5 else (far, 0)
+                commodities.append((*pair, rng.choice((rng.randint(0, 2), n, n + 3)), _weight(rng)))
+        path = _write(f"in/merge{i}.json", json.dumps(_instance(n, edges, _pricing(rng, n), commodities)))
+        for algo in SOLVER_NAMES:
+            extra = ["--cuts", str(rng.randint(0, n - 1))] if algo == "gen-rooted-path" else ["--seed", str(i)]
+            yield "reader", ".", ["solve", "--algo", algo, "--input", path, *extra]
     raw = {
         "empty": "",
         "not-json": "not json",
