@@ -18,20 +18,33 @@ size); a whole-tree walk never takes that branch. The rooted DP and the
 skeleton pass read `up` in walk order (parents first) or reversed (children
 first) and build no child lists. A `Tree` is rooted once: its
 constructor checks connectivity with the walk from vertex 0 and caches it as
-`Tree.rooting`, which `Instance.paths`, `Instance.edge_commodities` and the
-density candidates read. The tree's `adjacency` and `is_path` are cached
-on first use.
+`Tree.rooting`, which `Instance.paths`, `Instance.edge_commodities`,
+`Instance._cut_table` and the density candidates read. The tree's
+`adjacency` and `is_path` are cached on first use.
 
 An `Instance` holds only its inputs, the tree, the pricing table and the
 commodities, and its constructor checks them together. Commodity paths are
-derived from them and cached two ways. `Instance.paths` holds each path as a
-bitmask over edge ids, so counting one commodity's cuts is an AND plus a
-popcount; its first read builds each path off the rooting as the XOR of its
-endpoints' masks of edges up to vertex 0. `Instance.edge_commodities` is
-the inverse index, edge id -> commodities whose path holds it, built by
-walking each path once, so scoring a whole cut set
-(`Instance.scaled_cut_revenue`) costs the congestion summed over its cuts
-rather than one AND per commodity.
+derived from them and cached three ways, each built by the solvers that
+read it:
+
+- `Instance.paths` holds each path as a bitmask over edge ids, so counting
+  one commodity's cuts is an AND plus a popcount; its first read builds
+  each path off the rooting as the XOR of its endpoints' masks of edges up
+  to vertex 0, a table of Θ(n²) bits that an instance without commodities
+  never builds. Sublog, `normalize`, `make_result` and the exact solvers
+  read it.
+- `Instance.edge_commodities` is the inverse index, edge id -> commodities
+  whose path holds it, built by walking each path once in
+  O(n + sum of |P_i|). Brute force, the three path DPs and `parameters()`
+  read it.
+- `Instance._cut_table` holds, per edge, the bitset over commodity ids of
+  the paths through it and the sum of their one-cut deltas
+  d_i = value(i, 1) - value(i, 0), built in one pass up the rooting in
+  O(n + k) big-int operations (n * k bits). The density family scores
+  every candidate with it (`Instance.scaled_cut_revenue`): a cut edge
+  costs a few operations on k-bit ints, and only the commodities cut
+  twice or more are counted, by a bit-sliced counter, and corrected per
+  count class.
 
 `Instance.gains` caches each commodity's marginal gains, value(i, c + 1) -
 value(i, c) for c below its path length, so a solver that adds or removes
@@ -432,7 +445,10 @@ class Instance:
 
     @cached_property
     def paths(self) -> tuple[int, ...]:
-        """Per commodity i: the bitmask of edge ids on its path."""
+        """Per commodity i: the bitmask of edge ids on its path; `()`, with no
+        table built, when there are no commodities."""
+        if not self.commodities:
+            return ()
         # the tree's one rooting at vertex 0 serves every commodity: each
         # vertex's mask of edges up to vertex 0, so a path is the XOR of its ends'
         parent, parent_edge, _, order = self.tree.rooting
@@ -501,25 +517,152 @@ class Instance:
         _, weights, prices, _ = self._scaled
         return prices[0] * sum(weights)
 
+    @cached_property
+    def _cut_table(self) -> tuple[list[int], list[int]]:
+        """Per edge id: the bitset over commodity ids of the paths that hold
+        it, and the sum of those commodities' one-cut deltas
+        d_i = value(i, 1) - value(i, 0).
+
+        One pass up `Tree.rooting`, children before parents. A vertex's
+        bitset is the XOR of its endpoint bits and its children's bitsets,
+        so a commodity with both ends below it cancels; its delta sum is
+        theirs minus twice the deltas of the commodities whose ends meet at
+        it, the bits the XOR drops there. Each commodity is dropped once, so
+        the pass costs O(n + k) big-int operations.
+        """
+        _, weights, prices, budgets = self._scaled
+        parent, parent_edge, _, order = self.tree.rooting
+        n = self.tree.num_vertices
+        below, sums, delta = [0] * n, [0] * n, []
+        for i, (c, w, u) in enumerate(zip(self.commodities, weights, budgets)):
+            d = w * (prices[1] - prices[0]) if u else -w * prices[0]
+            delta.append(d)
+            bit = 1 << i
+            below[c.source] |= bit
+            below[c.target] |= bit
+            sums[c.source] += d
+            sums[c.target] += d
+        bits, deltas = [0] * (n - 1), [0] * (n - 1)
+        for v in reversed(order[1:]):
+            b, s, p, e = below[v], sums[v], parent[v], parent_edge[v]
+            bits[e], deltas[e] = b, s
+            met = below[p] & b  # the commodities whose ends meet at p
+            below[p] ^= b
+            sums[p] += s
+            while met:
+                low = met & -met
+                sums[p] -= 2 * delta[low.bit_length() - 1]
+                met ^= low
+        return bits, deltas
+
+    @cached_property
+    def _weight_width(self) -> int:
+        """The bit length of the largest scaled weight W_i: its number of bit planes."""
+        return max(self._scaled[1], default=0).bit_length()
+
+    @cached_property
+    def _plane_tables(self) -> tuple[list[int], list[int], dict[int, int]]:
+        """(the bit planes of W_i, the bit planes of min(u_i, n), and the sets
+        {i : u_i >= c} that `_at_least` has derived, by c), every set a
+        bitset over commodity ids. A cut count is below n, so the clamp keeps
+        every u_i >= c test."""
+        n = self.tree.num_vertices
+        budgets = [min(u, n) for u in self._scaled[3]]
+        return _bit_planes(self._scaled[1], self._weight_width), _bit_planes(budgets, n.bit_length()), {}
+
+    def _at_least(self, c: int) -> int:
+        """The set {i : u_i >= c}, by comparing budget planes from the top."""
+        _, planes, found = self._plane_tables
+        if c not in found:
+            above, tied = 0, (1 << len(self.commodities)) - 1
+            for bit in reversed(range(len(planes))):
+                if c >> bit & 1:
+                    tied &= planes[bit]
+                else:
+                    above |= tied & planes[bit]
+                    tied &= ~planes[bit]
+            found[c] = above | tied
+        return found[c]
+
+    def _class_correction(self, members: int, c: int) -> int:
+        """Sum of value(i, c) - value(i, 0) - c * d_i over the bitset
+        `members` of commodities cut c >= 2 times: W_i times one of three
+        constants (budget >= c, 1 <= budget < c, budget 0). A set of no
+        more commodities than W has bit planes is summed commodity by
+        commodity, a larger one by weight sums over the planes: one over
+        the set and one over each of its served and zero-budget parts."""
+        _, weights, prices, budgets = self._scaled
+        rest = prices[0] + c * (prices[1] - prices[0])  # value(i, 0) + c * d_i for a budget of at least 1
+        k_served, k_short, k_zero = prices[c] - rest, -rest, (c - 1) * prices[0]
+        if members.bit_count() <= self._weight_width:
+            total = 0
+            while members:
+                low = members & -members
+                i = low.bit_length() - 1
+                u = budgets[i]
+                total += weights[i] * (k_served if u >= c else k_short if u else k_zero)
+                members ^= low
+            return total
+        served, zero = members & self._at_least(c), members & ~self._at_least(1)
+        total = 0
+        for part, k in ((members, k_short), (served, k_served - k_short), (zero, k_zero - k_short)):
+            if part:
+                weight = 0
+                for j, plane in enumerate(self._plane_tables[0]):
+                    weight += (part & plane).bit_count() << j
+                total += k * weight
+        return total
+
     def scaled_cut_revenue(self, cuts: Iterable[int]) -> int:
         """Revenue of the cut set `cuts` (distinct edge ids), times `scale`.
 
-        Equals `scaled_revenue(edge_mask(cuts))`: the empty-set revenue plus,
-        per commodity the cuts touch, value(i, count) - value(i, 0).
+        Equals `scaled_revenue(edge_mask(cuts))`. The empty-set revenue plus
+        the cut edges' delta sums (`_cut_table`) is exact for every
+        commodity cut at most once. The commodities cut twice or more are
+        found while adding, as `twos |= ones & b; ones |= b` over the edges'
+        bitsets, and those cut three times or more as `threes` before them.
+        When there are any, a bit-sliced counter over the cut edges splits
+        `twos` into the count classes that occur; else `twos` is the one
+        class c = 2. Each class gets `_class_correction`. One cut edge costs
+        a few operations on k-bit ints, rather than one dict update per
+        commodity on the edge.
         """
-        _, weights, prices, budgets = self._scaled
-        on_edge = self.edge_commodities
-        # a plain dict: `collections.Counter`'s fixed cost per call made
-        # scoring slower than the mask kernel on instances of n <= 16
-        counts: dict[int, int] = {}
-        for e in cuts:
-            for i in on_edge[e]:
-                counts[i] = counts.get(i, 0) + 1
-        f0 = prices[0]
+        bits, deltas = self._cut_table
         total = self._empty_revenue
-        for i, count in counts.items():
-            w = weights[i]
-            total += (w * prices[count] if count <= budgets[i] else 0) - w * f0
+        ones = twos = threes = 0
+        picked = []
+        for e in cuts:
+            b = bits[e]
+            total += deltas[e]
+            threes |= twos & b
+            twos |= ones & b
+            ones |= b
+            picked.append(b)
+        if not threes:
+            return total + self._class_correction(twos, 2) if twos else total
+        counter: list[int] = []  # counter[j]: the commodities whose cut count has bit j set
+        for b in picked:
+            carry = b & twos
+            for j, plane in enumerate(counter):
+                counter[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    counter.append(carry)
+        # split `twos` by the counter's planes, highest first, into its count classes
+        stack = [(twos, len(counter), 0)]
+        while stack:
+            members, j, c = stack.pop()
+            if not j:
+                total += self._class_correction(members, c)
+                continue
+            high = members & counter[j - 1]
+            if high:
+                stack.append((high, j - 1, c | 1 << (j - 1)))
+            if high != members:
+                stack.append((members ^ high, j - 1, c))
         return total
 
     def scaled_revenue(self, mask: int, ids: Iterable[int] | None = None) -> int:
@@ -532,6 +675,20 @@ class Instance:
             if count <= budgets[i]:
                 total += weights[i] * prices[count]
         return total
+
+
+# per bit b of a byte: the table mapping each byte to b"1" if bit b is set, else b"0"
+_BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
+
+
+def _bit_planes(values: Sequence[int], width: int) -> list[int]:
+    """Plane j is the bitset of the indices i whose values[i] has bit j set;
+    every value is below 2 ** width. The values are laid out as bytes once,
+    and each plane is read off one byte column as a string of binary
+    digits."""
+    size = (width + 7) // 8
+    data = b"".join([v.to_bytes(size, "little") for v in values])
+    return [int(data[j // 8 :: size].translate(_BIT_DIGITS[j % 8])[::-1] or b"0", 2) for j in range(width)]
 
 
 def edge_mask(cuts: Iterable[int]) -> int:

@@ -13,8 +13,12 @@ from fza import (
     PricingFunction,
     Tree,
     brute_force,
+    dp_congestion,
+    dp_pmax,
+    dp_umax,
     gen_random,
     normalize,
+    parameters,
     simplified_single_density,
     single_density,
     single_density_base,
@@ -25,6 +29,7 @@ import fza.density
 from fza.density import _offset_buckets, bernoulli_candidate, ceil_log2
 from fza.rng import substream
 from conftest import (
+    bounded_path_instance,
     classify_by_density,
     density_class,
     offset_candidates,
@@ -297,6 +302,25 @@ class TestSimplified:
     def test_deterministic_per_seed(self):
         inst = random_instance(9, 10, 6, "linear")
         assert simplified_single_density(inst, 7) == simplified_single_density(inst, 7)
+
+
+def test_only_brute_force_the_path_dps_and_parameters_build_the_edge_index():
+    # the density family scores through per-edge commodity bitsets
+    # (`Instance._cut_table`); the edge id -> commodity ids index,
+    # `Instance.edge_commodities`, is left to its other readers
+    tree_inst = random_instance(33, 60, 60, "affine")
+    path_inst = random_instance(33, 60, 60, "affine", shape="path")
+    for inst in (tree_inst, path_inst):
+        single_density(inst, 1)
+        simplified_single_density(inst, 1)
+        single_density_base(inst)
+    single_density_path(path_inst)
+    assert "edge_commodities" not in tree_inst.__dict__ and "edge_commodities" not in path_inst.__dict__
+    bounded = bounded_path_instance(33)
+    for read in (brute_force, dp_umax, dp_pmax, dp_congestion, parameters):
+        fresh = Instance(bounded.tree, bounded.pricing, bounded.commodities)
+        read(fresh)
+        assert "edge_commodities" in fresh.__dict__, read.__name__
 
 
 class TestPinned:

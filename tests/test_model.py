@@ -1,5 +1,6 @@
 import ast
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -32,12 +33,14 @@ from conftest import (
     bfs_rooting,
     fig1_instance,
     fraction_pricing_error,
+    offset_candidates,
     path_edges,
     random_instance,
     reference_normalize,
     reference_walk,
     resolve_path,
     revenue_of_commodity,
+    seeded_density_candidates,
     shaped_tree,
 )
 
@@ -465,6 +468,20 @@ class TestNormalize:
         raw = Instance.create(tree, PricingFunction.affine(4), [Commodity(*c) for c in self.CANONICAL])
         assert normalize(raw) is raw
 
+    def test_no_commodities_builds_no_root_path_table(self):
+        # the table of root-path masks is Θ(n²) bits, 26 MiB at this size;
+        # with no commodity to read it, `paths` is () and normalize keeps its input
+        n = 20_000
+        inst = Instance(Tree(n, tuple((v, v + 1) for v in range(n - 1))), PricingFunction.linear(n), ())
+        tracemalloc.start()
+        try:
+            out = normalize(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is inst and inst.paths == ()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -637,6 +654,68 @@ class TestScaledKernel:
                 for c, path in zip(inst.commodities, inst.paths):
                     outcomes.add(((path & mask).bit_count() > c.budget, inst.pricing.base_revenue))
         assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
+
+    @staticmethod
+    def deep_instance(seed: int) -> tuple[Instance, frozenset]:
+        """A tree or path of 160-300 vertices with k = n, and one thinned
+        density candidate whose cut counts set the budgets: 0, the count, one
+        below or above it, or any. Even seeds draw weights of 12 or more
+        bits once scaled; the pricing cycles through f(0) = 0, f(0) = 1 and
+        a shifted harmonic table."""
+        rng = Random(3300 + seed)
+        n = (300, 240, 160)[seed % 3]
+        base = random_instance(3300 + seed, n, n, "linear", ("tree", "path")[seed % 2])
+        anchor = max(seeded_density_candidates(base, seed)[1:5], key=len)
+        mask = edge_mask(anchor)
+        harmonic = [Fraction(1, 2)]
+        for x in range(1, n):
+            harmonic.append(harmonic[-1] + Fraction(1, x))
+        pricing = (PricingFunction.linear(n), PricingFunction.affine(n), PricingFunction(tuple(harmonic)))[seed % 3]
+        commodities = []
+        for c, path in zip(base.commodities, base.paths):
+            count = (path & mask).bit_count()
+            budget = rng.choice((0, count, max(count - 1, 0), count + 1, rng.randrange(n)))
+            weight = Fraction(rng.randint(1, 4000), rng.choice((1, 2, 3, 5, 7))) if seed % 2 == 0 else Fraction(rng.randint(1, 5))
+            commodities.append(Commodity(c.source, c.target, budget, weight))
+        return make(base.tree, pricing, commodities), anchor
+
+    def test_cut_revenue_at_depth(self):
+        # the bitset kernel where commodities are cut 2, 3 and 8 or more
+        # times, in every budget case of a count class: residue-class,
+        # thinned, random, empty and full cut sets, each scored against the
+        # mask kernel and the Fraction reference
+        cases = [(*self.deep_instance(seed), seed) for seed in range(6)]
+        small = [
+            make(Tree(1, ()), PricingFunction.affine(1), []),
+            make(Tree(2, ((0, 1),)), PricingFunction.affine(2), []),
+            make(Tree(2, ((0, 1),)), PricingFunction.affine(2), [Commodity(0, 1, 0, Fraction(3)), Commodity(1, 0, 1, Fraction(2, 7))]),
+            make(Tree(5, ((0, 1), (1, 2), (1, 3), (3, 4))), PricingFunction.linear(5), []),
+        ]
+        cases += [(inst, frozenset(), seed) for seed, inst in enumerate(small, 6)]
+        seen = set()
+        for inst, anchor, seed in cases:
+            rng = Random(seed)
+            m = inst.tree.num_edges
+            if seed < 6 and seed % 2 == 0:
+                d_w = inst.scale // inst.pricing.scaled[0]
+                assert max(c.weight * d_w for c in inst.commodities).numerator.bit_length() >= 12
+            cut_sets = [frozenset(), frozenset(range(m)), anchor]
+            cut_sets += [cand for j, cands in offset_candidates(inst).items() for cand in cands if j <= 2 or rng.random() < 0.1]
+            cut_sets += rng.sample(seeded_density_candidates(inst, seed), min(m, 16))
+            cut_sets += [frozenset(e for e in range(m) if rng.random() < p) for p in (0.05, 0.2, 0.5, 0.9)]
+            for cuts in dict.fromkeys(cut_sets):
+                got = inst.scaled_cut_revenue(cuts)
+                mask = edge_mask(cuts)
+                assert got == inst.scaled_revenue(mask), (seed, sorted(cuts))
+                assert got == total_revenue(inst, cuts) * inst.scale, (seed, sorted(cuts))
+                for c, path in zip(inst.commodities, inst.paths):
+                    count = (path & mask).bit_count()
+                    if count >= 2:
+                        case = "served" if c.budget >= count else "short" if c.budget else "zero"
+                        seen |= {min(count, 8), (case, inst.pricing.base_revenue), ("equal", c.budget == count)}
+        assert {2, 3, 8} <= seen
+        assert {(case, base) for case in ("served", "short", "zero") for base in (False, True)} <= seen
+        assert ("equal", True) in seen
 
 
 def test_first_best_keeps_first_maximum_and_scores_each_set_once():

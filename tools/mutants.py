@@ -115,8 +115,24 @@ MUTANTS = (
         "Instance.value's budget off by one",
     ),
     Mutant(
-        "src/fza/model.py", "(w * prices[count] if count <= budgets[i] else 0)", "(w * prices[count] if count < budgets[i] else 0)",
-        "the edge-index scoring kernel's budget off by one",
+        "src/fza/model.py", "sums[p] -= 2 * delta[low.bit_length() - 1]", "sums[p] -= delta[low.bit_length() - 1]",
+        "the per-edge delta sum subtracts a meeting commodity once, not twice, so the edges above its path count it",
+    ),
+    Mutant(
+        "src/fza/model.py", "prices[c] - rest, -rest, (c - 1) * prices[0]", "prices[c - 1] - rest, -rest, (c - 1) * prices[0]",
+        "the count-class constant for a budget of at least c prices c - 1 cuts",
+    ),
+    Mutant(
+        "src/fza/model.py", "prices[c] - rest, -rest, (c - 1) * prices[0]", "prices[c] - rest, prices[0] - rest, (c - 1) * prices[0]",
+        "the count-class constant for a budget below c keeps the empty-set value it must take back",
+    ),
+    Mutant(
+        "src/fza/model.py", "prices[c] - rest, -rest, (c - 1) * prices[0]", "prices[c] - rest, -rest, c * prices[0]",
+        "the count-class constant for a zero budget adds back one empty-set value too many",
+    ),
+    Mutant(
+        "src/fza/model.py", "above |= tied & planes[bit]", "above |= planes[bit]",
+        "the budget comparison counts a commodity above c by one higher plane alone, whatever its higher bits",
     ),
     Mutant(
         "src/fza/model.py", "            if count <= budgets[i]:", "            if count < budgets[i]:",

@@ -27,7 +27,11 @@ inputs, then these groups.
 - sublog: `solve --algo sublog` on every shared input, once to stdout and
   once with `--diagnostics` to a file, plus perfbench's sublog-tree
   (instance, seed) pairs both ways when the checkout has `perfbench/`.
-- density: the four density solvers on a quarter of the shared inputs.
+- density: the four density solvers on a quarter of the shared inputs,
+  then on one random path and one random tree of 1,500 vertices with
+  k = n, affine pricing and fractional weights (max weight 1000 on the
+  path, 10 on the tree), so that commodities are cut many times and the
+  scaled weights span many bit planes.
 - paths: `dp-umax`, `dp-pmax`, `dp-cong` and `gen-rooted-path` (at cut
   counts 0, 1, 2 and m, one past m, and a root inside the path) on small
   paths with short commodities, all three DPs on paths where several
@@ -292,6 +296,18 @@ def density_group(specs):
             yield "density", ".", ["solve", "--algo", algo, "--input", s["path"], "--seed", seed]
         for algo in ("single-density-base", "single-density-path"):
             yield "density", ".", ["solve", "--algo", algo, "--input", s["path"]]
+    # k = n on 1,500 vertices: commodities cut many times, and scaled weights
+    # of about 15 bits (max weight 10) and over 1,000 bits (max weight 1000)
+    for shape, max_weight in (("path", "1000"), ("tree", "10")):
+        path = f"in/dense-{shape}.json"
+        yield "density", ".", [
+            "gen", "random", "--shape", shape, "--vertices", "1500", "--commodities", "1500", "--pricing", "affine",
+            "--max-weight", max_weight, "--fractional-weights", "--seed", "33", "--output", path,
+        ]
+        for algo in ("single-density", "simplified"):
+            yield "density", ".", ["solve", "--algo", algo, "--input", path, "--seed", "5"]
+        for algo in ("single-density-base", "single-density-path"):
+            yield "density", ".", ["solve", "--algo", algo, "--input", path]
 
 
 def paths_group(specs):
