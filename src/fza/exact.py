@@ -69,9 +69,10 @@ def brute_force(instance: Instance) -> SolveResult:
     rest = [0] * instance.num_commodities
     on_edge: list[tuple] = [()] * m
     for e in range(m - 1, -1, -1):
-        for i in instance.edge_commodities[e]:
+        ids = [i for i, path in enumerate(instance.paths) if path >> e & 1]
+        for i in ids:
             rest[i] += 1
-        on_edge[e] = tuple((i, gains[i], budgets[i], rest[i]) for i in instance.edge_commodities[e])
+        on_edge[e] = tuple((i, gains[i], budgets[i], rest[i]) for i in ids)
     counts = [0] * instance.num_commodities
     best_rev, best_cuts = instance._empty_revenue, ()
     cuts: list[int] = []

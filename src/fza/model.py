@@ -18,25 +18,22 @@ size); a whole-tree walk never takes that branch. The rooted DP and the
 skeleton pass read `up` in walk order (parents first) or reversed (children
 first) and build no child lists. A `Tree` is rooted once: its
 constructor checks connectivity with the walk from vertex 0 and caches it as
-`Tree.rooting`, which `Instance.paths`, `Instance.edge_commodities`,
-`Instance._cut_table` and the density candidates read. The tree's
-`adjacency` and `is_path` are cached on first use.
+`Tree.rooting`, which `Instance.paths`, `Instance._cut_table` and the
+density candidates read. The tree's `adjacency` and `is_path` are cached
+on first use.
 
 An `Instance` holds only its inputs, the tree, the pricing table and the
 commodities, and its constructor checks them together. Commodity paths are
-derived from them and cached three ways, each built by the solvers that
-read it:
+derived from them and cached two ways, each built by the code that reads
+it:
 
 - `Instance.paths` holds each path as a bitmask over edge ids, so counting
   one commodity's cuts is an AND plus a popcount; its first read builds
   each path off the rooting as the XOR of its endpoints' masks of edges up
   to vertex 0, a table of Θ(n²) bits that an instance without commodities
-  never builds. Sublog, `normalize`, `make_result` and the exact solvers
-  read it.
-- `Instance.edge_commodities` is the inverse index, edge id -> commodities
-  whose path holds it, built by walking each path once in
-  O(n + sum of |P_i|). Brute force, the three path DPs and `parameters()`
-  read it.
+  never builds. Sublog, `normalize`, `make_result`, `parameters()` (for
+  |P|_max) and the exact solvers read it; brute force reads each edge's
+  commodities off it too.
 - `Instance._cut_table` holds, per edge, the bitset over commodity ids of
   the paths through it and the sum of their one-cut deltas
   d_i = value(i, 1) - value(i, 0), built in one pass up the rooting in
@@ -44,7 +41,11 @@ read it:
   every candidate with it (`Instance.scaled_cut_revenue`): a cut edge
   costs a few operations on k-bit ints, and only the commodities cut
   twice or more are counted, by a bit-sliced counter, and corrected per
-  count class.
+  count class. `parameters()` reads the congestion off it as the largest
+  popcount.
+
+The three path DPs list the commodities at each path position from the
+commodities' end places (`param_path._Sweep`), with no per-edge cache.
 
 `Instance.gains` caches each commodity's marginal gains, value(i, c + 1) -
 value(i, c) for c below its path length, so a solver that adds or removes
@@ -493,25 +494,6 @@ class Instance:
         return tuple(out)
 
     @cached_property
-    def edge_commodities(self) -> tuple[tuple[int, ...], ...]:
-        """Per edge id: the ids of the commodities whose path holds that edge, ascending.
-
-        Built in O(n + sum of path lengths) by walking both endpoints up
-        `Tree.rooting`'s parent edges to their meeting point, not by reading
-        the n-bit path masks bit by bit.
-        """
-        parent, parent_edge, depth, _ = self.tree.rooting
-        on_edge: list[list[int]] = [[] for _ in range(self.tree.num_edges)]
-        for i, c in enumerate(self.commodities):
-            a, b = c.source, c.target
-            while a != b:
-                if depth[a] < depth[b]:
-                    a, b = b, a
-                on_edge[parent_edge[a]].append(i)
-                a = parent[a]
-        return tuple(map(tuple, on_edge))
-
-    @cached_property
     def _empty_revenue(self) -> int:
         """Scaled revenue of the empty cut set: F_0 * sum of W_i."""
         _, weights, prices, _ = self._scaled
@@ -787,7 +769,7 @@ def parameters(instance: Instance) -> Parameters:
         return Parameters(0, 0, 0)
     u_max = max(c.budget for c in instance.commodities)
     p_max = max(m.bit_count() for m in instance.paths)
-    congestion = max(map(len, instance.edge_commodities))
+    congestion = max(map(int.bit_count, instance._cut_table[0]))
     return Parameters(u_max, p_max, congestion)
 
 

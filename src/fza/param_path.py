@@ -15,9 +15,10 @@ predecessor, was cut), and reconstruction follows the kept tables back.
 Each DP reads its own parameter (u_max off the budgets, |P|_max off the
 path masks, the congestion off its covering lists) and refuses an instance
 over its guard before it builds a table; `dp_umax` and `dp_pmax` refuse
-before the sweep builds `Instance.edge_commodities`, and `dp_congestion`
-before it reads `Instance.gains`. A guard first tests `Tree.is_path`, so a
-tree that is not a path is refused as invalid, not over capacity.
+before the sweep is built, and `dp_congestion`, which reads its
+parameter off the sweep, before it reads `Instance.gains`. A guard first
+tests `Tree.is_path`, so a tree that is not a path is refused as invalid,
+not over capacity.
 
 The sweep starts from the zero-cut revenue F_0 * sum W_i: every commodity
 earns its zero-cut value on both moves at its first position, the same for
@@ -74,14 +75,14 @@ class _Sweep:
     """Path layout plus the one DP loop, which merges each position's moves
     in two ordered passes (see the module docstring for the tie rule).
 
-    `covering[p]` is `Instance.edge_commodities` of the edge at 1-based
-    position p: the commodities whose path holds it, ascending. `start[i]`
-    is the first position whose `covering` holds commodity i, and
-    `future[p]` the lowest start among the commodities through any position
-    after p, m + 1 if there is none. Both are read off each commodity's end
-    places in O(k + m), with no scan of the covering lists: each commodity
-    lowers `future` at the position before its last, and suffix minima
-    carry that to every earlier position.
+    `covering[p]` lists the commodities whose path holds the edge at
+    1-based position p, ascending. `start[i]` is the first position whose
+    `covering` holds commodity i, and `future[p]` the lowest start among the
+    commodities through any position after p, m + 1 if there is none. All
+    three are read off each commodity's end places: `covering` in
+    O(m + sum of |P_i|), `start` and `future` in O(k + m) with no scan of
+    the covering lists, as each commodity lowers `future` at the position
+    before its last, and suffix minima carry that to every earlier position.
     """
 
     def __init__(self, instance: Instance):
@@ -90,16 +91,18 @@ class _Sweep:
         self.instance = instance
         order, self.edge_ids = instance.tree.path_order()
         self.m = m = len(self.edge_ids)
-        self.covering = [()] + [instance.edge_commodities[e] for e in self.edge_ids]
         # position p joins the vertices at places p - 1 and p, so a path's
         # first position is one past the place of its nearer end
         place = {v: q for q, v in enumerate(order)}
         ends = [sorted((place[c.source], place[c.target])) for c in instance.commodities]
         self.start = [a + 1 for a, _ in ends]
+        self.covering = covering = [[] for _ in range(m + 1)]
         self.future = future = [m + 1] * (m + 1)
         # at places a < b a path runs through positions a + 1 .. b, so it
         # runs through a position after p exactly when p < b
-        for a, b in ends:
+        for i, (a, b) in enumerate(ends):
+            for p in range(a + 1, b + 1):
+                covering[p].append(i)
             future[b - 1] = min(future[b - 1], a + 1)
         for p in range(m - 1, -1, -1):
             future[p] = min(future[p], future[p + 1])

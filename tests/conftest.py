@@ -584,7 +584,10 @@ def gray_code_optimum(instance: Instance) -> tuple[int, ...]:
     """
     m = instance.tree.num_edges
     gains = instance.gains
-    on_edge = [tuple((i, gains[i]) for i in ids) for ids in instance.edge_commodities]
+    on_edge = [
+        tuple((i, gains[i]) for i, path in enumerate(instance.paths) if path >> e & 1)
+        for e in range(m)
+    ]
     counts = [0] * instance.num_commodities
     revenue = best_rev = instance._empty_revenue
     best_key: tuple[int, ...] = ()

@@ -304,23 +304,22 @@ class TestSimplified:
         assert simplified_single_density(inst, 7) == simplified_single_density(inst, 7)
 
 
-def test_only_brute_force_the_path_dps_and_parameters_build_the_edge_index():
+def test_only_the_density_family_and_parameters_build_the_edge_bitsets():
     # the density family scores through per-edge commodity bitsets
-    # (`Instance._cut_table`); the edge id -> commodity ids index,
-    # `Instance.edge_commodities`, is left to its other readers
+    # (`Instance._cut_table`), and `parameters()` reads the congestion off
+    # them; brute force and the three path DPs read the gain table instead
     tree_inst = random_instance(33, 60, 60, "affine")
     path_inst = random_instance(33, 60, 60, "affine", shape="path")
-    for inst in (tree_inst, path_inst):
-        single_density(inst, 1)
-        simplified_single_density(inst, 1)
-        single_density_base(inst)
-    single_density_path(path_inst)
-    assert "edge_commodities" not in tree_inst.__dict__ and "edge_commodities" not in path_inst.__dict__
     bounded = bounded_path_instance(33)
-    for read in (brute_force, dp_umax, dp_pmax, dp_congestion, parameters):
-        fresh = Instance(bounded.tree, bounded.pricing, bounded.commodities)
-        read(fresh)
-        assert "edge_commodities" in fresh.__dict__, read.__name__
+    seeded = [(single_density, 1), (simplified_single_density, 1), (single_density_base,), (parameters,)]
+    runs = [(inst, call) for inst in (tree_inst, path_inst) for call in seeded]
+    runs += [(path_inst, (single_density_path,)), (bounded, (parameters,))]
+    runs += [(bounded, (read,)) for read in (brute_force, dp_umax, dp_pmax, dp_congestion)]
+    for inst, (read, *args) in runs:
+        fresh = Instance(inst.tree, inst.pricing, inst.commodities)
+        read(fresh, *args)
+        exact = read in (brute_force, dp_umax, dp_pmax, dp_congestion)
+        assert ("_cut_table" in fresh.__dict__, "gains" in fresh.__dict__) == (not exact, exact), read.__name__
 
 
 class TestPinned:

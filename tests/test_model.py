@@ -14,12 +14,14 @@ import pytest
 from fza import (
     CapacityError,
     Commodity,
+    GenSpec,
     Instance,
     InvalidInstanceError,
     PricingFunction,
     Tree,
     brute_force,
     dp_pmax,
+    gen_random,
     normalize,
     parameters,
     single_density,
@@ -625,7 +627,7 @@ class TestScaledKernel:
 
 
     def test_cut_revenue_matches_mask_scoring(self):
-        # the edge -> commodity scorer against the mask kernel and the
+        # the per-edge bitset scorer against the mask kernel and the
         # Fraction reference: fractional weights, f(0) = 0 and f(0) > 0,
         # budgets exceeded and met, the empty and the full cut set
         cases = []
@@ -639,7 +641,7 @@ class TestScaledKernel:
             cases.append(random_instance(seed, 14, 20, "capped", shape))
         cases.append(make(Tree(1, ()), PricingFunction.affine(1), []))
         cases.append(make(Tree(4, ((0, 1), (1, 2), (1, 3))), PricingFunction.affine(4), []))
-        assert cases[-2].edge_commodities == () and cases[-1].edge_commodities == ((),) * 3
+        assert cases[-2]._cut_table[0] == [] and cases[-1]._cut_table[0] == [0] * 3
         outcomes = set()
         for n, inst in enumerate(cases):
             rng = Random(n)
@@ -744,7 +746,7 @@ class TestParameters:
                 tuple(i for i, path in enumerate(inst.paths) if path >> e & 1)
                 for e in range(inst.tree.num_edges)
             )
-            assert inst.edge_commodities == on_edge
+            assert inst._cut_table[0] == [sum(1 << i for i in ids) for ids in on_edge]
             assert parameters(inst).congestion == max(map(len, on_edge), default=0)
 
     def test_fig1_u_max(self):
@@ -769,6 +771,19 @@ class TestParameters:
         t = Tree(1, ())
         inst = make(t, PricingFunction.linear(1), [])
         assert parameters(inst) == (0, 0, 0)
+
+    def test_congestion_builds_no_id_index(self):
+        # a random path holds about k * n / 3 commodity ids over its edges;
+        # the congestion is read off the per-edge bitsets, n * k bits
+        generated = gen_random(GenSpec("random-path", 3000, 3000, "affine", seed=1))
+        inst = Instance(generated.tree, generated.pricing, generated.commodities)
+        tracemalloc.start()
+        try:
+            found = parameters(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == (2608, 2914, 1535) and peak < 8 << 20
 
 
 class TestInvariants:
@@ -913,7 +928,7 @@ def test_each_tree_is_rooted_once(monkeypatch):
     path_inst = random_instance(2, 10, 10, pricing="affine", shape="path")
     for inst in (tree_inst, path_inst):
         inst = normalize(inst)
-        inst.edge_commodities
+        parameters(inst)
         single_density(inst, 1)
         single_density_base(inst)
     dp_pmax(path_inst)

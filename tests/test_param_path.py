@@ -48,23 +48,23 @@ class TestGuards:
                     solver(inst)
 
     # each guard trips on an instance just beyond its fixed limit and must
-    # refuse before the sweep makes a single transition, and before it builds
-    # the edge index (dp_umax, dp_pmax) or the gain table (dp_congestion)
+    # refuse before the sweep makes a single transition, and before the
+    # sweep is built (dp_umax, dp_pmax) or the gain table read (dp_congestion)
     def test_umax_budget_guard(self, monkeypatch):
         t = Tree(30, tuple((i, i + 1) for i in range(29)))
         inst = make(t, PricingFunction.linear(30), [Commodity(0, 5, 3, Fraction(1))])
         monkeypatch.setattr(param_path, "_update", _no_transition)
+        monkeypatch.setattr(param_path._Sweep, "__init__", _no_sweep)
         with pytest.raises(CapacityError, match=r"30\^5 > 10000000"):
             dp_umax(inst)
-        assert "edge_commodities" not in inst.__dict__
 
     def test_pmax_budget_guard(self, monkeypatch):
         t = Tree(23, tuple((i, i + 1) for i in range(22)))
         inst = make(t, PricingFunction.linear(23), [Commodity(0, 22, 1, Fraction(1))])
         monkeypatch.setattr(param_path, "_update", _no_transition)
+        monkeypatch.setattr(param_path._Sweep, "__init__", _no_sweep)
         with pytest.raises(CapacityError, match=r"2\^22 > 1048576"):
             dp_pmax(inst)
-        assert "edge_commodities" not in inst.__dict__
 
     def test_congestion_budget_guard(self, monkeypatch):
         t = Tree(11, tuple((i, i + 1) for i in range(10)))
@@ -102,6 +102,10 @@ class TestGuards:
 
 def _no_transition(*args):
     raise AssertionError("the DP sweep started")
+
+
+def _no_sweep(*args):
+    raise AssertionError("the DP sweep was built")
 
 
 class TestSmallCases:
@@ -327,10 +331,11 @@ def test_sweep_matches_pairwise_reference(monkeypatch):
 
 
 def test_sweep_future_matches_its_definition():
-    # `_Sweep` reads start and future off each commodity's end places; here
-    # both come from the covering lists instead: start[i] is the first
-    # position holding i, future[p] the lowest start among the commodities
-    # on any position after p (m + 1 if none)
+    # `_Sweep` reads covering, start and future off each commodity's end
+    # places; here covering is recounted off the path masks, and start and
+    # future come from it instead: start[i] is the first position holding
+    # i, future[p] the lowest start among the commodities on any position
+    # after p (m + 1 if none)
     tails = reaching_end = 0
     for seed in range(300):
         rng = substream(seed, "sweep-future")
@@ -348,8 +353,11 @@ def test_sweep_future_matches_its_definition():
             b = reach if rng.random() < 0.3 else rng.randint(a + 1, reach)
             pair = (labels[a], labels[b]) if rng.random() < 0.5 else (labels[b], labels[a])
             comms.append(Commodity(*pair, rng.randint(0, 2), Fraction(1)))
-        sweep = param_path._Sweep(make(tree, PricingFunction.linear(n), comms))
-        m, covering = sweep.m, sweep.covering
+        inst = make(tree, PricingFunction.linear(n), comms)
+        sweep = param_path._Sweep(inst)
+        m, covering, edge_ids = sweep.m, sweep.covering, sweep.edge_ids
+        for p in range(1, m + 1):
+            assert covering[p] == [i for i, mask in enumerate(inst.paths) if mask >> edge_ids[p - 1] & 1], seed
         start = {}
         for p in range(1, m + 1):
             for i in covering[p]:

@@ -69,6 +69,10 @@ MUTANTS = (
         "brute force never cuts the last edge: its cut set loses revenue yet scores as it claims",
     ),
     Mutant(
+        "src/fza/exact.py", "if path >> e & 1]", "if path >> e + 1 & 1]",
+        "brute force reads each edge's commodities off the next edge's mask bit",
+    ),
+    Mutant(
         "src/fza/exact.py", "range(min(len(vals), budgets[i] + 1))", "range(min(len(vals), budgets[i]))",
         "rooted_dp's budget off by one: a commodity at exactly its budget earns nothing",
     ),
@@ -165,6 +169,10 @@ MUTANTS = (
     Mutant(
         "src/fza/param_path.py", "self.start = [a + 1 for a, _ in ends]", "self.start = [a for a, _ in ends]",
         "_Sweep.start one position early: each commodity starts at the place of its nearer end",
+    ),
+    Mutant(
+        "src/fza/param_path.py", "range(a + 1, b + 1):", "range(a + 1, b):",
+        "_Sweep.covering leaves each commodity off its last position",
     ),
     Mutant(
         "src/fza/param_path.py", "future[b - 1] = min(future[b - 1], a + 1)", "future[b] = min(future[b], a + 1)",

@@ -39,6 +39,11 @@ inputs, then these groups.
   `dp-pmax` on a path whose commodity is wider than its window budget,
   each DP on a dense path over its guard, and all three on a tree over two
   of them.
+- congestion: `validate`, `solve --algo dp-cong` and `solve --algo brute`
+  on a random path and a random tree of 2,000 vertices with k = n, and on
+  a 2,000-vertex path with 2,000 commodities from vertex 0 to its last
+  three vertices: inputs whose congestion is large and whose refusals
+  come after it is read.
 - rooted: `solve --algo rooted` at the instance's root and off it, and
   brute force where it fits, on rooted trees; then brute force on one
   shared input with more edges than it takes.
@@ -375,6 +380,26 @@ def paths_group(specs):
         yield "paths", ".", ["solve", "--algo", algo, "--input", path]
 
 
+def congestion_group(specs):
+    n = 2000
+    paths = []
+    for shape in ("path", "tree"):
+        path = f"in/congested-{shape}.json"
+        yield "congestion", ".", [
+            "gen", "random", "--shape", shape, "--vertices", str(n), "--commodities", str(n),
+            "--pricing", "affine", "--seed", "34", "--output", path,
+        ]
+        paths.append(path)
+    # budgets i // 3 on three far ends, so no two commodities merge
+    fan = _instance(n, ((v, v + 1) for v in range(n - 1)), [str(x) for x in range(n)],
+                    [(0, n - 3 + i % 3, i // 3, "1") for i in range(n)])
+    paths.append(_write("in/congested-fan.json", json.dumps(fan)))
+    for path in paths:
+        yield "congestion", ".", ["validate", "--input", path]
+        for algo in ("dp-cong", "brute"):
+            yield "congestion", ".", ["solve", "--algo", algo, "--input", path]
+
+
 def rooted_group(specs):
     rng = random.Random("same-bytes/rooted")
     for i in range(120):
@@ -441,7 +466,7 @@ def bench_group(specs):
 
 BUILDERS = {
     "gen": gen_group, "reader": reader_group, "sublog": sublog_group, "density": density_group,
-    "paths": paths_group, "rooted": rooted_group, "bench": bench_group,
+    "paths": paths_group, "congestion": congestion_group, "rooted": rooted_group, "bench": bench_group,
 }
 
 
