@@ -57,15 +57,43 @@ def single_density(instance: Instance, seed: int) -> SolveResult:
     One candidate per (class j, offset theta) pair: the modular edge
     selection below root 0, thinned edge-wise with probability 1/2. The empty
     set covers the zero-budget class. Each pair's coin flips come from its
-    own stream; an empty bucket reads no draw, so its stream is not seeded
-    and its candidate is the empty set.
+    own stream, addressed by (seed, j, theta).
+
+    The candidates go to `first_best` in that order, but a pair is skipped
+    before its stream is seeded when its thinned set cannot win: when its
+    bucket is empty, when the bucket's `scaled_cut_bound` is no higher than
+    the best score so far, or when the pair (j - 1, theta mod 2^j) was
+    skipped. That pair's bucket holds this one, so its bound was no lower,
+    and the best score never falls. A skipped candidate scores at most the
+    best, and only a strictly higher score replaces it, so the result is the
+    one every candidate would give.
     """
-    candidates = [frozenset()]
-    for j, buckets in _offset_buckets(instance):
-        for theta, bucket in enumerate(buckets):
-            rng = substream(seed, "single-density", j, theta) if bucket else None
-            candidates.append(frozenset(e for e in bucket if rng.random() >= 0.5))
-    return _argmax_candidates(instance, candidates, "single-density", seed=seed)
+    high = 0  # the highest score so far; the empty set, scored first, sets it
+
+    def score(cuts):
+        nonlocal high
+        value = instance.scaled_cut_revenue(cuts)
+        high = max(high, value)
+        return value
+
+    def candidates():
+        yield frozenset()
+        kept: set[int] = set()  # the offsets of the class before that were not skipped
+        for j, buckets in _offset_buckets(instance):
+            half, parents, kept = len(buckets) // 2, kept, set()
+            for theta, bucket in enumerate(buckets):
+                if not bucket or (j > 1 and theta % half not in parents) or instance.scaled_cut_bound(bucket) <= high:
+                    continue
+                kept.add(theta)
+                rng = substream(seed, "single-density", j, theta)
+                yield frozenset(e for e in bucket if rng.random() >= 0.5)
+            if not kept:
+                return  # every later pair's parent was skipped
+
+    cuts = first_best(candidates(), score)
+    # the empty set and 2^(j+1) offsets for each class j = 1..ceil(log2 n)
+    count = (4 << ceil_log2(instance.tree.num_vertices)) - 3
+    return make_result(instance, cuts, "single-density", seed=seed, diagnostics={"candidates": count})
 
 
 def single_density_path(instance: Instance) -> SolveResult:

@@ -41,8 +41,12 @@ it:
   every candidate with it (`Instance.scaled_cut_revenue`): a cut edge
   costs a few operations on k-bit ints, and only the commodities cut
   twice or more are counted, by a bit-sliced counter, and corrected per
-  count class. `parameters()` reads the congestion off it as the largest
-  popcount.
+  count class. `single_density` also bounds each offset bucket through the
+  same counter (`Instance.scaled_cut_bound`, the revenue plus W_i * F[u_i]
+  for each commodity cut past its budget) and skips the buckets whose
+  thinned candidates cannot win: on perfbench's density-tree instances it
+  seeds about one stream in twenty. `parameters()` reads the congestion off
+  it as the largest popcount.
 
 The three path DPs list the commodities at each path position from the
 commodities' end places (`param_path._Sweep`), with no per-edge cache.
@@ -552,6 +556,16 @@ class Instance:
         budgets = [min(u, n) for u in self._scaled[3]]
         return _bit_planes(self._scaled[1], self._weight_width), _bit_planes(budgets, n.bit_length()), {}
 
+    @cached_property
+    def _top_planes(self) -> list[int]:
+        """The bit planes of W_i * F[min(u_i, n - 1)], commodity i's revenue
+        when cut at its budget; a cut count is below n, so the clamp keeps
+        that value for every commodity that can be cut past its budget."""
+        _, weights, prices, budgets = self._scaled
+        top = self.tree.num_vertices - 1
+        values = [w * prices[min(u, top)] for w, u in zip(weights, budgets)]
+        return _bit_planes(values, max(values, default=0).bit_length())
+
     def _at_least(self, c: int) -> int:
         """The set {i : u_i >= c}, by comparing budget planes from the top."""
         _, planes, found = self._plane_tables
@@ -589,25 +603,40 @@ class Instance:
         total = 0
         for part, k in ((members, k_short), (served, k_served - k_short), (zero, k_zero - k_short)):
             if part:
-                weight = 0
-                for j, plane in enumerate(self._plane_tables[0]):
-                    weight += (part & plane).bit_count() << j
-                total += k * weight
+                total += k * _plane_sum(part, self._plane_tables[0])
         return total
 
-    def scaled_cut_revenue(self, cuts: Iterable[int]) -> int:
-        """Revenue of the cut set `cuts` (distinct edge ids), times `scale`.
+    def _top_sum(self, members: int) -> int:
+        """Sum of W_i * F[min(u_i, n - 1)] over the bitset `members`:
+        commodity by commodity when there are no more of them than
+        `_top_planes` has planes, else by weight sums over those planes."""
+        planes = self._top_planes
+        if members.bit_count() > len(planes):
+            return _plane_sum(members, planes)
+        _, weights, prices, budgets = self._scaled
+        top = self.tree.num_vertices - 1
+        total = 0
+        while members:
+            low = members & -members
+            i = low.bit_length() - 1
+            total += weights[i] * prices[min(budgets[i], top)]
+            members ^= low
+        return total
 
-        Equals `scaled_revenue(edge_mask(cuts))`. The empty-set revenue plus
-        the cut edges' delta sums (`_cut_table`) is exact for every
-        commodity cut at most once. The commodities cut twice or more are
-        found while adding, as `twos |= ones & b; ones |= b` over the edges'
-        bitsets, and those cut three times or more as `threes` before them.
-        When there are any, a bit-sliced counter over the cut edges splits
-        `twos` into the count classes that occur; else `twos` is the one
-        class c = 2. Each class gets `_class_correction`. One cut edge costs
-        a few operations on k-bit ints, rather than one dict update per
-        commodity on the edge.
+    def _cut_counts(self, cuts: Iterable[int]) -> tuple[int, int, list[tuple[int, int]]]:
+        """For the cut set `cuts` (distinct edge ids): (the empty-set
+        revenue plus the cut edges' delta sums, the commodities cut at least
+        once, the count classes [(members, c)] of those cut c >= 2 times),
+        every set a bitset over commodity ids.
+
+        The sum is the revenue of every commodity cut at most once. The
+        commodities cut twice or more are found while adding, as
+        `twos |= ones & b; ones |= b` over the edges' bitsets (`_cut_table`),
+        and those cut three times or more as `threes` before them. When
+        there are any, a bit-sliced counter over the cut edges splits `twos`
+        into the count classes that occur; else `twos` is the one class
+        c = 2. One cut edge costs a few operations on k-bit ints, rather
+        than one dict update per commodity on the edge.
         """
         bits, deltas = self._cut_table
         total = self._empty_revenue
@@ -621,7 +650,7 @@ class Instance:
             ones |= b
             picked.append(b)
         if not threes:
-            return total + self._class_correction(twos, 2) if twos else total
+            return total, ones, [(twos, 2)] if twos else []
         counter: list[int] = []  # counter[j]: the commodities whose cut count has bit j set
         for b in picked:
             carry = b & twos
@@ -634,18 +663,48 @@ class Instance:
                 if carry:
                     counter.append(carry)
         # split `twos` by the counter's planes, highest first, into its count classes
+        classes = []
         stack = [(twos, len(counter), 0)]
         while stack:
             members, j, c = stack.pop()
             if not j:
-                total += self._class_correction(members, c)
+                classes.append((members, c))
                 continue
             high = members & counter[j - 1]
             if high:
                 stack.append((high, j - 1, c | 1 << (j - 1)))
             if high != members:
                 stack.append((members ^ high, j - 1, c))
+        return total, ones, classes
+
+    def scaled_cut_revenue(self, cuts: Iterable[int]) -> int:
+        """Revenue of the cut set `cuts` (distinct edge ids), times `scale`.
+
+        Equals `scaled_revenue(edge_mask(cuts))`: the `_cut_counts` sum,
+        exact for every commodity cut at most once, plus each count class's
+        `_class_correction`.
+        """
+        total, _, classes = self._cut_counts(cuts)
+        for members, c in classes:
+            total += self._class_correction(members, c)
         return total
+
+    def scaled_cut_bound(self, edges: Iterable[int]) -> int:
+        """The sum of W_i * F[min(u_i, c_i)], c_i the number of `edges`
+        (distinct edge ids) on commodity i's path: no subset of `edges`
+        earns more, since it cuts no path more often and f is
+        non-decreasing, and a superset's bound is no smaller.
+
+        `scaled_cut_revenue` plus `_top_sum` over the commodities cut past
+        their budget: those cut once with a zero budget and, in each count
+        class c, those whose budget is below c.
+        """
+        total, ones, classes = self._cut_counts(edges)
+        over = ones & ~self._at_least(1)
+        for members, c in classes:
+            total += self._class_correction(members, c)
+            over |= members & ~self._at_least(c)
+        return total + self._top_sum(over)
 
     def scaled_revenue(self, mask: int, ids: Iterable[int] | None = None) -> int:
         """Revenue of cut set `mask` over commodities `ids` (all by default), times `scale`."""
@@ -673,6 +732,15 @@ def _bit_planes(values: Sequence[int], width: int) -> list[int]:
     return [int(data[j // 8 :: size].translate(_BIT_DIGITS[j % 8])[::-1] or b"0", 2) for j in range(width)]
 
 
+def _plane_sum(members: int, planes: Sequence[int]) -> int:
+    """Sum of the values whose bit planes are `planes` (see `_bit_planes`)
+    over the bitset `members`: one AND and one popcount per plane."""
+    total = 0
+    for j, plane in enumerate(planes):
+        total += (members & plane).bit_count() << j
+    return total
+
+
 def edge_mask(cuts: Iterable[int]) -> int:
     mask = 0
     for eid in cuts:
@@ -689,7 +757,9 @@ def first_best(
     walked in order and a later one replaces the best only on a strictly
     higher score, so the first to reach the maximum wins a tie. Each
     distinct candidate is scored once: a repeat earns the same score, so it
-    could not win.
+    could not win. Each candidate is scored before the next is drawn, so a
+    generator of candidates may leave out those that its `score` calls so
+    far show cannot win (`single_density` does).
     """
     seen = set()
     best = best_score = None

@@ -379,8 +379,9 @@ def offset_candidates(instance: Instance) -> dict[int, list[frozenset[int]]]:
 
 
 def seeded_density_candidates(instance: Instance, seed: int) -> list[frozenset[int]]:
-    """`single_density`'s candidate list, with a stream seeded for every
-    (class j, offset theta), also for an offset whose bucket is empty."""
+    """The candidates `single_density` walks, in its order, with none
+    skipped: a stream seeded for every (class j, offset theta), also for an
+    offset whose bucket is empty or whose bound shows it cannot win."""
     candidates = [frozenset()]
     for j, buckets in _offset_buckets(instance):
         for theta, bucket in enumerate(buckets):

@@ -720,6 +720,54 @@ class TestScaledKernel:
         assert ("equal", True) in seen
 
 
+    def test_cut_bound_matches_recount(self):
+        # the bound kernel against a path-mask recount of
+        # sum w_i * f(min(u_i, c_i)) on random trees, paths and stars, over
+        # edge sets that cut no commodity twice, cut some exactly twice
+        # (one count class, no counter) or three times and more (the
+        # counter), with zero budgets, budgets past n - 1 (the instances are
+        # not normalized) and over-budget sets on both sides of the top
+        # planes' width; then its order: no subset earns more, no superset
+        # has a lower bound
+        rng = Random(3500)
+        seen = set()
+        for trial in range(90):
+            n = rng.randint(2, 60)
+            tree = shaped_tree(rng, n, ("tree", "path", "star")[trial % 3])
+            pricing = (PricingFunction.linear(n), PricingFunction.affine(n), PricingFunction.capped(n, rng.randint(0, 3)))[trial // 3 % 3]
+            commodities = [
+                Commodity(
+                    *rng.sample(range(n), 2),
+                    rng.choice((0, 1, rng.randrange(n), n - 1 + rng.randint(1, 3))),
+                    Fraction(rng.randint(1, 60), rng.choice((1, 2, 3, 7))),
+                )
+                for _ in range(rng.randint(0, 2 * n))
+            ]
+            inst = Instance.create(tree, pricing, commodities)
+            m = inst.tree.num_edges
+            edge_sets = [frozenset(), frozenset(range(m)), frozenset([rng.randrange(m)])]
+            edge_sets += [frozenset(e for e in range(m) if rng.random() < p) for p in (0.1, 0.3, 0.6, 0.9)]
+            edge_sets += [b for buckets in offset_candidates(inst).values() for b in buckets if b and rng.random() < 0.3]
+            for edges in edge_sets:
+                mask = edge_mask(edges)
+                counts = [(path & mask).bit_count() for path in inst.paths]
+                want = sum((c.weight * inst.pricing(min(c.budget, x)) for c, x in zip(inst.commodities, counts)), Fraction(0))
+                bound = inst.scaled_cut_bound(edges)
+                assert bound == want * inst.scale, (trial, sorted(edges))
+                over = [c.budget for c, x in zip(inst.commodities, counts) if x > c.budget]
+                seen.add(("most cuts", min(max(counts, default=0), 3)))
+                seen.add(("over", "planes" if len(over) > len(inst._top_planes) else "each" if over else "none"))
+                seen.add(("zero budget over", 0 in over))
+                seen.add(("budget past n - 1", any(c.budget > n - 1 for c in inst.commodities)))
+                subsets = [edges] + [frozenset(e for e in edges if rng.random() < 0.5) for _ in range(3)]
+                assert all(inst.scaled_cut_revenue(sub) <= bound for sub in subsets), (trial, sorted(edges))
+                superset = edges | {e for e in range(m) if rng.random() < 0.3}
+                assert bound <= inst.scaled_cut_bound(superset), (trial, sorted(edges))
+        assert {("most cuts", c) for c in (0, 1, 2, 3)} <= seen
+        assert {("over", how) for how in ("none", "each", "planes")} <= seen
+        assert {("zero budget over", True), ("budget past n - 1", True)} <= seen
+
+
 def test_first_best_keeps_first_maximum_and_scores_each_set_once():
     rng = Random(17)
     for _ in range(300):

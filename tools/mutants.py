@@ -199,6 +199,31 @@ MUTANTS = (
         "the offset buckets miss the last class",
     ),
     Mutant(
+        "src/fza/density.py", "scaled_cut_bound(bucket) <= high:", "scaled_cut_bound(bucket) < 0:",
+        "single_density's bound never prunes: every filled bucket whose parent was kept seeds its stream",
+    ),
+    Mutant(
+        "src/fza/density.py", "scaled_cut_bound(bucket) <= high:", "scaled_cut_bound(bucket) < high:",
+        "single_density's prune test only loosens: a bucket whose bound ties the best can at best tie, and a tie never replaces the best",
+        equivalent=True,
+    ),
+    Mutant(
+        "src/fza/density.py", "theta % half not in parents", "theta // 2 not in parents",
+        "single_density reads the kept set of the wrong parent offset, (j - 1, theta // 2)",
+    ),
+    Mutant(
+        "src/fza/model.py", "return total + self._top_sum(over)", "return total",
+        "the cut bound drops the over-budget credit: it is the revenue of the full bucket, no bound on its subsets",
+    ),
+    Mutant(
+        "src/fza/model.py", "over = ones & ~self._at_least(1)", "over = 0",
+        "the cut bound credits no commodity cut once past a zero budget",
+    ),
+    Mutant(
+        "src/fza/model.py", "w * prices[min(u, top)] for w, u", "w * prices[min(u, top) - 1] for w, u",
+        "the top planes price one cut below each budget",
+    ),
+    Mutant(
         "src/fza/sublog.py", "while (1 << (d * d)) < n:", "while (1 << (d * d)) <= n:",
         "branching_parameter steps d up one n early (at n = 16 and 512)",
     ),

@@ -32,6 +32,13 @@ inputs, then these groups.
   k = n, affine pricing and fractional weights (max weight 1000 on the
   path, 10 on the tree), so that commodities are cut many times and the
   scaled weights span many bit planes.
+- single-density: `solve --algo single-density` at four seeds (one to a
+  file) on random trees and paths of 500 to 3,000 vertices with
+  fractional weights: eight from `fza gen random` with capped pricing, and
+  eight with prices capped at 1 to 3 cuts, four with k = n and budgets of
+  0 to 6, where many commodities are cut past their budget, and four with
+  4 to 12 commodities and budgets of 1 to 6, where bucket bounds tie the
+  best score.
 - paths: `dp-umax`, `dp-pmax`, `dp-cong` and `gen-rooted-path` (at cut
   counts 0, 1, 2 and m, one past m, and a root inside the path) on small
   paths with short commodities, all three DPs on paths where several
@@ -315,6 +322,38 @@ def density_group(specs):
             yield "density", ".", ["solve", "--algo", algo, "--input", path]
 
 
+def single_density_group(specs):
+    rng = random.Random("same-bytes/single-density")
+    inputs = []
+    for i in range(8):
+        n = rng.randint(500, 3000)
+        path = f"in/single-density{i}.json"
+        yield "single-density", ".", [
+            "gen", "random", "--shape", ("tree", "path")[i % 2], "--vertices", str(n),
+            "--commodities", str(n // rng.choice((1, 2, 4))), "--pricing", "capped",
+            "--max-weight", rng.choice(("10", "1000")), "--fractional-weights", "--seed", str(3500 + i), "--output", path,
+        ]
+        inputs.append(path)
+    # prices capped at 1 to 3 cuts: with k = n and budgets 0 to 6, many
+    # commodities cut past their budget; with a few commodities and budgets
+    # 1 to 6, an early candidate earns the most any cut set can, and every
+    # bucket that cuts each commodity ties it
+    for i in range(8):
+        n = rng.randint(500, 3000)
+        edges = _random_tree(rng, n) if i % 2 else [(v, v + 1) for v in range(n - 1)]
+        cap = rng.randint(1, 3)
+        k, low = (n, 0) if i < 4 else (rng.randint(4, 12), 1)
+        commodities = [(*rng.sample(range(n), 2), rng.randint(low, 6), _weight(rng)) for _ in range(k)]
+        data = _instance(n, edges, [str(min(x, cap)) for x in range(n)], commodities)
+        inputs.append(_write(f"in/single-density-cap{i}.json", json.dumps(data)))
+    for i, path in enumerate(inputs):
+        for seed in rng.sample(range(10**4), 3):
+            yield "single-density", ".", ["solve", "--algo", "single-density", "--input", path, "--seed", str(seed)]
+        yield "single-density", ".", [
+            "solve", "--algo", "single-density", "--input", path, "--seed", str(i), "--output", f"out/single-density{i}.json",
+        ]
+
+
 def paths_group(specs):
     rng = random.Random("same-bytes/paths")
     for i in range(110):
@@ -466,7 +505,8 @@ def bench_group(specs):
 
 BUILDERS = {
     "gen": gen_group, "reader": reader_group, "sublog": sublog_group, "density": density_group,
-    "paths": paths_group, "congestion": congestion_group, "rooted": rooted_group, "bench": bench_group,
+    "single-density": single_density_group, "paths": paths_group, "congestion": congestion_group,
+    "rooted": rooted_group, "bench": bench_group,
 }
 
 
