@@ -41,12 +41,14 @@ it:
   every candidate with it (`Instance.scaled_cut_revenue`): a cut edge
   costs a few operations on k-bit ints, and only the commodities cut
   twice or more are counted, by a bit-sliced counter, and corrected per
-  count class. `single_density` also bounds each offset bucket through the
-  same counter (`Instance.scaled_cut_bound`, the revenue plus W_i * F[u_i]
-  for each commodity cut past its budget) and skips the buckets whose
-  thinned candidates cannot win: on perfbench's density-tree instances it
-  seeds about one stream in twenty. `parameters()` reads the congestion off
-  it as the largest popcount.
+  count class. The density family's bucket walk also bounds each offset
+  bucket through the same counter (`Instance.scaled_cut_bound`, which
+  returns the revenue and, beside it, the revenue plus W_i * F[u_i] for
+  each commodity cut past its budget) and skips the buckets whose
+  candidates cannot win: on perfbench's density-tree instances
+  `single_density` seeds about one stream in twenty. Where the candidate is
+  the bucket itself, the one pass gives both its score and its bound.
+  `parameters()` reads the congestion off it as the largest popcount.
 
 The three path DPs list the commodities at each path position from the
 commodities' end places (`param_path._Sweep`), with no per-edge cache.
@@ -689,13 +691,14 @@ class Instance:
             total += self._class_correction(members, c)
         return total
 
-    def scaled_cut_bound(self, edges: Iterable[int]) -> int:
-        """The sum of W_i * F[min(u_i, c_i)], c_i the number of `edges`
-        (distinct edge ids) on commodity i's path: no subset of `edges`
-        earns more, since it cuts no path more often and f is
-        non-decreasing, and a superset's bound is no smaller.
+    def scaled_cut_bound(self, edges: Iterable[int]) -> tuple[int, int]:
+        """(`scaled_cut_revenue(edges)`, the sum of W_i * F[min(u_i, c_i)],
+        c_i the number of `edges` (distinct edge ids) on commodity i's
+        path), from one `_cut_counts` pass. No subset of `edges` earns more
+        than that sum, since it cuts no path more often and f is
+        non-decreasing, and a superset's sum is no smaller.
 
-        `scaled_cut_revenue` plus `_top_sum` over the commodities cut past
+        The sum is the revenue plus `_top_sum` over the commodities cut past
         their budget: those cut once with a zero budget and, in each count
         class c, those whose budget is below c.
         """
@@ -704,7 +707,7 @@ class Instance:
         for members, c in classes:
             total += self._class_correction(members, c)
             over |= members & ~self._at_least(c)
-        return total + self._top_sum(over)
+        return total, total + self._top_sum(over)
 
     def scaled_revenue(self, mask: int, ids: Iterable[int] | None = None) -> int:
         """Revenue of cut set `mask` over commodities `ids` (all by default), times `scale`."""

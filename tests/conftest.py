@@ -18,7 +18,7 @@ from fza import (
     Tree,
     normalize,
 )
-from fza.density import _offset_buckets, ceil_log2
+from fza.density import _depth_keys, _offset_buckets, ceil_log2
 from fza.generators import pricing_preset
 from fza.files import FORMAT_VERSION, _edge, _list, dumps_canonical, instance_to_dict
 from fza.model import edge_mask, shown
@@ -375,7 +375,7 @@ def classify_by_density(instance: Instance) -> DensityClassification:
 def offset_candidates(instance: Instance) -> dict[int, list[frozenset[int]]]:
     """Per class j: the unthinned offset candidates that `single_density`
     thins and `single_density_base` uses, indexed by the offset theta."""
-    return {j: [frozenset(b) for b in buckets] for j, buckets in _offset_buckets(instance)}
+    return {j: [frozenset(b) for b in buckets] for j, buckets in _offset_buckets(_depth_keys(instance), 1)}
 
 
 def seeded_density_candidates(instance: Instance, seed: int) -> list[frozenset[int]]:
@@ -383,7 +383,7 @@ def seeded_density_candidates(instance: Instance, seed: int) -> list[frozenset[i
     skipped: a stream seeded for every (class j, offset theta), also for an
     offset whose bucket is empty or whose bound shows it cannot win."""
     candidates = [frozenset()]
-    for j, buckets in _offset_buckets(instance):
+    for j, buckets in _offset_buckets(_depth_keys(instance), 1):
         for theta, bucket in enumerate(buckets):
             rng = substream(seed, "single-density", j, theta)
             candidates.append(frozenset(e for e in bucket if rng.random() >= 0.5))

@@ -26,7 +26,7 @@ from fza import (
     total_revenue,
 )
 import fza.density
-from fza.density import _offset_buckets, bernoulli_candidate, ceil_log2
+from fza.density import _depth_keys, _offset_buckets, bernoulli_candidate, ceil_log2
 from fza.rng import substream
 from conftest import (
     bounded_path_instance,
@@ -170,7 +170,7 @@ class TestSingleDensity:
             tree = shaped_tree(rng, n, ("tree", "path", "star")[trial % 3])
             commodities = [Commodity(*rng.sample(range(n), 2), rng.randrange(n), Fraction(1)) for _ in range(6)]
             inst = make(tree, PricingFunction.linear(n), commodities)
-            filled = {(j, theta) for j, buckets in _offset_buckets(inst) for theta, b in enumerate(buckets) if b}
+            filled = {(j, theta) for j, buckets in _offset_buckets(_depth_keys(inst), 1) for theta, b in enumerate(buckets) if b}
             for seed in (0, 1, 4001):
                 seeded.clear()
                 res = single_density(inst, seed)
@@ -212,47 +212,92 @@ class TestSingleDensity:
             counts.append(len(seeded))
         assert counts == [4, 7, 12, 6]
 
+    def test_bucket_passes_pinned(self, monkeypatch):
+        # a deterministic work count: the `_cut_counts` passes, the empty
+        # set's included, that the unthinned variants make on fixed
+        # instances with 8,191, 509, 1,023 and 1,021 candidates, each scored
+        # before the buckets were bounded. On the first two the bounds prune
+        # almost every bucket; on the last two, with budgets of at most 2,
+        # they prune few, and on the shallow tree of the last the deep
+        # classes' buckets repeat their parents, which cost no pass. A
+        # change that stops pruning, or stops reusing a parent's pass,
+        # changes no output, so only this count shows it
+        passes = []
+        count_cuts = Instance._cut_counts
+
+        def record(instance, cuts):
+            passes.append(cuts)
+            return count_cuts(instance, cuts)
+
+        monkeypatch.setattr(Instance, "_cut_counts", record)
+        counts = []
+        for solve, inst in (
+            (single_density_path, gen_random(GenSpec("random-path", 3_000, 3_000, "linear", seed=3601))),
+            (single_density_base, gen_random(GenSpec("random-tree", 128, 128, "affine", fractional_weights=True, seed=3603))),
+            (single_density_path, random_instance(9, 500, 500, "linear", shape="path", max_budget=2)),
+            (single_density_base, random_instance(5, 200, 200, "affine", max_budget=2)),
+        ):
+            passes.clear()
+            solve(inst)
+            counts.append(len(passes))
+        assert counts == [7, 9, 705, 15]
+
     def test_scores_each_cut_set_once(self, monkeypatch):
-        scored, lists = Counter(), []
-        score, argmax = Instance.scaled_cut_revenue, fza.density._argmax_candidates
+        scored, passes, lists = Counter(), Counter(), []
+        score, count_cuts, argmax = Instance.scaled_cut_revenue, Instance._cut_counts, fza.density._argmax_candidates
 
         def count(instance, cuts):
             scored[frozenset(cuts)] += 1
             return score(instance, cuts)
+
+        def count_pass(instance, cuts):
+            passes[frozenset(cuts)] += 1
+            return count_cuts(instance, cuts)
 
         def keep(instance, candidates, *args, **kwargs):
             lists.append(candidates)
             return argmax(instance, candidates, *args, **kwargs)
 
         monkeypatch.setattr(Instance, "scaled_cut_revenue", count)
+        monkeypatch.setattr(Instance, "_cut_counts", count_pass)
         monkeypatch.setattr(fza.density, "_argmax_candidates", keep)
         # 39 edges and classes up to j = 6: most offset buckets are empty, and
         # the unthinned buckets repeat in every class whose modulus exceeds the depth
         tree_inst = random_instance(3, 40, 30, "affine")
         path_inst = random_instance(3, 40, 30, "affine", shape="path")
-        solves = [
-            (single_density, tree_inst, (5,)),
-            (simplified_single_density, tree_inst, (5,)),
-            (single_density_base, tree_inst, ()),
-            (single_density_path, path_inst, ()),
+        along = path_inst.tree.path_order()[1]
+        path_candidates = [frozenset()] + [
+            frozenset(along[theta :: 1 << j]) for j in range(1, ceil_log2(40) + 1) for theta in range(1 << j)
         ]
-        for solve, inst, seed in solves:
+        base_candidates = [frozenset()] + [b for bs in offset_candidates(tree_inst).values() for b in bs]
+        solves = [
+            (single_density, tree_inst, (5,), seeded_density_candidates(tree_inst, 5)),
+            (simplified_single_density, tree_inst, (5,), None),
+            (single_density_base, tree_inst, (), base_candidates),
+            (single_density_path, path_inst, (), path_candidates),
+        ]
+        for solve, inst, seed, candidates in solves:
             scored.clear()
+            passes.clear()
             lists.clear()
             res = solve(inst, *seed)
-            if solve is single_density:
-                # it hands `first_best` only the candidates that can still
-                # win, and `_argmax_candidates` none
-                assert lists == []
-                candidates = seeded_density_candidates(inst, *seed)
-                assert set(scored) < set(candidates) and set(scored.values()) == {1}
-            else:
+            if solve is simplified_single_density:
                 candidates = lists[0]
-                assert set(scored) == set(candidates) and set(scored.values()) == {1}
-            assert len(scored) < len(candidates)
+                assert set(scored) == set(candidates)
+            else:
+                # the three bucket variants hand `first_best` only the
+                # candidates that can still win, and `_argmax_candidates` none
+                assert lists == [] and set(scored) < set(candidates)
+            assert set(scored.values()) == {1} and len(scored) < len(candidates)
+            if solve in (single_density_base, single_density_path):
+                # an unthinned bucket is scored by the pass that bounds it,
+                # and a bucket as large as its parent by none
+                assert set(scored) == {frozenset()}
+                assert set(passes) < set(candidates) and set(passes.values()) == {1}
             # the first candidate of maximum revenue still wins
             revenues = [total_revenue(inst, cuts) for cuts in candidates]
             assert res.cuts == tuple(sorted(candidates[revenues.index(max(revenues))]))
+            assert res.diagnostics == {"candidates": len(candidates)}
 
 
 class TestSingleDensityPath:

@@ -722,7 +722,8 @@ class TestScaledKernel:
 
     def test_cut_bound_matches_recount(self):
         # the bound kernel against a path-mask recount of
-        # sum w_i * f(min(u_i, c_i)) on random trees, paths and stars, over
+        # sum w_i * f(min(u_i, c_i)), and the revenue it returns beside the
+        # bound against `scaled_cut_revenue`, on random trees, paths and stars, over
         # edge sets that cut no commodity twice, cut some exactly twice
         # (one count class, no counter) or three times and more (the
         # counter), with zero budgets, budgets past n - 1 (the instances are
@@ -752,8 +753,9 @@ class TestScaledKernel:
                 mask = edge_mask(edges)
                 counts = [(path & mask).bit_count() for path in inst.paths]
                 want = sum((c.weight * inst.pricing(min(c.budget, x)) for c, x in zip(inst.commodities, counts)), Fraction(0))
-                bound = inst.scaled_cut_bound(edges)
+                revenue, bound = inst.scaled_cut_bound(edges)
                 assert bound == want * inst.scale, (trial, sorted(edges))
+                assert revenue == inst.scaled_cut_revenue(edges), (trial, sorted(edges))
                 over = [c.budget for c, x in zip(inst.commodities, counts) if x > c.budget]
                 seen.add(("most cuts", min(max(counts, default=0), 3)))
                 seen.add(("over", "planes" if len(over) > len(inst._top_planes) else "each" if over else "none"))
@@ -762,7 +764,7 @@ class TestScaledKernel:
                 subsets = [edges] + [frozenset(e for e in edges if rng.random() < 0.5) for _ in range(3)]
                 assert all(inst.scaled_cut_revenue(sub) <= bound for sub in subsets), (trial, sorted(edges))
                 superset = edges | {e for e in range(m) if rng.random() < 0.3}
-                assert bound <= inst.scaled_cut_bound(superset), (trial, sorted(edges))
+                assert bound <= inst.scaled_cut_bound(superset)[1], (trial, sorted(edges))
         assert {("most cuts", c) for c in (0, 1, 2, 3)} <= seen
         assert {("over", how) for how in ("none", "each", "planes")} <= seen
         assert {("zero budget over", True), ("budget past n - 1", True)} <= seen

@@ -195,25 +195,38 @@ MUTANTS = (
         "ceil_log2 off by one at powers of two: one class too many",
     ),
     Mutant(
-        "src/fza/density.py", "range(1, ceil_log2(instance.tree.num_vertices) + 1)", "range(1, ceil_log2(instance.tree.num_vertices))",
+        "src/fza/density.py", "range(1, ceil_log2(len(keys) + 1) + 1):", "range(1, ceil_log2(len(keys) + 1)):",
         "the offset buckets miss the last class",
     ),
     Mutant(
-        "src/fza/density.py", "scaled_cut_bound(bucket) <= high:", "scaled_cut_bound(bucket) < 0:",
-        "single_density's bound never prunes: every filled bucket whose parent was kept seeds its stream",
+        "src/fza/density.py", "if bound <= high:", "if bound < 0:",
+        "the bucket walk's bound never prunes: every filled bucket whose parent was kept is bounded, and in single_density seeds its stream",
     ),
     Mutant(
-        "src/fza/density.py", "scaled_cut_bound(bucket) <= high:", "scaled_cut_bound(bucket) < high:",
-        "single_density's prune test only loosens: a bucket whose bound ties the best can at best tie, and a tie never replaces the best",
-        equivalent=True,
+        "src/fza/density.py", "if bound <= high:", "if bound < high:",
+        "the bucket walk's prune test only loosens: a bucket whose bound ties the best can at best tie, so no output changes, "
+        "but on a tie it bounds its children, and the pinned pass count sees those passes",
     ),
     Mutant(
-        "src/fza/density.py", "theta % half not in parents", "theta // 2 not in parents",
-        "single_density reads the kept set of the wrong parent offset, (j - 1, theta // 2)",
+        "src/fza/density.py", "parents.get(theta % half)", "parents.get(theta // 2)",
+        "the bucket walk reads the kept bucket of the wrong parent offset, (j - 1, theta // 2)",
     ),
     Mutant(
-        "src/fza/model.py", "return total + self._top_sum(over)", "return total",
+        "src/fza/density.py", "parent[0] == len(bucket)", "parent[0] >= len(bucket)",
+        "the bucket walk reuses a parent's revenue and bound for every smaller bucket, not only for one that is its parent",
+    ),
+    Mutant(
+        "src/fza/density.py", "revenue, bound = parent[1:] if same else", "revenue, bound = parent[1:] if False else",
+        "the bucket walk never reuses a parent's pass: no output changes, but the pinned pass count sees the extra passes",
+    ),
+    Mutant(
+        "src/fza/model.py", "return total, total + self._top_sum(over)", "return total, total",
         "the cut bound drops the over-budget credit: it is the revenue of the full bucket, no bound on its subsets",
+    ),
+    Mutant(
+        "src/fza/model.py", "return total, total + self._top_sum(over)",
+        "return total + self._top_sum(over), total + self._top_sum(over)",
+        "the joint pass returns the bound as the revenue, so an unthinned bucket scores its bound",
     ),
     Mutant(
         "src/fza/model.py", "over = ones & ~self._at_least(1)", "over = 0",

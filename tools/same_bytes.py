@@ -33,12 +33,15 @@ inputs, then these groups.
   path, 10 on the tree), so that commodities are cut many times and the
   scaled weights span many bit planes.
 - single-density: `solve --algo single-density` at four seeds (one to a
-  file) on random trees and paths of 500 to 3,000 vertices with
-  fractional weights: eight from `fza gen random` with capped pricing, and
-  eight with prices capped at 1 to 3 cuts, four with k = n and budgets of
-  0 to 6, where many commodities are cut past their budget, and four with
-  4 to 12 commodities and budgets of 1 to 6, where bucket bounds tie the
-  best score.
+  file), and `single-density-path` on the paths, on random trees and
+  paths of 500 to 3,000 vertices with fractional weights: eight from
+  `fza gen random` with capped pricing, and eight with prices capped at 1
+  to 3 cuts, four with k = n and budgets of 0 to 6, where many
+  commodities are cut past their budget, and four with 4 to 12
+  commodities and budgets of 1 to 6, where bucket bounds tie the best
+  score. Then `single-density-base` on copies of those eight priced one
+  higher at every cut count, f(0) = 1, where bounds prune little and
+  where they tie.
 - paths: `dp-umax`, `dp-pmax`, `dp-cong` and `gen-rooted-path` (at cut
   counts 0, 1, 2 and m, one past m, and a root inside the path) on small
   paths with short commodities, all three DPs on paths where several
@@ -324,7 +327,7 @@ def density_group(specs):
 
 def single_density_group(specs):
     rng = random.Random("same-bytes/single-density")
-    inputs = []
+    inputs = []  # (file, whether its tree is a path)
     for i in range(8):
         n = rng.randint(500, 3000)
         path = f"in/single-density{i}.json"
@@ -333,11 +336,13 @@ def single_density_group(specs):
             "--commodities", str(n // rng.choice((1, 2, 4))), "--pricing", "capped",
             "--max-weight", rng.choice(("10", "1000")), "--fractional-weights", "--seed", str(3500 + i), "--output", path,
         ]
-        inputs.append(path)
+        inputs.append((path, i % 2 == 1))
     # prices capped at 1 to 3 cuts: with k = n and budgets 0 to 6, many
     # commodities cut past their budget; with a few commodities and budgets
     # 1 to 6, an early candidate earns the most any cut set can, and every
-    # bucket that cuts each commodity ties it
+    # bucket that cuts each commodity ties it. Each also gets a copy priced
+    # one higher at every cut count, f(0) = 1, for `single-density-base`
+    base_inputs = []
     for i in range(8):
         n = rng.randint(500, 3000)
         edges = _random_tree(rng, n) if i % 2 else [(v, v + 1) for v in range(n - 1)]
@@ -345,13 +350,19 @@ def single_density_group(specs):
         k, low = (n, 0) if i < 4 else (rng.randint(4, 12), 1)
         commodities = [(*rng.sample(range(n), 2), rng.randint(low, 6), _weight(rng)) for _ in range(k)]
         data = _instance(n, edges, [str(min(x, cap)) for x in range(n)], commodities)
-        inputs.append(_write(f"in/single-density-cap{i}.json", json.dumps(data)))
-    for i, path in enumerate(inputs):
+        inputs.append((_write(f"in/single-density-cap{i}.json", json.dumps(data)), i % 2 == 0))
+        data["pricing"] = [str(1 + min(x, cap)) for x in range(n)]
+        base_inputs.append(_write(f"in/single-density-base{i}.json", json.dumps(data)))
+    for i, (path, is_path) in enumerate(inputs):
         for seed in rng.sample(range(10**4), 3):
             yield "single-density", ".", ["solve", "--algo", "single-density", "--input", path, "--seed", str(seed)]
         yield "single-density", ".", [
             "solve", "--algo", "single-density", "--input", path, "--seed", str(i), "--output", f"out/single-density{i}.json",
         ]
+        if is_path:
+            yield "single-density", ".", ["solve", "--algo", "single-density-path", "--input", path]
+    for path in base_inputs:
+        yield "single-density", ".", ["solve", "--algo", "single-density-base", "--input", path]
 
 
 def paths_group(specs):
