@@ -35,20 +35,21 @@ it:
   |P|_max) and the exact solvers read it; brute force reads each edge's
   commodities off it too.
 - `Instance._cut_table` holds, per edge, the bitset over commodity ids of
-  the paths through it and the sum of their one-cut deltas
-  d_i = value(i, 1) - value(i, 0), built in one pass up the rooting in
-  O(n + k) big-int operations (n * k bits). The density family scores
-  every candidate with it (`Instance.scaled_cut_revenue`): a cut edge
-  costs a few operations on k-bit ints, and only the commodities cut
-  twice or more are counted, by a bit-sliced counter, and corrected per
-  count class. The density family's bucket walk also bounds each offset
-  bucket through the same counter (`Instance.scaled_cut_bound`, which
-  returns the revenue and, beside it, the revenue plus W_i * F[u_i] for
-  each commodity cut past its budget) and skips the buckets whose
-  candidates cannot win: on perfbench's density-tree instances
-  `single_density` seeds about one stream in twenty. Where the candidate is
-  the bucket itself, the one pass gives both its score and its bound.
-  `parameters()` reads the congestion off it as the largest popcount.
+  the paths through it, built in one pass up the rooting in O(n + k)
+  big-int operations (n * k bits). The density family scores every
+  candidate with it (`Instance.scaled_cut_revenue`): a cut edge costs a
+  few operations on k-bit ints, and a bit-sliced counter splits the
+  commodities cut into count classes. A commodity cut c times within its
+  budget earns W_i * F[c], so the revenue is F[c] times the weight served
+  in each class c, plus F[0] times the weight of the commodities not cut.
+  The density family's bucket walk also bounds each offset bucket through
+  the same pass (`Instance.scaled_cut_bound`, which returns the revenue
+  and, beside it, the revenue plus W_i * F[u_i] for each commodity cut
+  past its budget) and skips the buckets whose candidates cannot win: on
+  perfbench's density-tree instances `single_density` seeds about one
+  stream in twenty. Where the candidate is the bucket itself, the one
+  pass gives both its score and its bound. `parameters()` reads the
+  congestion off it as the largest popcount.
 
 The three path DPs list the commodities at each path position from the
 commodities' end places (`param_path._Sweep`), with no per-edge cache.
@@ -506,71 +507,49 @@ class Instance:
         return prices[0] * sum(weights)
 
     @cached_property
-    def _cut_table(self) -> tuple[list[int], list[int]]:
+    def _cut_table(self) -> list[int]:
         """Per edge id: the bitset over commodity ids of the paths that hold
-        it, and the sum of those commodities' one-cut deltas
-        d_i = value(i, 1) - value(i, 0).
+        it.
 
         One pass up `Tree.rooting`, children before parents. A vertex's
         bitset is the XOR of its endpoint bits and its children's bitsets,
-        so a commodity with both ends below it cancels; its delta sum is
-        theirs minus twice the deltas of the commodities whose ends meet at
-        it, the bits the XOR drops there. Each commodity is dropped once, so
-        the pass costs O(n + k) big-int operations.
+        so a commodity with both ends below it cancels, and the pass costs
+        O(n + k) big-int operations.
         """
-        _, weights, prices, budgets = self._scaled
         parent, parent_edge, _, order = self.tree.rooting
-        n = self.tree.num_vertices
-        below, sums, delta = [0] * n, [0] * n, []
-        for i, (c, w, u) in enumerate(zip(self.commodities, weights, budgets)):
-            d = w * (prices[1] - prices[0]) if u else -w * prices[0]
-            delta.append(d)
-            bit = 1 << i
-            below[c.source] |= bit
-            below[c.target] |= bit
-            sums[c.source] += d
-            sums[c.target] += d
-        bits, deltas = [0] * (n - 1), [0] * (n - 1)
+        below = [0] * self.tree.num_vertices
+        for i, c in enumerate(self.commodities):
+            below[c.source] |= 1 << i
+            below[c.target] |= 1 << i
+        bits = [0] * (self.tree.num_vertices - 1)
         for v in reversed(order[1:]):
-            b, s, p, e = below[v], sums[v], parent[v], parent_edge[v]
-            bits[e], deltas[e] = b, s
-            met = below[p] & b  # the commodities whose ends meet at p
-            below[p] ^= b
-            sums[p] += s
-            while met:
-                low = met & -met
-                sums[p] -= 2 * delta[low.bit_length() - 1]
-                met ^= low
-        return bits, deltas
+            bits[parent_edge[v]] = below[v]
+            below[parent[v]] ^= below[v]
+        return bits
 
     @cached_property
-    def _weight_width(self) -> int:
-        """The bit length of the largest scaled weight W_i: its number of bit planes."""
-        return max(self._scaled[1], default=0).bit_length()
-
-    @cached_property
-    def _plane_tables(self) -> tuple[list[int], list[int], dict[int, int]]:
-        """(the bit planes of W_i, the bit planes of min(u_i, n), and the sets
-        {i : u_i >= c} that `_at_least` has derived, by c), every set a
-        bitset over commodity ids. A cut count is below n, so the clamp keeps
-        every u_i >= c test."""
-        n = self.tree.num_vertices
-        budgets = [min(u, n) for u in self._scaled[3]]
-        return _bit_planes(self._scaled[1], self._weight_width), _bit_planes(budgets, n.bit_length()), {}
-
-    @cached_property
-    def _top_planes(self) -> list[int]:
-        """The bit planes of W_i * F[min(u_i, n - 1)], commodity i's revenue
-        when cut at its budget; a cut count is below n, so the clamp keeps
-        that value for every commodity that can be cut past its budget."""
+    def _plane_tables(self) -> tuple[list[int], list[int], dict[int, int], list[int], list[int]]:
+        """(the bit planes of W_i; the bit planes of min(u_i, n); the sets
+        {i : u_i >= c} that `_at_least` has derived, by c; T_i =
+        W_i * F[min(u_i, n - 1)], commodity i's revenue when cut at its
+        budget; and the bit planes of T_i), every set a bitset over
+        commodity ids. A cut count is below n, so the clamps keep every
+        u_i >= c test and the T_i of every commodity that can be cut past
+        its budget."""
         _, weights, prices, budgets = self._scaled
-        top = self.tree.num_vertices - 1
-        values = [w * prices[min(u, top)] for w, u in zip(weights, budgets)]
-        return _bit_planes(values, max(values, default=0).bit_length())
+        n = self.tree.num_vertices
+        tops = [w * prices[min(u, n - 1)] for w, u in zip(weights, budgets)]
+        return (
+            _bit_planes(weights, max(weights, default=0).bit_length()),
+            _bit_planes([min(u, n) for u in budgets], n.bit_length()),
+            {},
+            tops,
+            _bit_planes(tops, max(tops, default=0).bit_length()),
+        )
 
     def _at_least(self, c: int) -> int:
         """The set {i : u_i >= c}, by comparing budget planes from the top."""
-        _, planes, found = self._plane_tables
+        planes, found = self._plane_tables[1:3]
         if c not in found:
             above, tied = 0, (1 << len(self.commodities)) - 1
             for bit in reversed(range(len(planes))):
@@ -582,114 +561,80 @@ class Instance:
             found[c] = above | tied
         return found[c]
 
-    def _class_correction(self, members: int, c: int) -> int:
-        """Sum of value(i, c) - value(i, 0) - c * d_i over the bitset
-        `members` of commodities cut c >= 2 times: W_i times one of three
-        constants (budget >= c, 1 <= budget < c, budget 0). A set of no
-        more commodities than W has bit planes is summed commodity by
-        commodity, a larger one by weight sums over the planes: one over
-        the set and one over each of its served and zero-budget parts."""
-        _, weights, prices, budgets = self._scaled
-        rest = prices[0] + c * (prices[1] - prices[0])  # value(i, 0) + c * d_i for a budget of at least 1
-        k_served, k_short, k_zero = prices[c] - rest, -rest, (c - 1) * prices[0]
-        if members.bit_count() <= self._weight_width:
-            total = 0
-            while members:
-                low = members & -members
-                i = low.bit_length() - 1
-                u = budgets[i]
-                total += weights[i] * (k_served if u >= c else k_short if u else k_zero)
-                members ^= low
-            return total
-        served, zero = members & self._at_least(c), members & ~self._at_least(1)
-        total = 0
-        for part, k in ((members, k_short), (served, k_served - k_short), (zero, k_zero - k_short)):
-            if part:
-                total += k * _plane_sum(part, self._plane_tables[0])
-        return total
+    def _cut_counts(self, cuts: Iterable[int]) -> tuple[int, int]:
+        """For the cut set `cuts` (distinct edge ids): (its revenue, times
+        `scale`; the bitset over commodity ids of those it cuts past their
+        budget).
 
-    def _top_sum(self, members: int) -> int:
-        """Sum of W_i * F[min(u_i, n - 1)] over the bitset `members`:
-        commodity by commodity when there are no more of them than
-        `_top_planes` has planes, else by weight sums over those planes."""
-        planes = self._top_planes
-        if members.bit_count() > len(planes):
-            return _plane_sum(members, planes)
-        _, weights, prices, budgets = self._scaled
-        top = self.tree.num_vertices - 1
-        total = 0
-        while members:
-            low = members & -members
-            i = low.bit_length() - 1
-            total += weights[i] * prices[min(budgets[i], top)]
-            members ^= low
-        return total
+        The commodities cut at least once (`ones`), twice or more (`twos`)
+        and three times or more (`threes`) are found while adding, as
+        `threes |= twos & b; twos |= ones & b; ones |= b` over the edges'
+        bitsets (`_cut_table`). `ones` less `twos` is the count class
+        c = 1. When there are any `threes`, a bit-sliced counter over the
+        cut edges splits `twos` into the count classes that occur; else
+        `twos` is the one class c = 2. One cut edge costs a few operations
+        on k-bit ints, rather than one dict update per commodity on the
+        edge.
 
-    def _cut_counts(self, cuts: Iterable[int]) -> tuple[int, int, list[tuple[int, int]]]:
-        """For the cut set `cuts` (distinct edge ids): (the empty-set
-        revenue plus the cut edges' delta sums, the commodities cut at least
-        once, the count classes [(members, c)] of those cut c >= 2 times),
-        every set a bitset over commodity ids.
-
-        The sum is the revenue of every commodity cut at most once. The
-        commodities cut twice or more are found while adding, as
-        `twos |= ones & b; ones |= b` over the edges' bitsets (`_cut_table`),
-        and those cut three times or more as `threes` before them. When
-        there are any, a bit-sliced counter over the cut edges splits `twos`
-        into the count classes that occur; else `twos` is the one class
-        c = 2. One cut edge costs a few operations on k-bit ints, rather
-        than one dict update per commodity on the edge.
+        A commodity cut c times earns W_i * F[c] if u_i >= c, else nothing.
+        So the revenue is the empty set's, less F[0] times the weight of
+        `ones`, plus F[c] times the weight of each class's members with
+        u_i >= c; the class's other members are cut past their budget.
         """
-        bits, deltas = self._cut_table
-        total = self._empty_revenue
+        bits = self._cut_table
         ones = twos = threes = 0
         picked = []
         for e in cuts:
             b = bits[e]
-            total += deltas[e]
             threes |= twos & b
             twos |= ones & b
             ones |= b
             picked.append(b)
-        if not threes:
-            return total, ones, [(twos, 2)] if twos else []
-        counter: list[int] = []  # counter[j]: the commodities whose cut count has bit j set
-        for b in picked:
-            carry = b & twos
-            for j, plane in enumerate(counter):
-                counter[j] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                if carry:
-                    counter.append(carry)
-        # split `twos` by the counter's planes, highest first, into its count classes
-        classes = []
-        stack = [(twos, len(counter), 0)]
-        while stack:
-            members, j, c = stack.pop()
-            if not j:
-                classes.append((members, c))
-                continue
-            high = members & counter[j - 1]
-            if high:
-                stack.append((high, j - 1, c | 1 << (j - 1)))
-            if high != members:
-                stack.append((members ^ high, j - 1, c))
-        return total, ones, classes
+        classes = [(ones ^ twos, 1)]
+        if threes:
+            counter: list[int] = []  # counter[j]: the commodities whose cut count has bit j set
+            for b in picked:
+                carry = b & twos
+                for j, plane in enumerate(counter):
+                    counter[j] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    if carry:
+                        counter.append(carry)
+            # split `twos` by the counter's planes, highest first, into its count classes
+            stack = [(twos, len(counter), 0)]
+            while stack:
+                members, j, c = stack.pop()
+                if not j:
+                    classes.append((members, c))
+                    continue
+                high = members & counter[j - 1]
+                if high:
+                    stack.append((high, j - 1, c | 1 << (j - 1)))
+                if high != members:
+                    stack.append((members ^ high, j - 1, c))
+        elif twos:
+            classes.append((twos, 2))
+        _, weights, prices, _ = self._scaled
+        planes = self._plane_tables[0]
+        total = self._empty_revenue
+        if prices[0]:
+            total -= prices[0] * _sum(ones, weights, planes)
+        over = 0
+        for members, c in classes:
+            served = members & self._at_least(c)
+            over |= members ^ served
+            if served:  # a 1-vertex tree has no price F[1] for its empty class c = 1
+                total += prices[c] * _sum(served, weights, planes)
+        return total, over
 
     def scaled_cut_revenue(self, cuts: Iterable[int]) -> int:
-        """Revenue of the cut set `cuts` (distinct edge ids), times `scale`.
-
-        Equals `scaled_revenue(edge_mask(cuts))`: the `_cut_counts` sum,
-        exact for every commodity cut at most once, plus each count class's
-        `_class_correction`.
-        """
-        total, _, classes = self._cut_counts(cuts)
-        for members, c in classes:
-            total += self._class_correction(members, c)
-        return total
+        """Revenue of the cut set `cuts` (distinct edge ids), times `scale`:
+        the served weight of each count class times its price
+        (`_cut_counts`). Equals `scaled_revenue(edge_mask(cuts))`."""
+        return self._cut_counts(cuts)[0]
 
     def scaled_cut_bound(self, edges: Iterable[int]) -> tuple[int, int]:
         """(`scaled_cut_revenue(edges)`, the sum of W_i * F[min(u_i, c_i)],
@@ -698,16 +643,12 @@ class Instance:
         than that sum, since it cuts no path more often and f is
         non-decreasing, and a superset's sum is no smaller.
 
-        The sum is the revenue plus `_top_sum` over the commodities cut past
-        their budget: those cut once with a zero budget and, in each count
-        class c, those whose budget is below c.
+        The sum is the revenue plus T_i = W_i * F[min(u_i, n - 1)] over the
+        commodities cut past their budget, the members of each count class
+        c whose budget is below c.
         """
-        total, ones, classes = self._cut_counts(edges)
-        over = ones & ~self._at_least(1)
-        for members, c in classes:
-            total += self._class_correction(members, c)
-            over |= members & ~self._at_least(c)
-        return total, total + self._top_sum(over)
+        total, over = self._cut_counts(edges)
+        return total, total + _sum(over, *self._plane_tables[3:])
 
     def scaled_revenue(self, mask: int, ids: Iterable[int] | None = None) -> int:
         """Revenue of cut set `mask` over commodities `ids` (all by default), times `scale`."""
@@ -741,6 +682,20 @@ def _plane_sum(members: int, planes: Sequence[int]) -> int:
     total = 0
     for j, plane in enumerate(planes):
         total += (members & plane).bit_count() << j
+    return total
+
+
+def _sum(members: int, values: Sequence[int], planes: Sequence[int]) -> int:
+    """Sum of `values` over the bitset `members`: item by item when it has
+    no more members than there are `planes` (the bit planes of `values`,
+    see `_bit_planes`), else by `_plane_sum`."""
+    if members.bit_count() > len(planes):
+        return _plane_sum(members, planes)
+    total = 0
+    while members:
+        low = members & -members
+        total += values[low.bit_length() - 1]
+        members ^= low
     return total
 
 
@@ -842,7 +797,7 @@ def parameters(instance: Instance) -> Parameters:
         return Parameters(0, 0, 0)
     u_max = max(c.budget for c in instance.commodities)
     p_max = max(m.bit_count() for m in instance.paths)
-    congestion = max(map(int.bit_count, instance._cut_table[0]))
+    congestion = max(map(int.bit_count, instance._cut_table))
     return Parameters(u_max, p_max, congestion)
 
 

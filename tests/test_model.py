@@ -11,6 +11,8 @@ from random import Random
 
 import pytest
 
+import fza.model
+
 from fza import (
     CapacityError,
     Commodity,
@@ -641,7 +643,7 @@ class TestScaledKernel:
             cases.append(random_instance(seed, 14, 20, "capped", shape))
         cases.append(make(Tree(1, ()), PricingFunction.affine(1), []))
         cases.append(make(Tree(4, ((0, 1), (1, 2), (1, 3))), PricingFunction.affine(4), []))
-        assert cases[-2]._cut_table[0] == [] and cases[-1]._cut_table[0] == [0] * 3
+        assert cases[-2]._cut_table == [] and cases[-1]._cut_table == [0] * 3
         outcomes = set()
         for n, inst in enumerate(cases):
             rng = Random(n)
@@ -681,13 +683,24 @@ class TestScaledKernel:
             commodities.append(Commodity(c.source, c.target, budget, weight))
         return make(base.tree, pricing, commodities), anchor
 
-    def test_cut_revenue_at_depth(self):
+    def test_cut_revenue_at_depth(self, monkeypatch):
         # the bitset kernel where commodities are cut 2, 3 and 8 or more
         # times, in every budget case of a count class: residue-class,
         # thinned, random, empty and full cut sets, each scored against the
-        # mask kernel and the Fraction reference
+        # mask kernel and the Fraction reference, and bounded against a
+        # recount of sum w_i * f(min(u_i, c_i)). Revenue and bound each sum
+        # weights, and the bound sums tops, both item by item and by bit
+        # planes; one instance's weights have distinct prime denominators,
+        # so its scaled weights are wider than k and every sum goes item by item
         cases = [(*self.deep_instance(seed), seed) for seed in range(6)]
+        base = random_instance(3350, 40, 30, "affine")
+        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+        wide = make(base.tree, base.pricing, [
+            Commodity(c.source, c.target, c.budget, Fraction(1 + i % 9, primes[i])) for i, c in enumerate(base.commodities)
+        ])
+        assert len(wide._plane_tables[0]) > wide.num_commodities == 30
         small = [
+            wide,
             make(Tree(1, ()), PricingFunction.affine(1), []),
             make(Tree(2, ((0, 1),)), PricingFunction.affine(2), []),
             make(Tree(2, ((0, 1),)), PricingFunction.affine(2), [Commodity(0, 1, 0, Fraction(3)), Commodity(1, 0, 1, Fraction(2, 7))]),
@@ -695,6 +708,14 @@ class TestScaledKernel:
         ]
         cases += [(inst, frozenset(), seed) for seed, inst in enumerate(small, 6)]
         seen = set()
+        plane_sum, kind = fza.model._sum, None
+
+        def record(members, values, planes):
+            what = "weights" if values is inst._scaled[1] else "tops"
+            seen.add((kind, what, "planes" if members.bit_count() > len(planes) else "each"))
+            return plane_sum(members, values, planes)
+
+        monkeypatch.setattr(fza.model, "_sum", record)
         for inst, anchor, seed in cases:
             rng = Random(seed)
             m = inst.tree.num_edges
@@ -706,18 +727,25 @@ class TestScaledKernel:
             cut_sets += rng.sample(seeded_density_candidates(inst, seed), min(m, 16))
             cut_sets += [frozenset(e for e in range(m) if rng.random() < p) for p in (0.05, 0.2, 0.5, 0.9)]
             for cuts in dict.fromkeys(cut_sets):
+                kind = "revenue"
                 got = inst.scaled_cut_revenue(cuts)
                 mask = edge_mask(cuts)
                 assert got == inst.scaled_revenue(mask), (seed, sorted(cuts))
                 assert got == total_revenue(inst, cuts) * inst.scale, (seed, sorted(cuts))
+                bound = Fraction(0)
                 for c, path in zip(inst.commodities, inst.paths):
                     count = (path & mask).bit_count()
+                    bound += c.weight * inst.pricing(min(c.budget, count))
                     if count >= 2:
                         case = "served" if c.budget >= count else "short" if c.budget else "zero"
                         seen |= {min(count, 8), (case, inst.pricing.base_revenue), ("equal", c.budget == count)}
+                kind = "bound"
+                assert inst.scaled_cut_bound(cuts) == (got, bound * inst.scale), (seed, sorted(cuts))
         assert {2, 3, 8} <= seen
         assert {(case, base) for case in ("served", "short", "zero") for base in (False, True)} <= seen
         assert ("equal", True) in seen
+        sums = [("revenue", "weights"), ("bound", "weights"), ("bound", "tops")]
+        assert {(kind, what, how) for kind, what in sums for how in ("each", "planes")} <= seen
 
 
     def test_cut_bound_matches_recount(self):
@@ -758,7 +786,7 @@ class TestScaledKernel:
                 assert revenue == inst.scaled_cut_revenue(edges), (trial, sorted(edges))
                 over = [c.budget for c, x in zip(inst.commodities, counts) if x > c.budget]
                 seen.add(("most cuts", min(max(counts, default=0), 3)))
-                seen.add(("over", "planes" if len(over) > len(inst._top_planes) else "each" if over else "none"))
+                seen.add(("over", "planes" if len(over) > len(inst._plane_tables[4]) else "each" if over else "none"))
                 seen.add(("zero budget over", 0 in over))
                 seen.add(("budget past n - 1", any(c.budget > n - 1 for c in inst.commodities)))
                 subsets = [edges] + [frozenset(e for e in edges if rng.random() < 0.5) for _ in range(3)]
@@ -796,7 +824,7 @@ class TestParameters:
                 tuple(i for i, path in enumerate(inst.paths) if path >> e & 1)
                 for e in range(inst.tree.num_edges)
             )
-            assert inst._cut_table[0] == [sum(1 << i for i in ids) for ids in on_edge]
+            assert inst._cut_table == [sum(1 << i for i in ids) for ids in on_edge]
             assert parameters(inst).congestion == max(map(len, on_edge), default=0)
 
     def test_fig1_u_max(self):

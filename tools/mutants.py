@@ -119,20 +119,32 @@ MUTANTS = (
         "Instance.value's budget off by one",
     ),
     Mutant(
-        "src/fza/model.py", "sums[p] -= 2 * delta[low.bit_length() - 1]", "sums[p] -= delta[low.bit_length() - 1]",
-        "the per-edge delta sum subtracts a meeting commodity once, not twice, so the edges above its path count it",
+        "src/fza/model.py", "below[parent[v]] ^= below[v]", "below[parent[v]] |= below[v]",
+        "the per-edge bitsets keep a commodity whose ends meet below a vertex, so the edges above its path count it",
     ),
     Mutant(
-        "src/fza/model.py", "prices[c] - rest, -rest, (c - 1) * prices[0]", "prices[c - 1] - rest, -rest, (c - 1) * prices[0]",
-        "the count-class constant for a budget of at least c prices c - 1 cuts",
+        "src/fza/model.py", "total += prices[c] * _sum(served", "total += prices[c - 1] * _sum(served",
+        "a count class's served commodities are priced at c - 1 cuts",
     ),
     Mutant(
-        "src/fza/model.py", "prices[c] - rest, -rest, (c - 1) * prices[0]", "prices[c] - rest, prices[0] - rest, (c - 1) * prices[0]",
-        "the count-class constant for a budget below c keeps the empty-set value it must take back",
+        "src/fza/model.py", "served = members & self._at_least(c)", "served = members & self._at_least(c + 1)",
+        "a count class serves only the commodities whose budget exceeds c, so one cut exactly at its budget earns nothing",
     ),
     Mutant(
-        "src/fza/model.py", "prices[c] - rest, -rest, (c - 1) * prices[0]", "prices[c] - rest, -rest, c * prices[0]",
-        "the count-class constant for a zero budget adds back one empty-set value too many",
+        "src/fza/model.py", "served = members & self._at_least(c)", "served = members & self._at_least(c - 1)",
+        "a count class also serves the commodities whose budget is one below c",
+    ),
+    Mutant(
+        "src/fza/model.py", "served = members & self._at_least(c)", "served = members",
+        "a count class serves every member, those cut past their budget included",
+    ),
+    Mutant(
+        "src/fza/model.py", "total -= prices[0] * _sum(ones, weights, planes)", "total -= 0",
+        "the cut commodities keep the empty-set value F[0] * W_i that they lose when cut",
+    ),
+    Mutant(
+        "src/fza/model.py", "classes = [(ones ^ twos, 1)]", "classes = [(ones, 1)]",
+        "the once-cut class keeps the commodities cut twice or more, so they are also paid as cut once",
     ),
     Mutant(
         "src/fza/model.py", "above |= tied & planes[bit]", "above |= planes[bit]",
@@ -220,21 +232,21 @@ MUTANTS = (
         "the bucket walk never reuses a parent's pass: no output changes, but the pinned pass count sees the extra passes",
     ),
     Mutant(
-        "src/fza/model.py", "return total, total + self._top_sum(over)", "return total, total",
+        "src/fza/model.py", "return total, total + _sum(over, *self._plane_tables[3:])", "return total, total",
         "the cut bound drops the over-budget credit: it is the revenue of the full bucket, no bound on its subsets",
     ),
     Mutant(
-        "src/fza/model.py", "return total, total + self._top_sum(over)",
-        "return total + self._top_sum(over), total + self._top_sum(over)",
+        "src/fza/model.py", "return total, total + _sum(over, *self._plane_tables[3:])",
+        "return total + _sum(over, *self._plane_tables[3:]), total + _sum(over, *self._plane_tables[3:])",
         "the joint pass returns the bound as the revenue, so an unthinned bucket scores its bound",
     ),
     Mutant(
-        "src/fza/model.py", "over = ones & ~self._at_least(1)", "over = 0",
-        "the cut bound credits no commodity cut once past a zero budget",
+        "src/fza/model.py", "over |= members ^ served", "over = members ^ served",
+        "the over-budget set keeps only the last count class's, so a commodity cut once past a zero budget earns no credit",
     ),
     Mutant(
-        "src/fza/model.py", "w * prices[min(u, top)] for w, u", "w * prices[min(u, top) - 1] for w, u",
-        "the top planes price one cut below each budget",
+        "src/fza/model.py", "w * prices[min(u, n - 1)] for w, u", "w * prices[min(u, n - 1) - 1] for w, u",
+        "the top values price one cut below each budget",
     ),
     Mutant(
         "src/fza/sublog.py", "while (1 << (d * d)) < n:", "while (1 << (d * d)) <= n:",

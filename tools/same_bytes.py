@@ -31,7 +31,10 @@ inputs, then these groups.
   then on one random path and one random tree of 1,500 vertices with
   k = n, affine pricing and fractional weights (max weight 1000 on the
   path, 10 on the tree), so that commodities are cut many times and the
-  scaled weights span many bit planes.
+  scaled weights span many bit planes; then on one path and one tree of
+  400 vertices with k = n, affine pricing, budgets of 0 to 6 and weights
+  over the first 400 primes as denominators, whose scaled weights are
+  wider than k, so every weight and top sum goes item by item.
 - single-density: `solve --algo single-density` at four seeds (one to a
   file), and `single-density-path` on the paths, on random trees and
   paths of 500 to 3,000 vertices with fractional weights: eight from
@@ -321,6 +324,18 @@ def density_group(specs):
         ]
         for algo in ("single-density", "simplified"):
             yield "density", ".", ["solve", "--algo", algo, "--input", path, "--seed", "5"]
+        for algo in ("single-density-base", "single-density-path"):
+            yield "density", ".", ["solve", "--algo", algo, "--input", path]
+    # weights over distinct prime denominators: scaled weights of thousands
+    # of bits, wider than k, so every weight and top sum goes item by item
+    primes = [p for p in range(2, 3000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    for shape in ("path", "tree"):
+        n = 400
+        edges = [(v, v + 1) for v in range(n - 1)] if shape == "path" else _random_tree(rng, n)
+        commodities = [(*rng.sample(range(n), 2), rng.randint(0, 6), f"{rng.randint(1, 9)}/{p}") for p in primes[:n]]
+        path = _write(f"in/wide-{shape}.json", json.dumps(_instance(n, edges, [str(x + 1) for x in range(n)], commodities)))
+        for algo in ("single-density", "simplified"):
+            yield "density", ".", ["solve", "--algo", algo, "--input", path, "--seed", "7"]
         for algo in ("single-density-base", "single-density-path"):
             yield "density", ".", ["solve", "--algo", algo, "--input", path]
 
