@@ -708,12 +708,12 @@ class TestScaledKernel:
         ]
         cases += [(inst, frozenset(), seed) for seed, inst in enumerate(small, 6)]
         seen = set()
-        plane_sum, kind = fza.model._sum, None
+        original_sum, kind = fza.model._sum, None
 
         def record(members, values, planes):
             what = "weights" if values is inst._scaled[1] else "tops"
             seen.add((kind, what, "planes" if members.bit_count() > len(planes) else "each"))
-            return plane_sum(members, values, planes)
+            return original_sum(members, values, planes)
 
         monkeypatch.setattr(fza.model, "_sum", record)
         for inst, anchor, seed in cases:
