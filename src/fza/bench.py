@@ -123,7 +123,9 @@ def run_bench(config: BenchConfig, output_dir) -> dict:
     rows = []
     timings = []
     ratios: dict[str, list[Fraction]] = {algo: [] for algo in config.algorithms}
-    for name, inst in sorted(loaded.items()):
+    for name in sorted(loaded):
+        # an instance, and the caches its solves built, go once its rows are done
+        inst = loaded.pop(name)
         try:
             oracle_rev = SOLVERS[config.oracle][0](inst, 0).revenue
         except (CapacityError, InvalidInstanceError):

@@ -59,8 +59,16 @@ value(i, c) for c below its path length, so a solver that adds or removes
 one cut at a time updates its revenue with one table read per commodity
 touched. It holds sum of |P_i| ints; brute force and the three path DPs,
 whose guards keep that sum small, are its only readers, and each reads it
-only once its guard has passed. Every `Instance` cache is built on first
-use.
+only once its guard has passed.
+
+`Instance._sublog_plan` caches what sublog works out from the instance
+alone (`sublog.sublog_plan`): the decomposition, the commodity-to-fragment
+assignment, each assigned fragment's skeleton and its aux-instance member
+rows. Every seed solved on one instance reads the same plan, and only the
+coin flips, the path DPs and the scoring run per call. It lives on the
+`Instance`, not the `Tree`, since `normalize` can hand one `Tree` to two
+instances with different commodities. Every `Instance` cache is built on
+first use.
 
 Sub-problems read the same kernel: sublog's per-subtree rooted DPs and
 per-segment path DPs take W, F and D from the instance they were cut from
@@ -526,6 +534,13 @@ class Instance:
             bits[parent_edge[v]] = below[v]
             below[parent[v]] ^= below[v]
         return bits
+
+    @cached_property
+    def _sublog_plan(self):
+        """`sublog.sublog_plan(self)`: sublog's seed-independent steps."""
+        from .sublog import sublog_plan
+
+        return sublog_plan(self)
 
     @cached_property
     def _plane_tables(self) -> tuple[list[int], list[int], dict[int, int], list[int], list[int]]:

@@ -29,6 +29,13 @@ Per (segment, root), one scan of the fragment's commodities yields the
 member rows of every aux instance on that segment: prefix length, the
 segments that block the member and the segments its path holds whole. Per
 guess, an aux instance only reads those rows.
+
+Only the coin flips depend on the seed. `sublog_plan` runs everything
+else that does not: the decomposition, the commodity assignment and, per
+assigned fragment in (level, index) order, its skeleton and member rows,
+refusing a fragment over the guess budget before its rows are built.
+`Instance._sublog_plan` caches the plan, so the seeds of a bench grid
+share it; the coin flips, roots, path DP reuse and scores stay per call.
 """
 
 from __future__ import annotations
@@ -532,11 +539,27 @@ def build_aux_instance(
     return IntegerPathInstance(len(eids), tuple(rows), instance._scaled[2]), list(eids)
 
 
+def _fragment_members(instance: Instance, skeleton: SkeletonInfo, commodity_ids: Sequence[int]) -> dict:
+    """`_segment_members`' rows per (segment, root) for every segment end of
+    a fragment, once its guess space is known to fit `GUESS_BUDGET`: a
+    fragment over the budget is refused before any row is built."""
+    segments = skeleton.segments
+    if math.prod(len(segment_guesses(len(s))) for s in segments) > GUESS_BUDGET:
+        raise CapacityError(f"guess space exceeds budget {GUESS_BUDGET} for {len(segments)} segments")
+    return {
+        (si, root): _segment_members(instance, skeleton, si, root, commodity_ids)
+        for si, seg in enumerate(segments)
+        for root in seg.terminals
+    }
+
+
 def skeleton_solve(
     instance: Instance,
     skeleton: SkeletonInfo,
     commodity_ids: Sequence[int],
     rng_labels: tuple,
+    *,
+    members: Mapping | None = None,
 ) -> frozenset[int]:
     """Candidate cutting only skeleton edges.
 
@@ -549,8 +572,11 @@ def skeleton_solve(
     Each guess draws one root per segment from its own substream, in
     segment order: a coin that deactivates the segment (its root is None),
     then, for a survivor only, a coin between its two terminals. Whether a
-    segment is active is read off that one list. Within one call, each
-    segment end's member rows are worked out once, and a path DP result is
+    segment is active is read off that one list. Each segment end's member
+    rows are worked out once per instance: `sublog` passes the fragment's
+    `members` from its plan (`Instance._sublog_plan`), and a call without
+    them builds them by `_fragment_members`, whose guard refuses a guess
+    space over `GUESS_BUDGET` first. Within one call, a path DP result is
     reused whenever the same (segment, root, rows, cut count) comes up
     again. All coin draws of a guess happen before its DPs, so reuse does
     not change them. The guesses' cut sets are picked by `first_best` in
@@ -559,13 +585,8 @@ def skeleton_solve(
     """
     segments = skeleton.segments
     options = [segment_guesses(len(s)) for s in segments]
-    if math.prod(map(len, options)) > GUESS_BUDGET:
-        raise CapacityError(f"guess space exceeds budget {GUESS_BUDGET} for {len(segments)} segments")
-    members = {
-        (si, root): _segment_members(instance, skeleton, si, root, commodity_ids)
-        for si, seg in enumerate(segments)
-        for root in seg.terminals
-    }
+    if members is None:
+        members = _fragment_members(instance, skeleton, commodity_ids)
     placed: dict[tuple, list[int]] = {}
 
     def guessed_cuts():
@@ -615,6 +636,23 @@ def _single_edge_candidate(instance: Instance, extra_ids: Sequence[int]) -> froz
     return frozenset(cuts)
 
 
+def sublog_plan(instance: Instance) -> tuple[Decomposition, list[tuple], tuple[int, ...]]:
+    """Everything of `sublog` that depends on the instance alone: the
+    decomposition, one (level, index, commodity ids, skeleton, member rows)
+    per assigned fragment in (level, index) order, and the single-edge
+    commodities. `Instance._sublog_plan` caches it, so every seed solved on
+    one instance shares it; the coin flips are not in it.
+    """
+    decomp = build_decomposition(instance.tree)
+    assignment = classify_commodities(decomp, instance)
+    planned = []
+    for (level, idx), ids in sorted(assignment.by_fragment.items()):
+        kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
+        skel = compute_skeleton(instance.tree, decomp.levels[level - 1][idx], kids)
+        planned.append((level, idx, ids, skel, _fragment_members(instance, skel, ids)))
+    return decomp, planned, assignment.extra
+
+
 def sublog(
     instance: Instance,
     seed: int,
@@ -629,23 +667,17 @@ def sublog(
     exact candidate. The best candidate by full revenue wins, with the empty
     set always in the running. Both choices are `first_best`'s.
     """
-    tree = instance.tree
-    if tree.num_edges == 0:
+    if instance.tree.num_edges == 0:
         return make_result(instance, (), algorithm="sublog", seed=seed)
-    decomp = build_decomposition(tree)
-    assignment = classify_commodities(decomp, instance)
+    decomp, planned, extra = instance._sublog_plan
     candidates: list[frozenset[int]] = [frozenset()]
     fragments_info = []
-    by_level = itertools.groupby(sorted(assignment.by_fragment.items()), lambda kv: kv[0][0])
-    for level, assigned in by_level:
+    for level, fragments in itertools.groupby(planned, lambda f: f[0]):
         level_cuts: set[int] = set()
-        for (_, idx), ids in assigned:
-            frag = decomp.levels[level - 1][idx]
-            kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
-            skel = compute_skeleton(tree, frag, kids)
+        for _, idx, ids, skel, members in fragments:
             rng_ns = substream(seed, "sublog", "nonskel", level, idx)
             f_ns = non_skeleton_solve(instance, skel, ids, rng_ns)
-            f_s = skeleton_solve(instance, skel, ids, (seed, "sublog", "skel", level, idx))
+            f_s = skeleton_solve(instance, skel, ids, (seed, "sublog", "skel", level, idx), members=members)
             chosen = first_best(
                 (f_ns, f_s), lambda cuts: instance.scaled_revenue(edge_mask(cuts), ids)
             )
@@ -655,7 +687,7 @@ def sublog(
                     {
                         "level": level,
                         "fragment": idx,
-                        "edges": sorted(frag),
+                        "edges": sorted(decomp.levels[level - 1][idx]),
                         "border": sorted(skel.border),
                         "skeleton": sorted(skel.edges),
                         "segments": [list(s.edges) for s in skel.segments],
@@ -664,8 +696,8 @@ def sublog(
                     }
                 )
         candidates.append(frozenset(level_cuts))
-    if assignment.extra:
-        candidates.append(_single_edge_candidate(instance, assignment.extra))
+    if extra:
+        candidates.append(_single_edge_candidate(instance, extra))
 
     best = first_best(candidates, lambda cuts: instance.scaled_revenue(edge_mask(cuts)))
     diag = {"candidates": len(candidates), "num_levels": decomp.num_levels}

@@ -1,15 +1,19 @@
 import csv
+import gc
 import hashlib
 import importlib.util
 import inspect
 import json
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import fza.bench
+import fza.sublog
 from fza import Commodity, GenSpec, Instance, PricingFunction, Tree, gen_random, normalize
 from fza.bench import SOLVERS, BenchConfig, run_bench
 from fza.files import write_instance
@@ -145,6 +149,56 @@ class TestBench:
         data = json.loads((tmp / "out/summary.json").read_text())
         assert data == summary
         assert data["algorithms"]["brute"]["min_ratio"] == "1"
+
+
+
+def write_trees(tmp_path, count):
+    names = []
+    for seed in range(count):
+        path = tmp_path / f"tree{seed}.json"
+        write_instance(gen_random(GenSpec("random-tree", 10, 10, pricing="affine", seed=seed)), path)
+        names.append(str(path))
+    return names
+
+
+def test_grid_builds_one_sublog_plan_per_instance(tmp_path, monkeypatch):
+    built = []
+    decompose = fza.sublog.build_decomposition
+
+    def counted(tree, *args):
+        built.append(tree)
+        return decompose(tree, *args)
+
+    monkeypatch.setattr(fza.sublog, "build_decomposition", counted)
+    config = BenchConfig(instances=tuple(write_trees(tmp_path, 2)), algorithms=("sublog",), seeds=(5, 0, 2))
+    summary = run_bench(config, tmp_path / "out")
+    assert summary["algorithms"]["sublog"]["rows"] == 6
+    assert len(built) == 2 and built[0] is not built[1]
+
+
+def test_grid_frees_each_instance_once_its_rows_are_done(tmp_path, monkeypatch):
+    names = write_trees(tmp_path, 3)
+    refs = []
+    read = fza.bench.read_instance
+
+    def tracked(name):
+        inst = read(name)
+        refs.append(weakref.ref(inst))
+        return inst
+
+    alive = []
+    oracle = SOLVERS["brute"][0]
+
+    def watched(inst, seed):
+        gc.collect()
+        alive.append([ref() is not None for ref in refs])
+        return oracle(inst, seed)
+
+    monkeypatch.setattr(fza.bench, "read_instance", tracked)
+    monkeypatch.setitem(SOLVERS, "brute", (watched, False))
+    run_bench(BenchConfig(instances=tuple(names), algorithms=("sublog",), seeds=(0, 1)), tmp_path / "out")
+    # every file is read before the grid starts; the instances go one by one
+    assert alive == [[True, True, True], [False, True, True], [False, False, True]]
 
 
 def load_tracing():

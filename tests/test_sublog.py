@@ -37,6 +37,7 @@ from fza.sublog import (
 )
 import fza.sublog as sublog_module
 from fza.exact import generalized_rooted_path_dp, rooted_cut_set
+from fza.files import dict_to_instance, instance_to_dict, solution_to_json
 from fza.rng import substream
 from conftest import (
     materialized_rooted_cuts,
@@ -804,6 +805,78 @@ class TestSubSolvesMatchReference:
                 want = reference_non_skeleton_solve(inst, frag, skel, ids, substream(fragments, label))
                 assert got == want
         assert fragments > 40
+
+
+
+class TestSharedPlan:
+    """`Instance._sublog_plan` holds what sublog works out from the instance
+    alone; seeds solved on one instance share it, instances never do."""
+
+    def test_seeds_on_one_instance_match_fresh_copies(self):
+        for idx, shape in enumerate(("random-tree", "random-path")):
+            spec = GenSpec(shape, 150, 150, pricing="affine", max_weight=5, fractional_weights=True, seed=40 + idx)
+            inst = gen_random(spec)
+            data = instance_to_dict(inst)
+            plans = set()
+            for seed, diagnostics in itertools.product((3, 0, 7, 0), (False, True)):
+                got = solution_to_json(sublog(inst, seed, diagnostics))
+                assert got == solution_to_json(sublog(dict_to_instance(data), seed, diagnostics)), (shape, seed)
+                plans.add(id(inst._sublog_plan))
+            assert len(plans) == 1
+            assert any(members for *_, members in inst._sublog_plan[1])
+
+    def test_instances_on_one_tree_keep_their_own_classification(self):
+        tree = gen_random(GenSpec("random-tree", 60, 0, seed=5)).tree
+        rng = Random(38)
+        first, second = (
+            Instance.create(
+                tree,
+                PricingFunction.affine(60),
+                [Commodity(*rng.sample(range(60), 2), rng.randint(0, 3), Fraction(rng.randint(1, 4))) for _ in range(k)],
+            )
+            for k in (40, 70)
+        )
+        assert first.tree is second.tree
+        for inst in (first, second):
+            got = solution_to_json(sublog(inst, 1, diagnostics=True))
+            fresh = Instance.create(Tree(60, tree.edges), inst.pricing, inst.commodities)
+            assert got == solution_to_json(sublog(fresh, 1, diagnostics=True))
+            _, planned, extra = inst._sublog_plan
+            assignment = classify_commodities(build_decomposition(tree), inst)
+            assert [(level, idx, ids) for level, idx, ids, _, _ in planned] == [
+                (level, idx, ids) for (level, idx), ids in sorted(assignment.by_fragment.items())
+            ]
+            assert extra == assignment.extra
+        assert first._sublog_plan[1] != second._sublog_plan[1]
+
+    def test_guard_refuses_a_fragment_before_its_member_rows(self, monkeypatch):
+        inst = gen_random(GenSpec("random-tree", 150, 150, pricing="affine", seed=41))
+        decomp = build_decomposition(inst.tree)
+        spaces = []
+        for (level, idx), _ in sorted(classify_commodities(decomp, inst).by_fragment.items()):
+            kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
+            skel = compute_skeleton(inst.tree, decomp.levels[level - 1][idx], kids)
+            spaces.append(math.prod(len(segment_guesses(len(s))) for s in skel.segments))
+        # the first fragment whose guess space is larger than every earlier one's
+        refused = next(j for j in range(1, len(spaces)) if max(spaces[:j]) > 1 and spaces[j] > max(spaces[:j]))
+        monkeypatch.setattr(sublog_module, "GUESS_BUDGET", spaces[refused] - 1)
+        skeletons, rows_for = [], []
+        computed, members = sublog_module.compute_skeleton, sublog_module._segment_members
+
+        def recorded(*args):
+            skeletons.append(computed(*args))
+            return skeletons[-1]
+
+        def spied(instance, skeleton, *rest):
+            rows_for.append(skeleton)
+            return members(instance, skeleton, *rest)
+
+        monkeypatch.setattr(sublog_module, "compute_skeleton", recorded)
+        monkeypatch.setattr(sublog_module, "_segment_members", spied)
+        with pytest.raises(CapacityError, match="guess space"):
+            sublog(inst, 0)
+        assert len(skeletons) == refused + 1
+        assert rows_for and all(skel is not skeletons[-1] for skel in rows_for)
 
 
 class TestPinned:

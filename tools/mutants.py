@@ -286,6 +286,30 @@ MUTANTS = (
         "src/fza/sublog.py", "sum(guesses[s] for s in held if active[s])", "sum(guesses[s] for s in held)",
         "an aux row's shift also counts the guess of a deactivated held segment",
     ),
+    Mutant(
+        "src/fza/sublog.py",
+        "kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]",
+        "kids = [decomp.levels[level - 1][c] for c in decomp.children[level - 1][idx]]",
+        "the plan builds each skeleton from fragments of the fragment's own level, not its children",
+    ),
+    Mutant(
+        "src/fza/sublog.py",
+        "for (level, idx), ids in sorted(assignment.by_fragment.items()):",
+        "for (level, idx), ids in assignment.by_fragment.items():",
+        "the plan lists fragments in commodity order, not by (level, index), so sublog splits a level's candidate",
+    ),
+    Mutant(
+        "src/fza/sublog.py",
+        "        for root in seg.terminals\n    }",
+        "        for root in seg.terminals[:1]\n    }",
+        "a fragment's member rows cover only each segment's lower terminal, so a segment rooted at its upper one has none",
+    ),
+    Mutant(
+        "src/fza/model.py",
+        "    @cached_property\n    def _sublog_plan(self):",
+        "    @property\n    def _sublog_plan(self):",
+        "every sublog call on an instance builds its own plan again, so a bench grid's seeds no longer share it",
+    ),
 )
 
 

@@ -62,7 +62,10 @@ inputs, then these groups.
   shared input with more edges than it takes.
 - bench: `fza bench` grids over small shared inputs with every solver and
   oracle, two grids whose oracle refuses the first instance and runs on
-  the second, and malformed configs.
+  the second, grids that run `sublog` at six seeds over three shared
+  inputs and, when the checkout has `perfbench/`, over sublog-tree's
+  instances, each listing its instances and seeds out of order, and
+  malformed configs.
 
 The exit status is 0 when every record matches, 1 on the first difference
 (printed with the call's argv and the first differing line), and 2 when a
@@ -511,6 +514,27 @@ def bench_group(specs):
         config = {"instances": names, "algorithms": ["dp-cong", "sublog", "single-density"], "seeds": [0, 3], "oracle": oracle}
         path = _write(f"in/bench-{oracle}.json", json.dumps(config))
         yield "bench", ".", ["bench", "--config", path, "--output-dir", f"out/bench-{oracle}"]
+    # sublog at six seeds per instance, instances and seeds listed out of
+    # order: an instance's later seeds reuse what its first seed worked out
+    rng = random.Random("same-bytes/bench-sublog")
+    for i in range(12):
+        config = {
+            "instances": rng.sample([s["path"] for s in specs], 3),
+            "algorithms": ["sublog", "simplified"] if i % 2 else ["sublog"],
+            "seeds": rng.sample(range(1000), 6),
+        }
+        path = _write(f"in/bench-sublog{i}.json", json.dumps(config))
+        yield "bench", ".", ["bench", "--config", path, "--output-dir", f"out/bench-sublog{i}"]
+    try:
+        from perfbench import workloads
+    except ImportError:
+        pass
+    else:
+        ops = workloads.build("sublog-tree", 0, Path("perfbench")).ops
+        names = sorted({str(op.instance) for op in ops}, reverse=True)
+        config = {"instances": names, "algorithms": ["sublog"], "seeds": [4, 1, 0, 5, 3, 2]}
+        path = _write("in/bench-sublog-tree.json", json.dumps(config))
+        yield "bench", ".", ["bench", "--config", path, "--output-dir", "out/bench-sublog-tree"]
     good = {"instances": small[:2], "algorithms": ["sublog", "simplified"], "seeds": [0, 1]}
     for name, config in {
         "no-instances": {**good, "instances": []},
