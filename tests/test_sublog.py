@@ -270,6 +270,23 @@ class TestBuildDecomposition:
         assert fallbacks > 300
         assert h.hexdigest() == "b94237d62fb30f6de46805cbbee815bcca87eeb157ef69537379f0e141afae13"
 
+    def test_scale_family_pinned(self):
+        # seeded shapes of 200 to 3,000 vertices at the default d, d = 3 and
+        # d = 5: deep levels, long chains of one-child vertices (paths,
+        # broom handles), hubs (stars, broom heads) and remainders at scale
+        rng = Random(3901)
+        trees = [
+            shaped_tree(rng, n, shape)
+            for shape in ("tree", "path", "star", "broom", "caterpillar")
+            for n in (200, 1100, 3000)
+        ]
+        h = hashlib.sha256()
+        for tree in trees:
+            for d in (None, 3, 5):
+                decomp = build_decomposition(tree, d)
+                h.update(repr(([[sorted(f) for f in level] for level in decomp.levels], decomp.children)).encode())
+        assert h.hexdigest() == "6ae18a357ba27bdfe1d25d18d2957308952af4aa7fef78ffe341a217c267cd5b"
+
 
 class TestClassification:
     def test_whole_tree_commodity_first_level(self):
