@@ -6,9 +6,9 @@ instance's common denominator to a Python int (`Instance.value`), so solvers
 add and compare ints and divide by `Instance.scale` only when a revenue leaves
 them. There is no floating point anywhere in the revenue computation.
 
-Every walk from a root is `Tree.walk`: one depth-first loop over the whole
-tree or over one edge set, returning the walk order and the parent map
-`up`. A walk over a fragment of the tree (sublog's decomposition, skeleton
+Every walk from a root but one is `Tree.walk`: one depth-first loop over
+the whole tree or over one edge set, returning the walk order and the
+parent map `up`. A walk over a fragment of the tree (sublog's skeleton
 and hanging subtrees, the rooted DP within a subtree) reads the tree's own
 sorted `adjacency` at each vertex it reaches and skips the edges outside
 the fragment, so it builds no adjacency of its own. At a hub, a vertex with
@@ -16,11 +16,17 @@ more tree neighbors than the fragment has edges, it reads the neighbors off
 the fragment instead, so a vertex costs at most min(degree, fragment
 size); a whole-tree walk never takes that branch. The rooted DP and the
 skeleton pass read `up` in walk order (parents first) or reversed (children
-first) and build no child lists. A `Tree` is rooted once: its
-constructor checks connectivity with the walk from vertex 0 and caches it as
-`Tree.rooting`, which `Instance.paths`, `Instance._cut_table` and the
-density candidates read. The tree's `adjacency` and `is_path` are cached
-on first use.
+first) and build no child lists. The one other walk is sublog's carve
+(`sublog.almost_balanced_decomposition`), the walk run most often, once
+per fragment of every level. It is a loop of its own, in the same order
+and with the same hub rule, because its two passes read each vertex's
+children as one block of push positions, which `up` does not give; and,
+since on a checked tree only the parent edge leads back to a vertex
+reached before, it skips that edge instead of keeping a visited map. A
+`Tree` is rooted once: its constructor checks connectivity with the walk
+from vertex 0 and caches it as `Tree.rooting`, which `Instance.paths`,
+`Instance._cut_table` and the density candidates read. The tree's
+`adjacency` and `is_path` are cached on first use.
 
 An `Instance` holds only its inputs, the tree, the pricing table and the
 commodities, and its constructor checks them together. Commodity paths are
@@ -248,7 +254,9 @@ class Tree:
         vertex's children are pushed together, ascending by (neighbor, edge
         id), so every parent comes before its children. Every walk from a
         root, over the tree or over a fragment of it, is this one loop, and
-        every rooted pass reads `up` as its parent map.
+        every rooted pass reads `up` as its parent map, except sublog's
+        carve, whose own loop walks in this order (see the module
+        docstring).
 
         The loop scans `adjacency[v]` at each vertex it reaches and skips
         the edges outside the set. At a vertex of more tree neighbors than
@@ -274,12 +282,7 @@ class Tree:
             pairs = adj[v]
             if edges is not None and len(pairs) > len(edges):
                 if hub_index is None:
-                    # vertex -> its (neighbor, edge id) pairs within the set
-                    hub_index = {}
-                    for eid in edges:
-                        a, b = self.edges[eid]
-                        hub_index.setdefault(a, []).append((b, eid))
-                        hub_index.setdefault(b, []).append((a, eid))
+                    hub_index = self.pairs_within(edges)
                 pairs = sorted(hub_index.get(v, ()))
             for w, eid in pairs:
                 if (edges is None or eid in edges) and w not in up:
@@ -287,6 +290,17 @@ class Tree:
                     order.append(w)
                     stack.append(w)
         return order, up
+
+    def pairs_within(self, edges: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
+        """Per vertex the edge set `edges` touches, its (neighbor, edge id)
+        pairs within the set, unsorted: the index a walk over the set reads
+        at a hub."""
+        index: dict[int, list[tuple[int, int]]] = {}
+        for eid in edges:
+            a, b = self.edges[eid]
+            index.setdefault(a, []).append((b, eid))
+            index.setdefault(b, []).append((a, eid))
+        return index
 
     @cached_property
     def rooting(self) -> tuple[tuple[int, ...], ...]:

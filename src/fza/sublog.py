@@ -20,11 +20,17 @@ bottom-up; one top-down pass over the same walk then groups every edge
 into a segment or a hanging subtree (one off-skeleton edge at a skeleton
 vertex plus all beyond it); segments are read from their lower-numbered
 terminal. The decomposition carves each fragment greedily bottom-up along
-a walk rooted at its lowest vertex, numbers the pieces in the order they
-are cut off, lets a small remainder join the smallest piece cut off at one
-of its vertices, and falls back to a centroid split when d = 2 leaves one
-piece. A commodity descends the levels along the stored child lists, with
-one mask test per level against the child holding its path's lowest edge.
+a walk rooted at its lowest vertex, in time linear in the fragment: one
+bottom-up pass of counts closes the buckets over each vertex's runs of
+children, and one top-down pass gives each edge the piece of the bucket it
+closed, or else its parent edge's piece. It numbers the pieces in the
+order they are cut off, lets a small remainder join the smallest piece cut
+off at one of its vertices, and falls back to a centroid split when d = 2
+leaves one piece. The carve's walk is its own loop, over push positions,
+in `Tree.walk`'s order and with its hub rule. A single-edge fragment goes
+on to the next level as it is. A commodity descends the levels along the
+stored child lists, with one mask test per level against the child
+holding its path's lowest edge.
 Per (segment, root), one scan of the fragment's commodities yields the
 member rows of every aux instance on that segment: prefix length, the
 segments that block the member and the segments its path holds whole. Per
@@ -82,11 +88,26 @@ def almost_balanced_decomposition(
     A fragment whose walk from its lowest vertex misses an edge is not
     connected and is refused.
 
-    Greedy bottom-up carving: accumulate subtree edges and detach a piece as
-    soon as it reaches ceil(m/d) edges; a final remainder below the lower
-    bound is merged into the smallest piece cut off at one of its vertices
-    (the lowest index on a tie). The bounds are verified afterwards and a
-    violation raises (it would indicate a bug, not bad input).
+    Greedy bottom-up carving, linear in m. One bottom-up pass of counts
+    along the fragment's walk from its lowest vertex runs each vertex's
+    children in walk order: each child adds its edge and the open edges it
+    passes up, and a bucket (a piece) closes over the run as soon as it
+    reaches ceil(m/d) edges. The last run stays open and passes up to the
+    vertex's parent. Pieces are numbered in the order they are cut off,
+    which numbers the fragments of the next level. One top-down pass then
+    gives each edge the piece of the bucket it closed, or else its parent
+    edge's piece; the root's open edges, and all that join them, are the
+    remainder. A remainder below the lower bound joins the smallest piece
+    cut off at one of its vertices (the lowest index on a tie). The bounds
+    are verified afterwards and a violation raises (it would indicate a
+    bug, not bad input).
+
+    The walk is the carve's own loop, in `Tree.walk`'s order and with its
+    hub rule, but over push positions: `order[j]` is the vertex pushed j-th
+    with its parent edge, and the children of position i, pushed together,
+    are positions first[i] up to end[i]. In a tree the only neighbor
+    already reached is the parent, so the loop skips the parent edge and
+    keeps no visited set.
     """
     fragment = frozenset(fragment_edges)
     m = len(fragment)
@@ -96,49 +117,89 @@ def almost_balanced_decomposition(
         raise InvalidInstanceError(f"fragment with {m} edges cannot be split {d} ways")
     target = -(-m // d)
 
-    root = min(map(min, map(tree.edges.__getitem__, fragment)))
-    order, up = tree.walk(root, fragment)
+    adj = tree.adjacency
+    # each entry is the (vertex, parent edge) pair the adjacency holds
+    order = [(min(itertools.chain.from_iterable(map(tree.edges.__getitem__, fragment))), -1)]
+    push = order.append
+    first = [0] * (m + 1)
+    end = [0] * (m + 1)
+    stack = [0]
+    start = 1
+    hub_index = None
+    while stack:
+        i = stack.pop()
+        v, parent_edge = order[i]
+        pairs = adj[v]
+        if len(pairs) > m:
+            # a hub: read its neighbors off an index of the fragment, built
+            # at the first hub, so a small fragment at a hub stays small
+            if hub_index is None:
+                hub_index = tree.pairs_within(fragment)
+            pairs = sorted(hub_index[v])
+        for pair in pairs:
+            eid = pair[1]
+            if eid != parent_edge and eid in fragment:
+                push(pair)
+        stop = len(order)
+        if stop > start:
+            first[i] = start
+            end[i] = stop
+            stack.extend(range(start, stop))
+            start = stop
     # a connected fragment is a tree, so it has one vertex more than edges
     if len(order) != m + 1:
         raise InvalidInstanceError("fragment is not connected")
-    # children in walk order fix the order pieces are emitted, which numbers
-    # the fragments of the next level
-    children: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
-    for v in order[1:]:
-        p, eid = up[v]
-        children[p].append((v, eid))
 
-    pieces: list[set[int]] = []
-    cut_at: list[int] = []  # the vertex each piece was cut off at
-    acc: dict[int, list[int]] = {}
-    for v in reversed(order):
-        bucket: list[int] = []
-        for child, eid in children[v]:
-            bucket.extend(acc[child])
-            bucket.append(eid)
-            if len(bucket) >= target:
-                pieces.append(set(bucket))
-                cut_at.append(v)
-                bucket = []
-        acc[v] = bucket
-    remainder = acc[root]
+    # bottom-up, positions from last to first: `piece_of[j]` is the piece
+    # whose bucket closed over position j's parent edge, -1 while it is
+    # open, and `passed[i]` counts the open edges position i passes up
+    passed = [0] * (m + 1)
+    piece_of = [-1] * (m + 1)
+    cut_at: list[int] = []  # the position each piece was cut off at
+    open_runs: list[tuple[int, int, int]] = []  # (position, run, end)
+    for i in range(m, -1, -1):
+        run = first[i]
+        stop = end[i]
+        if run == stop:
+            continue
+        count = 0
+        for j in range(run, stop):
+            count += passed[j] + 1
+            if count >= target:
+                piece_of[run : j + 1] = [len(cut_at)] * (j + 1 - run)
+                cut_at.append(i)
+                count = 0
+                run = j + 1
+        if count:
+            passed[i] = count
+            open_runs.append((i, run, stop))
+
+    # top-down, positions from first to last: an open run takes its parent
+    # edge's piece, and the root's open edges are the remainder
+    rem = len(cut_at)
+    piece_of[0] = rem
+    for i, run, stop in reversed(open_runs):
+        piece_of[run:stop] = [piece_of[i]] * (stop - run)
+    pieces: list[list[int]] = [[] for _ in range(rem + 1)]
+    for k, (_, eid) in zip(piece_of, order):
+        pieces[k].append(eid)
+    remainder = pieces.pop()[1:]  # less the root's -1
 
     if remainder:
         if 3 * d * len(remainder) >= m:
-            pieces.append(set(remainder))
+            pieces.append(remainder)
         else:
-            # a piece meets the remainder only at the vertex it was cut off
-            # at: its other vertices have every edge in it or in earlier pieces
-            rem_verts = {v for eid in remainder for v in tree.edges[eid]}
-            touching = [(len(p), idx) for idx, (p, v) in enumerate(zip(pieces, cut_at)) if v in rem_verts]
+            # a piece meets the remainder only at the position it was cut
+            # off at: the root, or a position whose parent edge is in it
+            touching = [(len(pieces[k]), k) for k, i in enumerate(cut_at) if piece_of[i] == rem]
             if not touching:
                 raise FzaError("remainder not adjacent to any piece")
-            pieces[min(touching)[1]].update(remainder)
+            pieces[min(touching)[1]] += remainder
 
     if len(pieces) == 1:
         # only possible for d = 2: a lone oversized piece swallowed the
         # remainder; fall back to a centroid split into two branch bundles
-        pieces = _bipartition(fragment, order, up, d)
+        pieces = _bipartition(fragment, order, first, end, d)
 
     if not 2 <= len(pieces) <= d:
         raise FzaError(f"carving produced {len(pieces)} pieces for d={d}")
@@ -150,32 +211,33 @@ def almost_balanced_decomposition(
     return [frozenset(p) for p in pieces]
 
 
-def _bipartition(fragment, order, up, d: int):
+def _bipartition(fragment, order, first, end, d: int):
     """Split a fragment in two at a centroid vertex: bundle its branches
-    greedily until the first side clears the lower size bound. `order` and
-    `up` are the fragment's walk from its root `order[0]`.
+    greedily until the first side clears the lower size bound. `order`,
+    `first` and `end` are the carve's walk of the fragment by position.
 
-    One reversed pass gives each vertex its edges below and its largest
-    branch below; the branch above it holds the other m - below edges.
+    One pass, positions from last to first, gives each position its edges
+    below and its largest branch below; the branch above it holds the
+    other m - below edges.
     """
     m = len(fragment)
-    below = dict.fromkeys(order, 0)
-    largest = dict.fromkeys(order, 0)
-    for v in reversed(order[1:]):
-        p, _ = up[v]
-        below[p] += below[v] + 1
-        largest[p] = max(largest[p], below[v] + 1)
-    centroid = min(order, key=lambda v: (max(largest[v], m - below[v]), v))
+    below = [0] * (m + 1)
+    largest = [0] * (m + 1)
+    for i in range(m, -1, -1):
+        for j in range(first[i], end[i]):
+            below[i] += below[j] + 1
+            largest[i] = max(largest[i], below[j] + 1)
+    centroid = min(range(m + 1), key=lambda i: (max(largest[i], m - below[i]), order[i][0]))
 
     # each edge joins the branch of the centroid's child above it, or the
     # branch through the centroid's parent (key -1), which comes last
-    bundles = {v: set() for v in order[1:] if up[v][0] == centroid}
+    bundles = {j: set() for j in range(first[centroid], end[centroid])}
     bundles[-1] = set()
-    branch = {order[0]: -1}
-    for v in order[1:]:
-        p, eid = up[v]
-        branch[v] = v if p == centroid else branch[p]
-        bundles[branch[v]].add(eid)
+    branch = [-1] * (m + 1)
+    for i in range(m + 1):
+        for j in range(first[i], end[i]):
+            branch[j] = j if i == centroid else branch[i]
+            bundles[branch[j]].add(order[j][1])
     branches = sorted(filter(None, bundles.values()), key=len, reverse=True)
     lower = -(-m // (3 * d))
     side = set()
@@ -205,7 +267,8 @@ def build_decomposition(tree, d: int | None = None) -> Decomposition:
     """Recursively refine the edge set until only single edges remain.
 
     Fragments of at least d edges get an almost-balanced split; smaller ones
-    fall apart into individual edges. The override `d` exists for tests; by
+    fall apart into individual edges, and a single edge goes on to the next
+    level as the same fragment. The override `d` exists for tests; by
     default d = max(2, ceil(sqrt(log2 n))).
     """
     if tree.num_vertices < 2:
@@ -214,22 +277,29 @@ def build_decomposition(tree, d: int | None = None) -> Decomposition:
         d = branching_parameter(tree.num_vertices)
     if d < 2:
         raise InvalidInstanceError("branching parameter d must be at least 2")
-    level: list[frozenset[int]] = [frozenset(range(tree.num_edges))]
-    levels = [tuple(level)]
+    level: tuple[frozenset[int], ...] = (frozenset(range(tree.num_edges)),)
+    levels = [level]
     children: list[tuple[tuple[int, ...], ...]] = []
-    while any(len(f) > 1 for f in level):
+    # every level partitions the edge set, so the last, all single edges,
+    # is the first with one fragment per edge
+    while len(level) < tree.num_edges:
         next_level: list[frozenset[int]] = []
         refined: list[tuple[int, ...]] = []
         for frag in level:
+            start = len(next_level)
+            if len(frag) == 1:
+                # a single edge goes on as it is
+                refined.append((start,))
+                next_level.append(frag)
+                continue
             if len(frag) < d:
-                kids = [frozenset({e}) for e in sorted(frag)]
+                next_level.extend([frozenset({e}) for e in sorted(frag)])
             else:
-                kids = almost_balanced_decomposition(tree, frag, d)
-            refined.append(tuple(range(len(next_level), len(next_level) + len(kids))))
-            next_level.extend(kids)
-        levels.append(tuple(next_level))
+                next_level.extend(almost_balanced_decomposition(tree, frag, d))
+            refined.append(tuple(range(start, len(next_level))))
+        level = tuple(next_level)
+        levels.append(level)
         children.append(tuple(refined))
-        level = next_level
     return Decomposition(d=d, levels=tuple(levels), children=tuple(children))
 
 

@@ -254,7 +254,25 @@ MUTANTS = (
     ),
     Mutant(
         "src/fza/sublog.py", "if 3 * d * len(remainder) >= m:", "if 3 * d * len(remainder) > m:",
-        "a remainder at exactly the lower size bound joins a piece instead of standing alone",
+        "the carve's remainder at exactly the lower size bound joins a piece instead of standing alone",
+    ),
+    Mutant(
+        "src/fza/sublog.py",
+        "piece_of[run:stop] = [piece_of[i]] * (stop - run)",
+        "piece_of[run:stop] = [piece_of[first[run]]] * (stop - run)",
+        "an edge whose bucket did not close takes the piece of its child's first edge instead of its parent edge's",
+    ),
+    Mutant(
+        "src/fza/sublog.py", "                run = j + 1\n", "                run = j + 2\n",
+        "after a bucket closes, the next run restarts one child late, so that child's edge joins no bucket",
+    ),
+    Mutant(
+        "src/fza/sublog.py", "cut_at.append(i)", "cut_at.append(j)",
+        "each piece counts as cut off at its run's last child, not the vertex above, so a small remainder finds no piece to join",
+    ),
+    Mutant(
+        "src/fza/sublog.py", "pairs = sorted(hub_index[v])", "pairs = hub_index[v]",
+        "the carve reads a hub's neighbors in the fragment's order, not sorted, so the walk's order changes at hubs",
     ),
     Mutant(
         "src/fza/sublog.py", "    while p <= length:", "    while p < length:",

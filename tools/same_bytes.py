@@ -25,8 +25,12 @@ inputs, then these groups.
   `solve --algo sublog` on files that are not instances at all, a file one
   vertex over `model.MAX_VERTICES`, and malformed command lines.
 - sublog: `solve --algo sublog` on every shared input, once to stdout and
-  once with `--diagnostics` to a file, plus perfbench's sublog-tree
-  (instance, seed) pairs both ways when the checkout has `perfbench/`.
+  once with `--diagnostics` to a file; then with `--diagnostics` on two
+  random paths, two stars and two caterpillars of 2,000 to 5,000
+  vertices with k = n, whose diagnostics list the edges of every fragment
+  that holds a commodity, so the decomposition is compared at scale; plus
+  perfbench's sublog-tree (instance, seed) pairs both ways when the
+  checkout has `perfbench/`.
 - density: the four density solvers on a quarter of the shared inputs,
   then on one random path and one random tree of 1,500 vertices with
   k = n, affine pricing and fractional weights (max weight 1000 on the
@@ -147,6 +151,24 @@ def _random_tree(rng: random.Random, n: int) -> list[tuple[int, int]]:
     for v in range(1, n):
         pair = (labels[rng.randrange(v)], labels[v])
         edges.append(pair if rng.random() < 0.5 else pair[::-1])
+    rng.shuffle(edges)
+    return edges
+
+
+def _shaped_tree(rng: random.Random, n: int, shape: str) -> list[tuple[int, int]]:
+    """Edges of a random "path", "star" or "caterpillar" (a spine of a third
+    of the vertices, the rest on random spine vertices) on 0..n-1, with
+    shuffled labels, edge order and edge orientation."""
+    if shape == "path":
+        edges = [(v - 1, v) for v in range(1, n)]
+    elif shape == "star":
+        edges = [(0, v) for v in range(1, n)]
+    else:
+        spine = n // 3
+        edges = [(v - 1, v) for v in range(1, spine)] + [(rng.randrange(spine), v) for v in range(spine, n)]
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = [(labels[u], labels[v]) if rng.random() < 0.5 else (labels[v], labels[u]) for u, v in edges]
     rng.shuffle(edges)
     return edges
 
@@ -298,6 +320,19 @@ def sublog_group(specs):
         yield "sublog", ".", [
             "solve", "--algo", "sublog", "--input", s["path"], "--seed", seed,
             "--diagnostics", "--output", f"out/sublog{i}.json",
+        ]
+    # random paths, stars and caterpillars of 2,000 to 5,000 vertices with
+    # k = n: the diagnostics list the edges of every fragment that holds a
+    # commodity, so the decomposition is compared at scale, along long
+    # chains of one-child vertices and around hubs
+    for i, shape in enumerate(("path", "star", "caterpillar") * 2):
+        n = rng.randint(2000, 5000)
+        commodities = [(*rng.sample(range(n), 2), rng.randint(0, 8), _weight(rng)) for _ in range(n)]
+        data = _instance(n, _shaped_tree(rng, n, shape), _pricing(rng, n), commodities)
+        path = _write(f"in/sublog-{shape}{i}.json", json.dumps(data))
+        yield "sublog", ".", [
+            "solve", "--algo", "sublog", "--input", path, "--seed", str(i),
+            "--diagnostics", "--output", f"out/sublog-{shape}{i}.json",
         ]
     try:
         from perfbench import workloads
