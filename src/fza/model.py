@@ -253,10 +253,10 @@ class Tree:
         `up` maps each to its (parent, parent edge), the root to (-1, -1). A
         vertex's children are pushed together, ascending by (neighbor, edge
         id), so every parent comes before its children. Every walk from a
-        root, over the tree or over a fragment of it, is this one loop, and
-        every rooted pass reads `up` as its parent map, except sublog's
-        carve, whose own loop walks in this order (see the module
-        docstring).
+        root, over the tree or over a fragment of it, is this one loop, save
+        sublog's carve, which walks in this order in a loop of its own (see
+        the module docstring); every rooted pass reads `up` as its parent
+        map.
 
         The loop scans `adjacency[v]` at each vertex it reaches and skips
         the edges outside the set. At a vertex of more tree neighbors than
