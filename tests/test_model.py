@@ -691,7 +691,11 @@ class TestScaledKernel:
         # recount of sum w_i * f(min(u_i, c_i)). Revenue and bound each sum
         # weights, and the bound sums tops, both item by item and by bit
         # planes; one instance's weights have distinct prime denominators,
-        # so its scaled weights are wider than k and every sum goes item by item
+        # so its scaled weights are wider than k and every sum goes item by
+        # item. On a 65-vertex path, nested commodities from vertex 0 are
+        # cut 1, 3, 4, 7, 8, 15, 16, 31 and 32 times by the even edges, so
+        # the counts fall on both sides of each new counter plane, with
+        # budgets 0, at the count and one below and above it
         cases = [(*self.deep_instance(seed), seed) for seed in range(6)]
         base = random_instance(3350, 40, 30, "affine")
         primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
@@ -707,6 +711,14 @@ class TestScaledKernel:
             make(Tree(5, ((0, 1), (1, 2), (1, 3), (3, 4))), PricingFunction.linear(5), []),
         ]
         cases += [(inst, frozenset(), seed) for seed, inst in enumerate(small, 6)]
+        path = Tree(65, tuple((v, v + 1) for v in range(64)))
+        nested = [
+            Commodity(0, 2 * count, budget, Fraction(1 + (count + budget) % 7, 1 + budget % 3))
+            for count in (1, 3, 4, 7, 8, 15, 16, 31, 32)
+            for budget in dict.fromkeys((0, count - 1, count, count + 1))
+        ]
+        for seed, pricing in enumerate((PricingFunction.linear(65), PricingFunction.affine(65), PricingFunction.capped(65, 20)), 11):
+            cases.append((make(path, pricing, nested), frozenset(range(0, 64, 2)), seed))
         seen = set()
         original_sum, kind = fza.model._sum, None
 
@@ -738,10 +750,10 @@ class TestScaledKernel:
                     bound += c.weight * inst.pricing(min(c.budget, count))
                     if count >= 2:
                         case = "served" if c.budget >= count else "short" if c.budget else "zero"
-                        seen |= {min(count, 8), (case, inst.pricing.base_revenue), ("equal", c.budget == count)}
+                        seen |= {count, (case, inst.pricing.base_revenue), ("equal", c.budget == count)}
                 kind = "bound"
                 assert inst.scaled_cut_bound(cuts) == (got, bound * inst.scale), (seed, sorted(cuts))
-        assert {2, 3, 8} <= seen
+        assert {2, 3, 7, 8, 15, 16, 31, 32} <= seen
         assert {(case, base) for case in ("served", "short", "zero") for base in (False, True)} <= seen
         assert ("equal", True) in seen
         sums = [("revenue", "weights"), ("bound", "weights"), ("bound", "tops")]
