@@ -44,10 +44,10 @@ it:
   the paths through it, built in one pass up the rooting in O(n + k)
   big-int operations (n * k bits). The density family scores every
   candidate with it (`Instance.scaled_cut_revenue`): a cut edge costs a
-  few operations on k-bit ints, and a bit-sliced counter splits the
-  commodities cut into count classes. A commodity cut c times within its
-  budget earns W_i * F[c], so the revenue is F[c] times the weight served
-  in each class c, plus F[0] times the weight of the commodities not cut.
+  few operations on k-bit ints in one bit-sliced counter, whose planes
+  split every commodity into count classes, class 0 being the commodities
+  not cut. A commodity cut c times within its budget earns W_i * F[c], so
+  the revenue is F[c] times the weight served in each class c.
   The density family's bucket walk also bounds each offset bucket through
   the same pass (`Instance.scaled_cut_bound`, which returns the revenue
   and, beside it, the revenue plus W_i * F[u_i] for each commodity cut
@@ -595,67 +595,46 @@ class Instance:
         `scale`; the bitset over commodity ids of those it cuts past their
         budget).
 
-        The commodities cut at least once (`ones`), twice or more (`twos`)
-        and three times or more (`threes`) are found while adding, as
-        `threes |= twos & b; twos |= ones & b; ones |= b` over the edges'
-        bitsets (`_cut_table`). `ones` less `twos` is the count class
-        c = 1. When there are any `threes`, a bit-sliced counter over the
-        cut edges splits `twos` into the count classes that occur; else
-        `twos` is the one class c = 2. One cut edge costs a few operations
-        on k-bit ints, rather than one dict update per commodity on the
-        edge.
+        One bit-sliced counter adds the cut edges' bitsets (`_cut_table`):
+        `counter[j]` holds the commodities whose cut count has bit j set, so
+        one cut edge costs a few operations on k-bit ints, rather than one
+        dict update per commodity on the edge. The counter's planes, highest
+        first, then split every commodity into its count class; class 0 is
+        the commodities not cut.
 
         A commodity cut c times earns W_i * F[c] if u_i >= c, else nothing.
-        So the revenue is the empty set's, less F[0] times the weight of
-        `ones`, plus F[c] times the weight of each class's members with
-        u_i >= c; the class's other members are cut past their budget.
+        So the revenue is F[c] times the weight of each class's members with
+        u_i >= c, and a class whose price is 0 adds nothing; the class's
+        other members are cut past their budget.
         """
         bits = self._cut_table
-        ones = twos = threes = 0
-        picked = []
+        counter: list[int] = []  # counter[j]: the commodities whose cut count has bit j set
         for e in cuts:
-            b = bits[e]
-            threes |= twos & b
-            twos |= ones & b
-            ones |= b
-            picked.append(b)
-        classes = [(ones ^ twos, 1)]
-        if threes:
-            counter: list[int] = []  # counter[j]: the commodities whose cut count has bit j set
-            for b in picked:
-                carry = b & twos
-                for j, plane in enumerate(counter):
-                    counter[j] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
-                else:
-                    if carry:
-                        counter.append(carry)
-            # split `twos` by the counter's planes, highest first, into its count classes
-            stack = [(twos, len(counter), 0)]
-            while stack:
-                members, j, c = stack.pop()
-                if not j:
-                    classes.append((members, c))
-                    continue
+            carry = bits[e]
+            for j, plane in enumerate(counter):
+                counter[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    counter.append(carry)
+        _, weights, prices, _ = self._scaled
+        planes = self._plane_tables[0]
+        total = over = 0
+        stack = [((1 << len(self.commodities)) - 1, len(counter), 0)]
+        while stack:
+            members, j, c = stack.pop()
+            if j:
                 high = members & counter[j - 1]
                 if high:
                     stack.append((high, j - 1, c | 1 << (j - 1)))
                 if high != members:
                     stack.append((members ^ high, j - 1, c))
-        elif twos:
-            classes.append((twos, 2))
-        _, weights, prices, _ = self._scaled
-        planes = self._plane_tables[0]
-        total = self._empty_revenue
-        if prices[0]:
-            total -= prices[0] * _sum(ones, weights, planes)
-        over = 0
-        for members, c in classes:
+                continue
             served = members & self._at_least(c)
             over |= members ^ served
-            if served:  # a 1-vertex tree has no price F[1] for its empty class c = 1
+            if served and prices[c]:
                 total += prices[c] * _sum(served, weights, planes)
         return total, over
 

@@ -764,9 +764,9 @@ class TestScaledKernel:
         # the bound kernel against a path-mask recount of
         # sum w_i * f(min(u_i, c_i)), and the revenue it returns beside the
         # bound against `scaled_cut_revenue`, on random trees, paths and stars, over
-        # edge sets that cut no commodity twice, cut some exactly twice
-        # (one count class, no counter) or three times and more (the
-        # counter), with zero budgets, budgets past n - 1 (the instances are
+        # edge sets that cut no commodity twice, cut some exactly twice or
+        # three times and more (a counter of one, two or more planes), with
+        # zero budgets, budgets past n - 1 (the instances are
         # not normalized) and over-budget sets on both sides of the top
         # planes' width; then its order: no subset earns more, no superset
         # has a lower bound

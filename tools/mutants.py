@@ -139,12 +139,24 @@ MUTANTS = (
         "a count class serves every member, those cut past their budget included",
     ),
     Mutant(
-        "src/fza/model.py", "total -= prices[0] * _sum(ones, weights, planes)", "total -= 0",
-        "the cut commodities keep the empty-set value F[0] * W_i that they lose when cut",
+        "src/fza/model.py", "stack.append((members ^ high, j - 1, c))", "stack.append((members ^ high if c else members, j - 1, c))",
+        "class 0 keeps every commodity, so the cut commodities keep the empty-set value F[0] * W_i that they lose when cut",
     ),
     Mutant(
-        "src/fza/model.py", "classes = [(ones ^ twos, 1)]", "classes = [(ones, 1)]",
-        "the once-cut class keeps the commodities cut twice or more, so they are also paid as cut once",
+        "src/fza/model.py", "stack.append((high, j - 1, c | 1 << (j - 1)))", "stack.append((high, j - 1, c + 1))",
+        "a class is priced by the number of bits set in its count, so the commodities cut 2, 4, 8 ... times are paid as cut once",
+    ),
+    Mutant(
+        "src/fza/model.py", "carry &= plane", "carry |= plane",
+        "the counter's carry keeps every commodity already on a plane, so a count carries where no bit overflowed",
+    ),
+    Mutant(
+        "src/fza/model.py", "if high != members:", "if high != members and j > 1:",
+        "the split drops each class whose lowest counter bit is 0: the uncut commodities and those cut an even number of times earn nothing",
+    ),
+    Mutant(
+        "src/fza/model.py", "if served and prices[c]:", "if served and prices[c] and c:",
+        "the commodities not cut lose their empty-set value F[0] * W_i",
     ),
     Mutant(
         "src/fza/model.py", "above |= tied & planes[bit]", "above |= planes[bit]",
