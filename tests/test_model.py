@@ -767,9 +767,10 @@ class TestScaledKernel:
         # edge sets that cut no commodity twice, cut some exactly twice or
         # three times and more (a counter of one, two or more planes), with
         # zero budgets, budgets past n - 1 (the instances are
-        # not normalized) and over-budget sets on both sides of the top
-        # planes' width; then its order: no subset earns more, no superset
-        # has a lower bound
+        # not normalized), budgets with a bit above the counter's top plane,
+        # commodities cut exactly their budget of two or more, and
+        # over-budget sets on both sides of the top planes' width; then its
+        # order: no subset earns more, no superset has a lower bound
         rng = Random(3500)
         seen = set()
         for trial in range(90):
@@ -798,7 +799,10 @@ class TestScaledKernel:
                 assert revenue == inst.scaled_cut_revenue(edges), (trial, sorted(edges))
                 over = [c.budget for c, x in zip(inst.commodities, counts) if x > c.budget]
                 seen.add(("most cuts", min(max(counts, default=0), 3)))
-                seen.add(("over", "planes" if len(over) > len(inst._plane_tables[4]) else "each" if over else "none"))
+                seen.add(("over", "planes" if len(over) > len(inst._plane_tables[-1]) else "each" if over else "none"))
+                top = max(counts, default=0).bit_length()
+                seen.add(("budget above counter", any(min(c.budget, n) >> top for c in inst.commodities)))
+                seen.add(("at budget, two planes", top >= 2 and any(x == c.budget >= 2 for c, x in zip(inst.commodities, counts))))
                 seen.add(("zero budget over", 0 in over))
                 seen.add(("budget past n - 1", any(c.budget > n - 1 for c in inst.commodities)))
                 subsets = [edges] + [frozenset(e for e in edges if rng.random() < 0.5) for _ in range(3)]
@@ -808,6 +812,7 @@ class TestScaledKernel:
         assert {("most cuts", c) for c in (0, 1, 2, 3)} <= seen
         assert {("over", how) for how in ("none", "each", "planes")} <= seen
         assert {("zero budget over", True), ("budget past n - 1", True)} <= seen
+        assert {("budget above counter", True), ("at budget, two planes", True)} <= seen
 
 
 def test_first_best_keeps_first_maximum_and_scores_each_set_once():
