@@ -44,10 +44,12 @@ it:
   the paths through it, built in one pass up the rooting in O(n + k)
   big-int operations (n * k bits). The density family scores every
   candidate with it (`Instance.scaled_cut_revenue`): a cut edge costs a
-  few operations on k-bit ints in one bit-sliced counter, whose planes
-  split every commodity into count classes, class 0 being the commodities
-  not cut. A commodity cut c times within its budget earns W_i * F[c], so
-  the revenue is F[c] times the weight served in each class c.
+  few operations on k-bit ints in one bit-sliced counter. One comparison
+  of its planes with the bit planes of the budgets, from the top, finds the
+  commodities cut past their budget, and the counter's planes split the
+  others into count classes, class 0 being the commodities not cut. A
+  commodity cut c times within its budget earns W_i * F[c], so the revenue
+  is F[c] times the weight of each class c.
   The density family's bucket walk also bounds each offset bucket through
   the same pass (`Instance.scaled_cut_bound`, which returns the revenue
   and, beside it, the revenue plus W_i * F[u_i] for each commodity cut
@@ -557,38 +559,23 @@ class Instance:
         return sublog_plan(self)
 
     @cached_property
-    def _plane_tables(self) -> tuple[list[int], list[int], dict[int, int], list[int], list[int]]:
-        """(the bit planes of W_i; the bit planes of min(u_i, n); the sets
-        {i : u_i >= c} that `_at_least` has derived, by c; T_i =
+    def _plane_tables(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """(the bit planes of W_i; the bit planes of min(u_i, n); T_i =
         W_i * F[min(u_i, n - 1)], commodity i's revenue when cut at its
-        budget; and the bit planes of T_i), every set a bitset over
+        budget; and the bit planes of T_i), every plane a bitset over
         commodity ids. A cut count is below n, so the clamps keep every
-        u_i >= c test and the T_i of every commodity that can be cut past
-        its budget."""
+        comparison of a count with a budget and the T_i of every commodity
+        that can be cut past its budget, and the budget planes are never
+        fewer than a counter's."""
         _, weights, prices, budgets = self._scaled
         n = self.tree.num_vertices
         tops = [w * prices[min(u, n - 1)] for w, u in zip(weights, budgets)]
         return (
             _bit_planes(weights, max(weights, default=0).bit_length()),
             _bit_planes([min(u, n) for u in budgets], n.bit_length()),
-            {},
             tops,
             _bit_planes(tops, max(tops, default=0).bit_length()),
         )
-
-    def _at_least(self, c: int) -> int:
-        """The set {i : u_i >= c}, by comparing budget planes from the top."""
-        planes, found = self._plane_tables[1:3]
-        if c not in found:
-            above, tied = 0, (1 << len(self.commodities)) - 1
-            for bit in reversed(range(len(planes))):
-                if c >> bit & 1:
-                    tied &= planes[bit]
-                else:
-                    above |= tied & planes[bit]
-                    tied &= ~planes[bit]
-            found[c] = above | tied
-        return found[c]
 
     def _cut_counts(self, cuts: Iterable[int]) -> tuple[int, int]:
         """For the cut set `cuts` (distinct edge ids): (its revenue, times
@@ -598,14 +585,18 @@ class Instance:
         One bit-sliced counter adds the cut edges' bitsets (`_cut_table`):
         `counter[j]` holds the commodities whose cut count has bit j set, so
         one cut edge costs a few operations on k-bit ints, rather than one
-        dict update per commodity on the edge. The counter's planes, highest
-        first, then split every commodity into its count class; class 0 is
-        the commodities not cut.
+        dict update per commodity on the edge.
 
         A commodity cut c times earns W_i * F[c] if u_i >= c, else nothing.
-        So the revenue is F[c] times the weight of each class's members with
-        u_i >= c, and a class whose price is 0 adds nothing; the class's
-        other members are cut past their budget.
+        One comparison of the counter's planes with the budget planes, from
+        the top, finds the commodities cut past their budget: `tied` holds
+        those whose count and budget agree on every plane above, so those
+        with a budget bit above the counter's top plane leave it first, and
+        at each plane the tied ones with a count bit where the budget has
+        none are over. The counter's planes, highest first, then split the
+        others into count classes, class 0 being the commodities not cut,
+        and the revenue is F[c] times the weight of each class c; a class
+        whose price is 0 adds nothing.
         """
         bits = self._cut_table
         counter: list[int] = []  # counter[j]: the commodities whose cut count has bit j set
@@ -620,9 +611,15 @@ class Instance:
                 if carry:
                     counter.append(carry)
         _, weights, prices, _ = self._scaled
-        planes = self._plane_tables[0]
+        planes, budget = self._plane_tables[:2]
+        everyone = tied = (1 << len(self.commodities)) - 1
+        for plane in budget[len(counter) :]:
+            tied &= ~plane
         total = over = 0
-        stack = [((1 << len(self.commodities)) - 1, len(counter), 0)]
+        for j in reversed(range(len(counter))):
+            over |= tied & counter[j] & ~budget[j]
+            tied &= ~(counter[j] ^ budget[j])
+        stack = [(everyone ^ over, len(counter), 0)]
         while stack:
             members, j, c = stack.pop()
             if j:
@@ -632,10 +629,8 @@ class Instance:
                 if high != members:
                     stack.append((members ^ high, j - 1, c))
                 continue
-            served = members & self._at_least(c)
-            over |= members ^ served
-            if served and prices[c]:
-                total += prices[c] * _sum(served, weights, planes)
+            if prices[c]:
+                total += prices[c] * _sum(members, weights, planes)
         return total, over
 
     def scaled_cut_revenue(self, cuts: Iterable[int]) -> int:
@@ -652,11 +647,11 @@ class Instance:
         non-decreasing, and a superset's sum is no smaller.
 
         The sum is the revenue plus T_i = W_i * F[min(u_i, n - 1)] over the
-        commodities cut past their budget, the members of each count class
-        c whose budget is below c.
+        commodities cut past their budget, those whose cut count exceeds u_i,
+        which the same pass finds before it splits the served ones by count.
         """
         total, over = self._cut_counts(edges)
-        return total, total + _sum(over, *self._plane_tables[3:])
+        return total, total + _sum(over, *self._plane_tables[2:])
 
     def scaled_revenue(self, mask: int, ids: Iterable[int] | None = None) -> int:
         """Revenue of cut set `mask` over commodities `ids` (all by default), times `scale`."""

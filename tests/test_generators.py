@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from fza import (
     parameters,
     total_revenue,
 )
-from fza.files import instance_to_dict, dumps_canonical
+from fza.files import instance_to_dict, dumps_canonical, write_instance
 from fza.generators import MAX_GEN_COMMODITIES
 from fza.model import MAX_VERTICES
 from fza.rng import substream
@@ -126,6 +127,11 @@ class TestGenRandom:
         # the spec itself is refused, so no draw is made
         with pytest.raises(CapacityError, match=fragment):
             GenSpec("random-tree", vertices, commodities)
+
+    def test_spec_at_caps_accepted(self):
+        # each cap is the largest value admitted; no draw is made
+        spec = GenSpec("random-tree", MAX_VERTICES, MAX_GEN_COMMODITIES)
+        assert (spec.num_vertices, spec.num_commodities) == (MAX_VERTICES, MAX_GEN_COMMODITIES)
 
     def test_inconsistent_spec(self):
         with pytest.raises(InvalidInstanceError):
@@ -265,6 +271,26 @@ class TestPathReduction:
         assert ystar == 1
         assert target(ystar) == 42 * 2 + 1
         assert opt == target(ystar) + 2  # one extra M from a 21M gadget
+
+    @pytest.mark.parametrize(
+        "formula, big_m, digest",
+        [
+            (PHI_FIG2, 3, "bdfe9db3516562a7525a62fd0b9db07ba18520cfd876f9f49116e5f59664e086"),
+            (Formula2CNF(1, (((0, False), (0, True)),)), 2, "9c8979d9085228e44ce746384c9921715fca0e3563da2be67610cd8f8b203b42"),
+            (
+                Formula2CNF(3, (((0, False), (2, True)), ((1, True), (2, False)), ((0, True), (1, False)))),
+                Fraction(7, 2),
+                "d4653b8fcd942e645b5085c8de84a954e6edfb1a35c0649f0576b276321fea6f",
+            ),
+        ],
+    )
+    def test_written_instance_pinned(self, tmp_path, formula, big_m, digest):
+        # the construction's every commodity, pinned by the bytes of the
+        # written instance: criterion 10b is the one test that solves a built
+        # path instance, and it is red, so a moved gadget commodity shows here
+        out = tmp_path / "path.json"
+        write_instance(gen_path_from_2sat(formula, big_m)[0], out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_clause_budgets_scale_with_gap(self):
         phi = Formula2CNF(3, (((0, False), (2, True)),))

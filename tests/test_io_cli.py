@@ -364,6 +364,14 @@ class TestCli:
         inst = read_instance(out)
         assert inst.tree.num_edges == 10
 
+    def test_gen_path_sat_default_big_m(self, tmp_path):
+        # without --big-m, M is the clause count plus one
+        clauses = ["--clauses", "1 -2, -1 -2, 2 1"]
+        default, given = tmp_path / "default.json", tmp_path / "given.json"
+        assert main(["gen", "path-sat", *clauses, "--output", str(default)]) == 0
+        assert main(["gen", "path-sat", *clauses, "--big-m", "4", "--output", str(given)]) == 0
+        assert default.read_bytes() == given.read_bytes()
+
     def test_gen_path_sat_refuses_exponent_big_m(self, tmp_path, capsys):
         out = tmp_path / "path.json"
         code = main(

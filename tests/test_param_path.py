@@ -75,6 +75,17 @@ class TestGuards:
             dp_congestion(inst)
         assert "gains" not in inst.__dict__
 
+    def test_congestion_budget_is_inclusive(self, monkeypatch):
+        # two commodities over the whole path: slack product (1 + 3) * (2 + 3)
+        # = 20 at every position, solved at a budget of 20, refused at 19
+        t = Tree(4, ((0, 1), (1, 2), (2, 3)))
+        inst = make(t, PricingFunction.linear(4), [Commodity(0, 3, 1, Fraction(2)), Commodity(0, 3, 2, Fraction(1))])
+        monkeypatch.setattr(param_path, "TABLE_BUDGET", 20)
+        assert dp_congestion(inst).revenue == brute_force(inst).revenue
+        monkeypatch.setattr(param_path, "TABLE_BUDGET", 19)
+        with pytest.raises(CapacityError, match="would hold up to 20 states > 19"):
+            dp_congestion(inst)
+
     def test_congestion_guard_caps_its_product(self, tmp_path, capsys, monkeypatch):
         # 5,000 commodities through the middle edge of a 100-vertex path: the
         # exact slack product there has over 4,300 digits, more than Python

@@ -123,20 +123,31 @@ MUTANTS = (
         "the per-edge bitsets keep a commodity whose ends meet below a vertex, so the edges above its path count it",
     ),
     Mutant(
-        "src/fza/model.py", "total += prices[c] * _sum(served", "total += prices[c - 1] * _sum(served",
+        "src/fza/model.py", "total += prices[c] * _sum(members", "total += prices[c - 1] * _sum(members",
         "a count class's served commodities are priced at c - 1 cuts",
     ),
     Mutant(
-        "src/fza/model.py", "served = members & self._at_least(c)", "served = members & self._at_least(c + 1)",
-        "a count class serves only the commodities whose budget exceeds c, so one cut exactly at its budget earns nothing",
+        "src/fza/model.py", "        stack = [(everyone ^ over, len(counter), 0)]",
+        "        over |= tied\n        stack = [(everyone ^ over, len(counter), 0)]",
+        "the comparison counts a tie as over: only the commodities whose budget exceeds their cut count are served, "
+        "so one cut exactly at its budget earns nothing",
     ),
     Mutant(
-        "src/fza/model.py", "served = members & self._at_least(c)", "served = members & self._at_least(c - 1)",
-        "a count class also serves the commodities whose budget is one below c",
+        "src/fza/model.py", "for j in reversed(range(len(counter))):", "for j in reversed(range(1, len(counter))):",
+        "the comparison skips the counter's lowest plane, so a commodity cut once past an even budget is served",
     ),
     Mutant(
-        "src/fza/model.py", "served = members & self._at_least(c)", "served = members",
-        "a count class serves every member, those cut past their budget included",
+        "src/fza/model.py", "stack = [(everyone ^ over, len(counter), 0)]", "stack = [(everyone, len(counter), 0)]",
+        "the class split serves every commodity, those cut past their budget included",
+    ),
+    Mutant(
+        "src/fza/model.py", "            tied &= ~plane\n", "            pass\n",
+        "the comparison ignores the budget planes above the counter's top plane, so a budget of 2^j or more "
+        "is read by its low bits alone",
+    ),
+    Mutant(
+        "src/fza/model.py", "for j in reversed(range(len(counter))):", "for j in range(len(counter)):",
+        "the comparison reads the planes from low to high, so a lower plane decides where a higher one differs",
     ),
     Mutant(
         "src/fza/model.py", "stack.append((members ^ high, j - 1, c))", "stack.append((members ^ high if c else members, j - 1, c))",
@@ -155,12 +166,13 @@ MUTANTS = (
         "the split drops each class whose lowest counter bit is 0: the uncut commodities and those cut an even number of times earn nothing",
     ),
     Mutant(
-        "src/fza/model.py", "if served and prices[c]:", "if served and prices[c] and c:",
+        "src/fza/model.py", "            if prices[c]:", "            if prices[c] and c:",
         "the commodities not cut lose their empty-set value F[0] * W_i",
     ),
     Mutant(
-        "src/fza/model.py", "above |= tied & planes[bit]", "above |= planes[bit]",
-        "the budget comparison counts a commodity above c by one higher plane alone, whatever its higher bits",
+        "src/fza/model.py", "over |= tied & counter[j] & ~budget[j]", "over |= counter[j] & ~budget[j]",
+        "the comparison counts a commodity over its budget by one plane where its count has a bit the budget lacks, "
+        "whatever the higher planes",
     ),
     Mutant(
         "src/fza/model.py", "            if count <= budgets[i]:", "            if count < budgets[i]:",
@@ -211,6 +223,16 @@ MUTANTS = (
         "dp_pmax's guard refuses a tree that is not a path as over capacity, not as invalid",
     ),
     Mutant(
+        "src/fza/param_path.py", "if states >= SLACK_CAP:", "if states > SLACK_CAP:",
+        "the slack product stops one step later: every factor is a budget plus 3, so a product that reaches the cap "
+        "either ends there, equal to SLACK_CAP, or passes it at the next factor and returns SLACK_CAP",
+        equivalent=True,
+    ),
+    Mutant(
+        "src/fza/param_path.py", "if worst > TABLE_BUDGET:", "if worst >= TABLE_BUDGET:",
+        "dp_congestion refuses a slack table of exactly TABLE_BUDGET states",
+    ),
+    Mutant(
         "src/fza/param_path.py", "            return SLACK_CAP\n", "            return states\n",
         "dp_congestion's capped slack product stops at the first partial product past the cap, not at the cap",
     ),
@@ -244,21 +266,34 @@ MUTANTS = (
         "the bucket walk never reuses a parent's pass: no output changes, but the pinned pass count sees the extra passes",
     ),
     Mutant(
-        "src/fza/model.py", "return total, total + _sum(over, *self._plane_tables[3:])", "return total, total",
+        "src/fza/model.py", "return total, total + _sum(over, *self._plane_tables[2:])", "return total, total",
         "the cut bound drops the over-budget credit: it is the revenue of the full bucket, no bound on its subsets",
     ),
     Mutant(
-        "src/fza/model.py", "return total, total + _sum(over, *self._plane_tables[3:])",
-        "return total + _sum(over, *self._plane_tables[3:]), total + _sum(over, *self._plane_tables[3:])",
+        "src/fza/model.py", "return total, total + _sum(over, *self._plane_tables[2:])",
+        "return total + _sum(over, *self._plane_tables[2:]), total + _sum(over, *self._plane_tables[2:])",
         "the joint pass returns the bound as the revenue, so an unthinned bucket scores its bound",
     ),
     Mutant(
-        "src/fza/model.py", "over |= members ^ served", "over = members ^ served",
-        "the over-budget set keeps only the last count class's, so a commodity cut once past a zero budget earns no credit",
+        "src/fza/model.py", "over |= tied & counter[j] & ~budget[j]", "over = tied & counter[j] & ~budget[j]",
+        "the over-budget set keeps only the lowest plane's finds, so a commodity found over at a higher plane is served as if within its budget",
     ),
     Mutant(
         "src/fza/model.py", "w * prices[min(u, n - 1)] for w, u", "w * prices[min(u, n - 1) - 1] for w, u",
         "the top values price one cut below each budget",
+    ),
+    Mutant(
+        "src/fza/generators.py", "if self.num_vertices > MAX_VERTICES:", "if self.num_vertices >= MAX_VERTICES:",
+        "GenSpec refuses a random instance of exactly MAX_VERTICES vertices",
+    ),
+    Mutant(
+        "src/fza/generators.py", "commodities.append(Commodity(left + 1, left + 4, 1, big))",
+        "commodities.append(Commodity(left + 0, left + 4, 1, big))",
+        "the path gadget's budget-1 commodity starts one edge early, in block A",
+    ),
+    Mutant(
+        "src/fza/cli.py", "formula.num_clauses + 1", "formula.num_clauses + 2",
+        "fza gen path-sat's default M is the clause count plus two",
     ),
     Mutant(
         "src/fza/sublog.py", "while (1 << (d * d)) < n:", "while (1 << (d * d)) <= n:",
