@@ -258,10 +258,6 @@ class Decomposition:
     levels: tuple[tuple[frozenset[int], ...], ...]
     children: tuple[tuple[tuple[int, ...], ...], ...]
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
 
 def build_decomposition(tree, d: int | None = None) -> Decomposition:
     """Recursively refine the edge set until only single edges remain.
@@ -303,20 +299,9 @@ def build_decomposition(tree, d: int | None = None) -> Decomposition:
     return Decomposition(d=d, levels=tuple(levels), children=tuple(children))
 
 
-@dataclass(frozen=True)
-class CommodityAssignment:
-    """Commodity -> (level, fragment) assignment.
-
-    by_fragment maps a 1-based level and a fragment index within it to the
-    commodities assigned there; extra holds the single-edge paths, which no
-    level ever separates.
-    """
-
-    by_fragment: dict[tuple[int, int], list[int]]
-    extra: tuple[int, ...] = ()
-
-
-def classify_commodities(decomp: Decomposition, instance: Instance) -> CommodityAssignment:
+def classify_commodities(
+    decomp: Decomposition, instance: Instance
+) -> tuple[dict[tuple[int, int], list[int]], tuple[int, ...]]:
     """Assign each commodity to the deepest fragment that holds its whole path.
 
     The fragments of one level are edge-disjoint, so the only child that can
@@ -324,6 +309,10 @@ def classify_commodities(decomp: Decomposition, instance: Instance) -> Commodity
     current fragment's child list from `decomp.children` and tests at most d
     children for that edge, then makes one mask test. A fragment's mask is
     built the first time a path is tested against it.
+
+    Returns the pair (by_fragment, extra): by_fragment maps a 1-based level
+    and a fragment index within it to the commodities assigned there; extra
+    holds the single-edge paths, which no level ever separates.
     """
     # the last level holds single edges only, and single-edge paths are
     # `extra` before the descent, so no path the descent follows fits there
@@ -346,7 +335,7 @@ def classify_commodities(decomp: Decomposition, instance: Instance) -> Commodity
                 break
             level, idx = level + 1, child
         by_fragment.setdefault((level, idx), []).append(i)
-    return CommodityAssignment(by_fragment, tuple(extra))
+    return by_fragment, tuple(extra)
 
 
 @dataclass(frozen=True)
@@ -628,8 +617,7 @@ def skeleton_solve(
     skeleton: SkeletonInfo,
     commodity_ids: Sequence[int],
     rng_labels: tuple,
-    *,
-    members: Mapping | None = None,
+    members: Mapping,
 ) -> frozenset[int]:
     """Candidate cutting only skeleton edges.
 
@@ -642,11 +630,11 @@ def skeleton_solve(
     Each guess draws one root per segment from its own substream, in
     segment order: a coin that deactivates the segment (its root is None),
     then, for a survivor only, a coin between its two terminals. Whether a
-    segment is active is read off that one list. Each segment end's member
-    rows are worked out once per instance: `sublog` passes the fragment's
-    `members` from its plan (`Instance._sublog_plan`), and a call without
-    them builds them by `_fragment_members`, whose guard refuses a guess
-    space over `GUESS_BUDGET` first. Within one call, a path DP result is
+    segment is active is read off that one list. `members` maps each
+    (segment, root) to its member rows. They are worked out once per
+    instance by `_fragment_members`, whose guard refuses a guess space over
+    `GUESS_BUDGET` first, and reach here through the plan
+    (`Instance._sublog_plan`). Within one call, a path DP result is
     reused whenever the same (segment, root, rows, cut count) comes up
     again. All coin draws of a guess happen before its DPs, so reuse does
     not change them. The guesses' cut sets are picked by `first_best` in
@@ -655,8 +643,6 @@ def skeleton_solve(
     """
     segments = skeleton.segments
     options = [segment_guesses(len(s)) for s in segments]
-    if members is None:
-        members = _fragment_members(instance, skeleton, commodity_ids)
     placed: dict[tuple, list[int]] = {}
 
     def guessed_cuts():
@@ -714,13 +700,13 @@ def sublog_plan(instance: Instance) -> tuple[Decomposition, list[tuple], tuple[i
     one instance shares it; the coin flips are not in it.
     """
     decomp = build_decomposition(instance.tree)
-    assignment = classify_commodities(decomp, instance)
+    by_fragment, extra = classify_commodities(decomp, instance)
     planned = []
-    for (level, idx), ids in sorted(assignment.by_fragment.items()):
+    for (level, idx), ids in sorted(by_fragment.items()):
         kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
         skel = compute_skeleton(instance.tree, decomp.levels[level - 1][idx], kids)
         planned.append((level, idx, ids, skel, _fragment_members(instance, skel, ids)))
-    return decomp, planned, assignment.extra
+    return decomp, planned, extra
 
 
 def sublog(
@@ -747,7 +733,7 @@ def sublog(
         for _, idx, ids, skel, members in fragments:
             rng_ns = substream(seed, "sublog", "nonskel", level, idx)
             f_ns = non_skeleton_solve(instance, skel, ids, rng_ns)
-            f_s = skeleton_solve(instance, skel, ids, (seed, "sublog", "skel", level, idx), members=members)
+            f_s = skeleton_solve(instance, skel, ids, (seed, "sublog", "skel", level, idx), members)
             chosen = first_best(
                 (f_ns, f_s), lambda cuts: instance.scaled_revenue(edge_mask(cuts), ids)
             )
@@ -770,7 +756,7 @@ def sublog(
         candidates.append(_single_edge_candidate(instance, extra))
 
     best = first_best(candidates, lambda cuts: instance.scaled_revenue(edge_mask(cuts)))
-    diag = {"candidates": len(candidates), "num_levels": decomp.num_levels}
+    diag = {"candidates": len(candidates), "num_levels": len(decomp.levels)}
     if diagnostics:
         diag.update(d=decomp.d, levels=[len(lv) for lv in decomp.levels], fragments=fragments_info)
     return make_result(instance, best, algorithm="sublog", seed=seed, diagnostics=diag)

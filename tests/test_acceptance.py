@@ -39,6 +39,7 @@ from fza.density import ceil_log2
 from fza.files import solution_to_json
 from fza.rng import substream
 from fza.sublog import (
+    _fragment_members,
     build_decomposition,
     classify_commodities,
     compute_skeleton,
@@ -256,8 +257,8 @@ def test_criterion_9_sublog_structural_and_statistical():
         if inst.tree.num_edges == 0:
             continue
         decomp = build_decomposition(inst.tree)
-        assign = classify_commodities(decomp, inst)
-        for (level, idx), ids in assign.by_fragment.items():
+        by_fragment, _ = classify_commodities(decomp, inst)
+        for (level, idx), ids in by_fragment.items():
             frag = decomp.levels[level - 1][idx]
             kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
             skel = compute_skeleton(inst.tree, frag, kids)
@@ -265,7 +266,7 @@ def test_criterion_9_sublog_structural_and_statistical():
             f_ns = non_skeleton_solve(inst, skel, ids, rng)
             assert not f_ns & skel.edges
             assert f_ns <= frag
-            f_s = skeleton_solve(inst, skel, ids, (seed, "check-skel", level, idx))
+            f_s = skeleton_solve(inst, skel, ids, (seed, "check-skel", level, idx), _fragment_members(inst, skel, ids))
             assert f_s <= skel.edges
     # statistical: mean over seeds of full runs against brute-force optimum
     for tree_seed in range(10):

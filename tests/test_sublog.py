@@ -22,6 +22,7 @@ from fza import (
 from fza.sublog import (
     Segment,
     SkeletonInfo,
+    _fragment_members,
     _oriented,
     _segment_members,
     almost_balanced_decomposition,
@@ -164,13 +165,13 @@ class TestBalancedDecomposition:
 class TestBuildDecomposition:
     def test_single_edge_tree(self):
         decomp = build_decomposition(Tree(2, ((0, 1),)))
-        assert decomp.num_levels == 1
+        assert len(decomp.levels) == 1
         assert decomp.levels[0] == (frozenset({0}),)
 
     def test_path_nine_with_d3(self):
         t = Tree(10, tuple((i, i + 1) for i in range(9)))
         decomp = build_decomposition(t, d=3)
-        assert decomp.num_levels == 3
+        assert len(decomp.levels) == 3
         assert len(decomp.levels[1]) == 3
         assert all(len(f) == 1 for f in decomp.levels[2])
 
@@ -303,27 +304,24 @@ class TestClassification:
         )
         inst2 = make(inst.tree, inst.pricing, [Commodity(far[0], far[1], 1, Fraction(1))])
         decomp = build_decomposition(inst2.tree)
-        assign = classify_commodities(decomp, inst2)
-        assert assign.by_fragment == {(1, 0): [0]} and assign.extra == ()
+        assert classify_commodities(decomp, inst2) == ({(1, 0): [0]}, ())
 
     def test_single_edge_commodity_extra_class(self):
         t = Tree(4, ((0, 1), (1, 2), (2, 3)))
         inst = make(t, PricingFunction.linear(4), [Commodity(1, 2, 1, Fraction(1))])
         decomp = build_decomposition(t)
-        assign = classify_commodities(decomp, inst)
-        assert assign.extra == (0,)
-        assert assign.by_fragment == {}
+        assert classify_commodities(decomp, inst) == ({}, (0,))
 
     def test_partition_and_border_traversal(self):
         for seed in range(15):
             inst = random_instance(seed, 18, 10, "linear")
             decomp = build_decomposition(inst.tree)
-            assign = classify_commodities(decomp, inst)
+            by_fragment, extra = classify_commodities(decomp, inst)
             ids = sorted(
-                i for group in assign.by_fragment.values() for i in group
-            ) + sorted(assign.extra)
+                i for group in by_fragment.values() for i in group
+            ) + sorted(extra)
             assert sorted(ids) == list(range(inst.num_commodities))
-            for (level, idx), group in assign.by_fragment.items():
+            for (level, idx), group in by_fragment.items():
                 frag = decomp.levels[level - 1][idx]
                 kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
                 assert len(kids) >= 2
@@ -586,28 +584,33 @@ class TestSkeletonSolve:
         ]
         inst = make(tree, PricingFunction.linear(28), comms)
         skel = compute_skeleton(tree, range(27), FIG3_CHILDREN)
+        members = _fragment_members(inst, skel, [0, 1, 2])
         for seed in range(10):
-            cuts = skeleton_solve(inst, skel, [0, 1, 2], (seed, "sk-test"))
+            cuts = skeleton_solve(inst, skel, [0, 1, 2], (seed, "sk-test"), members)
             assert cuts <= skel.edges
 
     def test_guess_space_guard(self, monkeypatch):
-        # 13 two-edge segments give 3^13 > 10^6 guess combinations (12 would
-        # fit); the guard must refuse before any aux instance is built
+        # 13 two-edge segments give 3^13 > 10^6 guess combinations (12 fit);
+        # the guard must refuse before any member row is built
         t = Tree(27, tuple((v, v + 1) for v in range(26)))
         inst = make(t, PricingFunction.linear(27), [])
         segments = tuple(Segment((v, v + 1, v + 2), (v, v + 1)) for v in range(0, 26, 2))
-        skel = SkeletonInfo(
-            border=frozenset({0, 26}),
-            edges=frozenset(range(26)),
-            segments=segments,
-        )
+        rows_built = []
 
-        def enumerated(*args):
-            raise AssertionError("guess enumeration started")
+        def rows(*args):
+            rows_built.append(args[2:4])
+            return []
 
-        monkeypatch.setattr("fza.sublog.build_aux_instance", enumerated)
+        monkeypatch.setattr("fza.sublog._segment_members", rows)
+
+        def skeleton(count):
+            return SkeletonInfo(frozenset({0, 2 * count}), frozenset(range(2 * count)), segments[:count])
+
+        assert len(_fragment_members(inst, skeleton(12), [])) == len(rows_built) == 24
+        rows_built.clear()
         with pytest.raises(CapacityError, match="guess space"):
-            skeleton_solve(inst, skel, [], (0, "guard"))
+            _fragment_members(inst, skeleton(13), [])
+        assert not rows_built
 
     def test_scores_each_cut_set_once_per_call(self, monkeypatch):
         calls = []
@@ -623,7 +626,7 @@ class TestSkeletonSolve:
             if not skel.segments:
                 continue
             calls.append([])
-            skeleton_solve(inst, skel, ids, (n, "once"))
+            skeleton_solve(inst, skel, ids, (n, "once"), _fragment_members(inst, skel, ids))
             assert len(set(calls[-1])) == len(calls[-1])
             guesses += math.prod(len(segment_guesses(len(s))) for s in skel.segments)
         # the guesses repeat cut sets, so skipping repeats saved scorings
@@ -633,7 +636,7 @@ class TestSkeletonSolve:
         t = Tree(9, tuple((0, v) for v in range(1, 9)))
         inst = make(t, PricingFunction.linear(9), [])
         skel = compute_skeleton(t, range(8), [frozenset(range(4)), frozenset(range(4, 8))])
-        assert skeleton_solve(inst, skel, [], (0, "x")) == frozenset()
+        assert skeleton_solve(inst, skel, [], (0, "x"), _fragment_members(inst, skel, [])) == frozenset()
 
 
 class TestSublog:
@@ -708,8 +711,8 @@ def sublog_fragments(seeds, max_guesses=None):
         if inst.tree.num_edges == 0:
             continue
         decomp = build_decomposition(inst.tree, d=(4, 5)[seed // 3 % 2])
-        assign = classify_commodities(decomp, inst)
-        for (level, idx), ids in sorted(assign.by_fragment.items()):
+        by_fragment, _ = classify_commodities(decomp, inst)
+        for (level, idx), ids in sorted(by_fragment.items()):
             frag = decomp.levels[level - 1][idx]
             kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
             skel = compute_skeleton(inst.tree, frag, kids)
@@ -807,8 +810,9 @@ class TestSubSolvesMatchReference:
             if not skel.segments:
                 continue
             fragments += 1
+            members = _fragment_members(inst, skel, ids)
             for labels in ((fragments, "skel"), (fragments, "other")):
-                assert skeleton_solve(inst, skel, ids, labels) == reference_skeleton_solve(
+                assert skeleton_solve(inst, skel, ids, labels, members) == reference_skeleton_solve(
                     inst, skel, ids, labels
                 )
         assert fragments > 40
@@ -859,18 +863,18 @@ class TestSharedPlan:
             fresh = Instance.create(Tree(60, tree.edges), inst.pricing, inst.commodities)
             assert got == solution_to_json(sublog(fresh, 1, diagnostics=True))
             _, planned, extra = inst._sublog_plan
-            assignment = classify_commodities(build_decomposition(tree), inst)
+            by_fragment, want_extra = classify_commodities(build_decomposition(tree), inst)
             assert [(level, idx, ids) for level, idx, ids, _, _ in planned] == [
-                (level, idx, ids) for (level, idx), ids in sorted(assignment.by_fragment.items())
+                (level, idx, ids) for (level, idx), ids in sorted(by_fragment.items())
             ]
-            assert extra == assignment.extra
+            assert extra == want_extra
         assert first._sublog_plan[1] != second._sublog_plan[1]
 
     def test_guard_refuses_a_fragment_before_its_member_rows(self, monkeypatch):
         inst = gen_random(GenSpec("random-tree", 150, 150, pricing="affine", seed=41))
         decomp = build_decomposition(inst.tree)
         spaces = []
-        for (level, idx), _ in sorted(classify_commodities(decomp, inst).by_fragment.items()):
+        for (level, idx), _ in sorted(classify_commodities(decomp, inst)[0].items()):
             kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
             skel = compute_skeleton(inst.tree, decomp.levels[level - 1][idx], kids)
             spaces.append(math.prod(len(segment_guesses(len(s))) for s in skel.segments))
@@ -933,9 +937,9 @@ class TestPinned:
             for d in range(2, 7):
                 decomp = build_decomposition(tree, d)
                 h.update(repr(([[sorted(f) for f in level] for level in decomp.levels], decomp.children)).encode())
-                assignment = classify_commodities(decomp, inst)
-                h.update(repr((sorted(assignment.by_fragment.items()), assignment.extra)).encode())
-                for level, idx in sorted(assignment.by_fragment):
+                by_fragment, extra = classify_commodities(decomp, inst)
+                h.update(repr((sorted(by_fragment.items()), extra)).encode())
+                for level, idx in sorted(by_fragment):
                     kids = [decomp.levels[level][c] for c in decomp.children[level - 1][idx]]
                     skel = compute_skeleton(tree, decomp.levels[level - 1][idx], kids)
                     h.update(repr((

@@ -359,8 +359,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/fza/sublog.py",
-        "for (level, idx), ids in sorted(assignment.by_fragment.items()):",
-        "for (level, idx), ids in assignment.by_fragment.items():",
+        "for (level, idx), ids in sorted(by_fragment.items()):",
+        "for (level, idx), ids in by_fragment.items():",
         "the plan lists fragments in commodity order, not by (level, index), so sublog splits a level's candidate",
     ),
     Mutant(
