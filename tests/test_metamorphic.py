@@ -17,6 +17,10 @@ Relabeling: renaming the vertices, shuffling the edge order and swapping
 some edges' endpoints changes no cut set's revenue, only the ids that name
 it. So every exact solver keeps its optimum, while its cut set may differ
 by its tie rule, which reads ids.
+
+Local optimality: an exact solver's cut set is optimal, so it scores its
+own revenue through `Instance.scaled_cut_revenue`, and flipping any one edge
+in or out of it scores no higher.
 """
 
 from fractions import Fraction
@@ -241,3 +245,67 @@ def test_gen_rooted_path_keeps_its_optimum_under_relabeling_at_every_cut_count()
         inst = rooted_path_instance(seed)
         for cuts in range(inst.tree.num_vertices):
             assert_relabels("gen-rooted-path", inst, seed, root=0, cuts=cuts)
+
+
+def assert_locally_optimal(algo: str, instance: Instance, **extras) -> int:
+    """Check the local optimality relation for `algo` on `instance`: the
+    number of single-edge flips that score strictly lower."""
+    result = SOLVERS[algo][0](instance, 0, **extras)
+    cuts = set(result.cuts)
+    best = instance.scaled_cut_revenue(cuts)
+    assert best == result.revenue * instance.scale, (algo, extras)
+    lower = 0
+    for eid in range(instance.tree.num_edges):
+        flipped = instance.scaled_cut_revenue(cuts ^ {eid})
+        assert flipped <= best, (algo, extras, eid)
+        lower += flipped < best
+    return lower
+
+
+def long_path_instance(seed: int) -> Instance:
+    """A path of 100-200 vertices, past brute force's reach, whose n // 4
+    commodities run over at most 6 edges each with budgets 0 or 1, so it stays
+    inside all three parameterized-DP guards."""
+    rng = substream(seed, "metamorphic-long-path")
+    n = rng.randint(100, 200)
+    tree = shaped_tree(rng, n, "path")
+    order, _ = tree.path_order()
+    comms = []
+    for _ in range(n // 4):
+        a = rng.randrange(n - 1)
+        b = min(n - 1, a + rng.randint(1, 6))
+        comms.append(Commodity(order[a], order[b], rng.randint(0, 1), Fraction(rng.randint(1, 4))))
+    return normalize(Instance.create(tree, pricing_preset(PRICINGS[seed % 3], n), comms))
+
+
+def test_brute_force_is_locally_optimal():
+    shapes = ("tree", "path", "star", "broom", "caterpillar")
+    lower = sum(
+        assert_locally_optimal("brute", local_instance(seed, 3 + seed % 10, shapes[seed % 5], PRICINGS[seed % 3]))
+        for seed in range(40)
+    )
+    assert lower > 0
+
+
+def test_rooted_dp_is_locally_optimal():
+    lower = 0
+    for seed in range(12):
+        inst = random_instance(seed, 10 + 5 * seed, 20, PRICINGS[seed % 3], max_budget=4, root_commodities=True)
+        lower += assert_locally_optimal("rooted", inst, root=0)
+    for seed in range(6):
+        inst = rooted_path_instance(seed)
+        lower += assert_locally_optimal("rooted", inst, root=0)
+    # rooted trees and paths of 100-200 vertices
+    for seed in range(6):
+        shape = ("tree", "path")[seed % 2]
+        inst = random_instance(seed, 100 + 20 * seed, 100, PRICINGS[seed % 3], shape, max_budget=4, root_commodities=True)
+        lower += assert_locally_optimal("rooted", inst, root=0)
+    assert lower > 0
+
+
+def test_path_dps_are_locally_optimal():
+    lower = 0
+    for inst in [bounded_path_instance(seed) for seed in range(30)] + [long_path_instance(seed) for seed in range(4)]:
+        for algo in ("dp-umax", "dp-pmax", "dp-cong"):
+            lower += assert_locally_optimal(algo, inst)
+    assert lower > 0
