@@ -68,7 +68,7 @@ from .model import (
 )
 from .rng import substream
 
-# skeleton_solve refuses a fragment with more cut-count guess combinations
+# _fragment_members refuses a fragment with more cut-count guess combinations
 GUESS_BUDGET = 10**6
 
 
